@@ -12,7 +12,6 @@ one by never repairing the extra copies.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -116,8 +115,6 @@ def emulating_policy(model, sub_design) -> MaintenancePolicy:
     extra copies; those are left damaged forever, so in the long run the
     system behaves exactly like the smaller design under full repair.
     """
-    if model.kind != "fixed-design":
-        raise ValueError("emulation needs a fixed-design model")
     retired = [int(m) - int(x) for m, x in zip(model.design, sub_design)]
     if any(r < 0 for r in retired):
         raise ValueError(f"{tuple(sub_design)} does not fit inside {model.design}")
@@ -134,10 +131,8 @@ def emulating_policy(model, sub_design) -> MaintenancePolicy:
     return MaintenancePolicy(model, choice)
 
 
-def _solve_point(model, design, penalty, tolerance, v_init, backend):
-    res = solve_average_cost(
-        model, penalty, tolerance=tolerance, v_init=v_init, backend=backend
-    )
+def _solve_point(model, design, penalty, tolerance, v_init):
+    res = solve_average_cost(model, penalty, tolerance=tolerance, v_init=v_init)
     gain = evaluate_policy(model, res.policy)
     flags = () if res.converged else ("unconverged",)
     pt = SolutionPoint(
@@ -196,7 +191,6 @@ def sp2(
     delta_p: float = DEFAULT_DELTA_P,
     mode: str = "sweep",
     solver_tolerance: float = 1e-10,
-    backend=None,
     model=None,
 ):
     """Penalty-parametrized policy trade-off curve for one design.
@@ -244,7 +238,7 @@ def sp2(
         v = None
         matched = False
         for _ in range(SWEEP_CAP):
-            pt, v = _solve_point(model, design, penalty, solver_tolerance, v, backend)
+            pt, v = _solve_point(model, design, penalty, solver_tolerance, v)
             points.append(pt)
             if pt.ln_g_f <= ln_g_f_static + LFR_MATCH_TOL:
                 matched = True
@@ -257,7 +251,7 @@ def sp2(
 
         def solve_at(penalty):
             pt, v_store["v"] = _solve_point(
-                model, design, penalty, solver_tolerance, v_store["v"], backend
+                model, design, penalty, solver_tolerance, v_store["v"]
             )
             return pt
 
@@ -313,9 +307,7 @@ def run_app(
     mode: str = "sweep",
     tolerance: float = DOM_TOL,
     solver_tolerance: float = 1e-10,
-    threads=None,
     record_ties: bool = False,
-    backend=None,
 ) -> ParetoFront:
     """Full heuristic front: static sweep, containment filter, penalty
     sweeps, non-dominated merge.
@@ -338,31 +330,24 @@ def run_app(
         if s.design not in chosen
     ]
     notes = []
-
-    def stage_two(static):
-        return sp2(
-            instance,
-            static.design,
-            ln_g_f_static=static.ln_g_f,
-            p_min=p_min,
-            delta_p=delta_p,
-            mode=mode,
-            solver_tolerance=solver_tolerance,
-            backend=backend,
-        )
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [(s, pool.submit(stage_two, s)) for s in selected]
-        for s, fut in futures:
-            try:
-                pts = fut.result()
-            except Exception as exc:  # keep other designs' results
-                notes.append(f"design {s.design}: dynamic stage failed: {exc}")
-                continue
-            for p in pts:
-                for flag in p.flags:
-                    notes.append(f"design {s.design} penalty {p.penalty}: {flag}")
-            population.extend(pts)
+    for s in selected:
+        try:
+            pts = sp2(
+                instance,
+                s.design,
+                ln_g_f_static=s.ln_g_f,
+                p_min=p_min,
+                delta_p=delta_p,
+                mode=mode,
+                solver_tolerance=solver_tolerance,
+            )
+        except Exception as exc:  # keep other designs' results
+            notes.append(f"design {s.design}: dynamic stage failed: {exc}")
+            continue
+        for p in pts:
+            for flag in p.flags:
+                notes.append(f"design {s.design} penalty {p.penalty}: {flag}")
+        population.extend(pts)
 
     front = non_dom_filter(population, tolerance)
     return replace(front, notes=tuple(notes))

@@ -10,7 +10,6 @@ and 1 on errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -27,15 +26,6 @@ from parmaint.sim import simulate_policy
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FLAGGED = 2
-
-
-def _threads(args) -> int | None:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("PARMAINT_THREADS", "").strip()
-    if env:
-        return int(env)
-    return None
 
 
 def _load(args):
@@ -122,7 +112,6 @@ def cmd_app(args) -> int:
         delta_p=args.delta_p,
         mode=args.mode,
         tolerance=args.tolerance,
-        threads=_threads(args),
         record_ties=args.ties,
     )
     return _report_front(front, instance, args.out, args.plot_out, "heuristic front")
@@ -135,7 +124,6 @@ def cmd_exact(args) -> int:
         mode=args.mode,
         tolerance=args.tolerance,
         maximal_only=args.maximal_only,
-        threads=_threads(args),
         ceiling=args.ceiling,
     )
     return _report_front(front, instance, args.out, args.plot_out, "exact front")
@@ -219,7 +207,12 @@ def _add_common(sub, multipliers=True):
             "--multipliers",
             help="comma-separated per-type factors applied to both event rates",
         )
-    sub.add_argument("--threads", type=int, default=None)
+    sub.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="accepted for compatibility and ignored; every command runs serially",
+    )
 
 
 def _add_sweep_params(sub):

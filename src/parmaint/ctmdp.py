@@ -12,7 +12,7 @@ states, while action lists live on pre-decision states.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "apply_action",
     "transition_rates",
     "cost_rates",
-    "build_pruned_state_space",
     "build_model",
     "check_weakly_communicating",
     "dump_model",
@@ -93,27 +92,12 @@ def apply_action(state, action) -> SystemState:
     return tuple(out)
 
 
-def feasible_actions(state, bounds=None, instance: Instance | None = None):
+def feasible_actions(state):
     """Action vectors in lexicographic order.
 
-    Box mode: any number of each type's damaged copies may enter repair.
-    Pruned mode (``instance`` with ``bounds`` = knapsack copy bounds):
-    additionally requires the post-decision state to stay purchasable,
-    i.e. ``A x(s + a) <= b`` with ``x(s + a)_i = M_i - (s_i2 - a_i)``.
+    Any number of each type's damaged copies may enter repair.
     """
-    ranges = [range(s2 + 1) for _, s2 in state]
-    if instance is None:
-        return [a for a in itertools.product(*ranges)]
-    if bounds is None:
-        bounds = instance.copy_bounds
-    a_mat = instance.constraints
-    b = instance.constraint_bounds
-    out = []
-    for act in itertools.product(*ranges):
-        x = [m - (s2 - a) for (_, s2), a, m in zip(state, act, bounds)]
-        if np.all(a_mat @ np.asarray(x, dtype=float) <= b + 1e-9):
-            out.append(act)
-    return out
+    return list(itertools.product(*(range(s2 + 1) for _, s2 in state)))
 
 
 def transition_rates(instance: Instance, bounds, state, repair_interruption=False):
@@ -165,48 +149,9 @@ def cost_rates(instance: Instance, bounds, state):
     return usage + repair, failed
 
 
-def build_pruned_state_space(instance: Instance, ceiling: int | None = DEFAULT_STATE_CEILING):
-    """States of the maximal design that some purchasable design admits.
-
-    A state needs ``x(s)_i = M_i - s_i2`` installed copies per type (its
-    healthy plus repairing copies; damaged-and-unrepaired ones may as
-    well not exist), so it is kept iff ``A x(s) <= b``.  Built
-    incrementally type by type; partial sums only grow, so infeasible
-    prefixes prune whole subtrees.
-    """
-    bounds = instance.copy_bounds
-    a_mat = instance.constraints
-    b = instance.constraint_bounds
-    n = instance.n_types
-    out = []
-    count = 0
-
-    def recurse(i, prefix, used):
-        nonlocal count
-        if i == n:
-            out.append(tuple(prefix))
-            count += 1
-            if ceiling is not None and count > ceiling:
-                raise StateSpaceError(
-                    f"pruned state space exceeds the ceiling of {ceiling}",
-                    report={"ceiling": ceiling},
-                )
-            return
-        for s1, s2 in _pair_list(bounds[i]):
-            need = bounds[i] - s2
-            new_used = used + a_mat[:, i] * need
-            if np.all(new_used <= b + 1e-9):
-                prefix.append((s1, s2))
-                recurse(i + 1, prefix, new_used)
-                prefix.pop()
-
-    recurse(0, [], np.zeros(len(b)))
-    return out
-
-
 @dataclass(eq=False)
 class CtmdpModel:
-    """Solver-ready arrays for one design's (or the pruned) decision model.
+    """Solver-ready arrays for one design's decision model.
 
     Action lists are stored per pre-decision state as post-decision state
     ids (impulsive semantics); transitions, cost rates and total outflow
@@ -214,9 +159,8 @@ class CtmdpModel:
     """
 
     instance: Instance
-    design: tuple | None
-    bounds: np.ndarray  # per-type copy caps of this model
-    kind: str  # "fixed-design" or "knapsack-pruned"
+    design: tuple
+    bounds: np.ndarray  # per-type copy caps of this model (the design)
     repair_interruption: bool
     states: np.ndarray  # (n, 2N) int16, lexicographic
     act_offsets: np.ndarray  # (n+1,) int64
@@ -227,7 +171,6 @@ class CtmdpModel:
     cost_op: np.ndarray  # operational cost rate per post-state
     cost_fail: np.ndarray  # failure indicator per post-state
     outflow: np.ndarray
-    _codes: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_states(self) -> int:
@@ -250,21 +193,13 @@ class CtmdpModel:
         return tuple((int(row[2 * i]), int(row[2 * i + 1])) for i in range(self.n_types))
 
     def state_id(self, state) -> int:
-        code = self._pack(state)
-        if self._codes is None:
-            return int(code)
-        pos = int(np.searchsorted(self._codes, code))
-        if pos >= len(self._codes) or self._codes[pos] != code:
-            raise KeyError(f"state {state} not in this model's space")
-        return pos
-
-    def _pack(self, state) -> int:
+        """Mixed-radix position of a state in the lexicographic order."""
         _check_state(state, self.bounds)
         code = 0
         for (s1, s2), m in zip(state, self.bounds):
             t = (m + 1) * (m + 2) // 2
             code = code * t + _pair_index(int(m), s1, s2)
-        return code
+        return int(code)
 
     def action_vector(self, sid: int, post_id: int):
         pre = self.states[sid]
@@ -354,114 +289,33 @@ def _model_transitions(instance, bounds, states, strides, repair_interruption):
 
 def build_model(
     instance: Instance,
-    design=None,
+    design,
     *,
     repair_interruption: bool = False,
     ceiling: int | None = DEFAULT_STATE_CEILING,
 ) -> CtmdpModel:
-    """Build the decision model for a fixed design, or the pruned maximal
-    space when ``design`` is None."""
-    if design is not None:
-        design = tuple(int(x) for x in design)
-        if len(design) != instance.n_types or any(x < 0 for x in design):
-            raise ValueError(f"bad design {design} for {instance.n_types} types")
-        bounds = np.array(design, dtype=np.int64)
-        states, strides, sizes = _build_state_array(bounds)
-        total = states.shape[0]
-        if ceiling is not None and total > ceiling:
-            raise StateSpaceError(
-                f"design {design} yields {total} states, over the ceiling "
-                f"of {ceiling}",
-                report={"per_type": list(map(int, sizes)), "total": total, "ceiling": ceiling},
-            )
-        codes = None
-        id_of = None
-        kind = "fixed-design"
-    else:
-        bounds = np.array(instance.copy_bounds, dtype=np.int64)
-        pruned = build_pruned_state_space(instance, ceiling)
-        states = np.array(
-            [[v for pair in st for v in pair] for st in pruned], dtype=np.int16
+    """Build the decision model of one fixed design."""
+    design = tuple(int(x) for x in design)
+    if len(design) != instance.n_types or any(x < 0 for x in design):
+        raise ValueError(f"bad design {design} for {instance.n_types} types")
+    bounds = np.array(design, dtype=np.int64)
+    states, strides, sizes = _build_state_array(bounds)
+    total = states.shape[0]
+    if ceiling is not None and total > ceiling:
+        raise StateSpaceError(
+            f"design {design} yields {total} states, over the ceiling "
+            f"of {ceiling}",
+            report={"per_type": list(map(int, sizes)), "total": total, "ceiling": ceiling},
         )
-        sizes = np.array([(m + 1) * (m + 2) // 2 for m in bounds], dtype=np.int64)
-        strides = np.ones(len(bounds), dtype=np.int64)
-        for i in range(len(bounds) - 2, -1, -1):
-            strides[i] = strides[i + 1] * sizes[i + 1]
-        codes = np.zeros(states.shape[0], dtype=np.int64)
-        for i in range(len(bounds)):
-            idx = np.array(
-                [_pair_index(int(bounds[i]), int(r[2 * i]), int(r[2 * i + 1])) for r in states],
-                dtype=np.int64,
-            )
-            codes += idx * strides[i]
-
-        # pruned enumeration is lexicographic, so codes are sorted
-        def id_of(packed, codes=codes):
-            pos = np.minimum(np.searchsorted(codes, packed), len(codes) - 1)
-            if np.any(codes[pos] != packed):
-                raise StateSpaceError("pruned space is not closed under transitions")
-            return pos.astype(np.int64)
-
-        kind = "knapsack-pruned"
-
     cost_op, cost_fail = _model_costs(instance, bounds, states)
-
-    if kind == "fixed-design":
-        trn_off, trn_tgt, trn_rate, outflow = _model_transitions(
-            instance, bounds, states, strides, repair_interruption
-        )
-    else:
-        # pruned targets are id shifts in packed-code space, then looked up
-        full_ids = codes
-        n = states.shape[0]
-        srcs, tgts, rates = [], [], []
-        for i in range(len(bounds)):
-            comp = instance.components[i]
-            s1 = states[:, 2 * i].astype(np.int64)
-            s2 = states[:, 2 * i + 1].astype(np.int64)
-            healthy = bounds[i] - s1 - s2
-            local = np.arange(n, dtype=np.int64)
-            mask = healthy > 0
-            if mask.any():
-                srcs.append(local[mask])
-                tgts.append(full_ids[mask] + strides[i])
-                rates.append(healthy[mask] * comp.alpha)
-            mask = s1 > 0
-            if mask.any():
-                back = (bounds[i] - s1[mask] + 2) * strides[i]
-                srcs.append(local[mask])
-                tgts.append(full_ids[mask] - back)
-                rates.append(s1[mask] * comp.tau)
-                if repair_interruption:
-                    srcs.append(local[mask])
-                    tgts.append(full_ids[mask] - back + strides[i])
-                    rates.append(s1[mask] * comp.alpha)
-        if srcs:
-            src = np.concatenate(srcs)
-            tgt = id_of(np.concatenate(tgts))
-            rate = np.concatenate(rates)
-        else:
-            src = np.zeros(0, dtype=np.int64)
-            tgt = np.zeros(0, dtype=np.int64)
-            rate = np.zeros(0)
-        order = np.argsort(src, kind="stable")
-        src, tgt, rate = src[order], tgt[order], rate[order]
-        trn_off = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(trn_off, src + 1, 1)
-        trn_off = np.cumsum(trn_off)
-        trn_tgt, trn_rate = tgt, rate
-        outflow = np.zeros(n)
-        np.add.at(outflow, src, rate)
-
-    act_off, act_posts = _build_actions(
-        instance, bounds, states, strides, kind, codes
+    trn_off, trn_tgt, trn_rate, outflow = _model_transitions(
+        instance, bounds, states, strides, repair_interruption
     )
-
+    act_off, act_posts = _build_actions(bounds, states, strides)
     return CtmdpModel(
         instance=instance,
         design=design,
         bounds=bounds,
-        kind=kind,
         repair_interruption=repair_interruption,
         states=states,
         act_offsets=act_off,
@@ -472,11 +326,10 @@ def build_model(
         cost_op=cost_op,
         cost_fail=cost_fail,
         outflow=outflow,
-        _codes=codes,
     )
 
 
-def _build_actions(instance, bounds, states, strides, kind, codes):
+def _build_actions(bounds, states, strides):
     """Per-state post-id lists in action-lexicographic order."""
     n = states.shape[0]
     n_types = len(bounds)
@@ -507,23 +360,9 @@ def _build_actions(instance, bounds, states, strides, kind, codes):
             pidx = _pair_index(m, int(row[2 * i]), int(row[2 * i + 1]))
             # pre-scale by the stride so a post id is just a sum
             options.append([p * stride_of[i] for p in post_lists[i][pidx]])
-        if kind == "fixed-design":
-            for combo in itertools.product(*options):
-                posts[pos] = sum(combo)
-                pos += 1
-        else:
-            packed = np.fromiter(
-                (sum(c) for c in itertools.product(*options)), dtype=np.int64
-            )
-            ids = np.searchsorted(codes, packed)
-            # post states outside the pruned set ask for more installed
-            # copies than the budget allows and are not purchasable
-            ok = (ids < len(codes)) & (codes[np.minimum(ids, len(codes) - 1)] == packed)
-            sel = ids[ok]
-            offsets[sid + 1] = offsets[sid] + len(sel)
-            posts[offsets[sid] : offsets[sid + 1]] = sel
-    if kind == "knapsack-pruned":
-        posts = posts[: offsets[-1]]
+        for combo in itertools.product(*options):
+            posts[pos] = sum(combo)
+            pos += 1
     return offsets, posts
 
 
@@ -532,7 +371,7 @@ class WeakCommunicationReport:
     weakly_communicating: bool
     transient_ids: tuple
     n_core_classes: int
-    all_repairing_id: int | None
+    all_repairing_id: int
 
 
 def _union_edges(model: CtmdpModel):
@@ -569,10 +408,7 @@ def check_weakly_communicating(model: CtmdpModel) -> WeakCommunicationReport:
     from scipy.sparse.csgraph import breadth_first_order, connected_components
 
     n = model.n_states
-    all_rep = None
-    if model.kind == "fixed-design":
-        rep_state = tuple((int(m), 0) for m in model.bounds)
-        all_rep = model.state_id(rep_state)
+    all_rep = model.state_id(tuple((int(m), 0) for m in model.bounds))
     if n == 1:
         return WeakCommunicationReport(True, (), 1, all_rep)
 

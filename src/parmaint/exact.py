@@ -10,7 +10,6 @@ oracle for the heuristic to be judged against — at desk scale only.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from parmaint.app import (
@@ -82,18 +81,14 @@ def enumerate_feasible_designs(
     return out
 
 
-def _trace_design(instance, design, mode, solver_tolerance, backend):
+def _trace_design(instance, design, mode, solver_tolerance):
     """Supported points of one design's policy trade-off curve."""
     model = build_model(instance, design=design)
     store = {"v": None}
 
     def solve_at(penalty):
         res = solve_average_cost(
-            model,
-            penalty,
-            tolerance=solver_tolerance,
-            v_init=store["v"],
-            backend=backend,
+            model, penalty, tolerance=solver_tolerance, v_init=store["v"]
         )
         store["v"] = res.values
         gain = evaluate_policy(model, res.policy)
@@ -135,15 +130,13 @@ def exact_front(
     tolerance: float = DOM_TOL,
     solver_tolerance: float = 1e-10,
     maximal_only: bool = False,
-    threads=None,
     ceiling: int = DESIGN_CEILING,
-    backend=None,
 ) -> ParetoFront:
     """Non-dominated front over all feasible designs and their policies.
 
-    Per-design traces run independently (optionally threaded); the merge
-    is deterministic in design order.  Solver trouble on one design is
-    reported in the front's notes instead of failing the whole oracle.
+    Designs are traced one after another in lexicographic order and then
+    merged.  Solver trouble on one design is reported in the front's
+    notes instead of failing the whole oracle.
     """
     if mode not in ("dichotomic", "sweep"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -152,28 +145,22 @@ def exact_front(
     )
     population = []
     notes = []
-
-    def job(design):
-        return _trace_design(instance, design, mode, solver_tolerance, backend)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [(d, pool.submit(job, d)) for d in designs]
-        for design, fut in futures:
-            try:
-                pts = fut.result()
-            except Exception as exc:
-                notes.append(f"design {design}: exact trace failed: {exc}")
-                continue
-            for p in pts:
-                for flag in p.flags:
-                    notes.append(f"design {design} penalty {p.penalty}: {flag}")
-            population.extend(pts)
+    for design in designs:
+        try:
+            pts = _trace_design(instance, design, mode, solver_tolerance)
+        except Exception as exc:
+            notes.append(f"design {design}: exact trace failed: {exc}")
+            continue
+        for p in pts:
+            for flag in p.flags:
+                notes.append(f"design {design} penalty {p.penalty}: {flag}")
+        population.extend(pts)
 
     front = non_dom_filter(population, tolerance)
     return replace(front, notes=tuple(notes))
 
 
-def revalidate_front(instance, front, solver_tolerance: float = 1e-10, backend=None) -> float:
+def revalidate_front(instance, front, solver_tolerance: float = 1e-10) -> float:
     """Recompute every front point from scratch and return the worst drift.
 
     Points without a penalty (static provenance) are re-evaluated under
@@ -192,9 +179,7 @@ def revalidate_front(instance, front, solver_tolerance: float = 1e-10, backend=N
         if p.penalty is None:
             policy = fully_active_policy(model)
         else:
-            policy = solve_average_cost(
-                model, p.penalty, tolerance=solver_tolerance, backend=backend
-            ).policy
+            policy = solve_average_cost(model, p.penalty, tolerance=solver_tolerance).policy
         gain = evaluate_policy(model, policy)
         drift = max(
             drift,

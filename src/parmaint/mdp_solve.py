@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from parmaint import _kernels
 from parmaint.ctmdp import CtmdpModel
 
 __all__ = [
@@ -111,6 +110,83 @@ def _uniformized_arrays(model: CtmdpModel, penalty: float):
     return arrays, lam
 
 
+# Relative value iteration kernels.
+#
+# Pre-decision values v are updated via the uniformized one-step operator
+#   (Tv)(s) = min_u [ cost[u]/L + sum_t (rate/L) v(t) + (1 - out[u]/L) v(s) ]
+# over the state's post-decision options u, normalized at state 0 each
+# sweep.  The per-sweep difference bracket [dmin, dmax] times
+# the uniformization constant brackets the optimal gain.  Convergence is
+# on the span of the difference, relative to the per-step gain magnitude
+# so that huge failure penalties do not stall the loop at float
+# resolution.  Both kernels take the array tuple of _uniformized_arrays.
+
+
+def _rvi_sweeps(
+    act_off,
+    act_posts,
+    pair_pre,
+    trn_off,
+    trn_src,
+    trn_tgt,
+    rate_scaled,
+    self_keep,
+    cost_scaled,
+    v,
+    tol,
+    max_iter,
+):
+    """Run value-iteration sweeps in place; returns (iters, span, dmin, dmax)."""
+    # bincount accumulates sequentially in storage order, so each post
+    # value sums its arcs in CSR order like a plain loop would
+    n = v.shape[0]
+    aoff = act_off[:-1]
+    iters = 0
+    span = math.inf
+    dmin = dmax = 0.0
+    while iters < max_iter:
+        iters += 1
+        contrib = np.bincount(trn_src, weights=rate_scaled * v[trn_tgt], minlength=n)
+        post_val = cost_scaled + contrib
+        vals = post_val[act_posts] + self_keep[act_posts] * v[pair_pre]
+        new_v = np.minimum.reduceat(vals, aoff)
+        delta = new_v - v
+        dmin = float(delta.min())
+        dmax = float(delta.max())
+        span = dmax - dmin
+        v[:] = new_v - new_v[0]
+        if span < tol * max(1.0, abs(0.5 * (dmin + dmax))):
+            break
+    return iters, span, dmin, dmax
+
+
+def _greedy_choice(
+    act_off,
+    act_posts,
+    pair_pre,
+    trn_off,
+    trn_src,
+    trn_tgt,
+    rate_scaled,
+    self_keep,
+    cost_scaled,
+    v,
+):
+    """Index of the minimizing action per state (first on ties)."""
+    n = v.shape[0]
+    contrib = np.bincount(trn_src, weights=rate_scaled * v[trn_tgt], minlength=n)
+    post_val = cost_scaled + contrib
+    vals = post_val[act_posts] + self_keep[act_posts] * v[pair_pre]
+    aoff = act_off[:-1]
+    best = np.minimum.reduceat(vals, aoff)
+    # first position attaining the minimum: ties pick the smallest action
+    # vector because action lists are stored in lexicographic order
+    pos = np.arange(vals.shape[0], dtype=np.int64)
+    hit = np.where(vals == np.repeat(best, np.diff(act_off)), pos, np.iinfo(np.int64).max)
+    first = np.minimum.reduceat(hit, aoff)
+    return (first - aoff).astype(np.int64)
+
+
 @dataclass
 class SolveResult:
     policy: MaintenancePolicy
@@ -129,7 +205,7 @@ FLOOR_FACTOR = 16.0  # spans below FLOOR_FACTOR*eps*max|v| count as roundoff
 STALL_RATIO = 0.99  # chunk-over-chunk span shrink below 1% means stalled
 
 
-def _iterate_until_settled(arrays, v, tolerance, max_iterations, backend):
+def _iterate_until_settled(arrays, v, tolerance, max_iterations):
     """Run value-iteration sweeps until the span test or the float floor.
 
     Huge penalties push relative values to magnitudes where the span of
@@ -141,9 +217,7 @@ def _iterate_until_settled(arrays, v, tolerance, max_iterations, backend):
     prev_span = math.inf
     while True:
         chunk = min(ITERATION_CHUNK, max_iterations - total)
-        iters, span, dmin, dmax = _kernels.rvi_sweeps(
-            arrays, v, tolerance, chunk, ref=0, backend=backend
-        )
+        iters, span, dmin, dmax = _rvi_sweeps(*arrays, v, tolerance, chunk)
         total += iters
         mid = 0.5 * (dmin + dmax)
         if iters < chunk:  # kernel met the span test
@@ -162,7 +236,6 @@ def solve_average_cost(
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     v_init=None,
-    backend=None,
 ) -> SolveResult:
     """Optimal average cost of the failure-penalized problem.
 
@@ -171,8 +244,11 @@ def solve_average_cost(
     ``tolerance`` (relative to the per-step gain when that is large).
     The returned gain is the midpoint of the one-step difference bracket
     scaled back to unit time; greedy ties pick the lexicographically
-    smallest action.
+    smallest action.  The penalty must be finite and non-negative: a
+    negative one would reward failure.
     """
+    if not (math.isfinite(penalty) and penalty >= 0.0):
+        raise ValueError(f"penalty must be finite and non-negative, got {penalty}")
     if model.n_states == 0:
         raise ValueError("model has no states")
     arrays, lam = _uniformized_arrays(model, penalty)
@@ -183,9 +259,9 @@ def solve_average_cost(
         if v.shape != (model.n_states,):
             raise ValueError("v_init has the wrong length")
     iters, span, dmin, dmax, converged, floored = _iterate_until_settled(
-        arrays, v, tolerance, max_iterations, backend
+        arrays, v, tolerance, max_iterations
     )
-    choice = _kernels.greedy_choice(arrays, v, backend=backend)
+    choice = _greedy_choice(*arrays, v)
     policy = MaintenancePolicy(model, choice)
     return SolveResult(
         policy=policy,
@@ -206,7 +282,6 @@ def policy_gain_by_iteration(
     penalty: float,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    backend=None,
 ):
     """Gain of a fixed policy via the same value-iteration machinery.
 
@@ -223,7 +298,7 @@ def policy_gain_by_iteration(
     ) + arrays[3:]
     v = np.zeros(n)
     iters, span, dmin, dmax, converged, _ = _iterate_until_settled(
-        restricted, v, tolerance, max_iterations, backend
+        restricted, v, tolerance, max_iterations
     )
     return lam * 0.5 * (dmin + dmax), converged, int(iters)
 

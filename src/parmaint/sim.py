@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from parmaint import _kernels
-
 __all__ = ["SimReport", "simulate_policy", "trace_events"]
 
 MIN_FAILURE_ENTRIES = 100
@@ -64,7 +62,70 @@ def _batch_arrays(model, policy):
     )
 
 
-def _run_batch(arrays, start_post, t_limit, rng, backend):
+def _sim_loop(
+    start_post,
+    t_limit,
+    policy_post,
+    trn_off,
+    trn_tgt,
+    trn_rate,
+    outflow,
+    cost_op,
+    cost_fail,
+    uniforms,
+):
+    """Advance one simulated batch until its time limit or buffer end.
+
+    Returns (cost integral, failure-time integral, events, failure
+    entries, current post-state, time reached, buffer position,
+    exhausted flag).
+    """
+    t = 0.0
+    acc_o = 0.0
+    acc_f = 0.0
+    cur = start_post
+    pos = 0
+    events = 0
+    fails = 0
+    exhausted = False
+    while t < t_limit:
+        total = outflow[cur]
+        if total <= 0.0:
+            acc_o += (t_limit - t) * cost_op[cur]
+            acc_f += (t_limit - t) * cost_fail[cur]
+            t = t_limit
+            break
+        if pos + 2 > uniforms.shape[0]:
+            exhausted = True
+            break
+        dt = -math.log1p(-uniforms[pos]) / total
+        pos += 1
+        if t + dt >= t_limit:
+            acc_o += (t_limit - t) * cost_op[cur]
+            acc_f += (t_limit - t) * cost_fail[cur]
+            t = t_limit
+            break
+        acc_o += dt * cost_op[cur]
+        acc_f += dt * cost_fail[cur]
+        t += dt
+        x = uniforms[pos] * total
+        pos += 1
+        nxt = trn_tgt[trn_off[cur + 1] - 1]
+        acc_rate = 0.0
+        for k in range(trn_off[cur], trn_off[cur + 1]):
+            acc_rate += trn_rate[k]
+            if x < acc_rate:
+                nxt = trn_tgt[k]
+                break
+        newpost = policy_post[nxt]
+        if cost_fail[newpost] == 1 and cost_fail[cur] == 0:
+            fails += 1
+        cur = newpost
+        events += 1
+    return acc_o, acc_f, events, fails, cur, t, pos, exhausted
+
+
+def _run_batch(arrays, start_post, t_limit, rng):
     """One replication; refills the uniform buffer as the kernel drains it."""
     acc_o = acc_f = 0.0
     events = fails = 0
@@ -73,8 +134,8 @@ def _run_batch(arrays, start_post, t_limit, rng, backend):
     chunk = CHUNK_START
     while True:
         uniforms = rng.random(chunk)
-        d_o, d_f, d_ev, d_fail, cur, t, _, exhausted = _kernels.sim_batch(
-            arrays, cur, remaining, uniforms, 0, backend=backend
+        d_o, d_f, d_ev, d_fail, cur, t, _, exhausted = _sim_loop(
+            cur, remaining, *arrays, uniforms
         )
         acc_o += d_o
         acc_f += d_f
@@ -94,7 +155,6 @@ def simulate_policy(
     batches: int = 20,
     seed: int = 0,
     initial_state: int = 0,
-    backend=None,
 ) -> SimReport:
     """Estimate a policy's long-run cost pair by simulation.
 
@@ -104,8 +164,8 @@ def simulate_policy(
     An absorbing state legally accrues its costs to the end of the
     batch.
     """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if batches < 2:
         raise ValueError(f"need at least 2 batches, got {batches}")
     arrays = _batch_arrays(model, policy)
@@ -117,9 +177,7 @@ def simulate_policy(
     events = fails = 0
     for b in range(batches):
         rng = np.random.Generator(np.random.Philox(children[b]))
-        acc_o, acc_f, d_ev, d_fail, = _run_batch(
-            arrays, start_post, t_batch, rng, backend
-        )
+        acc_o, acc_f, d_ev, d_fail = _run_batch(arrays, start_post, t_batch, rng)
         means_o[b] = acc_o / t_batch
         means_f[b] = acc_f / t_batch
         events += d_ev

@@ -165,3 +165,90 @@ def single_type_instance(q=0.01, tau=1.0, usage=1.0, repair=100.0, bound=4):
 
 def model_for(instance, design):
     return build_model(instance, design=tuple(design))
+
+
+# Plain-loop value iteration, one state and one arc at a time.  Same
+# argument list as the vectorized kernels in parmaint.mdp_solve (the
+# tuple of _uniformized_arrays, then v); the arithmetic is done in the
+# same order, so the two must agree bit for bit.
+
+
+def rvi_loop(
+    act_off,
+    act_posts,
+    pair_pre,
+    trn_off,
+    trn_src,
+    trn_tgt,
+    rate_scaled,
+    self_keep,
+    cost_scaled,
+    v,
+    tol,
+    max_iter,
+):
+    """Relative value iteration sweeps in place; (iters, span, dmin, dmax)."""
+    n = v.shape[0]
+    post_val = np.empty(n)
+    new_v = np.empty(n)
+    iters = 0
+    span = math.inf
+    dmin = dmax = 0.0
+    while iters < max_iter:
+        iters += 1
+        for u in range(n):
+            acc = 0.0
+            for k in range(trn_off[u], trn_off[u + 1]):
+                acc += rate_scaled[k] * v[trn_tgt[k]]
+            post_val[u] = cost_scaled[u] + acc
+        dmin = math.inf
+        dmax = -math.inf
+        for s in range(n):
+            best = math.inf
+            for k in range(act_off[s], act_off[s + 1]):
+                u = act_posts[k]
+                best = min(best, post_val[u] + self_keep[u] * v[s])
+            new_v[s] = best
+            dmin = min(dmin, best - v[s])
+            dmax = max(dmax, best - v[s])
+        span = dmax - dmin
+        ref_val = new_v[0]
+        for s in range(n):
+            v[s] = new_v[s] - ref_val
+        if span < tol * max(1.0, abs(0.5 * (dmin + dmax))):
+            break
+    return iters, span, dmin, dmax
+
+
+def greedy_loop(
+    act_off,
+    act_posts,
+    pair_pre,
+    trn_off,
+    trn_src,
+    trn_tgt,
+    rate_scaled,
+    self_keep,
+    cost_scaled,
+    v,
+):
+    """Index of the first minimizing action per state."""
+    n = v.shape[0]
+    post_val = np.empty(n)
+    for u in range(n):
+        acc = 0.0
+        for k in range(trn_off[u], trn_off[u + 1]):
+            acc += rate_scaled[k] * v[trn_tgt[k]]
+        post_val[u] = cost_scaled[u] + acc
+    choice = np.empty(n, dtype=np.int64)
+    for s in range(n):
+        best = math.inf
+        pick = 0
+        for k in range(act_off[s], act_off[s + 1]):
+            u = act_posts[k]
+            q = post_val[u] + self_keep[u] * v[s]
+            if q < best:
+                best = q
+                pick = k - act_off[s]
+        choice[s] = pick
+    return choice

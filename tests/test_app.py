@@ -168,10 +168,6 @@ class TestEmulation:
         with pytest.raises(ValueError):
             emulating_policy(model, (3, 0, 0, 0))
 
-    def test_pruned_model_rejected(self, base_instance):
-        with pytest.raises(ValueError):
-            emulating_policy(build_model(base_instance), (1, 0, 0, 0))
-
 
 class TestPenaltySweep:
     def test_single_copy_two_regimes(self):
@@ -296,13 +292,6 @@ class TestRunApp:
             else:
                 assert point.penalty == penalty
                 assert point.provenance == DYNAMIC_SP2
-
-    def test_threading_does_not_change_the_front(self, base_instance):
-        a = run_app(base_instance, threads=1)
-        b = run_app(base_instance, threads=4)
-        assert [(p.g_o, p.ln_g_f, p.design, p.penalty) for p in a] == [
-            (p.g_o, p.ln_g_f, p.design, p.penalty) for p in b
-        ]
 
     def test_single_type_population(self):
         inst = single_type_instance(q=0.1, usage=1.0, repair=3.0, bound=2)

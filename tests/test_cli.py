@@ -209,6 +209,17 @@ class TestDmp:
         assert code == EXIT_ERROR
         assert "violates" in capsys.readouterr().err
 
+    def test_bad_penalty(self, base_path, tmp_path, capsys):
+        out = tmp_path / "gain.txt"
+        for penalty in ("nan", "-5"):
+            code = main(
+                ["dmp", base_path, "--design", "1,0,0,0", "--penalty", penalty,
+                 "--out", str(out)]
+            )
+            assert code == EXIT_ERROR
+            assert "penalty must be finite and non-negative" in capsys.readouterr().err
+            assert not out.exists()
+
 
 class TestSimulate:
     def test_plain_run(self, base_path, tmp_path, capsys):
@@ -246,6 +257,17 @@ class TestSimulate:
         assert code == EXIT_FLAGGED
         assert "failure entries" in capsys.readouterr().err
         assert "rare_failure = yes" in out.read_text()
+
+    def test_non_finite_horizon(self, base_path, tmp_path, capsys):
+        out = tmp_path / "sim.txt"
+        for horizon in ("inf", "nan"):
+            code = main(
+                ["simulate", base_path, "--design", "1,0,0,0", "--horizon", horizon,
+                 "--out", str(out)]
+            )
+            assert code == EXIT_ERROR
+            assert "horizon must be positive and finite" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_policy_file_round_trip(self, base_path, tmp_path):
         pol = tmp_path / "policy.txt"

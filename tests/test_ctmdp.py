@@ -6,7 +6,6 @@ from parmaint.ctmdp import (
     StateSpaceError,
     apply_action,
     build_model,
-    build_pruned_state_space,
     check_weakly_communicating,
     cost_rates,
     dump_model,
@@ -82,27 +81,6 @@ class TestActions:
         with pytest.raises(ValueError):
             apply_action(((0, 1),), (1, 0))
 
-    def test_pruned_actions_respect_budget(self, base_instance):
-        # repairing a damaged copy re-installs it, which can break a
-        # knapsack row that the damaged (ignorable) copy did not consume
-        state = ((0, 4), (5, 0), (0, 0), (0, 0))
-        acts = feasible_actions(
-            state, bounds=base_instance.copy_bounds, instance=base_instance
-        )
-        box = [a for a in feasible_actions(state)]
-        assert set(acts) <= set(box)
-        # cost row: 3 x1 + 3 x2 + 2 x3 + 2 x4 <= 20 with x2=5, x3=4, x4=5
-        # already uses 33 > 20, so no action keeping all of those is allowed
-        for act in acts:
-            x = [
-                m - (s2 - a)
-                for (_, s2), a, m in zip(state, act, base_instance.copy_bounds)
-            ]
-            assert np.all(
-                base_instance.constraints @ np.asarray(x, float)
-                <= base_instance.constraint_bounds + 1e-9
-            )
-
 
 class TestRatesAndCosts:
     def test_single_type_transitions(self):
@@ -175,44 +153,6 @@ class TestRatesAndCosts:
             transition_rates(inst, (1,), ((0, 1), (0, 0)))
 
 
-class TestPrunedStateSpace:
-    def test_zero_budget_single_state(self):
-        inst = single_type_instance(bound=3)
-        zero = make_instance(list(inst.components), [[1.0]], [0.0])
-        assert build_pruned_state_space(zero) == [((0, 0),)]
-
-    def test_matches_brute_force_filter(self, base_instance):
-        pruned = set(build_pruned_state_space(base_instance))
-        a = base_instance.constraints
-        b = base_instance.constraint_bounds
-        bounds = base_instance.copy_bounds
-        brute = set()
-        for state in enumerate_states(bounds):
-            x = [m - s2 for (_, s2), m in zip(state, bounds)]
-            if np.all(a @ np.asarray(x, float) <= b + 1e-9):
-                brute.add(state)
-        assert pruned == brute
-        assert 0 < len(pruned) < len(enumerate_states(bounds))
-
-    def test_random_instances_match_filter(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            inst = random_instance(rng, n_types=int(rng.integers(1, 4)))
-            if np.prod([(m + 1) * (m + 2) / 2 for m in inst.copy_bounds]) > 20000:
-                continue
-            pruned = set(build_pruned_state_space(inst))
-            a, b, bounds = inst.constraints, inst.constraint_bounds, inst.copy_bounds
-            brute = {
-                s
-                for s in enumerate_states(bounds)
-                if np.all(
-                    a @ np.array([m - s2 for (_, s2), m in zip(s, bounds)], float)
-                    <= b + 1e-9
-                )
-            }
-            assert pruned == brute
-
-
 def _model_matches_primitives(model: CtmdpModel):
     """Cross-check every CSR array against the reference functions."""
     inst = model.instance
@@ -241,18 +181,14 @@ def _model_matches_primitives(model: CtmdpModel):
         # actions
         alo, ahi = model.act_offsets[sid], model.act_offsets[sid + 1]
         posts = [model.state_rows(int(p)) for p in model.act_posts[alo:ahi]]
-        if model.kind == "fixed-design":
-            acts = feasible_actions(rows)
-        else:
-            acts = feasible_actions(rows, bounds=bounds, instance=inst)
-        assert posts == [apply_action(rows, a) for a in acts]
+        assert posts == [apply_action(rows, a) for a in feasible_actions(rows)]
 
 
 class TestBuildModel:
     def test_fixed_design_small(self):
         inst = single_type_instance(q=0.2, tau=2.0, bound=4)
         model = build_model(inst, design=(2,))
-        assert model.kind == "fixed-design"
+        assert model.design == (2,)
         assert model.n_states == 6
         assert model.n_state_actions == 10
         assert model.state_rows(0) == ((0, 0),)
@@ -307,29 +243,6 @@ class TestBuildModel:
         with pytest.raises(Exception):
             build_model(base_instance, design=(9, 9, 9, 9))
 
-    def test_pruned_model_matches_enumeration(self, base_instance):
-        model = build_model(base_instance)
-        assert model.kind == "knapsack-pruned"
-        assert model.n_states == len(build_pruned_state_space(base_instance))
-        assert model.n_states < 315 * 315
-
-    def test_pruned_model_state_lookup(self, base_instance):
-        model = build_model(base_instance)
-        for sid in range(0, model.n_states, 977):
-            assert model.state_id(model.state_rows(sid)) == sid
-        with pytest.raises(KeyError):
-            # every copy of every type installed is over budget
-            model.state_id(((4, 0), (5, 0), (4, 0), (5, 0)))
-
-    def test_pruned_small_instance_full_cross_check(self):
-        rng = np.random.default_rng(11)
-        for _ in range(6):
-            inst = random_instance(rng, n_types=2, bound_span=(4.0, 9.0))
-            model = build_model(inst)
-            if model.n_states > 400:
-                continue
-            _model_matches_primitives(model)
-
     def test_repair_interruption_model(self):
         inst = single_type_instance(q=0.2, tau=2.0, bound=3)
         model = build_model(inst, design=(2,), repair_interruption=True)
@@ -337,8 +250,10 @@ class TestBuildModel:
         _model_matches_primitives(model)
 
     def test_state_ceiling(self, base_instance):
-        with pytest.raises(StateSpaceError):
-            build_model(base_instance, ceiling=10)
+        with pytest.raises(StateSpaceError) as err:
+            build_model(base_instance, design=(2, 1, 0, 0), ceiling=10)
+        assert err.value.report["total"] == 18
+        assert err.value.report["ceiling"] == 10
 
 
 class TestWeakCommunication:
@@ -365,10 +280,6 @@ class TestWeakCommunication:
         assert report.weakly_communicating
         assert report.n_core_classes == 1
         assert report.transient_ids == ()
-
-    def test_pruned_model_weakly_communicating(self, base_instance):
-        report = check_weakly_communicating(build_model(base_instance))
-        assert report.weakly_communicating
 
     def test_random_fixed_designs(self):
         rng = np.random.default_rng(23)

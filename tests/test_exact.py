@@ -163,14 +163,6 @@ class TestExactFront:
             base_front.points[-1].ln_g_f, abs=1e-6
         )
 
-    def test_threads_do_not_change_values(self):
-        inst = single_type_instance(q=0.1, repair=3.0, bound=3)
-        a = exact_front(inst, threads=1)
-        b = exact_front(inst, threads=3)
-        assert [(p.g_o, p.ln_g_f, p.design) for p in a] == [
-            (p.g_o, p.ln_g_f, p.design) for p in b
-        ]
-
     def test_mode_validation(self, base_instance):
         with pytest.raises(ValueError):
             exact_front(base_instance, mode="grid")

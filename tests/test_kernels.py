@@ -1,23 +1,20 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-from parmaint import _kernels
 from parmaint.ctmdp import build_model
 from parmaint.mdp_solve import (
+    ITERATION_CHUNK,
+    _greedy_choice,
+    _rvi_sweeps,
     _uniformized_arrays,
-    evaluate_policy,
     solve_average_cost,
 )
-from parmaint.sim import simulate_policy
+from parmaint.sim import CHUNK_START, _batch_arrays, _sim_loop, simulate_policy
 
-from _oracles import single_type_instance
+from _oracles import greedy_loop, rvi_loop, single_type_instance
 
-needs_numba = pytest.mark.skipif(
-    not _kernels.USING_NUMBA, reason="numba backend not available"
-)
+# (design, penalty): moderate, large and clamp-sized failure penalties
+LOOP_CASES = [((2, 1, 0, 0), 37.0), ((3, 1, 0, 0), 1e5), ((1, 0, 0, 0), 1e12)]
 
 
 @pytest.fixture(scope="module")
@@ -26,85 +23,82 @@ def small_model(base_instance):
     return build_model(base_instance, design=(2, 1, 0, 0))
 
 
-class TestBackendSelection:
-    def test_backend_constant_consistent(self):
-        assert _kernels.BACKEND in ("numba", "numpy")
-        assert (_kernels.BACKEND == "numba") == _kernels.USING_NUMBA
-
-    def test_unknown_backend_rejected(self, small_model):
-        arrays, _ = _uniformized_arrays(small_model, 10.0)
-        v = np.zeros(small_model.n_states)
-        with pytest.raises(ValueError, match="backend"):
-            _kernels.rvi_sweeps(arrays, v, 1e-8, 10, backend="fortran")
-
-    def test_env_flag_forces_numpy(self):
-        code = (
-            "import os; os.environ['PARMAINT_NO_NUMBA'] = '1'\n"
-            "from parmaint import _kernels\n"
-            "assert not _kernels.USING_NUMBA\n"
-            "assert _kernels.BACKEND == 'numpy'\n"
-            "from parmaint.ctmdp import build_model\n"
-            "from parmaint.mdp_solve import solve_average_cost\n"
-            "from parmaint.model import load_instance\n"
-            "inst = load_instance('instances/base-6-20.json')\n"
-            "res = solve_average_cost(build_model(inst, design=(1, 0, 0, 0)), 100.0)\n"
-            "assert res.converged\n"
-            "assert abs(res.gain - 2.99) < 1e-8, res.gain\n"
-            "print('ok')\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            cwd=str(__import__("pathlib").Path(__file__).resolve().parent.parent),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "ok"
+class TestSolverKernels:
+    def test_single_copy_gain(self, base_instance):
+        res = solve_average_cost(build_model(base_instance, design=(1, 0, 0, 0)), 100.0)
+        assert res.converged
+        assert res.gain == pytest.approx(2.99, abs=1e-8)
 
 
-@needs_numba
-class TestBackendAgreement:
-    def test_rvi_sweeps_bitwise(self, small_model):
-        arrays, _ = _uniformized_arrays(small_model, 37.0)
-        v_np = np.zeros(small_model.n_states)
-        v_nb = np.zeros(small_model.n_states)
-        out_np = _kernels.rvi_sweeps(arrays, v_np, 1e-10, 5000, backend="numpy")
-        out_nb = _kernels.rvi_sweeps(arrays, v_nb, 1e-10, 5000, backend="numba")
-        assert out_np[0] == out_nb[0]  # iteration counts
-        assert out_np[1:] == pytest.approx(out_nb[1:], abs=0.0)  # exact
-        assert np.array_equal(v_np, v_nb)
+class TestLoopAgreement:
+    """The vectorized kernels against the plain loops of tests/_oracles.py."""
 
-    def test_greedy_choice_bitwise(self, small_model):
-        arrays, _ = _uniformized_arrays(small_model, 37.0)
-        v = np.zeros(small_model.n_states)
-        _kernels.rvi_sweeps(arrays, v, 1e-10, 5000, backend="numpy")
-        ch_np = _kernels.greedy_choice(arrays, v, backend="numpy")
-        ch_nb = _kernels.greedy_choice(arrays, v, backend="numba")
-        assert np.array_equal(ch_np, ch_nb)
+    def test_rvi_sweeps_bitwise(self, base_instance):
+        for design, penalty in LOOP_CASES:
+            model = build_model(base_instance, design=design)
+            arrays, _ = _uniformized_arrays(model, penalty)
+            v_np = np.zeros(model.n_states)
+            v_loop = np.zeros(model.n_states)
+            out_np = _rvi_sweeps(*arrays, v_np, 1e-10, 5000)
+            out_loop = rvi_loop(*arrays, v_loop, 1e-10, 5000)
+            assert out_np == out_loop  # iterations, span, dmin, dmax exactly
+            assert np.array_equal(v_np, v_loop)
+
+    def test_greedy_choice_bitwise(self, base_instance):
+        for design, penalty in LOOP_CASES:
+            model = build_model(base_instance, design=design)
+            arrays, _ = _uniformized_arrays(model, penalty)
+            v = np.zeros(model.n_states)
+            _rvi_sweeps(*arrays, v, 1e-10, 5000)
+            assert np.array_equal(_greedy_choice(*arrays, v), greedy_loop(*arrays, v))
+
+    def test_greedy_ties_pick_the_first_action(self):
+        # free repairs, and failure costs what running does: every policy
+        # has the same cost everywhere, so every action ties
+        inst = single_type_instance(usage=1.0, repair=0.0, bound=2)
+        model = build_model(inst, design=(2,))
+        arrays, _ = _uniformized_arrays(model, 1.0)
+        v = np.zeros(model.n_states)
+        _rvi_sweeps(*arrays, v, 1e-10, 5000)
+        choice = _greedy_choice(*arrays, v)
+        assert np.array_equal(choice, greedy_loop(*arrays, v))
+        assert not choice.any()
 
     def test_solver_end_to_end_identical(self, small_model):
-        a = solve_average_cost(small_model, 50.0, backend="numpy")
-        b = solve_average_cost(small_model, 50.0, backend="numba")
-        assert a.gain == b.gain
-        assert a.iterations == b.iterations
-        assert np.array_equal(a.policy.choice, b.policy.choice)
-        assert np.array_equal(a.values, b.values)
-
-    def test_simulation_identical(self, small_model):
         res = solve_average_cost(small_model, 50.0)
-        a = simulate_policy(
-            small_model, res.policy, horizon=500.0, batches=4, seed=9,
-            backend="numpy",
+        arrays, lam = _uniformized_arrays(small_model, 50.0)
+        v = np.zeros(small_model.n_states)
+        iters, _, dmin, dmax = rvi_loop(*arrays, v, 1e-10, ITERATION_CHUNK)
+        assert iters < ITERATION_CHUNK  # settled inside the solver's first chunk
+        assert res.iterations == iters
+        assert res.gain == lam * 0.5 * (dmin + dmax)
+        assert np.array_equal(res.values, v)
+        assert np.array_equal(res.policy.choice, greedy_loop(*arrays, v))
+
+    def test_buffer_refill_continues_the_path(self, small_model):
+        # simulate_policy draws uniforms in growing chunks; one long buffer
+        # from the same stream must give the same batch up to the rounding
+        # of restarting the clock at each refill
+        res = solve_average_cost(small_model, 50.0)
+        horizon, batches, seed = 2e6, 4, 9
+        report = simulate_policy(
+            small_model, res.policy, horizon=horizon, batches=batches, seed=seed
         )
-        b = simulate_policy(
-            small_model, res.policy, horizon=500.0, batches=4, seed=9,
-            backend="numba",
-        )
-        assert a.g_o == b.g_o
-        assert a.g_f == b.g_f
-        assert a.events == b.events
-        assert np.array_equal(a.batch_g_o, b.batch_g_o)
-        assert np.array_equal(a.batch_g_f, b.batch_g_f)
+        arrays = _batch_arrays(small_model, res.policy)
+        start = int(res.policy.post_ids[0])
+        t_batch = horizon / batches
+        events = 0
+        for b, child in enumerate(np.random.SeedSequence(seed).spawn(batches)):
+            rng = np.random.Generator(np.random.Philox(child))
+            acc_o, acc_f, d_ev, _, _, t, _, exhausted = _sim_loop(
+                start, t_batch, *arrays, rng.random(1 << 16)
+            )
+            assert not exhausted and t == t_batch
+            assert 2 * d_ev > CHUNK_START  # the chunked run had to refill
+            assert acc_o / t_batch == pytest.approx(report.batch_g_o[b], rel=1e-9)
+            assert acc_f / t_batch == pytest.approx(report.batch_g_f[b], rel=1e-9)
+            events += d_ev
+        assert events == report.events
 
 
 class TestSimBatchKernel:
@@ -127,10 +121,7 @@ class TestSimBatchKernel:
             model.cost_fail.astype(np.float64),
         )
         uniforms = np.array([0.5, 0.5, 0.5, 0.5])
-        out = _kernels.sim_batch(
-            state_arrays, model.state_id(((0, 0),)), 1000.0, uniforms, 0,
-            backend="numpy",
-        )
+        out = _sim_loop(model.state_id(((0, 0),)), 1000.0, *state_arrays, uniforms)
         acc_o, acc_f, events, fails, cur, t, pos, exhausted = out
         assert not exhausted
         assert t == 1000.0
@@ -160,6 +151,6 @@ class TestSimBatchKernel:
             model.cost_fail.astype(np.float64),
         )
         uniforms = np.array([0.5, 0.5, 0.5])  # room for 1.5 events only
-        out = _kernels.sim_batch(state_arrays, 0, 1e9, uniforms, 0, backend="numpy")
+        out = _sim_loop(0, 1e9, *state_arrays, uniforms)
         assert out[-1] is True or out[-1] == 1  # exhausted flag
         assert out[6] <= 3

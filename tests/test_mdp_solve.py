@@ -132,6 +132,17 @@ class TestSingleCopyClosedForms:
         with pytest.raises(ValueError):
             solve_average_cost(self.model, penalty=65.0, v_init=np.zeros(2))
 
+    def test_penalty_must_be_finite_and_non_negative(self):
+        for penalty in (math.nan, math.inf, -math.inf, -5.0):
+            with pytest.raises(ValueError, match="penalty"):
+                solve_average_cost(self.model, penalty=penalty)
+
+    def test_zero_penalty_allowed(self):
+        res = solve_average_cost(self.model, penalty=0.0)
+        assert res.converged
+        # failure is free, so never repairing costs nothing
+        assert res.gain == pytest.approx(0.0, abs=1e-8)
+
 
 class TestEmptyDesign:
     def test_gain_is_pure_failure(self, base_instance):

@@ -143,8 +143,9 @@ class TestAbsorption:
 class TestValidation:
     def test_horizon_positive(self, single_model):
         policy = fully_active_policy(single_model)
-        with pytest.raises(ValueError, match="horizon"):
-            simulate_policy(single_model, policy, horizon=0.0)
+        for horizon in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="horizon"):
+                simulate_policy(single_model, policy, horizon=horizon)
 
     def test_batches_at_least_two(self, single_model):
         policy = fully_active_policy(single_model)
