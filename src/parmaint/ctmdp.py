@@ -201,6 +201,16 @@ class CtmdpModel:
             code = code * t + _pair_index(int(m), s1, s2)
         return int(code)
 
+    def start_id(self, state) -> int:
+        """Id of a starting state given by id in ``[0, n)`` or by its rows."""
+        if isinstance(state, (int, np.integer)):
+            if not 0 <= state < self.n_states:
+                raise ValueError(
+                    f"initial state {int(state)} outside [0, {self.n_states})"
+                )
+            return int(state)
+        return self.state_id(tuple(state))
+
     def action_vector(self, sid: int, post_id: int):
         pre = self.states[sid]
         post = self.states[post_id]

@@ -2,10 +2,13 @@
 
 The failure-penalized control problem (operational cost rate plus
 ``penalty`` times the failure indicator) is solved by uniformization and
-relative value iteration.  Policies are evaluated exactly by solving the
-balance equations of the closed chain they induce on post-decision
-states, which also handles policies whose chain has transient states or,
-from unlucky starting points, several recurrent classes.
+relative value iteration.  Policies are evaluated exactly on the sparse
+chain they induce on post-decision states: a sparse LU of the balance
+equations, one diagonal block per recurrent class, and one of the
+absorption equations when the start is transient, so policies whose
+chain has transient states or several recurrent classes are handled too
+(direct sparse methods as in Stewart, *Introduction to the Numerical
+Solution of Markov Chains*, 1994).
 """
 
 from __future__ import annotations
@@ -303,173 +306,126 @@ def policy_gain_by_iteration(
     return lam * 0.5 * (dmin + dmax), converged, int(iters)
 
 
-def _policy_chain(model: CtmdpModel, post_ids, start_post: int):
-    """Reachable post-decision chain under a policy.
+def _solve_m_matrix(diag, rows, cols, rates, rhs):
+    """Solve ``(diag(diag) - R) x = rhs`` where R holds ``rates`` at (rows, cols).
 
-    Returns (nodes, offsets, targets, rates) with parallel arcs into the
-    same next post-state merged; node 0 is the start.
+    The matrices met here are nonsingular, diagonally dominant
+    M-matrices, so the LU factorization keeps its diagonal pivots:
+    ordering on the symmetrized pattern with pivoting switched off keeps
+    the fill low and tiny probabilities at full relative precision.
     """
-    toff, ttgt, trate = model.trn_offsets, model.trn_targets, model.trn_rates
-    index = {int(start_post): 0}
-    nodes = [int(start_post)]
-    adj = []
-    head = 0
-    while head < len(nodes):
-        u = nodes[head]
-        head += 1
-        merged = {}
-        for k in range(toff[u], toff[u + 1]):
-            nxt = int(post_ids[ttgt[k]])
-            merged[nxt] = merged.get(nxt, 0.0) + float(trate[k])
-        arcs = []
-        for nxt in merged:
-            if nxt not in index:
-                index[nxt] = len(nodes)
-                nodes.append(nxt)
-            arcs.append((index[nxt], merged[nxt]))
-        adj.append(arcs)
-    offsets = np.zeros(len(nodes) + 1, dtype=np.int64)
-    for i, arcs in enumerate(adj):
-        offsets[i + 1] = offsets[i] + len(arcs)
-    targets = np.zeros(offsets[-1], dtype=np.int64)
-    rates = np.zeros(offsets[-1])
-    for i, arcs in enumerate(adj):
-        for j, (t, r) in enumerate(arcs):
-            targets[offsets[i] + j] = t
-            rates[offsets[i] + j] = r
-    return np.array(nodes, dtype=np.int64), offsets, targets, rates
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
+    size = diag.shape[0]
+    if size == 0:
+        return rhs
+    diag_ids = np.arange(size)
+    a = csc_matrix(
+        (
+            np.concatenate([diag, -rates]),
+            (np.concatenate([diag_ids, rows]), np.concatenate([diag_ids, cols])),
+        ),
+        shape=(size, size),
+    )
+    lu = splu(
+        a,
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    return lu.solve(rhs)
 
 
-DENSE_SOLVE_LIMIT = 20_000
+def _reachable_chain(model: CtmdpModel, post_ids, start: int):
+    """The policy's chain on the post-states reachable from ``start``.
 
+    Every transition target is replaced by the post-state the policy
+    moves it to.  Returns the reachable post-state ids in breadth-first
+    order, the start first, and the CSR matrix of rates between their
+    positions, with self-loops dropped (they do not change a
+    continuous-time chain) and parallel arcs summed.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
 
-def _stationary_distribution(offsets, targets, rates, members):
-    """Stationary law of one recurrent class given by local node ids."""
-    size = len(members)
-    if size == 1:
-        return np.ones(1)
-    local = {m: i for i, m in enumerate(members)}
-    if size <= DENSE_SOLVE_LIMIT:
-        from scipy.linalg import solve
-
-        a = np.zeros((size, size))
-        for m in members:
-            i = local[m]
-            for k in range(offsets[m], offsets[m + 1]):
-                j = local[targets[k]]
-                a[j, i] += rates[k]
-                a[i, i] -= rates[k]
-        a[-1, :] = 1.0
-        rhs = np.zeros(size)
-        rhs[-1] = 1.0
-        pi = solve(a, rhs)
-    else:
-        # power iteration on the uniformized chain for very large classes
-        out = np.zeros(size)
-        for m in members:
-            i = local[m]
-            out[i] = rates[offsets[m] : offsets[m + 1]].sum()
-        lam = LAMBDA_SLACK * out.max()
-        pi = np.full(size, 1.0 / size)
-        for _ in range(2_000_000):
-            new = pi * (1.0 - out / lam)
-            for m in members:
-                i = local[m]
-                for k in range(offsets[m], offsets[m + 1]):
-                    new[local[targets[k]]] += pi[i] * rates[k] / lam
-            if np.abs(new - pi).sum() < 1e-15:
-                pi = new
-                break
-            pi = new
-    pi = np.maximum(pi, 0.0)
-    return pi / pi.sum()
+    n = model.n_states
+    dst = post_ids[model.trn_targets]
+    graph = csr_matrix((model.trn_rates, dst, model.trn_offsets), shape=(n, n))
+    nodes = breadth_first_order(graph, start, return_predecessors=False)
+    m = nodes.shape[0]
+    local = np.full(n, -1, dtype=np.int64)
+    local[nodes] = np.arange(m)
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(model.trn_offsets))
+    keep = (local[src] >= 0) & (src != dst)
+    chain = csr_matrix(
+        (model.trn_rates[keep], (local[src[keep]], local[dst[keep]])), shape=(m, m)
+    )
+    return nodes, chain
 
 
 def evaluate_policy(model: CtmdpModel, policy: MaintenancePolicy, initial_state=0) -> GainPair:
     """Exact long-run cost pair of a policy from a given starting state.
 
-    Builds the policy's closed chain over post-decision states reachable
-    from the start, locates its recurrent classes by strong-component
-    condensation, solves each class's balance equations, and (when the
-    start can be absorbed into several classes) mixes the class gains
-    with the exact absorption probabilities.
+    On the policy's chain over the post-states reachable from the start,
+    the recurrent classes are the strong components that no arc leaves.
+    Their balance equations, with the probability of each class's first
+    node pinned to 1, form one block-diagonal sparse system, one block
+    per class.  A start outside the recurrent classes mixes the class
+    gains by the exact absorption probabilities: one more sparse solve,
+    on the transient states.  ``initial_state`` is a pre-decision state
+    id in ``[0, n)`` or the state's rows.
     """
-    gain, _ = _evaluate_policy_detailed(model, policy, initial_state)
-    return gain
-
-
-def _evaluate_policy_detailed(model, policy, initial_state=0):
-    from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
-    if isinstance(initial_state, (int, np.integer)):
-        pre_id = int(initial_state)
-    else:
-        pre_id = model.state_id(tuple(initial_state))
-    start_post = int(policy.post_ids[pre_id])
-    nodes, offsets, targets, rates = _policy_chain(model, policy.post_ids, start_post)
-    n = len(nodes)
+    start = int(policy.post_ids[model.start_id(initial_state)])
+    nodes, chain = _reachable_chain(model, policy.post_ids, start)
+    m = nodes.shape[0]
+    src = np.repeat(np.arange(m, dtype=np.int64), np.diff(chain.indptr))
+    dst, rate = chain.indices.astype(np.int64), chain.data
+    out = np.bincount(src, weights=rate, minlength=m)
 
-    if offsets[-1] == 0:
-        # absorbing start: the class is the single start node
-        labels = np.zeros(n, dtype=np.int64)
-        n_comp = 1
-    else:
-        graph = coo_matrix(
-            (np.ones(len(targets)), (np.repeat(np.arange(n), np.diff(offsets)), targets)),
-            shape=(n, n),
-        ).tocsr()
-        n_comp, labels = connected_components(graph, directed=True, connection="strong")
-
-    # bottom classes have no arc leaving their component
+    n_comp, labels = connected_components(chain, directed=True, connection="strong")
     leaves = np.zeros(n_comp, dtype=bool)
-    src_of = np.repeat(np.arange(n), np.diff(offsets))
-    leaving = labels[src_of] != labels[targets]
-    for c in labels[src_of[leaving]]:
-        leaves[c] = True
-    bottom = [c for c in range(n_comp) if not leaves[c]]
+    leaves[labels[src[labels[src] != labels[dst]]]] = True
+    rec = ~leaves[labels]
 
-    class_gains = []
-    class_nodes = []
-    for c in bottom:
-        members = np.nonzero(labels == c)[0]
-        pi = _stationary_distribution(offsets, targets, rates, list(members))
-        ids = nodes[members]
-        g_o = float(pi @ model.cost_op[ids])
-        g_f = float(pi @ model.cost_fail[ids].astype(np.float64))
-        class_gains.append(GainPair(g_o, g_f))
-        class_nodes.append(set(int(m) for m in members))
+    # balance: out_j pi_j - sum_{i free} rate(i->j) pi_i = rate(first->j)
+    # for every free (recurrent, not first) node j, with pi = 1 at first
+    _, first = np.unique(labels, return_index=True)
+    free = rec.copy()
+    free[first[~leaves]] = False
+    pos = np.cumsum(free) - 1
+    into = rec[src] & free[dst]
+    coupled = into & free[src]
+    pinned = into & ~free[src]
+    rhs = np.bincount(pos[dst[pinned]], weights=rate[pinned], minlength=int(free.sum()))
+    pi = rec.astype(np.float64)
+    pi[free] = _solve_m_matrix(
+        out[free], pos[dst[coupled]], pos[src[coupled]], rate[coupled], rhs
+    )
+    mass = np.bincount(labels, weights=pi, minlength=n_comp)
+    mass[leaves] = 1.0  # transient components carry no probability
+    # per class: g_o, g_f and a column of ones for the absorbed mass below
+    class_gain = np.column_stack(
+        [
+            np.bincount(labels, weights=pi * model.cost_op[nodes], minlength=n_comp),
+            np.bincount(labels, weights=pi * model.cost_fail[nodes], minlength=n_comp),
+            mass,
+        ]
+    ) / mass[:, None]
+    if rec[0]:
+        return GainPair(float(class_gain[labels[0], 0]), float(class_gain[labels[0], 1]))
 
-    start_label = labels[0]
-    if not leaves[start_label]:
-        k = bottom.index(start_label)
-        info = {"classes": class_gains, "weights": [1.0 if i == k else 0.0 for i in range(len(bottom))]}
-        return class_gains[k], info
-
-    # transient start: absorption probabilities via the embedded jump chain
-    transients = np.nonzero(leaves[labels])[0]
-    tindex = {int(t): i for i, t in enumerate(transients)}
-    nt = len(transients)
-    t_mat = np.zeros((nt, nt))
-    b_mat = np.zeros((nt, len(bottom)))
-    for t in transients:
-        i = tindex[int(t)]
-        total = rates[offsets[t] : offsets[t + 1]].sum()
-        for k in range(offsets[t], offsets[t + 1]):
-            p = rates[k] / total
-            tgt = int(targets[k])
-            if tgt in tindex:
-                t_mat[i, tindex[tgt]] += p
-            else:
-                for ci, members in enumerate(class_nodes):
-                    if tgt in members:
-                        b_mat[i, ci] += p
-                        break
-    from scipy.linalg import solve as dense_solve
-
-    absorb = dense_solve(np.eye(nt) - t_mat, b_mat)
-    weights = absorb[tindex[0]]
-    g_o = float(weights @ [g.g_o for g in class_gains])
-    g_f = float(weights @ [g.g_f for g in class_gains])
-    info = {"classes": class_gains, "weights": list(map(float, weights))}
-    return GainPair(g_o, g_f), info
+    # absorption: out_i h_i - sum_{j transient} rate(i->j) h_j
+    #   = sum_{j recurrent} rate(i->j) g(class of j) for transient i;
+    # dividing by the absorbed mass, 1 up to rounding, keeps the gain of
+    # a certain absorption exact
+    trans = ~rec
+    pos = np.cumsum(trans) - 1
+    stay = trans[src] & trans[dst]
+    absorb = trans[src] & rec[dst]
+    rhs = np.zeros((int(trans.sum()), 3))
+    np.add.at(rhs, pos[src[absorb]], rate[absorb, None] * class_gain[labels[dst[absorb]]])
+    h = _solve_m_matrix(out[trans], pos[src[stay]], pos[dst[stay]], rate[stay], rhs)
+    return GainPair(float(h[0, 0] / h[0, 2]), float(h[0, 1] / h[0, 2]))

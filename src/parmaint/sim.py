@@ -18,6 +18,9 @@ import numpy as np
 __all__ = ["SimReport", "simulate_policy", "trace_events"]
 
 MIN_FAILURE_ENTRIES = 100
+# horizon * max outflow bounds the expected event count of a run; above
+# this it would not finish in any useful time
+SIM_EVENT_CEILING = 1e10
 CHUNK_START = 4096
 CHUNK_MAX = 1 << 20
 
@@ -162,14 +165,23 @@ def simulate_policy(
     the initial state, each on its own spawned stream, so identical
     inputs give identical output and batch standard errors are honest.
     An absorbing state legally accrues its costs to the end of the
-    batch.
+    batch.  A horizon whose bound on the expected event count (horizon
+    times the model's largest outflow) exceeds ``SIM_EVENT_CEILING`` is
+    rejected up front.
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if batches < 2:
         raise ValueError(f"need at least 2 batches, got {batches}")
+    bound = horizon * model.max_outflow
+    if bound > SIM_EVENT_CEILING:
+        raise ValueError(
+            f"horizon {horizon:g} allows up to {bound:.3g} expected events "
+            f"(horizon times the largest outflow), over the ceiling of "
+            f"{SIM_EVENT_CEILING:.3g}"
+        )
     arrays = _batch_arrays(model, policy)
-    start_post = int(policy.post_ids[initial_state])
+    start_post = int(policy.post_ids[model.start_id(initial_state)])
     t_batch = float(horizon) / batches
     children = np.random.SeedSequence(seed).spawn(batches)
     means_o = np.zeros(batches)
@@ -207,7 +219,7 @@ def trace_events(model, policy, horizon: float, seed: int = 0, limit: int = 1000
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     rows = []
-    cur = int(policy.post_ids[initial_state])
+    cur = int(policy.post_ids[model.start_id(initial_state)])
     t = 0.0
     toff, ttgt, trate = model.trn_offsets, model.trn_targets, model.trn_rates
     while t < horizon and len(rows) < limit:

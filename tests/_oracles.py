@@ -252,3 +252,148 @@ def greedy_loop(
                 pick = k - act_off[s]
         choice[s] = pick
     return choice
+
+
+# Dense policy evaluation, one state and one arc at a time: breadth-first
+# search over dicts, a dense balance solve per recurrent class and a
+# dense absorption solve on the embedded jump chain.  Cubic in the chain
+# size, so only for the small chains of the test instances.
+
+
+def _dense_chain(model, post_ids, start_post):
+    """Reachable post-state chain (nodes, per-node {next: rate}), start first."""
+    toff, ttgt, trate = model.trn_offsets, model.trn_targets, model.trn_rates
+    index = {int(start_post): 0}
+    nodes = [int(start_post)]
+    adj = []
+    head = 0
+    while head < len(nodes):
+        u = nodes[head]
+        head += 1
+        merged = {}
+        for k in range(toff[u], toff[u + 1]):
+            nxt = int(post_ids[ttgt[k]])
+            merged[nxt] = merged.get(nxt, 0.0) + float(trate[k])
+        for nxt in merged:
+            if nxt not in index:
+                index[nxt] = len(nodes)
+                nodes.append(nxt)
+        adj.append({index[nxt]: r for nxt, r in merged.items()})
+    return nodes, adj
+
+
+def _dense_stationary(adj, members):
+    """Balance equations of one recurrent class, last row replaced by sum 1."""
+    size = len(members)
+    local = {m: i for i, m in enumerate(members)}
+    a = np.zeros((size, size))
+    for m in members:
+        for t, r in adj[m].items():
+            a[local[t], local[m]] += r
+            a[local[m], local[m]] -= r
+    a[-1, :] = 1.0
+    rhs = np.zeros(size)
+    rhs[-1] = 1.0
+    pi = np.maximum(np.linalg.solve(a, rhs), 0.0)
+    return pi / pi.sum()
+
+
+def evaluate_dense(model, policy, initial_state=0):
+    """(g_o, g_f) of a policy from a start state, by dense linear algebra."""
+    from scipy.sparse.csgraph import connected_components
+
+    if isinstance(initial_state, (int, np.integer)):
+        pre_id = int(initial_state)
+    else:
+        pre_id = model.state_id(tuple(initial_state))
+    nodes, adj = _dense_chain(model, policy.post_ids, int(policy.post_ids[pre_id]))
+    n = len(nodes)
+    graph = np.zeros((n, n))
+    for u, arcs in enumerate(adj):
+        for t in arcs:
+            graph[u, t] = 1.0
+    n_comp, labels = connected_components(graph, directed=True, connection="strong")
+    leaves = [False] * n_comp
+    for u, arcs in enumerate(adj):
+        for t in arcs:
+            if labels[u] != labels[t]:
+                leaves[labels[u]] = True
+    gains = {}
+    for c in range(n_comp):
+        if not leaves[c]:
+            members = [u for u in range(n) if labels[u] == c]
+            pi = _dense_stationary(adj, members)
+            ids = [nodes[u] for u in members]
+            gains[c] = (
+                float(pi @ model.cost_op[ids]),
+                float(pi @ model.cost_fail[ids].astype(np.float64)),
+            )
+    if not leaves[labels[0]]:
+        return gains[labels[0]]
+    transients = [u for u in range(n) if leaves[labels[u]]]
+    tindex = {u: i for i, u in enumerate(transients)}
+    classes = sorted(gains)
+    t_mat = np.zeros((len(transients), len(transients)))
+    b_mat = np.zeros((len(transients), len(classes)))
+    for u in transients:
+        total = sum(adj[u].values())
+        for t, r in adj[u].items():
+            if t in tindex:
+                t_mat[tindex[u], tindex[t]] += r / total
+            else:
+                b_mat[tindex[u], classes.index(labels[t])] += r / total
+    absorb = np.linalg.solve(np.eye(len(transients)) - t_mat, b_mat)[tindex[0]]
+    return (
+        float(absorb @ [gains[c][0] for c in classes]),
+        float(absorb @ [gains[c][1] for c in classes]),
+    )
+
+
+def gth_stationary(rates):
+    """Stationary law of an irreducible generator by GTH elimination.
+
+    ``rates[i][j]`` is the rate from i to j (the diagonal is ignored).
+    Grassmann-Taksar-Heyman elimination forms every pivot as a sum of
+    rates, never a difference, so each probability comes out to full
+    relative precision however small it is.
+    """
+    a = [list(map(float, row)) for row in rates]
+    n = len(a)
+    for k in range(n - 1, 0, -1):
+        total = sum(a[k][j] for j in range(k))
+        for i in range(k):
+            a[i][k] /= total
+        for i in range(k):
+            for j in range(k):
+                if i != j:
+                    a[i][j] += a[i][k] * a[k][j]
+    pi = [1.0] + [0.0] * (n - 1)
+    for k in range(1, n):
+        pi[k] = sum(pi[i] * a[i][k] for i in range(k))
+    total = sum(pi)
+    return [p / total for p in pi]
+
+
+def threshold_type_law(alpha, tau, copies, threshold):
+    """Stationary law of one type under "repair all once ``threshold`` wait".
+
+    Post-decision states (repairing, damaged) keep fewer than
+    ``threshold`` damaged copies waiting; the failure that brings the
+    waiting count to ``threshold`` sends every waiting copy to repair.
+    Returns {(repairing, damaged): probability}.
+    """
+    states = [
+        (s1, s2)
+        for s2 in range(threshold)
+        for s1 in range(copies - s2 + 1)
+    ]
+    index = {s: i for i, s in enumerate(states)}
+    rates = [[0.0] * len(states) for _ in states]
+    for (s1, s2), i in index.items():
+        healthy = copies - s1 - s2
+        if healthy > 0:
+            nxt = (s1, s2 + 1) if s2 + 1 < threshold else (s1 + s2 + 1, 0)
+            rates[i][index[nxt]] += healthy * alpha
+        if s1 > 0:
+            rates[i][index[(s1 - 1, s2)]] += s1 * tau
+    return dict(zip(states, gth_stationary(rates)))

@@ -15,3 +15,9 @@ def base_instance():
 @pytest.fixture(scope="session")
 def instances_dir():
     return ROOT / "instances"
+
+
+@pytest.fixture(scope="session")
+def large_instance():
+    """Three-type instance of the benchmark's large design."""
+    return load_instance(ROOT / "perfbench" / "data" / "large-3.json")

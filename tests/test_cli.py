@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from parmaint.cli import EXIT_ERROR, EXIT_FLAGGED, EXIT_OK, main
@@ -268,6 +270,19 @@ class TestSimulate:
             assert code == EXIT_ERROR
             assert "horizon must be positive and finite" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_horizon_beyond_event_ceiling(self, base_path, tmp_path, capsys):
+        out = tmp_path / "sim.txt"
+        start = time.perf_counter()
+        code = main(
+            ["simulate", base_path, "--design", "1,0,0,0", "--horizon", "1e30",
+             "--out", str(out)]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "horizon 1e+30" in err and "over the ceiling" in err
+        assert not out.exists()
 
     def test_policy_file_round_trip(self, base_path, tmp_path):
         pol = tmp_path / "policy.txt"

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from parmaint.ctmdp import build_model
+from parmaint.dop import dop_objectives
+from parmaint.exact import enumerate_feasible_designs
 from parmaint.mdp_solve import (
     GainPair,
     MaintenancePolicy,
@@ -15,11 +17,13 @@ from parmaint.mdp_solve import (
 from parmaint.model import ComponentType, make_instance
 
 from _oracles import (
+    evaluate_dense,
     iterate_policies,
     policy_from_rule,
     random_instance,
     single_type_instance,
     stationary_design_gain,
+    threshold_type_law,
 )
 
 
@@ -153,6 +157,13 @@ class TestEmptyDesign:
         gain = evaluate_policy(model, res.policy)
         assert (gain.g_o, gain.g_f) == (0.0, 1.0)
 
+    def test_certain_absorption_is_exact(self, base_instance):
+        # never repairing walks every start into the all-damaged state
+        model = build_model(base_instance, design=(0, 5, 0, 0))
+        idle = MaintenancePolicy(model, np.zeros(model.n_states, dtype=np.int64))
+        gain = evaluate_policy(model, idle)
+        assert (gain.g_o, gain.g_f) == (0.0, 1.0)
+
 
 class TestFullyActiveClosedForm:
     def test_two_copies_cheapest_type(self, base_instance):
@@ -182,6 +193,25 @@ class TestFullyActiveClosedForm:
             g_o, g_f = stationary_design_gain(inst, design)
             assert gain.g_o == pytest.approx(g_o, rel=1e-9, abs=1e-12)
             assert gain.g_f == pytest.approx(g_f, rel=1e-9, abs=1e-12)
+
+
+class TestFullRepairMatchesClosedForm:
+    """Full repair is the static design objective, to the last digits."""
+
+    def _check(self, instance, design):
+        model = build_model(instance, design=design)
+        gain = evaluate_policy(model, fully_active_policy(model))
+        g_o, ln_g_f = dop_objectives(instance, design)
+        assert gain.g_o == pytest.approx(g_o, rel=1e-12, abs=1e-300)
+        assert gain.ln_g_f == pytest.approx(ln_g_f, rel=0.0, abs=1e-12)
+
+    def test_every_base_design(self, base_instance):
+        for design in enumerate_feasible_designs(base_instance):
+            self._check(base_instance, design)
+
+    def test_large_design(self, large_instance):
+        # g_f is about 1.2e-19, far below the roundoff of a dense solve
+        self._check(large_instance, (3, 4, 4))
 
 
 class TestStartDependence:
@@ -278,6 +308,27 @@ class TestStartDependence:
         parked = evaluate_policy(model, policy, initial_state=((0, 2),))
         assert (parked.g_o, parked.g_f) == (0.0, 1.0)
 
+    def test_dense_reference_agrees_from_every_start(self):
+        _, two_type, multichain = self._two_type_setup()
+        inst = single_type_instance(q=0.2, tau=1.0, usage=1.0, repair=3.0, bound=2)
+        one_type = build_model(inst, design=(2,))
+        plan = {((0, 1),): (1,), ((1, 1),): (0,), ((0, 2),): (0,)}
+        unreachable = policy_from_rule(one_type, lambda rows: plan.get(rows, (0,)))
+        for model, policy in ((two_type, multichain), (one_type, unreachable)):
+            for start in range(model.n_states):
+                gain = evaluate_policy(model, policy, initial_state=start)
+                g_o, g_f = evaluate_dense(model, policy, initial_state=start)
+                assert gain.g_o == pytest.approx(g_o, rel=1e-12, abs=1e-300)
+                assert gain.g_f == pytest.approx(g_f, rel=1e-12, abs=1e-300)
+
+    def test_out_of_range_start_rejected(self, base_instance):
+        model = build_model(base_instance, design=(2, 1, 0, 0))
+        policy = fully_active_policy(model)
+        n = model.n_states
+        for start in (-1, n, np.int64(n + 5)):
+            with pytest.raises(ValueError, match=rf"initial state -?\d+ outside \[0, {n}\)"):
+                evaluate_policy(model, policy, initial_state=start)
+
     def test_int_and_tuple_starts_agree(self, base_instance):
         model = build_model(base_instance, design=(1, 1, 0, 0))
         policy = fully_active_policy(model)
@@ -288,6 +339,45 @@ class TestStartDependence:
         )
         assert by_id.g_o == by_rows.g_o
         assert by_id.g_f == by_rows.g_f
+
+
+class TestDenseReference:
+    def test_solved_policies_agree(self, base_instance):
+        designs = [
+            (1, 0, 0, 0), (2, 1, 0, 0), (3, 1, 0, 0), (4, 0, 0, 0), (0, 2, 1, 1), (1, 1, 1, 1)
+        ]
+        for design in designs:
+            model = build_model(base_instance, design=design)
+            for penalty in (1.0, 1e3, 1e5):
+                policy = solve_average_cost(model, penalty).policy
+                gain = evaluate_policy(model, policy)
+                g_o, g_f = evaluate_dense(model, policy)
+                assert gain.g_o == pytest.approx(g_o, rel=1e-12, abs=1e-300)
+                assert gain.ln_g_f == pytest.approx(math.log(g_f), rel=0.0, abs=1e-8)
+
+
+class TestLargeThresholdChain:
+    """A 9,261-state chain whose gains have an independent product form."""
+
+    def test_matches_product_of_per_type_laws(self, large_instance):
+        copies, threshold = 7, 3
+        model = build_model(large_instance, design=(copies,) * 3)
+        policy = policy_from_rule(
+            model, lambda rows: tuple(s2 if s2 >= threshold else 0 for _, s2 in rows)
+        )
+        gain = evaluate_policy(model, policy)
+        # the types evolve independently under a per-type rule
+        g_o = 0.0
+        all_down = 1.0
+        for comp in large_instance.components:
+            law = threshold_type_law(comp.alpha, comp.tau, copies, threshold)
+            down = sum(p for (s1, s2), p in law.items() if s1 + s2 == copies)
+            repairing = sum(p * s1 for (s1, _), p in law.items())
+            g_o += comp.repair_cost * repairing + comp.usage_cost * (1.0 - down) * all_down
+            all_down *= down
+        assert all_down < 1e-29
+        assert gain.g_o == pytest.approx(g_o, rel=1e-12)
+        assert gain.g_f == pytest.approx(all_down, rel=1e-12)
 
 
 class TestOptimalityAgainstBruteForce:

@@ -10,7 +10,13 @@ from parmaint.mdp_solve import (
     fully_active_policy,
     solve_average_cost,
 )
-from parmaint.sim import MIN_FAILURE_ENTRIES, SimReport, simulate_policy, trace_events
+from parmaint.sim import (
+    MIN_FAILURE_ENTRIES,
+    SIM_EVENT_CEILING,
+    SimReport,
+    simulate_policy,
+    trace_events,
+)
 
 from _oracles import single_type_instance
 
@@ -151,6 +157,22 @@ class TestValidation:
         policy = fully_active_policy(single_model)
         with pytest.raises(ValueError, match="batches"):
             simulate_policy(single_model, policy, horizon=10.0, batches=1)
+
+    def test_horizon_beyond_event_ceiling(self, single_model):
+        policy = fully_active_policy(single_model)
+        horizon = 1.001 * SIM_EVENT_CEILING / single_model.max_outflow
+        for h in (horizon, 1e30):
+            with pytest.raises(ValueError, match="over the ceiling"):
+                simulate_policy(single_model, policy, horizon=h)
+
+    def test_out_of_range_start_rejected(self, single_model):
+        policy = fully_active_policy(single_model)
+        n = single_model.n_states
+        for start in (-1, n):
+            with pytest.raises(ValueError, match=rf"outside \[0, {n}\)"):
+                simulate_policy(single_model, policy, horizon=10.0, initial_state=start)
+            with pytest.raises(ValueError, match=rf"outside \[0, {n}\)"):
+                trace_events(single_model, policy, horizon=10.0, initial_state=start)
 
 
 class TestTraceEvents:
