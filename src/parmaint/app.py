@@ -47,8 +47,6 @@ DEFAULT_DELTA_P = 2.0
 SWEEP_CAP = 200  # penalty levels per design before giving up
 LFR_MATCH_TOL = 1e-9  # |ln g_f - static ln g_f| counting as "reached"
 DOM_TOL = 1e-9  # absolute dominance/duplicate tolerance
-DICHOTOMIC_DEPTH = 40
-PENALTY_CLAMP = (1e-9, 1e12)
 
 
 @dataclass(frozen=True)
@@ -131,20 +129,51 @@ def emulating_policy(model, sub_design) -> MaintenancePolicy:
     return MaintenancePolicy(model, choice)
 
 
-def _solve_point(model, design, penalty, tolerance, v_init):
-    res = solve_average_cost(model, penalty, tolerance=tolerance, v_init=v_init)
+def _check_sweep(p_min, delta_p) -> None:
+    if not (math.isfinite(p_min) and p_min > 0):
+        raise ValueError(f"penalty floor must be finite and positive, got {p_min}")
+    if not (math.isfinite(delta_p) and delta_p > 1):
+        raise ValueError(f"penalty growth factor must be finite and exceed 1, got {delta_p}")
+
+
+def _check_tolerance(tolerance) -> None:
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
+
+
+def _solve_point(model, design, penalty, v_init, provenance):
+    """Solve one penalty, evaluate the policy exactly, and return the
+    point with the solver's values for the next warm start."""
+    res = solve_average_cost(model, penalty, v_init=v_init)
     gain = evaluate_policy(model, res.policy)
-    flags = () if res.converged else ("unconverged",)
     pt = SolutionPoint(
         g_o=gain.g_o,
         ln_g_f=gain.ln_g_f,
         design=design,
-        provenance=DYNAMIC_SP2,
+        provenance=provenance,
         penalty=penalty,
         policy=res.policy,
-        flags=flags,
+        flags=() if res.converged else ("unconverged",),
     )
     return pt, res.values
+
+
+def _full_repair_point(instance, model, design, provenance):
+    """The design's exactly evaluated full-repair point (penalty ``None``),
+    flagged when it misses the closed form."""
+    policy = fully_active_policy(model)
+    gain = evaluate_policy(model, policy)
+    g_o, ln_g_f = dop_objectives(instance, design)
+    matches = _close(gain.ln_g_f, ln_g_f, 1e-8) and abs(gain.g_o - g_o) <= 1e-8
+    return SolutionPoint(
+        g_o=gain.g_o,
+        ln_g_f=gain.ln_g_f,
+        design=design,
+        provenance=provenance,
+        penalty=None,
+        policy=policy,
+        flags=() if matches else ("static-mismatch",),
+    )
 
 
 def _close(x: float, y: float, tol: float) -> bool:
@@ -153,112 +182,36 @@ def _close(x: float, y: float, tol: float) -> bool:
     return abs(x - y) <= tol
 
 
-def dichotomic_expand(solve_at, left, right, rel_tol=1e-9, max_depth=DICHOTOMIC_DEPTH):
-    """Supported points strictly between two front points, recursively.
-
-    ``solve_at(penalty)`` must return an exactly evaluated SolutionPoint.
-    The weight vector is the segment normal; recursion stops when the
-    scalarized solve no longer beats the segment by ``rel_tol`` relative,
-    or at ``max_depth``.
-    """
-    if max_depth <= 0:
-        return []
-    w_go = left.g_f - right.g_f
-    w_gf = right.g_o - left.g_o
-    if w_go <= 0.0 or w_gf <= 0.0:
-        return []
-    penalty = min(max(w_gf / w_go, PENALTY_CLAMP[0]), PENALTY_CLAMP[1])
-    mid = solve_at(penalty)
-    base = w_go * left.g_o + w_gf * left.g_f
-    value = w_go * mid.g_o + w_gf * mid.g_f
-    if base - value <= rel_tol * max(1.0, abs(base)):
-        return []
-    for end in (left, right):
-        if _close(mid.g_o, end.g_o, DOM_TOL) and _close(mid.ln_g_f, end.ln_g_f, DOM_TOL):
-            return []
-    return (
-        dichotomic_expand(solve_at, left, mid, rel_tol, max_depth - 1)
-        + [mid]
-        + dichotomic_expand(solve_at, mid, right, rel_tol, max_depth - 1)
-    )
-
-
 def sp2(
     instance,
     design,
-    ln_g_f_static=None,
     p_min: float = DEFAULT_P_MIN,
     delta_p: float = DEFAULT_DELTA_P,
-    mode: str = "sweep",
-    solver_tolerance: float = 1e-10,
-    model=None,
 ):
     """Penalty-parametrized policy trade-off curve for one design.
 
-    Sweep mode multiplies the failure penalty by ``delta_p`` per level
-    until the achieved log failure rate reaches the design's full-repair
-    value (``ln_g_f_static``, computed if omitted); dichotomic mode
-    recursively inserts the scalarized solve for each segment's normal
-    weight.  Both modes close with the exactly evaluated full-repair
-    point, recorded as the design's static representative.
+    Multiplies the failure penalty by ``delta_p`` per level, starting at
+    ``p_min``, until the achieved log failure rate reaches the design's
+    full-repair value, then closes with the exactly evaluated
+    full-repair point, recorded as the design's static representative.
     """
-    if p_min <= 0:
-        raise ValueError(f"penalty floor must be positive, got {p_min}")
-    if delta_p <= 1:
-        raise ValueError(f"penalty growth factor must exceed 1, got {delta_p}")
-    if mode not in ("sweep", "dichotomic"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_sweep(p_min, delta_p)
     design = tuple(int(x) for x in design)
-    if model is None:
-        model = build_model(instance, design=design)
-    if ln_g_f_static is None:
-        _, ln_g_f_static = dop_objectives(instance, design)
-
-    fa = fully_active_policy(model)
-    fa_gain = evaluate_policy(model, fa)
-    fa_flags = ()
-    if not (
-        _close(fa_gain.ln_g_f, ln_g_f_static, 1e-8)
-        and abs(fa_gain.g_o - dop_objectives(instance, design)[0]) <= 1e-8
-    ):
-        fa_flags = ("static-mismatch",)
-    endpoint = SolutionPoint(
-        g_o=fa_gain.g_o,
-        ln_g_f=fa_gain.ln_g_f,
-        design=design,
-        provenance=STATIC_SP1,
-        penalty=None,
-        policy=fa,
-        flags=fa_flags,
-    )
+    model = build_model(instance, design=design)
+    _, ln_g_f_static = dop_objectives(instance, design)
 
     points = []
-    if mode == "sweep":
-        penalty = float(p_min)
-        v = None
-        matched = False
-        for _ in range(SWEEP_CAP):
-            pt, v = _solve_point(model, design, penalty, solver_tolerance, v)
-            points.append(pt)
-            if pt.ln_g_f <= ln_g_f_static + LFR_MATCH_TOL:
-                matched = True
-                break
-            penalty *= delta_p
-        if not matched:
-            points[-1] = replace(points[-1], flags=points[-1].flags + ("cap-reached",))
+    penalty = float(p_min)
+    v = None
+    for _ in range(SWEEP_CAP):
+        pt, v = _solve_point(model, design, penalty, v, DYNAMIC_SP2)
+        points.append(pt)
+        if pt.ln_g_f <= ln_g_f_static + LFR_MATCH_TOL:
+            break
+        penalty *= delta_p
     else:
-        v_store = {"v": None}
-
-        def solve_at(penalty):
-            pt, v_store["v"] = _solve_point(
-                model, design, penalty, solver_tolerance, v_store["v"]
-            )
-            return pt
-
-        left = solve_at(float(p_min))
-        points = [left] + dichotomic_expand(solve_at, left, endpoint)
-
-    points.append(endpoint)
+        points[-1] = replace(points[-1], flags=points[-1].flags + ("cap-reached",))
+    points.append(_full_repair_point(instance, model, design, STATIC_SP1))
     return points
 
 
@@ -278,6 +231,7 @@ def non_dom_filter(points, tolerance: float = DOM_TOL) -> ParetoFront:
     design, penalty) survives.  Output is ordered by ascending cost
     rate.
     """
+    _check_tolerance(tolerance)
     pts = list(points)
     survivors = [
         p
@@ -304,9 +258,7 @@ def run_app(
     delta: float = 0.1,
     p_min: float = DEFAULT_P_MIN,
     delta_p: float = DEFAULT_DELTA_P,
-    mode: str = "sweep",
     tolerance: float = DOM_TOL,
-    solver_tolerance: float = 1e-10,
     record_ties: bool = False,
 ) -> ParetoFront:
     """Full heuristic front: static sweep, containment filter, penalty
@@ -316,8 +268,11 @@ def run_app(
     skip the dynamic stage but stay in the merge population; designs
     that do get a dynamic stage contribute their static values through
     the closing full-repair point of their sweep.  Per-design failures
-    are collected into the front's notes rather than aborting the run.
+    are collected into the front's notes rather than aborting the run;
+    bad sweep arguments or tolerance raise ``ValueError`` before any work.
     """
+    _check_sweep(p_min, delta_p)
+    _check_tolerance(tolerance)
     statics = sp1_sweep(instance, eps_min, delta_eps, delta, record_ties=record_ties)
     selected = non_nested_designs(statics)
     chosen = {s.design for s in selected}
@@ -332,15 +287,7 @@ def run_app(
     notes = []
     for s in selected:
         try:
-            pts = sp2(
-                instance,
-                s.design,
-                ln_g_f_static=s.ln_g_f,
-                p_min=p_min,
-                delta_p=delta_p,
-                mode=mode,
-                solver_tolerance=solver_tolerance,
-            )
+            pts = sp2(instance, s.design, p_min=p_min, delta_p=delta_p)
         except Exception as exc:  # keep other designs' results
             notes.append(f"design {s.design}: dynamic stage failed: {exc}")
             continue

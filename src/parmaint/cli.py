@@ -110,7 +110,6 @@ def cmd_app(args) -> int:
         delta=args.delta,
         p_min=args.p_min,
         delta_p=args.delta_p,
-        mode=args.mode,
         tolerance=args.tolerance,
         record_ties=args.ties,
     )
@@ -121,7 +120,6 @@ def cmd_exact(args) -> int:
     instance = _load(args)
     front = exact_front(
         instance,
-        mode=args.mode,
         tolerance=args.tolerance,
         maximal_only=args.maximal_only,
         ceiling=args.ceiling,
@@ -254,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep_params(appc)
     appc.add_argument("--p-min", type=float, default=app_mod.DEFAULT_P_MIN)
     appc.add_argument("--delta-p", type=float, default=app_mod.DEFAULT_DELTA_P)
-    appc.add_argument("--mode", choices=("sweep", "dichotomic"), default="sweep")
     appc.add_argument("--tolerance", type=float, default=app_mod.DOM_TOL)
     appc.add_argument("--out", default="parmaint_front.txt")
     appc.add_argument("--plot-out", default=None)
@@ -262,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ex = subs.add_parser("exact", help="exact front over all feasible designs")
     _add_common(ex)
-    ex.add_argument("--mode", choices=("dichotomic", "sweep"), default="dichotomic")
     ex.add_argument("--tolerance", type=float, default=app_mod.DOM_TOL)
     ex.add_argument("--maximal-only", action="store_true")
     ex.add_argument("--ceiling", type=int, default=200_000)

@@ -14,6 +14,7 @@ front.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -162,8 +163,8 @@ def solve_eps_delta_dop(
     """
     if epsilon > 0:
         raise ValueError(f"log-failure-rate cap must be <= 0, got {epsilon}")
-    if delta < 0:
-        raise ValueError(f"penalty inflation must be >= 0, got {delta}")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"penalty inflation must be finite and >= 0, got {delta}")
     caps = [
         tightened_copy_bound(instance, i, epsilon, delta)
         for i in range(instance.n_types)
@@ -216,8 +217,10 @@ def sp1_sweep(
     design of each solve is recorded (listed least-reliable first so the
     output stays ordered); by default only representatives are kept.
     """
-    if delta_eps >= 0:
-        raise ValueError(f"cap step must be negative, got {delta_eps}")
+    if not math.isfinite(eps_min):
+        raise ValueError(f"starting cap must be finite, got {eps_min}")
+    if not (math.isfinite(delta_eps) and delta_eps < 0):
+        raise ValueError(f"cap step must be finite and negative, got {delta_eps}")
     anchor_design = solve_fdop(instance)
     anchor_go, anchor_ln = dop_objectives(instance, anchor_design)
 

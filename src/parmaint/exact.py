@@ -15,16 +15,17 @@ from dataclasses import dataclass, replace
 from parmaint.app import (
     DOM_TOL,
     EXACT,
-    PENALTY_CLAMP,
     ParetoFront,
     SolutionPoint,
+    _check_tolerance,
     _close,
     _dominates,
-    dichotomic_expand,
+    _full_repair_point,
+    _solve_point,
     non_dom_filter,
 )
 from parmaint.ctmdp import build_model
-from parmaint.dop import _feasible_designs, dop_objectives
+from parmaint.dop import _feasible_designs
 from parmaint.mdp_solve import evaluate_policy, fully_active_policy, solve_average_cost
 
 __all__ = [
@@ -38,6 +39,8 @@ __all__ = [
 ]
 
 DESIGN_CEILING = 200_000
+DICHOTOMIC_DEPTH = 40
+PENALTY_CLAMP = (1e-9, 1e12)  # bounds on the segment weights solved at
 
 
 class EnumerationError(RuntimeError):
@@ -81,42 +84,53 @@ def enumerate_feasible_designs(
     return out
 
 
-def _trace_design(instance, design, mode, solver_tolerance):
-    """Supported points of one design's policy trade-off curve."""
+def dichotomic_expand(solve_at, left, right, rel_tol=1e-9, max_depth=DICHOTOMIC_DEPTH):
+    """Supported points strictly between two front points, recursively.
+
+    ``solve_at(penalty)`` must return an exactly evaluated SolutionPoint.
+    The weight vector is the segment normal; recursion stops when the
+    scalarized solve no longer beats the segment by ``rel_tol`` relative,
+    or at ``max_depth``.
+    """
+    if max_depth <= 0:
+        return []
+    w_go = left.g_f - right.g_f
+    w_gf = right.g_o - left.g_o
+    if w_go <= 0.0 or w_gf <= 0.0:
+        return []
+    penalty = min(max(w_gf / w_go, PENALTY_CLAMP[0]), PENALTY_CLAMP[1])
+    mid = solve_at(penalty)
+    base = w_go * left.g_o + w_gf * left.g_f
+    value = w_go * mid.g_o + w_gf * mid.g_f
+    if base - value <= rel_tol * max(1.0, abs(base)):
+        return []
+    for end in (left, right):
+        if _close(mid.g_o, end.g_o, DOM_TOL) and _close(mid.ln_g_f, end.ln_g_f, DOM_TOL):
+            return []
+    return (
+        dichotomic_expand(solve_at, left, mid, rel_tol, max_depth - 1)
+        + [mid]
+        + dichotomic_expand(solve_at, mid, right, rel_tol, max_depth - 1)
+    )
+
+
+def _trace_design(instance, design):
+    """Supported points of one design's policy trade-off curve.
+
+    The trace runs from the cheapest policy (the solve at the smallest
+    penalty) to full repair, the limit of the penalty-optimal policies
+    as the penalty grows, and fills the segments in between.
+    """
     model = build_model(instance, design=design)
-    store = {"v": None}
+    v = None
 
     def solve_at(penalty):
-        res = solve_average_cost(
-            model, penalty, tolerance=solver_tolerance, v_init=store["v"]
-        )
-        store["v"] = res.values
-        gain = evaluate_policy(model, res.policy)
-        return SolutionPoint(
-            g_o=gain.g_o,
-            ln_g_f=gain.ln_g_f,
-            design=design,
-            provenance=EXACT,
-            penalty=penalty,
-            policy=res.policy,
-            flags=() if res.converged else ("unconverged",),
-        )
-
-    if mode == "sweep":
-        _, ln_static = dop_objectives(instance, design)
-        points = []
-        penalty = 1.0
-        for _ in range(200):
-            pt = solve_at(penalty)
-            points.append(pt)
-            if pt.ln_g_f <= ln_static + 1e-9:
-                return points
-            penalty *= 2.0
-        points[-1] = replace(points[-1], flags=points[-1].flags + ("cap-reached",))
-        return points
+        nonlocal v
+        pt, v = _solve_point(model, design, penalty, v, EXACT)
+        return pt
 
     left = solve_at(PENALTY_CLAMP[0])
-    right = solve_at(PENALTY_CLAMP[1])
+    right = _full_repair_point(instance, model, design, EXACT)
     if _close(left.g_o, right.g_o, DOM_TOL) and _close(
         left.ln_g_f, right.ln_g_f, DOM_TOL
     ):
@@ -126,9 +140,7 @@ def _trace_design(instance, design, mode, solver_tolerance):
 
 def exact_front(
     instance,
-    mode: str = "dichotomic",
     tolerance: float = DOM_TOL,
-    solver_tolerance: float = 1e-10,
     maximal_only: bool = False,
     ceiling: int = DESIGN_CEILING,
 ) -> ParetoFront:
@@ -138,8 +150,7 @@ def exact_front(
     merged.  Solver trouble on one design is reported in the front's
     notes instead of failing the whole oracle.
     """
-    if mode not in ("dichotomic", "sweep"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_tolerance(tolerance)
     designs = enumerate_feasible_designs(
         instance, maximal_only=maximal_only, ceiling=ceiling
     )
@@ -147,7 +158,7 @@ def exact_front(
     notes = []
     for design in designs:
         try:
-            pts = _trace_design(instance, design, mode, solver_tolerance)
+            pts = _trace_design(instance, design)
         except Exception as exc:
             notes.append(f"design {design}: exact trace failed: {exc}")
             continue
@@ -160,10 +171,10 @@ def exact_front(
     return replace(front, notes=tuple(notes))
 
 
-def revalidate_front(instance, front, solver_tolerance: float = 1e-10) -> float:
+def revalidate_front(instance, front) -> float:
     """Recompute every front point from scratch and return the worst drift.
 
-    Points without a penalty (static provenance) are re-evaluated under
+    Points without a penalty (full-repair points) are re-evaluated under
     the always-repair policy; points with one re-solve the repair problem
     at that penalty.  The return value is the largest coordinate-wise
     difference between stored and recomputed values, so a round-tripped
@@ -179,7 +190,7 @@ def revalidate_front(instance, front, solver_tolerance: float = 1e-10) -> float:
         if p.penalty is None:
             policy = fully_active_policy(model)
         else:
-            policy = solve_average_cost(model, p.penalty, tolerance=solver_tolerance).policy
+            policy = solve_average_cost(model, p.penalty).policy
         gain = evaluate_policy(model, policy)
         drift = max(
             drift,
@@ -225,6 +236,7 @@ def compare_fronts(front, reference, tolerance: float = 1e-6) -> ComparisonRepor
     counterpart — relevant because the weighted recursion only finds
     supported points).
     """
+    _check_tolerance(tolerance)
     ref_pts = list(reference)
     entries = []
     for p in front:

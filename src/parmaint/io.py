@@ -131,21 +131,24 @@ def read_front(path, instance=None) -> ParetoFront:
                 notes.append(line[len("# note: ") :])
             elif line and not line.startswith("#"):
                 lines.append(line)
-    if not lines:
+    header = lines[0].split() if lines else []
+    if header[:1] != ["provenance"] or header[-3:] != ["p", "g_o", "ln_g_f"]:
         raise ValueError(f"{path} has no front header")
-    header = lines[0].split()
     n = len(header) - 4  # provenance, p, g_o, ln_g_f
     points = []
     for line in lines[1:]:
         toks = line.split()
         if len(toks) != n + 4:
             raise ValueError(f"bad front row: {line!r}")
+        g_o, ln_g_f = float(toks[n + 2]), float(toks[n + 3])
+        if not math.isfinite(g_o) or math.isnan(ln_g_f):
+            raise ValueError(f"bad front values: {line!r}")
         counts = [int(t) for t in toks[1 : n + 1]]
         design = instance.from_catalog(counts) if instance else tuple(counts)
         points.append(
             SolutionPoint(
-                g_o=float(toks[n + 2]),
-                ln_g_f=float(toks[n + 3]),
+                g_o=g_o,
+                ln_g_f=ln_g_f,
                 design=design,
                 provenance=toks[0],
                 penalty=_parse_opt(toks[n + 1]),

@@ -27,7 +27,6 @@ __all__ = [
     "solve_average_cost",
     "evaluate_policy",
     "fully_active_policy",
-    "policy_gain_by_iteration",
 ]
 
 LN_GF_FLOOR = 1e-300  # below this, report log failure rate as -inf
@@ -277,33 +276,6 @@ def solve_average_cost(
         values=v,
         floor_limited=bool(floored),
     )
-
-
-def policy_gain_by_iteration(
-    model: CtmdpModel,
-    policy: MaintenancePolicy,
-    penalty: float,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-):
-    """Gain of a fixed policy via the same value-iteration machinery.
-
-    Restricts each state's action list to the policy's choice and runs
-    the sweeps; useful as an independent check against the balance-
-    equation evaluation for unichain policies.
-    """
-    arrays, lam = _uniformized_arrays(model, penalty)
-    n = model.n_states
-    restricted = (
-        np.arange(n + 1, dtype=np.int64),
-        policy.post_ids,
-        np.arange(n, dtype=np.int64),
-    ) + arrays[3:]
-    v = np.zeros(n)
-    iters, span, dmin, dmax, converged, _ = _iterate_until_settled(
-        restricted, v, tolerance, max_iterations
-    )
-    return lam * 0.5 * (dmin + dmax), converged, int(iters)
 
 
 def _solve_m_matrix(diag, rows, cols, rates, rhs):

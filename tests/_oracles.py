@@ -12,7 +12,13 @@ import math
 import numpy as np
 
 from parmaint.ctmdp import build_model
-from parmaint.mdp_solve import MaintenancePolicy
+from parmaint.mdp_solve import (
+    DEFAULT_MAX_ITERATIONS,
+    DEFAULT_TOLERANCE,
+    MaintenancePolicy,
+    _iterate_until_settled,
+    _uniformized_arrays,
+)
 from parmaint.model import ComponentType, make_instance
 
 
@@ -252,6 +258,33 @@ def greedy_loop(
                 pick = k - act_off[s]
         choice[s] = pick
     return choice
+
+
+def policy_gain_by_iteration(
+    model,
+    policy,
+    penalty: float,
+    tolerance: float = DEFAULT_TOLERANCE,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+):
+    """Gain of a fixed policy via the same value-iteration machinery.
+
+    Restricts each state's action list to the policy's choice and runs
+    the sweeps; useful as an independent check against the balance-
+    equation evaluation for unichain policies.
+    """
+    arrays, lam = _uniformized_arrays(model, penalty)
+    n = model.n_states
+    restricted = (
+        np.arange(n + 1, dtype=np.int64),
+        policy.post_ids,
+        np.arange(n, dtype=np.int64),
+    ) + arrays[3:]
+    v = np.zeros(n)
+    iters, span, dmin, dmax, converged, _ = _iterate_until_settled(
+        restricted, v, tolerance, max_iterations
+    )
+    return lam * 0.5 * (dmin + dmax), converged, int(iters)
 
 
 # Dense policy evaluation, one state and one arc at a time: breadth-first

@@ -104,6 +104,11 @@ class TestNonDomFilter:
         assert len(non_dom_filter([])) == 0
         assert len(non_dom_filter([_point(1.0, -1.0)])) == 1
 
+    def test_bad_tolerance_rejected(self):
+        for tolerance in (math.nan, -1e-9, math.inf):
+            with pytest.raises(ValueError, match="tolerance"):
+                non_dom_filter([_point(1.0, -1.0)], tolerance=tolerance)
+
     def test_matches_quadratic_oracle(self):
         rng = np.random.default_rng(53)
         for _ in range(30):
@@ -203,10 +208,9 @@ class TestPenaltySweep:
             assert b.penalty == pytest.approx(4.0 * a.penalty)
 
     def test_points_carry_policies_that_revalidate(self, base_instance):
-        model = build_model(base_instance, design=(2, 0, 0, 0))
-        points = sp2(base_instance, (2, 0, 0, 0), model=model)
+        points = sp2(base_instance, (2, 0, 0, 0))
         for p in points:
-            gain = evaluate_policy(model, p.policy)
+            gain = evaluate_policy(p.policy.model, p.policy)
             assert gain.g_o == pytest.approx(p.g_o, abs=1e-12)
             assert gain.ln_g_f == pytest.approx(p.ln_g_f, abs=1e-12)
 
@@ -220,44 +224,12 @@ class TestPenaltySweep:
         assert "cap-reached" in dyn[-1].flags
 
     def test_argument_validation(self, base_instance):
-        with pytest.raises(ValueError):
-            sp2(base_instance, (1, 0, 0, 0), p_min=0.0)
-        with pytest.raises(ValueError):
-            sp2(base_instance, (1, 0, 0, 0), delta_p=1.0)
-        with pytest.raises(ValueError):
-            sp2(base_instance, (1, 0, 0, 0), mode="bisect")
-
-
-class TestDichotomicMode:
-    def test_single_copy_extremes_only(self):
-        inst = single_type_instance(q=0.01, usage=1.0, repair=100.0, bound=4)
-        points = sp2(inst, (1,), mode="dichotomic")
-        assert len(points) == 2
-        assert (points[0].g_o, points[0].ln_g_f) == (0.0, 0.0)
-        assert points[1].g_o == pytest.approx(1.99, rel=1e-10)
-
-    def test_supported_points_revalidate_and_are_nondominated(self, base_instance):
-        model = build_model(base_instance, design=(4, 0, 0, 0))
-        points = sp2(base_instance, (4, 0, 0, 0), mode="dichotomic", model=model)
-        assert len(points) >= 5
-        for p in points:
-            gain = evaluate_policy(model, p.policy)
-            assert gain.g_o == pytest.approx(p.g_o, abs=1e-12)
-            assert gain.ln_g_f == pytest.approx(p.ln_g_f, abs=1e-12)
-        front = non_dom_filter(points)
-        coords = {(round(p.g_o, 8), round(p.ln_g_f, 8)) for p in points}
-        assert len(front) == len(coords)
-
-    def test_covers_every_sweep_point(self, base_instance):
-        sweep = sp2(base_instance, (4, 0, 0, 0))
-        dicho = sp2(base_instance, (4, 0, 0, 0), mode="dichotomic")
-        for s in sweep:
-            close = any(
-                abs(s.g_o - d.g_o) <= 1e-6
-                and abs(s.ln_g_f - d.ln_g_f) <= 1e-6
-                for d in dicho
-            )
-            assert close, (s.penalty, s.g_o, s.ln_g_f)
+        for p_min in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="penalty floor"):
+                sp2(base_instance, (1, 0, 0, 0), p_min=p_min)
+        for delta_p in (1.0, 0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="growth factor"):
+                sp2(base_instance, (1, 0, 0, 0), delta_p=delta_p)
 
 
 BASE_FRONT = [
@@ -311,13 +283,13 @@ class TestRunApp:
         assert not front.complete
         assert any("cap-reached" in note for note in front.notes)
 
-    def test_dichotomic_mode_agrees_on_base(self, base_instance):
-        sweep = run_app(base_instance)
-        dicho = run_app(base_instance, mode="dichotomic")
-        assert dicho.complete
-        # every sweep front point appears in the dichotomic front
-        for s in sweep:
-            assert any(
-                abs(s.g_o - d.g_o) <= 1e-6 and abs(s.ln_g_f - d.ln_g_f) <= 1e-6
-                for d in dicho
-            )
+    def test_bad_sweep_arguments_rejected_before_any_design(self, base_instance):
+        for kwargs in ({"p_min": 0.0}, {"p_min": math.nan}, {"delta_p": 1.0},
+                       {"delta_p": math.inf}):
+            with pytest.raises(ValueError):
+                run_app(base_instance, **kwargs)
+
+    def test_bad_tolerance_rejected(self, base_instance):
+        for tolerance in (math.nan, -1.0, math.inf):
+            with pytest.raises(ValueError, match="tolerance"):
+                run_app(base_instance, tolerance=tolerance)

@@ -85,6 +85,18 @@ class TestDop:
         assert all(p.provenance == "static-SP1" for p in front)
         assert revalidate_front(base_instance, front) <= 1e-8
 
+    def test_non_finite_sweep_arguments(self, base_path, tmp_path, capsys):
+        out = tmp_path / "static.txt"
+        for flag, value, reason in (
+            ("--eps-min", "nan", "starting cap must be finite"),
+            ("--delta-eps", "nan", "cap step must be finite"),
+            ("--delta", "nan", "penalty inflation must be finite"),
+        ):
+            code = main(["dop", base_path, "--out", str(out), flag, value])
+            assert code == EXIT_ERROR
+            assert reason in capsys.readouterr().err
+            assert not out.exists()
+
 
 class TestApp:
     def test_front_file_revalidates(self, base_path, base_instance, tmp_path, capsys):
@@ -133,6 +145,31 @@ class TestApp:
         err = capsys.readouterr().err
         assert "flag:" in err and "cap-reached" in err
 
+    def test_bad_sweep_arguments(self, base_path, tmp_path, capsys):
+        out = tmp_path / "front.txt"
+        for flag, value in (
+            ("--delta-p", "1"), ("--p-min", "0"), ("--p-min", "nan"), ("--delta-p", "inf"),
+        ):
+            code = main(["app", base_path, "--out", str(out), flag, value])
+            assert code == EXIT_ERROR
+            err = capsys.readouterr().err
+            assert err.startswith("error: penalty")
+            assert "dynamic stage failed" not in err
+            assert not out.exists()
+
+    def test_bad_tolerance(self, base_path, tmp_path, capsys):
+        out = tmp_path / "front.txt"
+        for value in ("nan", "-1"):
+            code = main(["app", base_path, "--out", str(out), "--tolerance", value])
+            assert code == EXIT_ERROR
+            assert "tolerance must be finite" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_mode_flag_removed(self, base_path, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["app", base_path, "--out", str(tmp_path / "f.txt"), "--mode", "sweep"])
+        assert exc.value.code == 2
+
     def test_plot_out(self, tiny_path, tmp_path):
         out = tmp_path / "front.txt"
         plot = tmp_path / "plot.txt"
@@ -149,6 +186,15 @@ class TestExact:
         front = read_front(out)
         assert len(front) >= 2
         assert all(p.provenance == "exact" for p in front)
+
+    def test_bad_tolerance(self, base_path, tmp_path, capsys):
+        out = tmp_path / "exact.txt"
+        start = time.perf_counter()
+        code = main(["exact", base_path, "--out", str(out), "--tolerance", "-1"])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_ERROR
+        assert "tolerance must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ceiling_error(self, base_path, tmp_path, capsys):
         out = tmp_path / "exact.txt"
@@ -330,6 +376,28 @@ class TestCompare:
         assert code == EXIT_OK
         assert "matched 12, dominated 0, absent 0" in capsys.readouterr().out
         assert "# matched = 12" in out.read_text()
+
+    def test_bad_tolerance(self, tiny_path, tmp_path, capsys):
+        front = tmp_path / "front.txt"
+        assert main(["app", tiny_path, "--out", str(front)]) == EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "cmp.txt"
+        for value in ("nan", "-1"):
+            code = main(
+                ["compare", str(front), str(front), "--out", str(out), "--tolerance", value]
+            )
+            assert code == EXIT_ERROR
+            assert "tolerance must be finite" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_junk_front_rejected(self, tmp_path, capsys):
+        junk = tmp_path / "junk.txt"
+        junk.write_text("garbage\n")
+        out = tmp_path / "cmp.txt"
+        code = main(["compare", str(junk), str(junk), "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert "no front header" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["compare", str(tmp_path / "a.txt"), str(tmp_path / "b.txt")])

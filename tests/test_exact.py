@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from parmaint.app import DYNAMIC_SP2, EXACT, STATIC_SP1, SolutionPoint, run_app
+from parmaint.app import EXACT, STATIC_SP1, SolutionPoint, non_dom_filter, run_app, sp2
 from parmaint.ctmdp import build_model
+from parmaint.dop import dop_objectives
 from parmaint.exact import (
     EnumerationError,
+    _trace_design,
     compare_fronts,
     enumerate_feasible_designs,
     exact_front,
@@ -106,6 +108,11 @@ class TestCompareFronts:
         assert loose.entries[0].status == "matched"
         assert tight.entries[0].status == "absent"
 
+    def test_bad_tolerance_rejected(self):
+        for tolerance in (math.nan, -1.0, math.inf):
+            with pytest.raises(ValueError, match="tolerance"):
+                compare_fronts([_pt(1.0, -1.0)], [_pt(1.0, -1.0)], tolerance)
+
 
 @pytest.fixture(scope="module")
 def base_front(base_instance):
@@ -146,26 +153,52 @@ class TestExactFront:
             if entry.status == "absent":
                 assert entry.point.design not in maximal
 
-    def test_sweep_mode_approximates_the_dichotomic_front(
-        self, base_instance, base_front
-    ):
-        # the geometric penalty grid can skip a supporting weight, so the
-        # swept front may be slightly beaten, but never the other way round
-        swept = exact_front(base_instance, mode="sweep")
-        refined = compare_fronts(base_front, swept, tolerance=1e-6)
-        assert refined.count("dominated") == 0
-        coarse = compare_fronts(swept, base_front, tolerance=1e-6)
-        assert all(e.distance <= 1e-2 for e in coarse.entries)
-        assert swept.points[0].g_o == pytest.approx(
-            base_front.points[0].g_o, abs=1e-8
-        )
-        assert swept.points[-1].ln_g_f == pytest.approx(
-            base_front.points[-1].ln_g_f, abs=1e-6
-        )
 
-    def test_mode_validation(self, base_instance):
-        with pytest.raises(ValueError):
-            exact_front(base_instance, mode="grid")
+class TestTraceDesign:
+    def test_single_copy_extremes_only(self):
+        inst = single_type_instance(q=0.01, usage=1.0, repair=100.0, bound=4)
+        points = _trace_design(inst, (1,))
+        assert len(points) == 2
+        assert (points[0].g_o, points[0].ln_g_f) == (0.0, 0.0)
+        assert points[1].g_o == pytest.approx(1.99, rel=1e-10)
+        assert points[1].penalty is None
+
+    def test_ends_at_full_repair(self, base_instance):
+        points = _trace_design(base_instance, (4, 0, 0, 0))
+        end = points[-1]
+        assert end.penalty is None and end.provenance == EXACT and end.flags == ()
+        g_o, ln = dop_objectives(base_instance, (4, 0, 0, 0))
+        assert end.g_o == pytest.approx(g_o, rel=1e-12)
+        assert end.ln_g_f == pytest.approx(ln, abs=1e-12)
+        assert all(p.penalty is not None for p in points[:-1])
+
+    def test_supported_points_revalidate_and_are_nondominated(self, base_instance):
+        points = _trace_design(base_instance, (4, 0, 0, 0))
+        assert len(points) >= 5
+        for p in points:
+            gain = evaluate_policy(p.policy.model, p.policy)
+            assert gain.g_o == pytest.approx(p.g_o, abs=1e-12)
+            assert gain.ln_g_f == pytest.approx(p.ln_g_f, abs=1e-12)
+        front = non_dom_filter(points)
+        coords = {(round(p.g_o, 8), round(p.ln_g_f, 8)) for p in points}
+        assert len(front) == len(coords)
+
+    def test_covers_every_sweep_point(self, base_instance):
+        trace = _trace_design(base_instance, (4, 0, 0, 0))
+        for s in sp2(base_instance, (4, 0, 0, 0)):
+            close = any(
+                abs(s.g_o - d.g_o) <= 1e-6 and abs(s.ln_g_f - d.ln_g_f) <= 1e-6
+                for d in trace
+            )
+            assert close, (s.penalty, s.g_o, s.ln_g_f)
+
+    def test_reaches_full_repair_beyond_the_penalty_clamp(self):
+        # the solve at the 1e12 clamp returns a policy short of full repair
+        # here; the trace must still reach the closed form of (5,)
+        inst = single_type_instance(q=1e-3, repair=1000.0, bound=5)
+        front = exact_front(inst, maximal_only=True)
+        _, ln5 = dop_objectives(inst, (5,))
+        assert front.points[-1].ln_g_f == pytest.approx(ln5, abs=1e-9)
 
 
 class TestDecompositionSoundness:

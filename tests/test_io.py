@@ -168,6 +168,26 @@ class TestFrontFiles:
         with pytest.raises(ValueError, match="front row"):
             read_front(path, base_instance)
 
+    def test_junk_header_rejected(self, tmp_path):
+        path = tmp_path / "front.txt"
+        for header in ("garbage", "provenance x_1 g_o ln_g_f", "x_1 p g_o ln_g_f"):
+            path.write_text(f"# parmaint front\n{header}\n")
+            with pytest.raises(ValueError, match="front header"):
+                read_front(path)
+
+    def test_non_finite_values_rejected(self, tmp_path):
+        path = tmp_path / "front.txt"
+        for values in ("nan -1", "inf -1", "-inf -1", "1 nan"):
+            path.write_text(f"provenance x_1 p g_o ln_g_f\nexact 1 - {values}\n")
+            with pytest.raises(ValueError, match="front values"):
+                read_front(path)
+
+    def test_minus_infinite_log_failure_rate_accepted(self, tmp_path):
+        path = tmp_path / "front.txt"
+        path.write_text("provenance x_1 p g_o ln_g_f\nexact 1 - 2.5 -inf\n")
+        (point,) = read_front(path).points
+        assert (point.g_o, point.ln_g_f, point.penalty) == (2.5, -math.inf, None)
+
 
 class TestPlotData:
     def test_series_blocks(self, tmp_path, base_instance):

@@ -11,7 +11,6 @@ from parmaint.mdp_solve import (
     MaintenancePolicy,
     evaluate_policy,
     fully_active_policy,
-    policy_gain_by_iteration,
     solve_average_cost,
 )
 from parmaint.model import ComponentType, make_instance
@@ -20,6 +19,7 @@ from _oracles import (
     evaluate_dense,
     iterate_policies,
     policy_from_rule,
+    policy_gain_by_iteration,
     random_instance,
     single_type_instance,
     stationary_design_gain,
