@@ -141,12 +141,13 @@ def _check_tolerance(tolerance) -> None:
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
 
 
-def _solve_point(model, design, penalty, v_init, provenance):
-    """Solve one penalty, evaluate the policy exactly, and return the
-    point with the solver's values for the next warm start."""
-    res = solve_average_cost(model, penalty, v_init=v_init)
+def _solve_point(model, design, penalty, start, provenance):
+    """Solve one penalty from the ``start`` policy (None for a cold
+    start) and return the point of its exactly evaluated optimum; the
+    point's policy warm-starts the next penalty."""
+    res = solve_average_cost(model, penalty, initial_policy=start)
     gain = evaluate_policy(model, res.policy)
-    pt = SolutionPoint(
+    return SolutionPoint(
         g_o=gain.g_o,
         ln_g_f=gain.ln_g_f,
         design=design,
@@ -155,7 +156,6 @@ def _solve_point(model, design, penalty, v_init, provenance):
         policy=res.policy,
         flags=() if res.converged else ("unconverged",),
     )
-    return pt, res.values
 
 
 def _full_repair_point(instance, model, design, provenance):
@@ -202,9 +202,10 @@ def sp2(
 
     points = []
     penalty = float(p_min)
-    v = None
+    policy = None
     for _ in range(SWEEP_CAP):
-        pt, v = _solve_point(model, design, penalty, v, DYNAMIC_SP2)
+        pt = _solve_point(model, design, penalty, policy, DYNAMIC_SP2)
+        policy = pt.policy
         points.append(pt)
         if pt.ln_g_f <= ln_g_f_static + LFR_MATCH_TOL:
             break

@@ -88,20 +88,21 @@ def dichotomic_expand(solve_at, left, right, rel_tol=1e-9, max_depth=DICHOTOMIC_
     """Supported points strictly between two front points, recursively.
 
     ``solve_at(penalty)`` must return an exactly evaluated SolutionPoint.
-    The weight vector is the segment normal; recursion stops when the
-    scalarized solve no longer beats the segment by ``rel_tol`` relative,
-    or at ``max_depth``.
+    The solve is at the segment's slope, the penalty at which both ends
+    scalarize (``g_o + penalty * g_f``) to the same value; recursion
+    stops when the solve no longer beats that value by ``rel_tol``
+    relative, or at ``max_depth``.
     """
     if max_depth <= 0:
         return []
-    w_go = left.g_f - right.g_f
-    w_gf = right.g_o - left.g_o
-    if w_go <= 0.0 or w_gf <= 0.0:
+    d_gf = left.g_f - right.g_f
+    d_go = right.g_o - left.g_o
+    if d_gf <= 0.0 or d_go <= 0.0:
         return []
-    penalty = min(max(w_gf / w_go, PENALTY_CLAMP[0]), PENALTY_CLAMP[1])
+    penalty = min(max(d_go / d_gf, PENALTY_CLAMP[0]), PENALTY_CLAMP[1])
     mid = solve_at(penalty)
-    base = w_go * left.g_o + w_gf * left.g_f
-    value = w_go * mid.g_o + w_gf * mid.g_f
+    base = left.g_o + penalty * left.g_f
+    value = mid.g_o + penalty * mid.g_f
     if base - value <= rel_tol * max(1.0, abs(base)):
         return []
     for end in (left, right):
@@ -122,11 +123,12 @@ def _trace_design(instance, design):
     as the penalty grows, and fills the segments in between.
     """
     model = build_model(instance, design=design)
-    v = None
+    policy = None
 
     def solve_at(penalty):
-        nonlocal v
-        pt, v = _solve_point(model, design, penalty, v, EXACT)
+        nonlocal policy
+        pt = _solve_point(model, design, penalty, policy, EXACT)
+        policy = pt.policy
         return pt
 
     left = solve_at(PENALTY_CLAMP[0])

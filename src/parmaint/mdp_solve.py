@@ -1,14 +1,18 @@
 """Average-cost solving and exact evaluation of maintenance policies.
 
 The failure-penalized control problem (operational cost rate plus
-``penalty`` times the failure indicator) is solved by uniformization and
-relative value iteration.  Policies are evaluated exactly on the sparse
-chain they induce on post-decision states: a sparse LU of the balance
-equations, one diagonal block per recurrent class, and one of the
-absorption equations when the start is transient, so policies whose
-chain has transient states or several recurrent classes are handled too
-(direct sparse methods as in Stewart, *Introduction to the Numerical
-Solution of Markov Chains*, 1994).
+``penalty`` times the failure indicator) is solved by multichain policy
+iteration on the transition rates (Howard's method with the gain and
+bias improvement steps of Puterman, *Markov Decision Processes*, 1994,
+ch. 9), which stops when no state has a strictly improving action: that
+is the certificate of optimality.  A policy is evaluated exactly on the
+sparse chain it induces on post-decision states: one sparse LU of the
+balance equations, one diagonal block per recurrent class, gives the
+stationary laws and, transposed, the biases; one of the transient
+states gives their absorption-weighted gains and biases.  So policies
+whose chain has transient states or several recurrent classes are
+handled too (direct sparse methods as in Stewart, *Introduction to the
+Numerical Solution of Markov Chains*, 1994).
 """
 
 from __future__ import annotations
@@ -31,9 +35,8 @@ __all__ = [
 
 LN_GF_FLOOR = 1e-300  # below this, report log failure rate as -inf
 
-DEFAULT_TOLERANCE = 1e-10
-DEFAULT_MAX_ITERATIONS = 10**6
-LAMBDA_SLACK = 1.05  # uniformization constant = slack * max outflow
+DEFAULT_MAX_ITERATIONS = 1000  # policies evaluated before a solve is flagged
+IMPROVE_RTOL = 1e-12  # margin an action must beat the current one by, relative
 
 
 @dataclass(frozen=True)
@@ -91,273 +94,201 @@ def fully_active_policy(model: CtmdpModel) -> MaintenancePolicy:
     return MaintenancePolicy(model, counts - 1)
 
 
-def _uniformized_arrays(model: CtmdpModel, penalty: float):
-    """Pre-scaled arrays for the value-iteration kernels."""
-    lam = LAMBDA_SLACK * model.max_outflow
-    if lam <= 0.0:
-        lam = 1.0  # no events anywhere; any positive constant works
-    cost = model.cost_op + penalty * model.cost_fail.astype(np.float64)
-    n = model.n_states
-    arrays = (
-        model.act_offsets,
-        model.act_posts,
-        np.repeat(np.arange(n, dtype=np.int64), np.diff(model.act_offsets)),
-        model.trn_offsets,
-        np.repeat(np.arange(n, dtype=np.int64), np.diff(model.trn_offsets)),
-        model.trn_targets,
-        model.trn_rates / lam,
-        1.0 - model.outflow / lam,
-        cost / lam,
-    )
-    return arrays, lam
-
-
-# Relative value iteration kernels.
-#
-# Pre-decision values v are updated via the uniformized one-step operator
-#   (Tv)(s) = min_u [ cost[u]/L + sum_t (rate/L) v(t) + (1 - out[u]/L) v(s) ]
-# over the state's post-decision options u, normalized at state 0 each
-# sweep.  The per-sweep difference bracket [dmin, dmax] times
-# the uniformization constant brackets the optimal gain.  Convergence is
-# on the span of the difference, relative to the per-step gain magnitude
-# so that huge failure penalties do not stall the loop at float
-# resolution.  Both kernels take the array tuple of _uniformized_arrays.
-
-
-def _rvi_sweeps(
-    act_off,
-    act_posts,
-    pair_pre,
-    trn_off,
-    trn_src,
-    trn_tgt,
-    rate_scaled,
-    self_keep,
-    cost_scaled,
-    v,
-    tol,
-    max_iter,
-):
-    """Run value-iteration sweeps in place; returns (iters, span, dmin, dmax)."""
-    # bincount accumulates sequentially in storage order, so each post
-    # value sums its arcs in CSR order like a plain loop would
-    n = v.shape[0]
-    aoff = act_off[:-1]
-    iters = 0
-    span = math.inf
-    dmin = dmax = 0.0
-    while iters < max_iter:
-        iters += 1
-        contrib = np.bincount(trn_src, weights=rate_scaled * v[trn_tgt], minlength=n)
-        post_val = cost_scaled + contrib
-        vals = post_val[act_posts] + self_keep[act_posts] * v[pair_pre]
-        new_v = np.minimum.reduceat(vals, aoff)
-        delta = new_v - v
-        dmin = float(delta.min())
-        dmax = float(delta.max())
-        span = dmax - dmin
-        v[:] = new_v - new_v[0]
-        if span < tol * max(1.0, abs(0.5 * (dmin + dmax))):
-            break
-    return iters, span, dmin, dmax
-
-
-def _greedy_choice(
-    act_off,
-    act_posts,
-    pair_pre,
-    trn_off,
-    trn_src,
-    trn_tgt,
-    rate_scaled,
-    self_keep,
-    cost_scaled,
-    v,
-):
-    """Index of the minimizing action per state (first on ties)."""
-    n = v.shape[0]
-    contrib = np.bincount(trn_src, weights=rate_scaled * v[trn_tgt], minlength=n)
-    post_val = cost_scaled + contrib
-    vals = post_val[act_posts] + self_keep[act_posts] * v[pair_pre]
-    aoff = act_off[:-1]
-    best = np.minimum.reduceat(vals, aoff)
-    # first position attaining the minimum: ties pick the smallest action
-    # vector because action lists are stored in lexicographic order
-    pos = np.arange(vals.shape[0], dtype=np.int64)
-    hit = np.where(vals == np.repeat(best, np.diff(act_off)), pos, np.iinfo(np.int64).max)
-    first = np.minimum.reduceat(hit, aoff)
-    return (first - aoff).astype(np.int64)
-
-
 @dataclass
 class SolveResult:
     policy: MaintenancePolicy
-    gain: float  # midpoint of the certified bracket, per unit time
-    gain_bounds: tuple
-    iterations: int
-    converged: bool
-    span: float
-    uniformization: float
-    values: np.ndarray  # relative values of pre-decision states
-    floor_limited: bool = False  # stopped at the float roundoff floor
-
-
-ITERATION_CHUNK = 20_000
-FLOOR_FACTOR = 16.0  # spans below FLOOR_FACTOR*eps*max|v| count as roundoff
-STALL_RATIO = 0.99  # chunk-over-chunk span shrink below 1% means stalled
-
-
-def _iterate_until_settled(arrays, v, tolerance, max_iterations):
-    """Run value-iteration sweeps until the span test or the float floor.
-
-    Huge penalties push relative values to magnitudes where the span of
-    successive differences bottoms out at roundoff; when a whole chunk
-    of sweeps no longer shrinks a span already at that scale, the
-    bracket is as tight as doubles allow and we stop with it.
-    """
-    total = 0
-    prev_span = math.inf
-    while True:
-        chunk = min(ITERATION_CHUNK, max_iterations - total)
-        iters, span, dmin, dmax = _rvi_sweeps(*arrays, v, tolerance, chunk)
-        total += iters
-        mid = 0.5 * (dmin + dmax)
-        if iters < chunk:  # kernel met the span test
-            return total, span, dmin, dmax, True, False
-        if total >= max_iterations:
-            return total, span, dmin, dmax, False, False
-        floor = FLOOR_FACTOR * np.finfo(float).eps * max(1.0, float(np.abs(v).max()))
-        if span <= floor and span > STALL_RATIO * prev_span:
-            return total, span, dmin, dmax, True, True
-        prev_span = span
+    gain: float  # exactly evaluated penalized gain from state 0
+    iterations: int  # policies evaluated
+    converged: bool  # no state has a strictly improving action
+    gains: np.ndarray  # penalized gain of the policy from each state
+    bias: np.ndarray  # bias of each state, 0 at each recurrent class's first node
 
 
 def solve_average_cost(
     model: CtmdpModel,
     penalty: float,
-    tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    v_init=None,
+    initial_policy: MaintenancePolicy | None = None,
 ) -> SolveResult:
     """Optimal average cost of the failure-penalized problem.
 
-    Relative value iteration on the uniformized chain, reference state 0,
-    until the span of successive value differences drops under
-    ``tolerance`` (relative to the per-step gain when that is large).
-    The returned gain is the midpoint of the one-step difference bracket
-    scaled back to unit time; greedy ties pick the lexicographically
-    smallest action.  The penalty must be finite and non-negative: a
-    negative one would reward failure.
+    Multichain policy iteration on the transition rates: each policy is
+    evaluated exactly (gain and bias of every state), then improved
+    first on the gain test and, where that finds nothing, on the bias
+    test among the gain-optimal actions, keeping the current action
+    unless another beats it by a relative ``IMPROVE_RTOL``.  The solve
+    converges when no state has an improving action, which certifies
+    the returned policy optimal from every starting state; after
+    ``max_iterations`` evaluated policies it stops with the last one
+    unconverged.  The start is the never-repair policy unless
+    ``initial_policy`` (a policy of the same model, such as the optimum
+    at a nearby penalty) is given.  The penalty must be finite and
+    non-negative: a negative one would reward failure.
     """
     if not (math.isfinite(penalty) and penalty >= 0.0):
         raise ValueError(f"penalty must be finite and non-negative, got {penalty}")
     if model.n_states == 0:
         raise ValueError("model has no states")
-    arrays, lam = _uniformized_arrays(model, penalty)
-    if v_init is None:
-        v = np.zeros(model.n_states)
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
+    if initial_policy is None:
+        choice = np.zeros(model.n_states, dtype=np.int64)
+    elif initial_policy.model is not model:
+        raise ValueError("initial_policy belongs to another model")
     else:
-        v = np.array(v_init, dtype=np.float64, copy=True)
-        if v.shape != (model.n_states,):
-            raise ValueError("v_init has the wrong length")
-    iters, span, dmin, dmax, converged, floored = _iterate_until_settled(
-        arrays, v, tolerance, max_iterations
-    )
-    choice = _greedy_choice(*arrays, v)
-    policy = MaintenancePolicy(model, choice)
+        choice = initial_policy.choice
+    cost = model.cost_op + penalty * model.cost_fail
+    for step in range(1, max_iterations + 1):
+        policy = MaintenancePolicy(model, choice)
+        node_gain, node_bias = _chain_gains(
+            *_policy_arcs(model, policy.post_ids), cost[:, None], with_bias=True
+        )
+        gains = node_gain[policy.post_ids, 0]
+        bias = node_bias[policy.post_ids, 0]
+        choice = _improve(model, cost, policy.choice, gains, bias)
+        if choice is None:
+            break
     return SolveResult(
         policy=policy,
-        gain=lam * 0.5 * (dmin + dmax),
-        gain_bounds=(lam * dmin, lam * dmax),
-        iterations=int(iters),
-        converged=bool(converged),
-        span=float(span),
-        uniformization=lam,
-        values=v,
-        floor_limited=bool(floored),
+        gain=float(gains[0]),
+        iterations=step,
+        converged=choice is None,
+        gains=gains,
+        bias=bias,
     )
 
 
-def _solve_m_matrix(diag, rows, cols, rates, rhs):
-    """Solve ``(diag(diag) - R) x = rhs`` where R holds ``rates`` at (rows, cols).
+def _improve(model: CtmdpModel, cost, choice, gains, bias):
+    """An improving choice vector for the policy with these gains and
+    biases, or None when no state has an improving action.
+
+    Per state and action, with u the action's post-state, the gain test
+    is ``sum_t rate(u->t) gains_t - out_u gains_s`` and the bias test
+    ``cost_u + sum_t rate(u->t) bias_t - out_u bias_s``; the bias test
+    runs only where no gain test improves, among the actions tying the
+    current one on the gain test (Puterman 1994, sec. 9.2).
+    """
+    n = model.n_states
+    counts = np.diff(model.act_offsets)
+    aoff = model.act_offsets[:-1]
+    posts = model.act_posts
+    cur = aoff + choice
+    out = model.outflow[posts]
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(model.trn_offsets))
+
+    def terms(values):
+        # per (state, action): sum_t rate(u->t) values_t and out_u values_s
+        flow = np.bincount(src, weights=model.trn_rates * values[model.trn_targets], minlength=n)
+        return flow[posts], out * np.repeat(values, counts)
+
+    # costs, hence gains, are non-negative: the terms' magnitudes add up
+    # to this scale
+    flow, stay = terms(gains)
+    test = flow - stay
+    scale = flow + stay
+    better = _switch(test, scale, cur, aoff, counts)
+    if better is not None:
+        return better
+
+    tied = np.abs(test - np.repeat(test[cur], counts)) <= IMPROVE_RTOL * (
+        scale + np.repeat(scale[cur], counts)
+    )
+    flow, stay = terms(bias)
+    test = np.where(tied, cost[posts] + flow - stay, np.inf)
+    flow, stay = terms(np.abs(bias))
+    return _switch(test, cost[posts] + flow + stay, cur, aoff, counts)
+
+
+def _switch(test, scale, cur, aoff, counts):
+    """Choice vector taking, per state, the first action minimizing
+    ``test`` where it beats the current action ``cur`` by more than
+    ``IMPROVE_RTOL`` times their summed scales; None when no state moves.
+    """
+    best = np.minimum.reduceat(test, aoff)
+    pos = np.arange(test.shape[0], dtype=np.int64)
+    hit = np.where(test == np.repeat(best, counts), pos, np.iinfo(np.int64).max)
+    first = np.minimum.reduceat(hit, aoff)
+    moves = best < test[cur] - IMPROVE_RTOL * (scale[first] + scale[cur])
+    if not moves.any():
+        return None
+    return np.where(moves, first, cur) - aoff
+
+
+def _compressed(fmt, size, major, minor, values):
+    """A size x size scipy matrix of format ``fmt`` (``csr_matrix`` or
+    ``csc_matrix``) from its entries, built by a stable sort on the
+    major index (rows for CSR, columns for CSC); duplicate entries are
+    kept, and every use here sums them.  The index arrays are 32-bit,
+    the width scipy's graph and LU routines work in."""
+    order = np.argsort(major, kind="stable")
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(major, minlength=size), out=indptr[1:])
+    return fmt((values[order], minor[order].astype(np.int32), indptr), shape=(size, size))
+
+
+def _m_matrix_lu(diag, rows, cols, rates):
+    """Sparse LU of ``diag(diag) - R`` where R holds ``rates`` at (rows, cols).
 
     The matrices met here are nonsingular, diagonally dominant
     M-matrices, so the LU factorization keeps its diagonal pivots:
     ordering on the symmetrized pattern with pivoting switched off keeps
     the fill low and tiny probabilities at full relative precision.
+    Returns None for an empty matrix.
     """
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import splu
 
     size = diag.shape[0]
     if size == 0:
-        return rhs
-    diag_ids = np.arange(size)
-    a = csc_matrix(
-        (
-            np.concatenate([diag, -rates]),
-            (np.concatenate([diag_ids, rows]), np.concatenate([diag_ids, cols])),
-        ),
-        shape=(size, size),
+        return None
+    ids = np.arange(size)
+    a = _compressed(
+        csc_matrix,
+        size,
+        np.concatenate([ids, cols]),
+        np.concatenate([ids, rows]),
+        np.concatenate([diag, -rates]),
     )
-    lu = splu(
+    return splu(
         a,
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
     )
-    return lu.solve(rhs)
 
 
-def _reachable_chain(model: CtmdpModel, post_ids, start: int):
-    """The policy's chain on the post-states reachable from ``start``.
+def _policy_arcs(model: CtmdpModel, post_ids):
+    """The arcs (source, target, rate) of the policy's chain on all
+    post-states: every transition target is replaced by the post-state
+    the policy moves it to, and self-loops are dropped (they do not
+    change a continuous-time chain).  Parallel arcs stay separate."""
+    src = np.repeat(np.arange(model.n_states, dtype=np.int64), np.diff(model.trn_offsets))
+    dst = post_ids[model.trn_targets]
+    keep = src != dst
+    return src[keep], dst[keep], model.trn_rates[keep]
 
-    Every transition target is replaced by the post-state the policy
-    moves it to.  Returns the reachable post-state ids in breadth-first
-    order, the start first, and the CSR matrix of rates between their
-    positions, with self-loops dropped (they do not change a
-    continuous-time chain) and parallel arcs summed.
+
+def _chain_gains(src, dst, rate, costs, with_bias=False):
+    """Gains, and with ``with_bias`` biases, of every node of a chain.
+
+    The chain's arcs run from ``src`` to ``dst`` at ``rate``, with no
+    self-loops, and ``costs`` holds one row of cost rates per node and
+    one column per objective; both results have the shape of ``costs``.
+    The recurrent classes are the strong components that no arc leaves.
+    Their balance equations, with the probability of each class's first
+    (lowest) node pinned to 1, form one block-diagonal system, one block
+    per class; the transpose of the same LU gives the recurrent biases,
+    0 at each first node.  Transient nodes mix the class gains by their
+    exact absorption probabilities: one more LU, on the transient nodes,
+    solved for the gains and then for the biases.
     """
     from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order
-
-    n = model.n_states
-    dst = post_ids[model.trn_targets]
-    graph = csr_matrix((model.trn_rates, dst, model.trn_offsets), shape=(n, n))
-    nodes = breadth_first_order(graph, start, return_predecessors=False)
-    m = nodes.shape[0]
-    local = np.full(n, -1, dtype=np.int64)
-    local[nodes] = np.arange(m)
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(model.trn_offsets))
-    keep = (local[src] >= 0) & (src != dst)
-    chain = csr_matrix(
-        (model.trn_rates[keep], (local[src[keep]], local[dst[keep]])), shape=(m, m)
-    )
-    return nodes, chain
-
-
-def evaluate_policy(model: CtmdpModel, policy: MaintenancePolicy, initial_state=0) -> GainPair:
-    """Exact long-run cost pair of a policy from a given starting state.
-
-    On the policy's chain over the post-states reachable from the start,
-    the recurrent classes are the strong components that no arc leaves.
-    Their balance equations, with the probability of each class's first
-    node pinned to 1, form one block-diagonal sparse system, one block
-    per class.  A start outside the recurrent classes mixes the class
-    gains by the exact absorption probabilities: one more sparse solve,
-    on the transient states.  ``initial_state`` is a pre-decision state
-    id in ``[0, n)`` or the state's rows.
-    """
     from scipy.sparse.csgraph import connected_components
 
-    start = int(policy.post_ids[model.start_id(initial_state)])
-    nodes, chain = _reachable_chain(model, policy.post_ids, start)
-    m = nodes.shape[0]
-    src = np.repeat(np.arange(m, dtype=np.int64), np.diff(chain.indptr))
-    dst, rate = chain.indices.astype(np.int64), chain.data
+    m = costs.shape[0]
     out = np.bincount(src, weights=rate, minlength=m)
-
-    n_comp, labels = connected_components(chain, directed=True, connection="strong")
+    graph = _compressed(csr_matrix, m, src, dst, rate)
+    n_comp, labels = connected_components(graph, directed=True, connection="strong")
     leaves = np.zeros(n_comp, dtype=bool)
     leaves[labels[src[labels[src] != labels[dst]]]] = True
     rec = ~leaves[labels]
@@ -371,33 +302,69 @@ def evaluate_policy(model: CtmdpModel, policy: MaintenancePolicy, initial_state=
     into = rec[src] & free[dst]
     coupled = into & free[src]
     pinned = into & ~free[src]
-    rhs = np.bincount(pos[dst[pinned]], weights=rate[pinned], minlength=int(free.sum()))
+    lu = _m_matrix_lu(out[free], pos[dst[coupled]], pos[src[coupled]], rate[coupled])
     pi = rec.astype(np.float64)
-    pi[free] = _solve_m_matrix(
-        out[free], pos[dst[coupled]], pos[src[coupled]], rate[coupled], rhs
-    )
+    if lu is not None:
+        pi[free] = lu.solve(
+            np.bincount(pos[dst[pinned]], weights=rate[pinned], minlength=int(free.sum()))
+        )
     mass = np.bincount(labels, weights=pi, minlength=n_comp)
     mass[leaves] = 1.0  # transient components carry no probability
-    # per class: g_o, g_f and a column of ones for the absorbed mass below
+    # per class: the gains and a column of ones for the absorbed mass below
     class_gain = np.column_stack(
-        [
-            np.bincount(labels, weights=pi * model.cost_op[nodes], minlength=n_comp),
-            np.bincount(labels, weights=pi * model.cost_fail[nodes], minlength=n_comp),
-            mass,
-        ]
+        [np.bincount(labels, weights=pi * c, minlength=n_comp) for c in costs.T] + [mass]
     ) / mass[:, None]
-    if rec[0]:
-        return GainPair(float(class_gain[labels[0], 0]), float(class_gain[labels[0], 1]))
+    gain = class_gain[labels, :-1]
+    bias = np.zeros_like(gain) if with_bias else None
+    if with_bias and lu is not None:
+        # out_i h_i - sum_{j free} rate(i->j) h_j = cost_i - gain_i for free i
+        bias[free] = lu.solve(costs[free] - gain[free], trans="T")
+    del lu  # free its fill before the transient factorization
+    trans = ~rec
+    if not trans.any():
+        return gain, bias
 
-    # absorption: out_i h_i - sum_{j transient} rate(i->j) h_j
-    #   = sum_{j recurrent} rate(i->j) g(class of j) for transient i;
+    # absorption: out_i x_i - sum_{j transient} rate(i->j) x_j
+    #   = sum_{j recurrent} rate(i->j) gain(class of j) for transient i;
     # dividing by the absorbed mass, 1 up to rounding, keeps the gain of
     # a certain absorption exact
-    trans = ~rec
     pos = np.cumsum(trans) - 1
     stay = trans[src] & trans[dst]
     absorb = trans[src] & rec[dst]
-    rhs = np.zeros((int(trans.sum()), 3))
+    lu = _m_matrix_lu(out[trans], pos[src[stay]], pos[dst[stay]], rate[stay])
+    rhs = np.zeros((int(trans.sum()), class_gain.shape[1]))
     np.add.at(rhs, pos[src[absorb]], rate[absorb, None] * class_gain[labels[dst[absorb]]])
-    h = _solve_m_matrix(out[trans], pos[src[stay]], pos[dst[stay]], rate[stay], rhs)
-    return GainPair(float(h[0, 0] / h[0, 2]), float(h[0, 1] / h[0, 2]))
+    x = lu.solve(rhs)
+    gain[trans] = x[:, :-1] / x[:, -1:]
+    if with_bias:
+        # the same rows with the bias equation cost_i - gain_i + sum rate (h_j - h_i) = 0
+        rhs = costs[trans] - gain[trans]
+        np.add.at(rhs, pos[src[absorb]], rate[absorb, None] * bias[dst[absorb]])
+        bias[trans] = lu.solve(rhs)
+    return gain, bias
+
+
+def evaluate_policy(model: CtmdpModel, policy: MaintenancePolicy, initial_state=0) -> GainPair:
+    """Exact long-run cost pair of a policy from a given starting state.
+
+    The policy's chain is restricted to the post-states reachable from
+    the start (breadth-first, the start first) and solved for their gains
+    (see ``_chain_gains``): the start's own class gain when it is
+    recurrent, the absorption-weighted mix of the class gains when it is
+    transient.  ``initial_state`` is a pre-decision state id in
+    ``[0, n)`` or the state's rows.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
+    n = model.n_states
+    start = int(policy.post_ids[model.start_id(initial_state)])
+    src, dst, rate = _policy_arcs(model, policy.post_ids)
+    graph = _compressed(csr_matrix, n, src, dst, rate)
+    nodes = breadth_first_order(graph, start, return_predecessors=False)
+    local = np.full(n, -1, dtype=np.int64)
+    local[nodes] = np.arange(nodes.shape[0])
+    keep = local[src] >= 0  # arcs out of reachable nodes stay reachable
+    costs = np.column_stack([model.cost_op[nodes], model.cost_fail[nodes]])
+    gain, _ = _chain_gains(local[src[keep]], local[dst[keep]], rate[keep], costs)
+    return GainPair(float(gain[0, 0]), float(gain[0, 1]))

@@ -12,13 +12,7 @@ import math
 import numpy as np
 
 from parmaint.ctmdp import build_model
-from parmaint.mdp_solve import (
-    DEFAULT_MAX_ITERATIONS,
-    DEFAULT_TOLERANCE,
-    MaintenancePolicy,
-    _iterate_until_settled,
-    _uniformized_arrays,
-)
+from parmaint.mdp_solve import MaintenancePolicy
 from parmaint.model import ComponentType, make_instance
 
 
@@ -173,10 +167,149 @@ def model_for(instance, design):
     return build_model(instance, design=tuple(design))
 
 
+# Relative value iteration, the solver policy iteration replaced, kept as
+# the reference for it.  Pre-decision values v are updated by the
+# uniformized one-step operator
+#   (Tv)(s) = min_u [ cost[u]/L + sum_t (rate/L) v(t) + (1 - out[u]/L) v(s) ]
+# over the state's post-decision options u, normalized at state 0 each
+# sweep.  The per-sweep difference bracket [dmin, dmax] times the
+# uniformization constant L brackets the optimal gain.  Convergence is on
+# the span of the difference, relative to the per-step gain magnitude so
+# that huge failure penalties do not stall the loop at float resolution.
+
+RVI_TOLERANCE = 1e-10
+RVI_MAX_SWEEPS = 10**6
+LAMBDA_SLACK = 1.05  # uniformization constant = slack * max outflow
+ITERATION_CHUNK = 20_000
+FLOOR_FACTOR = 16.0  # spans below FLOOR_FACTOR*eps*max|v| count as roundoff
+STALL_RATIO = 0.99  # chunk-over-chunk span shrink below 1% means stalled
+
+
+def uniformized_arrays(model, penalty):
+    """Pre-scaled arrays for the value-iteration kernels, and L."""
+    lam = LAMBDA_SLACK * model.max_outflow
+    if lam <= 0.0:
+        lam = 1.0  # no events anywhere; any positive constant works
+    cost = model.cost_op + penalty * model.cost_fail.astype(np.float64)
+    n = model.n_states
+    arrays = (
+        model.act_offsets,
+        model.act_posts,
+        np.repeat(np.arange(n, dtype=np.int64), np.diff(model.act_offsets)),
+        model.trn_offsets,
+        np.repeat(np.arange(n, dtype=np.int64), np.diff(model.trn_offsets)),
+        model.trn_targets,
+        model.trn_rates / lam,
+        1.0 - model.outflow / lam,
+        cost / lam,
+    )
+    return arrays, lam
+
+
+def rvi_sweeps(
+    act_off,
+    act_posts,
+    pair_pre,
+    trn_off,
+    trn_src,
+    trn_tgt,
+    rate_scaled,
+    self_keep,
+    cost_scaled,
+    v,
+    tol,
+    max_iter,
+):
+    """Vectorized value-iteration sweeps in place; (iters, span, dmin, dmax)."""
+    # bincount accumulates sequentially in storage order, so each post
+    # value sums its arcs in CSR order like a plain loop would
+    n = v.shape[0]
+    aoff = act_off[:-1]
+    iters = 0
+    span = math.inf
+    dmin = dmax = 0.0
+    while iters < max_iter:
+        iters += 1
+        contrib = np.bincount(trn_src, weights=rate_scaled * v[trn_tgt], minlength=n)
+        post_val = cost_scaled + contrib
+        vals = post_val[act_posts] + self_keep[act_posts] * v[pair_pre]
+        new_v = np.minimum.reduceat(vals, aoff)
+        delta = new_v - v
+        dmin = float(delta.min())
+        dmax = float(delta.max())
+        span = dmax - dmin
+        v[:] = new_v - new_v[0]
+        if span < tol * max(1.0, abs(0.5 * (dmin + dmax))):
+            break
+    return iters, span, dmin, dmax
+
+
+def greedy_choice(
+    act_off,
+    act_posts,
+    pair_pre,
+    trn_off,
+    trn_src,
+    trn_tgt,
+    rate_scaled,
+    self_keep,
+    cost_scaled,
+    v,
+):
+    """Index of the minimizing action per state (first on ties)."""
+    n = v.shape[0]
+    contrib = np.bincount(trn_src, weights=rate_scaled * v[trn_tgt], minlength=n)
+    post_val = cost_scaled + contrib
+    vals = post_val[act_posts] + self_keep[act_posts] * v[pair_pre]
+    aoff = act_off[:-1]
+    best = np.minimum.reduceat(vals, aoff)
+    pos = np.arange(vals.shape[0], dtype=np.int64)
+    hit = np.where(vals == np.repeat(best, np.diff(act_off)), pos, np.iinfo(np.int64).max)
+    first = np.minimum.reduceat(hit, aoff)
+    return (first - aoff).astype(np.int64)
+
+
+def iterate_until_settled(arrays, v, tolerance, max_iterations):
+    """Sweeps until the span test or the float floor.
+
+    Huge penalties push relative values to magnitudes where the span of
+    successive differences bottoms out at roundoff; when a whole chunk
+    of sweeps no longer shrinks a span already at that scale, the
+    bracket is as tight as doubles allow and the run stops with it.
+    Returns (sweeps, span, dmin, dmax, converged, floor_limited).
+    """
+    total = 0
+    prev_span = math.inf
+    while True:
+        chunk = min(ITERATION_CHUNK, max_iterations - total)
+        iters, span, dmin, dmax = rvi_sweeps(*arrays, v, tolerance, chunk)
+        total += iters
+        if iters < chunk:  # kernel met the span test
+            return total, span, dmin, dmax, True, False
+        if total >= max_iterations:
+            return total, span, dmin, dmax, False, False
+        floor = FLOOR_FACTOR * np.finfo(float).eps * max(1.0, float(np.abs(v).max()))
+        if span <= floor and span > STALL_RATIO * prev_span:
+            return total, span, dmin, dmax, True, True
+        prev_span = span
+
+
+def rvi_solve(model, penalty):
+    """Relative value iteration from zero values, reference state 0.
+
+    Returns the greedy policy of the settled values and the midpoint of
+    the final difference bracket scaled back to unit time.
+    """
+    arrays, lam = uniformized_arrays(model, penalty)
+    v = np.zeros(model.n_states)
+    _, _, dmin, dmax, _, _ = iterate_until_settled(arrays, v, RVI_TOLERANCE, RVI_MAX_SWEEPS)
+    return MaintenancePolicy(model, greedy_choice(*arrays, v)), lam * 0.5 * (dmin + dmax)
+
+
 # Plain-loop value iteration, one state and one arc at a time.  Same
-# argument list as the vectorized kernels in parmaint.mdp_solve (the
-# tuple of _uniformized_arrays, then v); the arithmetic is done in the
-# same order, so the two must agree bit for bit.
+# argument list as the vectorized kernels above (the tuple of
+# uniformized_arrays, then v); the arithmetic is done in the same order,
+# so the two must agree bit for bit.
 
 
 def rvi_loop(
@@ -264,8 +397,8 @@ def policy_gain_by_iteration(
     model,
     policy,
     penalty: float,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+    tolerance: float = RVI_TOLERANCE,
+    max_iterations: int = RVI_MAX_SWEEPS,
 ):
     """Gain of a fixed policy via the same value-iteration machinery.
 
@@ -273,7 +406,7 @@ def policy_gain_by_iteration(
     the sweeps; useful as an independent check against the balance-
     equation evaluation for unichain policies.
     """
-    arrays, lam = _uniformized_arrays(model, penalty)
+    arrays, lam = uniformized_arrays(model, penalty)
     n = model.n_states
     restricted = (
         np.arange(n + 1, dtype=np.int64),
@@ -281,7 +414,7 @@ def policy_gain_by_iteration(
         np.arange(n, dtype=np.int64),
     ) + arrays[3:]
     v = np.zeros(n)
-    iters, span, dmin, dmax, converged, _ = _iterate_until_settled(
+    iters, span, dmin, dmax, converged, _ = iterate_until_settled(
         restricted, v, tolerance, max_iterations
     )
     return lam * 0.5 * (dmin + dmax), converged, int(iters)
@@ -430,3 +563,44 @@ def threshold_type_law(alpha, tau, copies, threshold):
         if s1 > 0:
             rates[i][index[(s1 - 1, s2)]] += s1 * tau
     return dict(zip(states, gth_stationary(rates)))
+
+
+def improving_actions(model, penalty, policy, gains, bias, rtol=1e-9):
+    """Certificate check of a solve, one state and one arc at a time.
+
+    ``gains`` and ``bias`` must solve the policy's own equations at every
+    pre-decision state s with u = policy's post-state:
+      sum_t rate(u->t) (gains_t - gains_s) = 0,
+      cost_u - gains_s + sum_t rate(u->t) (bias_t - bias_s) = 0,
+    and no action u' may do better: neither a negative first sum, nor,
+    where that sum ties at 0, a second one below 0.  Each comparison
+    allows ``rtol`` times the sum of the magnitudes of its terms.
+    Returns the (state, action index, reason) triples that fail.
+    """
+    toff, ttgt, trate = model.trn_offsets, model.trn_targets, model.trn_rates
+    failures = []
+    for s in range(model.n_states):
+        g_s, h_s = float(gains[s]), float(bias[s])
+        for k in range(model.act_offsets[s], model.act_offsets[s + 1]):
+            u = int(model.act_posts[k])
+            cost = float(model.cost_op[u]) + penalty * float(model.cost_fail[u])
+            g_sum = g_scale = 0.0
+            h_sum = 0.0
+            h_scale = abs(cost) + abs(g_s)
+            for j in range(toff[u], toff[u + 1]):
+                t = int(ttgt[j])
+                g_sum += trate[j] * (gains[t] - g_s)
+                g_scale += trate[j] * (abs(gains[t]) + abs(g_s))
+                h_sum += trate[j] * (bias[t] - h_s)
+                h_scale += trate[j] * (abs(bias[t]) + abs(h_s))
+            slack_g, slack_h = rtol * g_scale, rtol * h_scale
+            h_test = cost - g_s + h_sum
+            action = k - model.act_offsets[s]
+            if u == policy.post_ids[s]:
+                if abs(g_sum) > slack_g or abs(h_test) > slack_h:
+                    failures.append((s, action, "evaluation"))
+            elif g_sum < -slack_g:
+                failures.append((s, action, "gain"))
+            elif g_sum <= slack_g and h_test < -slack_h:
+                failures.append((s, action, "bias"))
+    return failures

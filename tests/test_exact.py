@@ -122,7 +122,15 @@ def base_front(base_instance):
 class TestExactFront:
     def test_base_front_shape(self, base_instance, base_front):
         assert base_front.complete
-        assert len(base_front) == 17
+        assert len(base_front) == 18
+        # the supported point of (2, 2, 0, 0) at penalty 13,150: it beats
+        # both neighbours on that design's trace by 2.9e-6 there
+        assert any(
+            p.design == (2, 2, 0, 0)
+            and p.g_o == pytest.approx(3.0374855774, abs=1e-9)
+            and p.ln_g_f == pytest.approx(-9.9223049075, abs=1e-9)
+            for p in base_front
+        )
         gos = [p.g_o for p in base_front]
         lns = [p.ln_g_f for p in base_front]
         assert gos == sorted(gos)
@@ -191,6 +199,27 @@ class TestTraceDesign:
                 for d in trace
             )
             assert close, (s.penalty, s.g_o, s.ln_g_f)
+
+    @staticmethod
+    def _has_point(points, g_o, ln_g_f):
+        return any(
+            abs(p.g_o - g_o) <= 1e-7 and abs(p.ln_g_f - ln_g_f) <= 1e-4 for p in points
+        )
+
+    def test_keeps_supported_point_of_a_steep_segment(self):
+        # the segment from (4.0015, -21.64) to full repair differs in g_f
+        # by 4e-10, so its scalarized gaps are tiny unless taken per unit
+        # of cost; the solve at its slope finds this point 19% below it
+        inst = single_type_instance(q=1e-3, repair=1000.0, bound=5)
+        points = _trace_design(inst, (5,))
+        assert self._has_point(points, 4.4305795, -23.1773)
+
+    def test_keeps_supported_point_the_sweep_finds(self):
+        # sp2 reaches this point at penalty 524,288; the trace must too
+        inst = single_type_instance(q=1e-3, repair=100.0, bound=4)
+        points = _trace_design(inst, (4,))
+        assert self._has_point(points, 1.3000001, -21.0111)
+        assert self._has_point(sp2(inst, (4,)), 1.3000001, -21.0111)
 
     def test_reaches_full_repair_beyond_the_penalty_clamp(self):
         # the solve at the 1e12 clamp returns a policy short of full repair

@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 
 from parmaint.ctmdp import build_model
-from parmaint.mdp_solve import (
-    ITERATION_CHUNK,
-    _greedy_choice,
-    _rvi_sweeps,
-    _uniformized_arrays,
-    solve_average_cost,
-)
+from parmaint.mdp_solve import evaluate_policy, fully_active_policy, solve_average_cost
 from parmaint.sim import CHUNK_START, _batch_arrays, _sim_loop, simulate_policy
 
-from _oracles import greedy_loop, rvi_loop, single_type_instance
+from _oracles import (
+    greedy_choice,
+    greedy_loop,
+    rvi_loop,
+    rvi_solve,
+    rvi_sweeps,
+    single_type_instance,
+    uniformized_arrays,
+)
 
 # (design, penalty): moderate, large and clamp-sized failure penalties
 LOOP_CASES = [((2, 1, 0, 0), 37.0), ((3, 1, 0, 0), 1e5), ((1, 0, 0, 0), 1e12)]
@@ -31,15 +33,16 @@ class TestSolverKernels:
 
 
 class TestLoopAgreement:
-    """The vectorized kernels against the plain loops of tests/_oracles.py."""
+    """The vectorized value-iteration reference against the plain loops,
+    and the policy-iteration solver against that reference."""
 
     def test_rvi_sweeps_bitwise(self, base_instance):
         for design, penalty in LOOP_CASES:
             model = build_model(base_instance, design=design)
-            arrays, _ = _uniformized_arrays(model, penalty)
+            arrays, _ = uniformized_arrays(model, penalty)
             v_np = np.zeros(model.n_states)
             v_loop = np.zeros(model.n_states)
-            out_np = _rvi_sweeps(*arrays, v_np, 1e-10, 5000)
+            out_np = rvi_sweeps(*arrays, v_np, 1e-10, 5000)
             out_loop = rvi_loop(*arrays, v_loop, 1e-10, 5000)
             assert out_np == out_loop  # iterations, span, dmin, dmax exactly
             assert np.array_equal(v_np, v_loop)
@@ -47,33 +50,44 @@ class TestLoopAgreement:
     def test_greedy_choice_bitwise(self, base_instance):
         for design, penalty in LOOP_CASES:
             model = build_model(base_instance, design=design)
-            arrays, _ = _uniformized_arrays(model, penalty)
+            arrays, _ = uniformized_arrays(model, penalty)
             v = np.zeros(model.n_states)
-            _rvi_sweeps(*arrays, v, 1e-10, 5000)
-            assert np.array_equal(_greedy_choice(*arrays, v), greedy_loop(*arrays, v))
+            rvi_sweeps(*arrays, v, 1e-10, 5000)
+            assert np.array_equal(greedy_choice(*arrays, v), greedy_loop(*arrays, v))
 
     def test_greedy_ties_pick_the_first_action(self):
         # free repairs, and failure costs what running does: every policy
         # has the same cost everywhere, so every action ties
         inst = single_type_instance(usage=1.0, repair=0.0, bound=2)
         model = build_model(inst, design=(2,))
-        arrays, _ = _uniformized_arrays(model, 1.0)
+        arrays, _ = uniformized_arrays(model, 1.0)
         v = np.zeros(model.n_states)
-        _rvi_sweeps(*arrays, v, 1e-10, 5000)
-        choice = _greedy_choice(*arrays, v)
+        rvi_sweeps(*arrays, v, 1e-10, 5000)
+        choice = greedy_choice(*arrays, v)
         assert np.array_equal(choice, greedy_loop(*arrays, v))
         assert not choice.any()
 
-    def test_solver_end_to_end_identical(self, small_model):
-        res = solve_average_cost(small_model, 50.0)
-        arrays, lam = _uniformized_arrays(small_model, 50.0)
-        v = np.zeros(small_model.n_states)
-        iters, _, dmin, dmax = rvi_loop(*arrays, v, 1e-10, ITERATION_CHUNK)
-        assert iters < ITERATION_CHUNK  # settled inside the solver's first chunk
-        assert res.iterations == iters
-        assert res.gain == lam * 0.5 * (dmin + dmax)
-        assert np.array_equal(res.values, v)
-        assert np.array_equal(res.policy.choice, greedy_loop(*arrays, v))
+    def test_ties_keep_the_current_action(self):
+        # the same all-ties model: policy iteration certifies its start,
+        # whichever it is, at the first evaluation
+        inst = single_type_instance(usage=1.0, repair=0.0, bound=2)
+        model = build_model(inst, design=(2,))
+        for start in (None, fully_active_policy(model)):
+            res = solve_average_cost(model, 1.0, initial_policy=start)
+            assert res.converged and res.iterations == 1
+            want = np.zeros(model.n_states) if start is None else start.choice
+            assert np.array_equal(res.policy.choice, want)
+
+    def test_solver_matches_rvi_reference(self, small_model):
+        for penalty in (0.5, 50.0, 1e4):
+            res = solve_average_cost(small_model, penalty)
+            assert res.converged
+            exact = evaluate_policy(small_model, res.policy).scalarized(penalty)
+            assert res.gain == pytest.approx(exact, rel=1e-12)
+            policy, bracket_mid = rvi_solve(small_model, penalty)
+            rvi = evaluate_policy(small_model, policy).scalarized(penalty)
+            assert exact == pytest.approx(rvi, rel=1e-12)
+            assert exact == pytest.approx(bracket_mid, rel=1e-9)
 
     def test_buffer_refill_continues_the_path(self, small_model):
         # simulate_policy draws uniforms in growing chunks; one long buffer

@@ -9,6 +9,7 @@ from parmaint.exact import enumerate_feasible_designs
 from parmaint.mdp_solve import (
     GainPair,
     MaintenancePolicy,
+    _policy_arcs,
     evaluate_policy,
     fully_active_policy,
     solve_average_cost,
@@ -17,10 +18,12 @@ from parmaint.model import ComponentType, make_instance
 
 from _oracles import (
     evaluate_dense,
+    improving_actions,
     iterate_policies,
     policy_from_rule,
     policy_gain_by_iteration,
     random_instance,
+    rvi_solve,
     single_type_instance,
     stationary_design_gain,
     threshold_type_law,
@@ -108,12 +111,15 @@ class TestSingleCopyClosedForms:
         assert gain.g_o == pytest.approx(0.0, abs=1e-10)
         assert gain.g_f == pytest.approx(1.0, abs=1e-10)
 
-    def test_certified_bracket_contains_gain(self):
+    def test_certificate_holds(self):
         res = solve_average_cost(self.model, penalty=100.0)
-        lo, hi = res.gain_bounds
-        assert lo <= 2.99 + 1e-9
-        assert hi >= 2.99 - 1e-9
-        assert hi - lo <= 1e-6
+        assert improving_actions(self.model, 100.0, res.policy, res.gains, res.bias) == []
+        assert res.gains == pytest.approx(np.full(self.model.n_states, 2.99), rel=1e-12)
+        # the never-repair start, cut off before improving, fails the check:
+        # every start ends failed (gain 100), and repairing wins on bias
+        early = solve_average_cost(self.model, penalty=100.0, max_iterations=1)
+        found = improving_actions(self.model, 100.0, early.policy, early.gains, early.bias)
+        assert found and {reason for _, _, reason in found} == {"bias"}
 
     def test_policy_iteration_cross_check(self):
         res = solve_average_cost(self.model, penalty=100.0)
@@ -124,17 +130,30 @@ class TestSingleCopyClosedForms:
         assert gain == pytest.approx(res.gain, abs=1e-8)
 
     def test_unconverged_run_reports_honestly(self):
-        res = solve_average_cost(self.model, penalty=100.0, max_iterations=3)
+        # the cold start never repairs, so at least a second policy is
+        # needed; a cap of one returns the first, exactly evaluated
+        full = solve_average_cost(self.model, penalty=100.0)
+        assert full.converged and full.iterations >= 2
+        res = solve_average_cost(self.model, penalty=100.0, max_iterations=1)
         assert not res.converged
-        assert res.iterations == 3
+        assert res.iterations == 1
+        assert not res.policy.choice.any()
+        exact = evaluate_policy(self.model, res.policy).scalarized(100.0)
+        assert res.gain == pytest.approx(exact, rel=1e-12)
+        assert res.gain > full.gain + 1.0
+        with pytest.raises(ValueError, match="max_iterations"):
+            solve_average_cost(self.model, penalty=100.0, max_iterations=0)
 
     def test_warm_start_accepted(self):
+        # the optimum at 64 is still optimal at 65: certified at once
         cold = solve_average_cost(self.model, penalty=64.0)
-        warm = solve_average_cost(self.model, penalty=65.0, v_init=cold.values)
+        warm = solve_average_cost(self.model, penalty=65.0, initial_policy=cold.policy)
         assert warm.converged
-        assert warm.iterations <= cold.iterations
-        with pytest.raises(ValueError):
-            solve_average_cost(self.model, penalty=65.0, v_init=np.zeros(2))
+        assert warm.iterations == 1 < cold.iterations
+        assert warm.policy == cold.policy
+        other = build_model(self.inst, design=(1,))
+        with pytest.raises(ValueError, match="another model"):
+            solve_average_cost(other, penalty=65.0, initial_policy=cold.policy)
 
     def test_penalty_must_be_finite_and_non_negative(self):
         for penalty in (math.nan, math.inf, -math.inf, -5.0):
@@ -424,3 +443,61 @@ class TestHugePenaltyRegression:
         gain = evaluate_policy(model, res.policy)
         assert gain.g_o == pytest.approx(10.9999999968, abs=1e-6)
         assert gain.ln_g_f == pytest.approx(-19.5601150266, abs=1e-6)
+
+
+GATE_PENALTIES = (1e-9, 1.0, 30.0, 1e3, 1e5, 1e8, 1e12)
+
+
+class TestValueIterationGate:
+    """Policy iteration against the value-iteration reference.
+
+    Over all 76 base designs at the seven gate penalties the exactly
+    evaluated scalarized gains agree to 1e-9 relative; this subset keeps
+    the designs where a unichain treatment goes wrong.
+    """
+
+    @staticmethod
+    def _gains(model, penalty):
+        res = solve_average_cost(model, penalty)
+        assert res.converged
+        ours = evaluate_policy(model, res.policy).scalarized(penalty)
+        assert res.gain == pytest.approx(ours, rel=1e-12)
+        reference = evaluate_policy(model, rvi_solve(model, penalty)[0]).scalarized(penalty)
+        return ours, reference
+
+    def test_base_designs_at_gate_penalties(self, base_instance):
+        designs = [(3, 1, 0, 0), (4, 0, 0, 0), (0, 5, 0, 0), (2, 1, 0, 0), (0, 2, 1, 1)]
+        for design in designs:
+            model = build_model(base_instance, design=design)
+            for penalty in GATE_PENALTIES:
+                ours, reference = self._gains(model, penalty)
+                assert ours <= reference * (1 + 1e-9), (design, penalty)
+                assert ours == pytest.approx(reference, rel=1e-9), (design, penalty)
+
+    def test_multichain_designs(self, base_instance):
+        # besides the policy's own cycle, the idle all-damaged post-state
+        # is a recurrent class of its own; treating the chain as unichain
+        # picked policies up to 4e4 times worse at these penalties
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        for design in ((3, 1, 0, 0), (4, 0, 0, 0)):
+            model = build_model(base_instance, design=design)
+            n = model.n_states
+            for penalty in (30.0, 100.0, 300.0, 3e3, 1e4, 3e4, 1e5):
+                ours, reference = self._gains(model, penalty)
+                assert ours == pytest.approx(reference, rel=1e-9), (design, penalty)
+                policy = solve_average_cost(model, penalty).policy
+                src, dst, rate = _policy_arcs(model, policy.post_ids)
+                chain = coo_matrix((rate, (src, dst)), shape=(n, n))
+                n_comp, labels = connected_components(chain, connection="strong")
+                leaving = set(labels[src[labels[src] != labels[dst]]])
+                assert n_comp - len(leaving) >= 2, (design, penalty)
+
+    def test_certificate_on_base_designs(self, base_instance):
+        for design in ((3, 1, 0, 0), (4, 0, 0, 0), (1, 1, 1, 1)):
+            model = build_model(base_instance, design=design)
+            for penalty in GATE_PENALTIES:
+                res = solve_average_cost(model, penalty)
+                bad = improving_actions(model, penalty, res.policy, res.gains, res.bias)
+                assert bad == [], (design, penalty, bad[:3])
