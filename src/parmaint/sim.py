@@ -1,17 +1,23 @@
 """Discrete-event validation of analytic long-run cost pairs.
 
-Simulates the policy-induced chain on post-decision states with
-competing exponential clocks, as independently replicated batches on
-split counter-based streams, and reports batch-means estimates with
-standard errors.  Failure rates far below 1/horizon cannot be estimated
-tightly; reports carry a flag when fewer than 100 failure entries were
-observed.
+Simulates the policy-induced jump chain on post-decision states with
+competing exponential clocks (the direct method), as independently
+replicated batches on split counter-based streams, and reports
+batch-means estimates with standard errors.  The chain is compiled once
+per call into one tuple of Python floats and lists per node (outflow,
+cost rates, cumulative arc rates, successor post-states); each
+replication is one scalar loop over them that keeps an absolute clock,
+draws two uniforms per event and picks the arc by bisection.  Failure rates far below 1/horizon cannot be
+estimated tightly; reports carry a flag when fewer than 100 failure
+entries were observed.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -21,8 +27,13 @@ MIN_FAILURE_ENTRIES = 100
 # horizon * max outflow bounds the expected event count of a run; above
 # this it would not finish in any useful time
 SIM_EVENT_CEILING = 1e10
+# each batch gets its own seeded stream, allocated before the run; a
+# count past this is a typo, not a run
+MAX_BATCHES = 10_000
+# uniforms per replication come in chunks that double up to the cap, so
+# the float lists stay small
 CHUNK_START = 4096
-CHUNK_MAX = 1 << 20
+CHUNK_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -53,102 +64,69 @@ class SimReport:
         return math.log(self.g_f)
 
 
-def _batch_arrays(model, policy):
-    return (
-        policy.post_ids,
-        model.trn_offsets,
-        model.trn_targets,
-        model.trn_rates,
-        model.outflow,
-        model.cost_op,
-        model.cost_fail,
-    )
+def _compile(model, policy):
+    """The policy's jump chain as one Python tuple per node.
 
-
-def _sim_loop(
-    start_post,
-    t_limit,
-    policy_post,
-    trn_off,
-    trn_tgt,
-    trn_rate,
-    outflow,
-    cost_op,
-    cost_fail,
-    uniforms,
-):
-    """Advance one simulated batch until its time limit or buffer end.
-
-    Returns (cost integral, failure-time integral, events, failure
-    entries, current post-state, time reached, buffer position,
-    exhausted flag).
+    Each node holds its outflow, its two cost rates, its cumulative arc
+    rates summed left to right in arc order (self-loops kept), and its
+    successor post-states composed through ``policy.post_ids``, all as
+    Python floats, ints and lists.  The successor list repeats its last
+    arc once, so a draw that rounds past the last cumulative rate takes
+    the last arc.
     """
-    t = 0.0
-    acc_o = 0.0
-    acc_f = 0.0
-    cur = start_post
-    pos = 0
-    events = 0
-    fails = 0
-    exhausted = False
-    while t < t_limit:
-        total = outflow[cur]
-        if total <= 0.0:
-            acc_o += (t_limit - t) * cost_op[cur]
-            acc_f += (t_limit - t) * cost_fail[cur]
-            t = t_limit
-            break
-        if pos + 2 > uniforms.shape[0]:
-            exhausted = True
-            break
-        dt = -math.log1p(-uniforms[pos]) / total
-        pos += 1
-        if t + dt >= t_limit:
-            acc_o += (t_limit - t) * cost_op[cur]
-            acc_f += (t_limit - t) * cost_fail[cur]
-            t = t_limit
-            break
-        acc_o += dt * cost_op[cur]
-        acc_f += dt * cost_fail[cur]
-        t += dt
-        x = uniforms[pos] * total
-        pos += 1
-        nxt = trn_tgt[trn_off[cur + 1] - 1]
-        acc_rate = 0.0
-        for k in range(trn_off[cur], trn_off[cur + 1]):
-            acc_rate += trn_rate[k]
-            if x < acc_rate:
-                nxt = trn_tgt[k]
-                break
-        newpost = policy_post[nxt]
-        if cost_fail[newpost] == 1 and cost_fail[cur] == 0:
-            fails += 1
-        cur = newpost
-        events += 1
-    return acc_o, acc_f, events, fails, cur, t, pos, exhausted
+    off = model.trn_offsets.tolist()
+    rates = model.trn_rates.tolist()
+    post = policy.post_ids[model.trn_targets].tolist()
+    nodes = []
+    for lo, hi, total, c_o, c_f in zip(
+        off,
+        off[1:],
+        model.outflow.tolist(),
+        model.cost_op.tolist(),
+        model.cost_fail.tolist(),
+    ):
+        arcs = post[lo:hi]
+        nodes.append((total, c_o, c_f, list(accumulate(rates[lo:hi])), arcs + arcs[-1:]))
+    return nodes
 
 
-def _run_batch(arrays, start_post, t_limit, rng):
-    """One replication; refills the uniform buffer as the kernel drains it."""
-    acc_o = acc_f = 0.0
+def _replicate(nodes, cur, t_end, rng, chunk=CHUNK_START):
+    """One replication from post-state ``cur`` over ``[0, t_end)``.
+
+    Two uniforms per event, drawn from ``rng`` in chunks that double up
+    to ``CHUNK_CAP``; the path does not depend on the chunking.  An
+    absorbing state accrues its costs to ``t_end``.  Returns (cost
+    integral, failure-time integral, events, failure entries, final
+    post-state).
+    """
+    log1p = math.log1p
+    t = acc_o = acc_f = 0.0
     events = fails = 0
-    cur = start_post
-    remaining = t_limit
-    chunk = CHUNK_START
-    while True:
-        uniforms = rng.random(chunk)
-        d_o, d_f, d_ev, d_fail, cur, t, _, exhausted = _sim_loop(
-            cur, remaining, *arrays, uniforms
-        )
-        acc_o += d_o
-        acc_f += d_f
-        events += d_ev
-        fails += d_fail
-        remaining -= t
-        if not exhausted:
+    u = []
+    pos = last = 0  # an event needs u[pos] and u[pos + 1], so pos < last
+    total, c_o, c_f, cum, succ = nodes[cur]
+    while total > 0.0:
+        if pos >= last:
+            u = u[pos:] + rng.random(chunk).tolist()
+            pos, last = 0, len(u) - 1
+            chunk = min(2 * chunk, CHUNK_CAP)
+        dt = -log1p(-u[pos]) / total
+        t_next = t + dt
+        if t_next >= t_end:
             break
-        chunk = min(chunk * 2, CHUNK_MAX)
-    return acc_o, acc_f, events, fails
+        acc_o += dt * c_o
+        acc_f += dt * c_f
+        t = t_next
+        cur = succ[bisect_right(cum, u[pos + 1] * total)]
+        pos += 2
+        was_failed = c_f
+        total, c_o, c_f, cum, succ = nodes[cur]
+        if c_f > was_failed:
+            fails += 1
+        events += 1
+    acc_o += (t_end - t) * c_o
+    acc_f += (t_end - t) * c_f
+    return acc_o, acc_f, events, fails, cur
 
 
 def simulate_policy(
@@ -171,8 +149,8 @@ def simulate_policy(
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    if batches < 2:
-        raise ValueError(f"need at least 2 batches, got {batches}")
+    if not 2 <= batches <= MAX_BATCHES:
+        raise ValueError(f"batches must lie in [2, {MAX_BATCHES}], got {batches}")
     bound = horizon * model.max_outflow
     if bound > SIM_EVENT_CEILING:
         raise ValueError(
@@ -180,7 +158,7 @@ def simulate_policy(
             f"(horizon times the largest outflow), over the ceiling of "
             f"{SIM_EVENT_CEILING:.3g}"
         )
-    arrays = _batch_arrays(model, policy)
+    nodes = _compile(model, policy)
     start_post = int(policy.post_ids[model.start_id(initial_state)])
     t_batch = float(horizon) / batches
     children = np.random.SeedSequence(seed).spawn(batches)
@@ -189,7 +167,7 @@ def simulate_policy(
     events = fails = 0
     for b in range(batches):
         rng = np.random.Generator(np.random.Philox(children[b]))
-        acc_o, acc_f, d_ev, d_fail = _run_batch(arrays, start_post, t_batch, rng)
+        acc_o, acc_f, d_ev, d_fail, _ = _replicate(nodes, start_post, t_batch, rng)
         means_o[b] = acc_o / t_batch
         means_f[b] = acc_f / t_batch
         events += d_ev
@@ -214,30 +192,26 @@ def simulate_policy(
 def trace_events(model, policy, horizon: float, seed: int = 0, limit: int = 1000, initial_state: int = 0):
     """First ``limit`` simulated events as (time, state, next state) rows.
 
-    Pure-python companion to :func:`simulate_policy` for eyeballing
-    sample paths; uses its own stream and is not meant for estimation.
+    Companion to :func:`simulate_policy` for eyeballing sample paths: it
+    steps the same compiled chain on the stream of the first replication
+    of ``simulate_policy`` with the same seed, so its rows are that
+    replication's opening events.
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    nodes = _compile(model, policy)
+    child = np.random.SeedSequence(seed).spawn(1)[0]
+    rng = np.random.Generator(np.random.Philox(child))
     rows = []
     cur = int(policy.post_ids[model.start_id(initial_state)])
     t = 0.0
-    toff, ttgt, trate = model.trn_offsets, model.trn_targets, model.trn_rates
-    while t < horizon and len(rows) < limit:
-        total = model.outflow[cur]
+    while len(rows) < limit:
+        total, _, _, cum, succ = nodes[cur]
         if total <= 0.0:
             break
-        t += rng.exponential(1.0 / total)
+        u_time, u_jump = rng.random(2).tolist()
+        t += -math.log1p(-u_time) / total
         if t >= horizon:
             break
-        x = rng.random() * total
-        nxt = int(ttgt[toff[cur + 1] - 1])
-        acc = 0.0
-        for k in range(toff[cur], toff[cur + 1]):
-            acc += trate[k]
-            if x < acc:
-                nxt = int(ttgt[k])
-                break
-        newpost = int(policy.post_ids[nxt])
-        rows.append((t, model.state_string(cur), model.state_string(newpost)))
-        cur = newpost
+        nxt = succ[bisect_right(cum, u_jump * total)]
+        rows.append((t, model.state_string(cur), model.state_string(nxt)))
+        cur = nxt
     return rows

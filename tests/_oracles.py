@@ -604,3 +604,130 @@ def improving_actions(model, penalty, policy, gains, bias, rtol=1e-9):
             elif g_sum <= slack_g and h_test < -slack_h:
                 failures.append((s, action, "bias"))
     return failures
+
+
+# --- reference simulation loop ------------------------------------------
+# The event loop simulate_policy ran before it compiled the chain to
+# Python lists: a linear search over each state's arcs on numpy scalars,
+# fed by a uniform buffer that is refilled in doubling chunks, with the
+# clock restarted at each refill.  Same streams and two uniforms per
+# event, so its sample paths are the library's, up to the rounding of
+# the restarted clock.
+
+SIM_CHUNK_START = 4096
+SIM_CHUNK_MAX = 1 << 20
+
+
+def sim_loop(
+    start_post,
+    t_limit,
+    policy_post,
+    trn_off,
+    trn_tgt,
+    trn_rate,
+    outflow,
+    cost_op,
+    cost_fail,
+    uniforms,
+):
+    """Advance one simulated batch until its time limit or buffer end.
+
+    Returns (cost integral, failure-time integral, events, failure
+    entries, current post-state, time reached, buffer position,
+    exhausted flag).
+    """
+    t = 0.0
+    acc_o = 0.0
+    acc_f = 0.0
+    cur = start_post
+    pos = 0
+    events = 0
+    fails = 0
+    exhausted = False
+    while t < t_limit:
+        total = outflow[cur]
+        if total <= 0.0:
+            acc_o += (t_limit - t) * cost_op[cur]
+            acc_f += (t_limit - t) * cost_fail[cur]
+            t = t_limit
+            break
+        if pos + 2 > uniforms.shape[0]:
+            exhausted = True
+            break
+        dt = -math.log1p(-uniforms[pos]) / total
+        pos += 1
+        if t + dt >= t_limit:
+            acc_o += (t_limit - t) * cost_op[cur]
+            acc_f += (t_limit - t) * cost_fail[cur]
+            t = t_limit
+            break
+        acc_o += dt * cost_op[cur]
+        acc_f += dt * cost_fail[cur]
+        t += dt
+        x = uniforms[pos] * total
+        pos += 1
+        nxt = trn_tgt[trn_off[cur + 1] - 1]
+        acc_rate = 0.0
+        for k in range(trn_off[cur], trn_off[cur + 1]):
+            acc_rate += trn_rate[k]
+            if x < acc_rate:
+                nxt = trn_tgt[k]
+                break
+        newpost = policy_post[nxt]
+        if cost_fail[newpost] == 1 and cost_fail[cur] == 0:
+            fails += 1
+        cur = newpost
+        events += 1
+    return acc_o, acc_f, events, fails, cur, t, pos, exhausted
+
+
+def sim_arrays(model, policy):
+    """The arrays :func:`sim_loop` takes after its start and time limit."""
+    return (
+        policy.post_ids,
+        model.trn_offsets,
+        model.trn_targets,
+        model.trn_rates,
+        model.outflow,
+        model.cost_op,
+        model.cost_fail,
+    )
+
+
+def run_batch(arrays, start_post, t_limit, rng):
+    """One replication; refills the uniform buffer as the loop drains it."""
+    acc_o = acc_f = 0.0
+    events = fails = 0
+    cur = start_post
+    remaining = t_limit
+    chunk = SIM_CHUNK_START
+    while True:
+        uniforms = rng.random(chunk)
+        d_o, d_f, d_ev, d_fail, cur, t, _, exhausted = sim_loop(
+            cur, remaining, *arrays, uniforms
+        )
+        acc_o += d_o
+        acc_f += d_f
+        events += d_ev
+        fails += d_fail
+        remaining -= t
+        if not exhausted:
+            break
+        chunk = min(chunk * 2, SIM_CHUNK_MAX)
+    return acc_o, acc_f, events, fails
+
+
+def simulate_reference(model, policy, horizon, batches=20, seed=0):
+    """Per-batch (g_o, g_f) means, events and failure entries of the old loop."""
+    arrays = sim_arrays(model, policy)
+    start = int(policy.post_ids[model.start_id(0)])
+    t_batch = float(horizon) / batches
+    means = []
+    events = fails = 0
+    for child in np.random.SeedSequence(seed).spawn(batches):
+        rng = np.random.Generator(np.random.Philox(child))
+        acc_o, acc_f, d_ev, d_fail = run_batch(arrays, start, t_batch, rng)
+        means.append((acc_o / t_batch, acc_f / t_batch))
+        events += d_ev
+        fails += d_fail
+    return means, events, fails

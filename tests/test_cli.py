@@ -330,6 +330,18 @@ class TestSimulate:
         assert "horizon 1e+30" in err and "over the ceiling" in err
         assert not out.exists()
 
+    def test_batches_beyond_ceiling(self, base_path, tmp_path, capsys):
+        out = tmp_path / "sim.txt"
+        start = time.perf_counter()
+        code = main(
+            ["simulate", base_path, "--design", "1,0,0,0", "--horizon", "100",
+             "--batches", "1000000000", "--out", str(out)]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_ERROR
+        assert "batches must lie in [2, 10000], got 1000000000" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_policy_file_round_trip(self, base_path, tmp_path):
         pol = tmp_path / "policy.txt"
         gain = tmp_path / "gain.txt"

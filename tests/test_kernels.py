@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from parmaint.ctmdp import build_model
-from parmaint.mdp_solve import evaluate_policy, fully_active_policy, solve_average_cost
-from parmaint.sim import CHUNK_START, _batch_arrays, _sim_loop, simulate_policy
+from parmaint.mdp_solve import (
+    MaintenancePolicy,
+    evaluate_policy,
+    fully_active_policy,
+    solve_average_cost,
+)
+from parmaint.sim import CHUNK_CAP, CHUNK_START, _compile, _replicate, simulate_policy
 
 from _oracles import (
     greedy_choice,
@@ -11,6 +16,9 @@ from _oracles import (
     rvi_loop,
     rvi_solve,
     rvi_sweeps,
+    sim_arrays,
+    sim_loop,
+    simulate_reference,
     single_type_instance,
     uniformized_arrays,
 )
@@ -90,29 +98,43 @@ class TestLoopAgreement:
             assert exact == pytest.approx(bracket_mid, rel=1e-9)
 
     def test_buffer_refill_continues_the_path(self, small_model):
-        # simulate_policy draws uniforms in growing chunks; one long buffer
-        # from the same stream must give the same batch up to the rounding
-        # of restarting the clock at each refill
+        # the replication keeps one absolute clock across refills, so the
+        # chunk sizes of its uniform draws cannot change a single bit
         res = solve_average_cost(small_model, 50.0)
-        horizon, batches, seed = 2e6, 4, 9
+        horizon, batches, seed = 8e6, 4, 9
         report = simulate_policy(
             small_model, res.policy, horizon=horizon, batches=batches, seed=seed
         )
-        arrays = _batch_arrays(small_model, res.policy)
+        nodes = _compile(small_model, res.policy)
         start = int(res.policy.post_ids[0])
         t_batch = horizon / batches
         events = 0
         for b, child in enumerate(np.random.SeedSequence(seed).spawn(batches)):
-            rng = np.random.Generator(np.random.Philox(child))
-            acc_o, acc_f, d_ev, _, _, t, _, exhausted = _sim_loop(
-                start, t_batch, *arrays, rng.random(1 << 16)
-            )
-            assert not exhausted and t == t_batch
-            assert 2 * d_ev > CHUNK_START  # the chunked run had to refill
-            assert acc_o / t_batch == pytest.approx(report.batch_g_o[b], rel=1e-9)
-            assert acc_f / t_batch == pytest.approx(report.batch_g_f[b], rel=1e-9)
+            runs = [
+                _replicate(
+                    nodes, start, t_batch, np.random.Generator(np.random.Philox(child)), chunk
+                )
+                for chunk in (CHUNK_START, 2, 3, CHUNK_CAP)
+            ]
+            assert all(run == runs[0] for run in runs[1:])
+            acc_o, acc_f, d_ev, _, _ = runs[0]
+            assert 2 * d_ev > CHUNK_CAP  # every chunking had to refill
+            assert acc_o / t_batch == report.batch_g_o[b]
+            assert acc_f / t_batch == report.batch_g_f[b]
             events += d_ev
         assert events == report.events
+
+
+class _Uniforms:
+    """Stand-in generator that hands out the given uniforms, once."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, n):
+        values, self.values = self.values, None
+        assert values is not None, "the loop asked for more uniforms"
+        return np.array(values)
 
 
 class TestSimBatchKernel:
@@ -120,51 +142,82 @@ class TestSimBatchKernel:
         inst = single_type_instance(q=0.2, bound=1)
         model = build_model(inst, design=(1,))
         # never repair: after the first failure the chain is stuck
-        policy_post = np.array(
-            [model.state_id(((0, 0),)), model.state_id(((0, 1),)),
-             model.state_id(((0, 0),))],
-            dtype=np.int64,
-        )
-        state_arrays = (
-            policy_post,
-            model.trn_offsets,
-            model.trn_targets,
-            model.trn_rates,
-            model.outflow,
-            model.cost_op,
-            model.cost_fail.astype(np.float64),
-        )
-        uniforms = np.array([0.5, 0.5, 0.5, 0.5])
-        out = _sim_loop(model.state_id(((0, 0),)), 1000.0, *state_arrays, uniforms)
-        acc_o, acc_f, events, fails, cur, t, pos, exhausted = out
-        assert not exhausted
-        assert t == 1000.0
+        idle = MaintenancePolicy(model, [0] * model.n_states)
+        healthy, failed = model.state_id(((0, 0),)), model.state_id(((0, 1),))
+        nodes = _compile(model, idle)
+        out = _replicate(nodes, healthy, 1000.0, _Uniforms([0.5, 0.5]))
+        acc_o, acc_f, events, fails, cur = out
         assert events == 1
         assert fails == 1
-        assert cur == model.state_id(((0, 1),))
+        assert cur == failed
         # failure time is exponential with the single unit's failure rate
         alpha = inst.components[0].alpha
         t_fail = -np.log1p(-0.5) / alpha
         assert acc_o == pytest.approx(t_fail * 1.0, rel=1e-12)
         assert acc_f == pytest.approx(1000.0 - t_fail, rel=1e-12)
 
-    def test_buffer_exhaustion_reported(self):
-        inst = single_type_instance(q=0.2, bound=1)
-        model = build_model(inst, design=(1,))
-        policy_post = np.array(
-            [0, model.state_id(((1, 0),)), model.state_id(((1, 0),))],
-            dtype=np.int64,
+    def test_draw_past_the_last_cumulative_rate_takes_the_last_arc(self, small_model):
+        policy = fully_active_policy(small_model)
+        start = int(policy.post_ids[0])
+        lo, hi = small_model.trn_offsets[start], small_model.trn_offsets[start + 1]
+        successors = policy.post_ids[small_model.trn_targets[lo:hi]]
+        assert len(set(successors.tolist())) > 1
+        total = small_model.outflow[start]
+        t_jump = -np.log1p(-0.5) / total
+        # a jump uniform of 1.5 puts the draw past every cumulative rate;
+        # the end of the run falls before the second event
+        t_end = np.nextafter(t_jump, np.inf)
+        uniforms = [0.5, 1.5, 0.5, 0.5]
+        acc_o, _, events, _, cur = _replicate(
+            _compile(small_model, policy), start, t_end, _Uniforms(uniforms)
         )
-        state_arrays = (
-            policy_post,
-            model.trn_offsets,
-            model.trn_targets,
-            model.trn_rates,
-            model.outflow,
-            model.cost_op,
-            model.cost_fail.astype(np.float64),
-        )
-        uniforms = np.array([0.5, 0.5, 0.5])  # room for 1.5 events only
-        out = _sim_loop(0, 1e9, *state_arrays, uniforms)
-        assert out[-1] is True or out[-1] == 1  # exhausted flag
-        assert out[6] <= 3
+        assert events == 1
+        assert cur == successors[-1]
+        ref = sim_loop(start, t_end, *sim_arrays(small_model, policy), np.array(uniforms))
+        assert ref[2] == 1 and ref[4] == cur
+
+
+def _large_policy(large_instance):
+    model = build_model(large_instance, design=(3, 4, 4))
+    return model, solve_average_cost(model, 1e5).policy
+
+
+def _base_cases(base_instance):
+    single = build_model(base_instance, (1, 0, 0, 0))
+    pair = build_model(base_instance, (2, 0, 0, 0))
+    reliable = build_model(base_instance, (0, 5, 0, 0))
+    empty = build_model(base_instance, (0, 0, 0, 0))
+    return [
+        (single, fully_active_policy(single), 20000.0, 0),
+        (single, MaintenancePolicy(single, [0] * single.n_states), 40000.0, 1),
+        (pair, solve_average_cost(pair, 64.0).policy, 20000.0, 3),
+        (reliable, fully_active_policy(reliable), 1000.0, 0),
+        (empty, fully_active_policy(empty), 100.0, 0),
+    ]
+
+
+class TestSimAgainstReference:
+    """The compiled scalar loop against the old linear-search loop."""
+
+    @staticmethod
+    def assert_matches(model, policy, horizon, seed):
+        report = simulate_policy(model, policy, horizon=horizon, seed=seed)
+        means, events, fails = simulate_reference(model, policy, horizon, seed=seed)
+        assert report.events == events
+        assert report.failure_entries == fails
+        for got_o, got_f, (want_o, want_f) in zip(
+            report.batch_g_o, report.batch_g_f, means, strict=True
+        ):
+            assert got_o == pytest.approx(want_o, rel=1e-9)
+            assert got_f == pytest.approx(want_f, rel=1e-9)
+        return report
+
+    def test_base_fixtures(self, base_instance):
+        for model, policy, horizon, seed in _base_cases(base_instance):
+            self.assert_matches(model, policy, horizon, seed)
+
+    def test_large_design(self, large_instance):
+        model, policy = _large_policy(large_instance)
+        for seed in (0, 7):
+            report = self.assert_matches(model, policy, 1e6, seed)
+            assert report.events > 40_000 and report.failure_entries > 0

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,9 +12,12 @@ from parmaint.mdp_solve import (
     solve_average_cost,
 )
 from parmaint.sim import (
+    MAX_BATCHES,
     MIN_FAILURE_ENTRIES,
     SIM_EVENT_CEILING,
     SimReport,
+    _compile,
+    _replicate,
     simulate_policy,
     trace_events,
 )
@@ -158,6 +162,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="batches"):
             simulate_policy(single_model, policy, horizon=10.0, batches=1)
 
+    def test_batches_under_the_ceiling(self, single_model):
+        policy = fully_active_policy(single_model)
+        for batches in (MAX_BATCHES + 1, 10**9):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=rf"\[2, {MAX_BATCHES}\], got {batches}"):
+                simulate_policy(single_model, policy, horizon=10.0, batches=batches)
+            assert time.perf_counter() - start < 1.0
+
     def test_horizon_beyond_event_ceiling(self, single_model):
         policy = fully_active_policy(single_model)
         horizon = 1.001 * SIM_EVENT_CEILING / single_model.max_outflow
@@ -210,3 +222,21 @@ class TestTraceEvents:
         model = build_model(base_instance, (0, 0, 0, 0))
         policy = fully_active_policy(model)
         assert trace_events(model, policy, horizon=100.0) == []
+
+    def test_rows_are_the_first_replications_opening_events(self, base_instance):
+        model = build_model(base_instance, (2, 1, 0, 0))
+        policy = solve_average_cost(model, 50.0).policy
+        rows = trace_events(model, policy, horizon=1e9, seed=4, limit=12)
+        assert len(rows) == 12
+        assert len({row[2] for row in rows}) > 2
+        nodes = _compile(model, policy)
+        start = int(policy.post_ids[0])
+        child = np.random.SeedSequence(4).spawn(1)[0]
+        for i in range(len(rows) - 1):
+            # stop the loop between rows i and i+1 on the same stream
+            t_end = 0.5 * (rows[i][0] + rows[i + 1][0])
+            rng = np.random.Generator(np.random.Philox(child))
+            _, _, events, _, cur = _replicate(nodes, start, t_end, rng)
+            assert events == i + 1
+            assert model.state_string(cur) == rows[i][2]
+            assert rows[i + 1][1] == rows[i][2]
