@@ -43,7 +43,6 @@ from parmaint.exact import (
     compare_fronts,
     enumerate_feasible_designs,
     exact_front,
-    revalidate_front,
 )
 from parmaint.sim import SimReport, simulate_policy, trace_events
 
@@ -78,7 +77,6 @@ __all__ = [
     "compare_fronts",
     "enumerate_feasible_designs",
     "exact_front",
-    "revalidate_front",
     "SimReport",
     "simulate_policy",
     "trace_events",

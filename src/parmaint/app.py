@@ -116,17 +116,9 @@ def emulating_policy(model, sub_design) -> MaintenancePolicy:
     retired = [int(m) - int(x) for m, x in zip(model.design, sub_design)]
     if any(r < 0 for r in retired):
         raise ValueError(f"{tuple(sub_design)} does not fit inside {model.design}")
-    rows = model.states.reshape(model.n_states, model.n_types, 2)
-    damaged = rows[:, :, 1].astype(np.int64)
+    damaged = model.states[:, 1::2].astype(np.int64)
     act = np.maximum(damaged - np.array(retired, dtype=np.int64), 0)
-    # index of the action vector in the state's lexicographic action list
-    choice = np.zeros(model.n_states, dtype=np.int64)
-    for i in range(model.n_types):
-        stride = np.ones(model.n_states, dtype=np.int64)
-        for k in range(i + 1, model.n_types):
-            stride *= damaged[:, k] + 1
-        choice += act[:, i] * stride
-    return MaintenancePolicy(model, choice)
+    return MaintenancePolicy(model, model.action_indices(act))
 
 
 def _check_sweep(p_min, delta_p) -> None:
@@ -146,10 +138,9 @@ def _solve_point(model, design, penalty, start, provenance):
     start) and return the point of its exactly evaluated optimum; the
     point's policy warm-starts the next penalty."""
     res = solve_average_cost(model, penalty, initial_policy=start)
-    gain = evaluate_policy(model, res.policy)
     return SolutionPoint(
-        g_o=gain.g_o,
-        ln_g_f=gain.ln_g_f,
+        g_o=res.pair.g_o,
+        ln_g_f=res.pair.ln_g_f,
         design=design,
         provenance=provenance,
         penalty=penalty,

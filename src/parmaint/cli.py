@@ -135,14 +135,15 @@ def cmd_dmp(args) -> int:
     if args.penalty is None:
         policy = fully_active_policy(model)
         penalty = None
+        gain = evaluate_policy(model, policy)
     else:
         result = solve_average_cost(model, args.penalty)
         policy = result.policy
         penalty = args.penalty
+        gain = result.pair
         if not result.converged:
             print("flag: solver did not converge", file=sys.stderr)
             status = EXIT_FLAGGED
-    gain = evaluate_policy(model, policy)
     io.write_gain_report(args.out, instance, design, penalty, gain)
     print(f"g_o = {io.fmt(gain.g_o)}  g_f = {io.fmt(gain.g_f)}  ln_g_f = {io.fmt(gain.ln_g_f)}")
     print(f"gain report -> {args.out}")

@@ -23,14 +23,8 @@ __all__ = [
     "StateSpaceError",
     "CtmdpModel",
     "WeakCommunicationReport",
-    "enumerate_states",
-    "feasible_actions",
-    "apply_action",
-    "transition_rates",
-    "cost_rates",
     "build_model",
     "check_weakly_communicating",
-    "dump_model",
 ]
 
 DEFAULT_STATE_CEILING = 5_000_000
@@ -63,90 +57,6 @@ def _check_state(state, bounds):
     for (s1, s2), m in zip(state, bounds):
         if s1 < 0 or s2 < 0 or s1 + s2 > m:
             raise ValueError(f"state row {(s1, s2)} violates copy bound {m}")
-
-
-def enumerate_states(bounds, ceiling: int | None = DEFAULT_STATE_CEILING):
-    """All states of the box space, lexicographic, type 0 most significant."""
-    bounds = [int(m) for m in bounds]
-    sizes = [(m + 1) * (m + 2) // 2 for m in bounds]
-    total = 1
-    for t in sizes:
-        total *= t
-    if ceiling is not None and total > ceiling:
-        raise StateSpaceError(
-            f"state space has {total} states, over the ceiling of {ceiling}",
-            report={"per_type": sizes, "total": total, "ceiling": ceiling},
-        )
-    return [tuple(rows) for rows in itertools.product(*(_pair_list(m) for m in bounds))]
-
-
-def apply_action(state, action) -> SystemState:
-    """Post-decision state: chosen damaged copies enter repair instantly."""
-    if len(action) != len(state):
-        raise ValueError(f"action has {len(action)} entries for {len(state)} types")
-    out = []
-    for (s1, s2), a in zip(state, action):
-        if not 0 <= a <= s2:
-            raise ValueError(f"action {a} outside 0..{s2} damaged copies")
-        out.append((s1 + a, s2 - a))
-    return tuple(out)
-
-
-def feasible_actions(state):
-    """Action vectors in lexicographic order.
-
-    Any number of each type's damaged copies may enter repair.
-    """
-    return list(itertools.product(*(range(s2 + 1) for _, s2 in state)))
-
-
-def transition_rates(instance: Instance, bounds, state, repair_interruption=False):
-    """Outgoing (target, rate) pairs of a post-decision state.
-
-    Healthy copies fail one at a time; repairs complete one at a time.
-    With the ``repair_interruption`` switch, copies under repair can also
-    fail, landing in the damaged pool.
-    """
-    _check_state(state, bounds)
-    out = []
-    for i, ((s1, s2), m) in enumerate(zip(state, bounds)):
-        comp = instance.components[i]
-        healthy = m - s1 - s2
-        if healthy > 0:
-            target = list(state)
-            target[i] = (s1, s2 + 1)
-            out.append((tuple(target), healthy * comp.alpha))
-        if s1 > 0:
-            target = list(state)
-            target[i] = (s1 - 1, s2)
-            out.append((tuple(target), s1 * comp.tau))
-            if repair_interruption:
-                target = list(state)
-                target[i] = (s1 - 1, s2 + 1)
-                out.append((tuple(target), s1 * comp.alpha))
-    return out
-
-
-def cost_rates(instance: Instance, bounds, state):
-    """(operational cost rate, failure indicator) of a post-decision state.
-
-    The cheapest healthy type is the one in use; every copy under repair
-    bills its repair rate; the failure indicator is 1 when no installed
-    copy is healthy.
-    """
-    _check_state(state, bounds)
-    usage = 0.0
-    repair = 0.0
-    failed = 1
-    for i, ((s1, s2), m) in enumerate(zip(state, bounds)):
-        comp = instance.components[i]
-        repair += s1 * comp.repair_cost
-        if failed and m - s1 - s2 > 0:
-            # components are sorted by usage cost, so the first healthy
-            # type is the cheapest one
-            usage = comp.usage_cost
-            failed = 0
-    return usage + repair, failed
 
 
 @dataclass(eq=False)
@@ -210,6 +120,37 @@ class CtmdpModel:
                 )
             return int(state)
         return self.state_id(tuple(state))
+
+    def action_indices(self, actions) -> np.ndarray:
+        """Index of each state's action in its lexicographic action list.
+
+        ``actions`` holds one row of repair counts per type for every
+        state, in state order; the list counts them mixed radix, type 0
+        most significant, ``damaged + 1`` values per type.  A row of the
+        wrong length, or with a count outside ``0..damaged``, raises
+        ``ValueError`` naming its state.
+        """
+        width = self.n_types
+        wrong = np.flatnonzero(np.fromiter(map(len, actions), np.int64) != width)
+        if wrong.size:
+            sid = int(wrong[0])
+            raise ValueError(
+                f"state {self.state_string(sid)}: action has "
+                f"{len(actions[sid])} entries for {width} types"
+            )
+        acts = np.asarray(actions, dtype=np.int64)
+        radix = self.states[:, 1::2].astype(np.int64) + 1
+        bad = np.flatnonzero(((acts < 0) | (acts >= radix)).any(axis=1))
+        if bad.size:
+            sid = int(bad[0])
+            raise ValueError(
+                f"state {self.state_string(sid)}: action "
+                f"{','.join(map(str, acts[sid]))} repairs outside 0..damaged copies"
+            )
+        choice = np.zeros(self.n_states, dtype=np.int64)
+        for i in range(width):
+            choice = choice * radix[:, i] + acts[:, i]
+        return choice
 
     def action_vector(self, sid: int, post_id: int):
         pre = self.states[sid]
@@ -444,19 +385,3 @@ def check_weakly_communicating(model: CtmdpModel) -> WeakCommunicationReport:
         n_core_classes=int(core_labels.size),
         all_repairing_id=all_rep,
     )
-
-
-def dump_model(model: CtmdpModel, stream) -> None:
-    """Line-oriented diagnostic dump, one record per post-decision state."""
-    for sid in range(model.n_states):
-        lo, hi = model.trn_offsets[sid], model.trn_offsets[sid + 1]
-        arcs = " ".join(
-            f"{model.state_string(int(t))}:{r:.12g}"
-            for t, r in zip(model.trn_targets[lo:hi], model.trn_rates[lo:hi])
-        )
-        stream.write(
-            f"state={model.state_string(sid)} c_o={model.cost_op[sid]:.12g} "
-            f"c_f={int(model.cost_fail[sid])} out={model.outflow[sid]:.12g}"
-            + (f" -> {arcs}" if arcs else "")
-            + "\n"
-        )

@@ -2,8 +2,9 @@
 
 Enumerates the whole knapsack-feasible design space, traces each
 design's supported policy trade-off curve with the recursive weighted
-scalarization (every solve exactly re-evaluated), and merges everything
-into one non-dominated front.  The bi-objective integrated problem
+scalarization (each point the exact (g_o, g_f) of a certified solve's
+policy, or of full repair), and merges everything into one
+non-dominated front.  The bi-objective integrated problem
 decomposes over fixed designs, so this per-design procedure is an exact
 oracle for the heuristic to be judged against — at desk scale only.
 """
@@ -26,13 +27,11 @@ from parmaint.app import (
 )
 from parmaint.ctmdp import build_model
 from parmaint.dop import _feasible_designs
-from parmaint.mdp_solve import evaluate_policy, fully_active_policy, solve_average_cost
 
 __all__ = [
     "EnumerationError",
     "enumerate_feasible_designs",
     "exact_front",
-    "revalidate_front",
     "ComparisonEntry",
     "ComparisonReport",
     "compare_fronts",
@@ -171,35 +170,6 @@ def exact_front(
 
     front = non_dom_filter(population, tolerance)
     return replace(front, notes=tuple(notes))
-
-
-def revalidate_front(instance, front) -> float:
-    """Recompute every front point from scratch and return the worst drift.
-
-    Points without a penalty (full-repair points) are re-evaluated under
-    the always-repair policy; points with one re-solve the repair problem
-    at that penalty.  The return value is the largest coordinate-wise
-    difference between stored and recomputed values, so a round-tripped
-    front file can be checked against the solver in one call.
-    """
-    drift = 0.0
-    models: dict = {}
-    for p in front:
-        model = models.get(p.design)
-        if model is None:
-            model = build_model(instance, design=p.design)
-            models[p.design] = model
-        if p.penalty is None:
-            policy = fully_active_policy(model)
-        else:
-            policy = solve_average_cost(model, p.penalty).policy
-        gain = evaluate_policy(model, policy)
-        drift = max(
-            drift,
-            _coord_dist(gain.g_o, p.g_o),
-            _coord_dist(gain.ln_g_f, p.ln_g_f),
-        )
-    return drift
 
 
 def _coord_dist(x: float, y: float) -> float:

@@ -13,13 +13,11 @@ from __future__ import annotations
 import math
 
 from parmaint.app import ParetoFront, SolutionPoint
-from parmaint.dop import StaticSolution
 from parmaint.mdp_solve import MaintenancePolicy
 
 __all__ = [
     "fmt",
     "write_static_table",
-    "read_static_table",
     "write_front",
     "read_front",
     "write_plot_data",
@@ -75,26 +73,6 @@ def write_static_table(path, instance, solutions) -> None:
             counts = instance.to_catalog(s.design)
             row = [str(c) for c in counts] + [fmt(s.g_o), fmt(s.ln_g_f), s.tag]
             fh.write(" ".join(row) + "\n")
-
-
-def read_static_table(path, instance) -> list:
-    lines = _noncomment_lines(path)
-    n = instance.n_types
-    out = []
-    for line in lines[1:]:  # first data line is the header
-        toks = line.split()
-        if len(toks) != n + 3:
-            raise ValueError(f"bad static-front row: {line!r}")
-        design = instance.from_catalog([int(t) for t in toks[:n]])
-        out.append(
-            StaticSolution(
-                design=design,
-                g_o=float(toks[n]),
-                ln_g_f=float(toks[n + 1]),
-                tag=toks[n + 2],
-            )
-        )
-    return out
 
 
 # ----------------------------------------------------------------------- front
@@ -204,34 +182,27 @@ def write_policy(path, model, policy) -> None:
 
 
 def read_policy(path, model) -> MaintenancePolicy:
-    lines = _noncomment_lines(path)
-    import numpy as np
+    """The policy of a file ``write_policy`` wrote for this model.
 
-    rows = model.states.reshape(model.n_states, model.n_types, 2)
-    damaged = rows[:, :, 1].astype(np.int64)
-    choice = np.zeros(model.n_states, dtype=np.int64)
-    seen = np.zeros(model.n_states, dtype=bool)
-    for line in lines[1:]:
-        state_tok, act_tok = line.split()
+    Every state needs exactly one row, and its action may repair at most
+    the state's damaged copies of each type; anything else raises
+    ``ValueError`` naming the row or state.
+    """
+    actions = [None] * model.n_states
+    for line in _noncomment_lines(path)[1:]:
+        toks = line.split()
+        if len(toks) != 2:
+            raise ValueError(f"bad policy row: {line!r}")
         sid = model.state_id(
-            tuple(
-                tuple(int(v) for v in pair.split(","))
-                for pair in state_tok.split("|")
-            )
+            tuple(tuple(int(v) for v in pair.split(",")) for pair in toks[0].split("|"))
         )
-        act = [int(v) for v in act_tok.split(",")]
-        idx = 0
-        for i in range(model.n_types):
-            stride = 1
-            for k in range(i + 1, model.n_types):
-                stride *= int(damaged[sid, k]) + 1
-            idx += act[i] * stride
-        choice[sid] = idx
-        seen[sid] = True
-    if not seen.all():
-        missing = int(np.nonzero(~seen)[0][0])
+        if actions[sid] is not None:
+            raise ValueError(f"policy file repeats state {model.state_string(sid)}")
+        actions[sid] = [int(v) for v in toks[1].split(",")]
+    if None in actions:
+        missing = actions.index(None)
         raise ValueError(f"policy file misses state {model.state_string(missing)}")
-    return MaintenancePolicy(model, choice)
+    return MaintenancePolicy(model, model.action_indices(actions))
 
 
 # ---------------------------------------------------------------- sim reports

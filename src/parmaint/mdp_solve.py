@@ -12,7 +12,11 @@ stationary laws and, transposed, the biases; one of the transient
 states gives their absorption-weighted gains and biases.  So policies
 whose chain has transient states or several recurrent classes are
 handled too (direct sparse methods as in Stewart, *Introduction to the
-Numerical Solution of Markov Chains*, 1994).
+Numerical Solution of Markov Chains*, 1994).  The solve evaluates each
+policy for the operational cost and the failure indicator at once, so
+it returns the certified policy's exact pair ``(g_o, g_f)`` with no
+second evaluation; ``evaluate_policy`` serves policies no solve
+produced and other starting states.
 """
 
 from __future__ import annotations
@@ -98,6 +102,7 @@ def fully_active_policy(model: CtmdpModel) -> MaintenancePolicy:
 class SolveResult:
     policy: MaintenancePolicy
     gain: float  # exactly evaluated penalized gain from state 0
+    pair: GainPair  # the policy's exact (g_o, g_f) from state 0
     iterations: int  # policies evaluated
     converged: bool  # no state has a strictly improving action
     gains: np.ndarray  # penalized gain of the policy from each state
@@ -120,7 +125,11 @@ def solve_average_cost(
     converges when no state has an improving action, which certifies
     the returned policy optimal from every starting state; after
     ``max_iterations`` evaluated policies it stops with the last one
-    unconverged.  The start is the never-repair policy unless
+    unconverged.  Each policy's chain is solved once for the two cost
+    columns (operational cost rate and failure indicator), and the
+    penalized gains and biases are their combinations, so the result
+    also carries the returned policy's exact pair ``(g_o, g_f)`` from
+    state 0, with ``gain == pair.scalarized(penalty)``.  The start is the never-repair policy unless
     ``initial_policy`` (a policy of the same model, such as the optimum
     at a nearby penalty) is given.  The penalty must be finite and
     non-negative: a negative one would reward failure.
@@ -137,20 +146,26 @@ def solve_average_cost(
         raise ValueError("initial_policy belongs to another model")
     else:
         choice = initial_policy.choice
+    costs = np.column_stack([model.cost_op, model.cost_fail])
     cost = model.cost_op + penalty * model.cost_fail
     for step in range(1, max_iterations + 1):
         policy = MaintenancePolicy(model, choice)
+        # the gains and biases of the two cost columns; the penalized
+        # ones follow by linearity
         node_gain, node_bias = _chain_gains(
-            *_policy_arcs(model, policy.post_ids), cost[:, None], with_bias=True
+            *_policy_arcs(model, policy.post_ids), costs, with_bias=True
         )
-        gains = node_gain[policy.post_ids, 0]
-        bias = node_bias[policy.post_ids, 0]
+        pairs = node_gain[policy.post_ids]
+        gains = pairs[:, 0] + penalty * pairs[:, 1]
+        bias = node_bias[policy.post_ids, 0] + penalty * node_bias[policy.post_ids, 1]
         choice = _improve(model, cost, policy.choice, gains, bias)
         if choice is None:
             break
+    pair = GainPair(float(pairs[0, 0]), float(pairs[0, 1]))
     return SolveResult(
         policy=policy,
-        gain=float(gains[0]),
+        gain=pair.scalarized(penalty),
+        pair=pair,
         iterations=step,
         converged=choice is None,
         gains=gains,

@@ -11,8 +11,19 @@ import math
 
 import numpy as np
 
-from parmaint.ctmdp import build_model
-from parmaint.mdp_solve import MaintenancePolicy
+from parmaint.ctmdp import (
+    DEFAULT_STATE_CEILING,
+    StateSpaceError,
+    _check_state,
+    _pair_list,
+    build_model,
+)
+from parmaint.mdp_solve import (
+    MaintenancePolicy,
+    evaluate_policy,
+    fully_active_policy,
+    solve_average_cost,
+)
 from parmaint.model import ComponentType, make_instance
 
 
@@ -150,6 +161,30 @@ def nondominated_values(values, tol):
     return keep
 
 
+def revalidate_front(instance, front) -> float:
+    """Recompute every front point from scratch and return the worst drift.
+
+    Points without a penalty (full-repair points) are evaluated under the
+    always-repair policy; points with one are re-solved cold at that
+    penalty.  The drift is the largest coordinate-wise difference between
+    stored and recomputed (g_o, ln g_f), matching infinities counting 0.
+    """
+    drift = 0.0
+    models = {}
+    for p in front:
+        if p.design not in models:
+            models[p.design] = build_model(instance, design=p.design)
+        model = models[p.design]
+        if p.penalty is None:
+            pair = evaluate_policy(model, fully_active_policy(model))
+        else:
+            pair = solve_average_cost(model, p.penalty).pair
+        for got, want in ((pair.g_o, p.g_o), (pair.ln_g_f, p.ln_g_f)):
+            if got != want:
+                drift = max(drift, abs(got - want))
+    return drift
+
+
 def single_type_instance(q=0.01, tau=1.0, usage=1.0, repair=100.0, bound=4):
     comp = ComponentType(
         alpha=tau * q / (1.0 - q),
@@ -165,6 +200,95 @@ def single_type_instance(q=0.01, tau=1.0, usage=1.0, repair=100.0, bound=4):
 
 def model_for(instance, design):
     return build_model(instance, design=tuple(design))
+
+
+# Per-state model primitives: one state, action or transition at a time,
+# the plain references that build_model's vectorized arrays are checked
+# against.
+
+
+def enumerate_states(bounds, ceiling: int | None = DEFAULT_STATE_CEILING):
+    """All states of the box space, lexicographic, type 0 most significant."""
+    bounds = [int(m) for m in bounds]
+    sizes = [(m + 1) * (m + 2) // 2 for m in bounds]
+    total = 1
+    for t in sizes:
+        total *= t
+    if ceiling is not None and total > ceiling:
+        raise StateSpaceError(
+            f"state space has {total} states, over the ceiling of {ceiling}",
+            report={"per_type": sizes, "total": total, "ceiling": ceiling},
+        )
+    return [tuple(rows) for rows in itertools.product(*(_pair_list(m) for m in bounds))]
+
+
+def apply_action(state, action):
+    """Post-decision state: chosen damaged copies enter repair instantly."""
+    if len(action) != len(state):
+        raise ValueError(f"action has {len(action)} entries for {len(state)} types")
+    out = []
+    for (s1, s2), a in zip(state, action):
+        if not 0 <= a <= s2:
+            raise ValueError(f"action {a} outside 0..{s2} damaged copies")
+        out.append((s1 + a, s2 - a))
+    return tuple(out)
+
+
+def feasible_actions(state):
+    """Action vectors in lexicographic order.
+
+    Any number of each type's damaged copies may enter repair.
+    """
+    return list(itertools.product(*(range(s2 + 1) for _, s2 in state)))
+
+
+def transition_rates(instance, bounds, state, repair_interruption=False):
+    """Outgoing (target, rate) pairs of a post-decision state.
+
+    Healthy copies fail one at a time; repairs complete one at a time.
+    With the ``repair_interruption`` switch, copies under repair can also
+    fail, landing in the damaged pool.
+    """
+    _check_state(state, bounds)
+    out = []
+    for i, ((s1, s2), m) in enumerate(zip(state, bounds)):
+        comp = instance.components[i]
+        healthy = m - s1 - s2
+        if healthy > 0:
+            target = list(state)
+            target[i] = (s1, s2 + 1)
+            out.append((tuple(target), healthy * comp.alpha))
+        if s1 > 0:
+            target = list(state)
+            target[i] = (s1 - 1, s2)
+            out.append((tuple(target), s1 * comp.tau))
+            if repair_interruption:
+                target = list(state)
+                target[i] = (s1 - 1, s2 + 1)
+                out.append((tuple(target), s1 * comp.alpha))
+    return out
+
+
+def cost_rates(instance, bounds, state):
+    """(operational cost rate, failure indicator) of a post-decision state.
+
+    The cheapest healthy type is the one in use; every copy under repair
+    bills its repair rate; the failure indicator is 1 when no installed
+    copy is healthy.
+    """
+    _check_state(state, bounds)
+    usage = 0.0
+    repair = 0.0
+    failed = 1
+    for i, ((s1, s2), m) in enumerate(zip(state, bounds)):
+        comp = instance.components[i]
+        repair += s1 * comp.repair_cost
+        if failed and m - s1 - s2 > 0:
+            # components are sorted by usage cost, so the first healthy
+            # type is the cheapest one
+            usage = comp.usage_cost
+            failed = 0
+    return usage + repair, failed
 
 
 # Relative value iteration, the solver policy iteration replaced, kept as

@@ -4,11 +4,10 @@ import pytest
 
 from parmaint.cli import EXIT_ERROR, EXIT_FLAGGED, EXIT_OK, main
 from parmaint.ctmdp import build_model
-from parmaint.exact import revalidate_front
-from parmaint.io import read_front, read_policy, read_static_table
+from parmaint.io import read_front, read_policy
 from parmaint.model import write_instance
 
-from _oracles import single_type_instance
+from _oracles import revalidate_front, single_type_instance
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +61,10 @@ class TestDop:
         text = capsys.readouterr().out
         assert "static front: 6 designs" in text
         assert "reliability extreme: 0,5,0,0" in text
-        back = read_static_table(out, base_instance)
-        assert [s.design for s in back][:2] == [(0, 0, 0, 0), (1, 0, 0, 0)]
+        rows = [l.split() for l in out.read_text().splitlines()[1:]]
+        assert rows[0] == ["x_1", "x_2", "x_3", "x_4", "g_o", "ln_g_f", "tag"]
+        designs = [base_instance.from_catalog([int(t) for t in r[:4]]) for r in rows[1:]]
+        assert designs[:2] == [(0, 0, 0, 0), (1, 0, 0, 0)]
 
     def test_zero_delta_accepted(self, base_path, tmp_path):
         out = tmp_path / "static.txt"
@@ -376,6 +377,34 @@ class TestSimulate:
             ]
         )
         assert code == EXIT_OK
+
+
+    def test_policy_file_bad_rows(self, base_path, tmp_path, capsys):
+        pol = tmp_path / "policy.txt"
+        code = main(
+            ["dmp", base_path, "--design", "1,1,0,0", "--out", str(tmp_path / "gain.txt"),
+             "--policy-out", str(pol)]
+        )
+        assert code == EXIT_OK
+        text = pol.read_text()
+        row = "0,1|0,1|0,0|0,0 1,1,0,0"
+        assert row in text
+        out = tmp_path / "sim.txt"
+        for bad, reason in (
+            (text.replace(row, "0,1|0,1|0,0|0,0 0,2,0,0"),
+             "state 0,1|0,1|0,0|0,0: action 0,2,0,0 repairs outside 0..damaged"),
+            (text.replace(row, "0,1|0,1|0,0|0,0 1"),
+             "state 0,1|0,1|0,0|0,0: action has 1 entries for 4 types"),
+            (text + "0,1|0,1|0,0|0,0 0,0,0,0\n", "repeats state 0,1|0,1|0,0|0,0"),
+        ):
+            pol.write_text(bad)
+            code = main(
+                ["simulate", base_path, "--design", "1,1,0,0", "--policy-file", str(pol),
+                 "--horizon", "100", "--out", str(out)]
+            )
+            assert code == EXIT_ERROR
+            assert reason in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestCompare:

@@ -4,18 +4,20 @@ import pytest
 from parmaint.ctmdp import (
     CtmdpModel,
     StateSpaceError,
-    apply_action,
     build_model,
     check_weakly_communicating,
-    cost_rates,
-    dump_model,
-    enumerate_states,
-    feasible_actions,
-    transition_rates,
 )
 from parmaint.model import ComponentType, make_instance
 
-from _oracles import random_instance, single_type_instance
+from _oracles import (
+    apply_action,
+    cost_rates,
+    enumerate_states,
+    feasible_actions,
+    random_instance,
+    single_type_instance,
+    transition_rates,
+)
 
 
 class TestEnumerateStates:
@@ -234,6 +236,15 @@ class TestBuildModel:
             (2, 0, 0, 0),
         ]
 
+    def test_action_indices_pick_the_listed_actions(self, base_instance):
+        rng = np.random.default_rng(5)
+        model = build_model(base_instance, design=(2, 1, 1, 1))
+        acts = rng.integers(0, model.states[:, 1::2].astype(np.int64) + 1)
+        choice = model.action_indices(acts)
+        for sid in range(model.n_states):
+            post = int(model.act_posts[model.act_offsets[sid] + choice[sid]])
+            assert model.action_vector(sid, post) == tuple(acts[sid])
+
     def test_state_string(self, base_instance):
         model = build_model(base_instance, design=(2, 1, 0, 0))
         sid = model.state_id(((1, 1), (0, 1), (0, 0), (0, 0)))
@@ -296,16 +307,3 @@ class TestWeakCommunication:
             assert report.weakly_communicating
             assert report.all_repairing_id in report.transient_ids
             checked += 1
-
-
-class TestDump:
-    def test_dump_mentions_every_state(self, tmp_path):
-        import io as _io
-
-        inst = single_type_instance(q=0.2, bound=2)
-        model = build_model(inst, design=(2,))
-        buf = _io.StringIO()
-        dump_model(model, buf)
-        text = buf.getvalue()
-        for sid in range(model.n_states):
-            assert model.state_string(sid) in text

@@ -12,7 +12,6 @@ from parmaint.exact import (
     compare_fronts,
     enumerate_feasible_designs,
     exact_front,
-    revalidate_front,
 )
 from parmaint.mdp_solve import MaintenancePolicy, evaluate_policy
 
@@ -20,6 +19,7 @@ from _oracles import (
     grid_feasible_designs,
     iterate_policies,
     nondominated_values,
+    revalidate_front,
     single_type_instance,
 )
 
@@ -265,6 +265,30 @@ class TestDecompositionSoundness:
         assert front.points[0].g_o == pytest.approx(lo[0], abs=1e-8)
         best_ln = min(ln for _, ln in cloud)
         assert front.points[-1].ln_g_f == pytest.approx(best_ln, abs=1e-8)
+
+
+class TestOneEvaluationPerPoint:
+    def test_only_full_repair_points_are_re_evaluated(
+        self, base_instance, instances_dir, monkeypatch
+    ):
+        # solved points carry the solve's own pair; evaluate_policy runs
+        # once per design, for its full-repair point
+        import parmaint.app
+        from parmaint.model import load_instance
+
+        calls = []
+
+        def counting(model, policy, initial_state=0):
+            calls.append(model.design)
+            return evaluate_policy(model, policy, initial_state)
+
+        monkeypatch.setattr(parmaint.app, "evaluate_policy", counting)
+        sp2(base_instance, (2, 1, 0, 0))
+        assert calls == [(2, 1, 0, 0)]
+        calls.clear()
+        single = load_instance(instances_dir.parent / "perfbench" / "data" / "single-1.json")
+        exact_front(single)
+        assert calls == enumerate_feasible_designs(single)
 
 
 class TestRevalidate:

@@ -5,13 +5,12 @@ import pytest
 
 from parmaint.app import DYNAMIC_SP2, STATIC_SP1, ParetoFront, SolutionPoint, run_app
 from parmaint.ctmdp import build_model
-from parmaint.dop import StaticSolution, sp1_sweep
+from parmaint.dop import StaticSolution
 from parmaint.exact import compare_fronts
 from parmaint.io import (
     fmt,
     read_front,
     read_policy,
-    read_static_table,
     write_compare_report,
     write_front,
     write_gain_report,
@@ -61,18 +60,6 @@ class TestFmt:
 
 
 class TestStaticTable:
-    def test_round_trip_base(self, tmp_path, base_instance):
-        solutions = sp1_sweep(base_instance)
-        path = tmp_path / "static.txt"
-        write_static_table(path, base_instance, solutions)
-        back = read_static_table(path, base_instance)
-        assert len(back) == len(solutions)
-        for orig, got in zip(solutions, back):
-            assert got.design == orig.design
-            assert got.tag == orig.tag
-            assert got.g_o == pytest.approx(orig.g_o, rel=1e-11, abs=1e-11)
-            assert got.ln_g_f == pytest.approx(orig.ln_g_f, rel=1e-11, abs=1e-11)
-
     def test_catalog_order_in_file(self, tmp_path):
         inst = _flipped_instance()
         sol = StaticSolution(design=(1, 2), g_o=0.5, ln_g_f=-1.0)
@@ -82,18 +69,6 @@ class TestStaticTable:
         assert lines[0] == "# parmaint static front"
         assert lines[1] == "x_dear x_cheap g_o ln_g_f tag"
         assert lines[2].split()[:2] == ["2", "1"]
-        back = read_static_table(path, inst)
-        assert back[0].design == (1, 2)
-
-    def test_bad_row_rejected(self, tmp_path, base_instance):
-        path = tmp_path / "static.txt"
-        path.write_text(
-            "# parmaint static front\n"
-            "x_1 x_2 x_3 x_4 g_o ln_g_f tag\n"
-            "1 0 0 0 1.99\n"
-        )
-        with pytest.raises(ValueError, match="static-front row"):
-            read_static_table(path, base_instance)
 
 
 class TestFrontFiles:
@@ -273,6 +248,48 @@ class TestPolicyFiles:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError, match="misses state"):
+            read_policy(path, model)
+
+    @staticmethod
+    def _edited(tmp_path, model, state, action, extra=()):
+        # the fully active policy's file with one state's action replaced
+        path = tmp_path / "policy.txt"
+        write_policy(path, model, fully_active_policy(model))
+        lines = [
+            f"{state} {action}" if l.split()[:1] == [state] else l
+            for l in path.read_text().splitlines()
+        ]
+        path.write_text("\n".join(lines + list(extra)) + "\n")
+        return path
+
+    def test_action_beyond_damaged_copies_rejected(self, tmp_path, base_instance):
+        # type 2 has one damaged copy here; the old reader took 0,2,0,0
+        # for 1,0,0,0
+        model = build_model(base_instance, (1, 1, 0, 0))
+        for action in ("0,2,0,0", "0,-1,0,0", "2,0,0,0"):
+            path = self._edited(tmp_path, model, "0,1|0,1|0,0|0,0", action)
+            with pytest.raises(ValueError, match=r"state 0,1\|0,1\|0,0\|0,0: action"):
+                read_policy(path, model)
+
+    def test_action_of_wrong_length_rejected(self, tmp_path, base_instance):
+        model = build_model(base_instance, (1, 1, 0, 0))
+        for action in ("1", "1,0,0,0,0"):
+            path = self._edited(tmp_path, model, "0,1|0,0|0,0|0,0", action)
+            with pytest.raises(ValueError, match=r"state 0,1\|0,0\|0,0\|0,0: action has"):
+                read_policy(path, model)
+
+    def test_repeated_state_rejected(self, tmp_path, base_instance):
+        model = build_model(base_instance, (1, 1, 0, 0))
+        path = self._edited(
+            tmp_path, model, "0,1|0,0|0,0|0,0", "1,0,0,0", ["0,1|0,0|0,0|0,0 0,0,0,0"]
+        )
+        with pytest.raises(ValueError, match=r"repeats state 0,1\|0,0\|0,0\|0,0"):
+            read_policy(path, model)
+
+    def test_malformed_row_rejected(self, tmp_path, base_instance):
+        model = build_model(base_instance, (1, 0, 0, 0))
+        path = self._edited(tmp_path, model, "0,1|0,0|0,0|0,0", "1,0,0,0 extra")
+        with pytest.raises(ValueError, match="bad policy row"):
             read_policy(path, model)
 
 

@@ -501,3 +501,37 @@ class TestValueIterationGate:
                 res = solve_average_cost(model, penalty)
                 bad = improving_actions(model, penalty, res.policy, res.gains, res.bias)
                 assert bad == [], (design, penalty, bad[:3])
+
+
+class TestSolvePair:
+    """The solve's own (g_o, g_f) is the returned policy's exact pair."""
+
+    @staticmethod
+    def _check(model, res, penalty, initial_state=0):
+        want = evaluate_policy(model, res.policy, initial_state=initial_state)
+        assert res.pair.g_o == pytest.approx(want.g_o, rel=1e-12, abs=1e-300)
+        assert res.pair.ln_g_f == pytest.approx(want.ln_g_f, rel=0.0, abs=1e-12)
+        assert res.gain == res.pair.scalarized(penalty)
+
+    def test_every_base_design_at_gate_penalties(self, base_instance):
+        designs = enumerate_feasible_designs(base_instance)
+        assert len(designs) == 76
+        for design in designs:
+            model = build_model(base_instance, design=design)
+            for penalty in GATE_PENALTIES:
+                self._check(model, solve_average_cost(model, penalty), penalty)
+
+    def test_multichain_and_transient_start(self):
+        # one evaluated step returns the start policy itself: state 0 is
+        # transient and mixes the two recurrent classes
+        _, model, policy = TestStartDependence()._two_type_setup()
+        for penalty in (0.0, 7.0, 1e4):
+            res = solve_average_cost(model, penalty, max_iterations=1, initial_policy=policy)
+            assert res.policy == policy
+            self._check(model, res, penalty)
+            self._check(model, solve_average_cost(model, penalty), penalty)
+
+    def test_large_design(self, large_instance):
+        model = build_model(large_instance, design=(3, 4, 4))
+        self._check(model, solve_average_cost(model, 1e5), 1e5)
+
