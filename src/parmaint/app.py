@@ -167,10 +167,14 @@ def _full_repair_point(instance, model, design, provenance):
     )
 
 
-def _close(x: float, y: float, tol: float) -> bool:
+def _coord_dist(x: float, y: float) -> float:
     if x == y:  # covers matching infinities
-        return True
-    return abs(x - y) <= tol
+        return 0.0
+    return abs(x - y)
+
+
+def _close(x: float, y: float, tol: float) -> bool:
+    return _coord_dist(x, y) <= tol
 
 
 def sp2(
@@ -276,16 +280,26 @@ def run_app(
         for s in statics
         if s.design not in chosen
     ]
+    return _merge_traces(
+        [s.design for s in selected],
+        lambda design: sp2(instance, design, p_min=p_min, delta_p=delta_p),
+        "dynamic stage", population, tolerance,
+    )
+
+
+def _merge_traces(designs, trace, stage, population, tolerance) -> ParetoFront:
+    """Front of ``population`` plus each design's ``trace(design)``; a trace
+    that raises, and each point flag, become notes instead of failing."""
     notes = []
-    for s in selected:
+    for design in designs:
         try:
-            pts = sp2(instance, s.design, p_min=p_min, delta_p=delta_p)
+            pts = trace(design)
         except Exception as exc:  # keep other designs' results
-            notes.append(f"design {s.design}: dynamic stage failed: {exc}")
+            notes.append(f"design {design}: {stage} failed: {exc}")
             continue
         for p in pts:
             for flag in p.flags:
-                notes.append(f"design {s.design} penalty {p.penalty}: {flag}")
+                notes.append(f"design {design} penalty {p.penalty}: {flag}")
         population.extend(pts)
 
     front = non_dom_filter(population, tolerance)

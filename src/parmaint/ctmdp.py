@@ -7,11 +7,18 @@ repairs moves damaged copies to repairing instantly, so the pair
 (state, action) behaves exactly like the post-decision state with the
 zero action.  Transitions and cost rates therefore live on post-decision
 states, while action lists live on pre-decision states.
+
+The state space is a box.  Each type's (repairing, damaged) pairs with
+at most ``m`` copies are numbered lexicographically by ``_pair_index``,
+and a state's id is mixed radix over the types, type 0 most significant.
+Every move changes one type's pair, so it moves the state id by that
+type's stride times a difference of ``_pair_index``: the state table,
+the transitions and the action lists are all built from that one
+formula, with array code.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,20 +48,44 @@ class StateSpaceError(RuntimeError):
         self.report = report or {}
 
 
-def _pair_list(m: int):
-    """Lexicographic (repairing, damaged) pairs with at most m copies."""
-    return [(s1, s2) for s1 in range(m + 1) for s2 in range(m - s1 + 1)]
-
-
-def _pair_index(m: int, s1: int, s2: int) -> int:
+def _pair_index(m, s1, s2):
+    """Lexicographic position of the pair (s1, s2) among the pairs with at
+    most m copies; elementwise on arrays."""
     # pairs with first entry < s1 number sum_{t<s1}(m+1-t)
     return s1 * (m + 1) - s1 * (s1 - 1) // 2 + s2
 
 
-def _check_state(state, bounds):
-    if len(state) != len(bounds):
-        raise ValueError(f"state has {len(state)} rows for {len(bounds)} types")
-    for (s1, s2), m in zip(state, bounds):
+def _pair_count(m):
+    """Number of pairs with at most m copies."""
+    return (m + 1) * (m + 2) // 2
+
+
+def _moved(m, s1, s2, d1, d2):
+    """Change of the pair index when (s1, s2) moves to (s1 + d1, s2 + d2)."""
+    return _pair_index(m, s1 + d1, s2 + d2) - _pair_index(m, s1, s2)
+
+
+def _pair_table(m: int) -> np.ndarray:
+    """The pairs with at most m copies as int64 rows, in index order."""
+    s1 = np.repeat(np.arange(m + 1), np.arange(m + 1, 0, -1))
+    s2 = np.arange(s1.size) - _pair_index(m, s1, 0)
+    return np.stack([s1, s2], axis=1)
+
+
+def _runs(lengths, starts):
+    """``starts[j], starts[j] + 1, ...``, ``lengths[j]`` of them, for each
+    run j in turn, concatenated as one int32 array (all lengths >= 1)."""
+    out = np.ones(lengths.sum(), dtype=np.int32)
+    # a run's head steps from the previous run's last entry to its start
+    ends = starts + lengths - 1
+    out[np.cumsum(lengths) - lengths] = starts - np.concatenate(([0], ends[:-1]))
+    return np.cumsum(out, dtype=np.int32, out=out)
+
+
+def _check_state(state, design):
+    if len(state) != len(design):
+        raise ValueError(f"state has {len(state)} rows for {len(design)} types")
+    for (s1, s2), m in zip(state, design):
         if s1 < 0 or s2 < 0 or s1 + s2 > m:
             raise ValueError(f"state row {(s1, s2)} violates copy bound {m}")
 
@@ -69,9 +100,7 @@ class CtmdpModel:
     """
 
     instance: Instance
-    design: tuple
-    bounds: np.ndarray  # per-type copy caps of this model (the design)
-    repair_interruption: bool
+    design: tuple  # per-type copy counts, which bound each type's pairs
     states: np.ndarray  # (n, 2N) int16, lexicographic
     act_offsets: np.ndarray  # (n+1,) int64
     act_posts: np.ndarray  # post-state id per (state, action), action-lex order
@@ -104,11 +133,10 @@ class CtmdpModel:
 
     def state_id(self, state) -> int:
         """Mixed-radix position of a state in the lexicographic order."""
-        _check_state(state, self.bounds)
+        _check_state(state, self.design)
         code = 0
-        for (s1, s2), m in zip(state, self.bounds):
-            t = (m + 1) * (m + 2) // 2
-            code = code * t + _pair_index(int(m), s1, s2)
+        for (s1, s2), m in zip(state, self.design):
+            code = code * _pair_count(m) + _pair_index(m, s1, s2)
         return int(code)
 
     def start_id(self, state) -> int:
@@ -161,33 +189,27 @@ class CtmdpModel:
         return "|".join(f"{s1},{s2}" for s1, s2 in self.state_rows(sid))
 
 
-def _build_state_array(bounds):
+def _build_state_array(design, sizes):
     """Vectorized mixed-radix decode of the full box space."""
-    n_types = len(bounds)
-    tables = [np.array(_pair_list(m), dtype=np.int16) for m in bounds]
-    sizes = np.array([t.shape[0] for t in tables], dtype=np.int64)
-    total = int(np.prod(sizes))
-    strides = np.ones(n_types, dtype=np.int64)
-    for i in range(n_types - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-    ids = np.arange(total, dtype=np.int64)
-    states = np.empty((total, 2 * n_types), dtype=np.int16)
-    for i in range(n_types):
-        idx = (ids // strides[i]) % sizes[i]
-        states[:, 2 * i : 2 * i + 2] = tables[i][idx]
-    return states, strides, sizes
+    strides = np.ones(len(design), dtype=np.int64)
+    strides[:-1] = np.cumprod(sizes[:0:-1])[::-1]
+    ids = np.arange(int(np.prod(sizes)), dtype=np.int64)
+    states = np.empty((ids.size, 2 * len(design)), dtype=np.int16)
+    for i, m in enumerate(design):
+        states[:, 2 * i : 2 * i + 2] = _pair_table(m)[(ids // strides[i]) % sizes[i]]
+    return states, strides
 
 
-def _model_costs(instance, bounds, states):
-    n, n_types = states.shape[0], len(bounds)
+def _model_costs(instance, design, states):
+    n = states.shape[0]
     repair = np.zeros(n)
     usage = np.zeros(n)
     failed = np.ones(n, dtype=bool)
-    for i in range(n_types):
+    for i, m in enumerate(design):
         comp = instance.components[i]
         s1 = states[:, 2 * i].astype(np.int64)
         s2 = states[:, 2 * i + 1].astype(np.int64)
-        healthy = bounds[i] - s1 - s2
+        healthy = m - s1 - s2
         repair += comp.repair_cost * s1
         first = failed & (healthy > 0)
         usage[first] = comp.usage_cost
@@ -195,79 +217,96 @@ def _model_costs(instance, bounds, states):
     return usage + repair, failed.astype(np.uint8)
 
 
-def _model_transitions(instance, bounds, states, strides, repair_interruption):
-    """CSR transition arrays; per state ordered by (type, failure, repair)."""
-    n, n_types = states.shape[0], len(bounds)
-    ids = np.arange(n, dtype=np.int64)
-    srcs, tgts, rates = [], [], []
-    for i in range(n_types):
+def _model_transitions(instance, design, states, strides):
+    """CSR transition arrays; per state ordered by (type, failure, repair).
+
+    Each type contributes two columns of candidate moves, a healthy copy
+    failing and a repair completing; the live ones, read row by row,
+    are the CSR entries.
+    """
+    ids = np.arange(states.shape[0], dtype=np.int64)
+    live, targets, rates = [], [], []
+    for i, m in enumerate(design):
         comp = instance.components[i]
         s1 = states[:, 2 * i].astype(np.int64)
         s2 = states[:, 2 * i + 1].astype(np.int64)
-        healthy = bounds[i] - s1 - s2
-        mask = healthy > 0
-        if mask.any():
-            srcs.append(ids[mask])
-            tgts.append(ids[mask] + strides[i])
-            rates.append(healthy[mask] * comp.alpha)
-        mask = s1 > 0
-        if mask.any():
-            back = (bounds[i] - s1[mask] + 2) * strides[i]
-            srcs.append(ids[mask])
-            tgts.append(ids[mask] - back)
-            rates.append(s1[mask] * comp.tau)
-            if repair_interruption:
-                srcs.append(ids[mask])
-                tgts.append(ids[mask] - back + strides[i])
-                rates.append(s1[mask] * comp.alpha)
-    if srcs:
-        src = np.concatenate(srcs)
-        tgt = np.concatenate(tgts)
-        rate = np.concatenate(rates)
-    else:
-        src = np.zeros(0, dtype=np.int64)
-        tgt = np.zeros(0, dtype=np.int64)
-        rate = np.zeros(0)
-    order = np.argsort(src, kind="stable")
-    src, tgt, rate = src[order], tgt[order], rate[order]
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(offsets, src + 1, 1)
-    offsets = np.cumsum(offsets)
-    outflow = np.zeros(n)
-    np.add.at(outflow, src, rate)
-    return offsets, tgt, rate, outflow
+        healthy = m - s1 - s2
+        for alive, d1, d2, rate in (
+            (healthy > 0, 0, 1, healthy * comp.alpha),
+            (s1 > 0, -1, 0, s1 * comp.tau),
+        ):
+            live.append(alive)
+            targets.append(ids + _moved(m, s1, s2, d1, d2) * strides[i])
+            rates.append(rate)
+    live = np.stack(live, axis=1)
+    offsets = np.zeros(ids.size + 1, dtype=np.int64)
+    np.cumsum(live.sum(axis=1), out=offsets[1:])
+    # a rate is zero wherever its move is not live, so summing the
+    # columns in order adds each state's rates in CSR order
+    outflow = np.zeros(ids.size)
+    for rate in rates:
+        outflow += rate
+    return offsets, np.stack(targets, axis=1)[live], np.stack(rates, axis=1)[live], outflow
+
+
+def _build_actions(design, states, strides, sizes):
+    """Per-state post-id lists in action-lexicographic order.
+
+    Expands every state's list type by type, type 0 first, so the last
+    type's repair count varies fastest.  Each row carries the post id
+    reached so far; since a repair moves only its own type's pair, type
+    i's pair index in that id is still the pre-decision state's.
+    """
+    counts = np.prod(states[:, 1::2].astype(np.int64) + 1, axis=1)
+    offsets = np.zeros(states.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    posts = np.arange(states.shape[0], dtype=np.int64)
+    for i, m in enumerate(design):
+        # per pair of this type: its repair counts a = 0..damaged, laid
+        # out in runs from first[pair], with the id shift each one makes
+        s1, s2 = _pair_table(m).T
+        width = s2 + 1
+        first = np.cumsum(width) - width
+        repairs = _runs(width, np.zeros_like(width))
+        shift = _moved(m, np.repeat(s1, width), np.repeat(s2, width), repairs, -repairs)
+        # in the smallest signed type that holds every id difference, as
+        # the gathered copy below is as long as the expanded list
+        shift = (shift * strides[i]).astype(np.min_scalar_type(-states.shape[0]))
+        pair = posts // strides[i] % sizes[i]
+        reps = width[pair]
+        slot = _runs(reps, first[pair])
+        posts = np.repeat(posts, reps)
+        posts += shift[slot]
+    return offsets, posts
 
 
 def build_model(
     instance: Instance,
     design,
     *,
-    repair_interruption: bool = False,
     ceiling: int | None = DEFAULT_STATE_CEILING,
 ) -> CtmdpModel:
     """Build the decision model of one fixed design."""
     design = tuple(int(x) for x in design)
     if len(design) != instance.n_types or any(x < 0 for x in design):
         raise ValueError(f"bad design {design} for {instance.n_types} types")
-    bounds = np.array(design, dtype=np.int64)
-    states, strides, sizes = _build_state_array(bounds)
-    total = states.shape[0]
+    sizes = np.array([_pair_count(m) for m in design], dtype=np.int64)
+    total = int(np.prod(sizes))
     if ceiling is not None and total > ceiling:
         raise StateSpaceError(
             f"design {design} yields {total} states, over the ceiling "
             f"of {ceiling}",
             report={"per_type": list(map(int, sizes)), "total": total, "ceiling": ceiling},
         )
-    cost_op, cost_fail = _model_costs(instance, bounds, states)
+    states, strides = _build_state_array(design, sizes)
+    cost_op, cost_fail = _model_costs(instance, design, states)
     trn_off, trn_tgt, trn_rate, outflow = _model_transitions(
-        instance, bounds, states, strides, repair_interruption
+        instance, design, states, strides
     )
-    act_off, act_posts = _build_actions(bounds, states, strides)
+    act_off, act_posts = _build_actions(design, states, strides, sizes)
     return CtmdpModel(
         instance=instance,
         design=design,
-        bounds=bounds,
-        repair_interruption=repair_interruption,
         states=states,
         act_offsets=act_off,
         act_posts=act_posts,
@@ -280,43 +319,6 @@ def build_model(
     )
 
 
-def _build_actions(bounds, states, strides):
-    """Per-state post-id lists in action-lexicographic order."""
-    n = states.shape[0]
-    n_types = len(bounds)
-    # per type, per pair index: post pair indices for each repair count
-    post_lists = []
-    for i in range(n_types):
-        m = int(bounds[i])
-        per_pair = []
-        for s1, s2 in _pair_list(m):
-            per_pair.append(
-                [_pair_index(m, s1 + a, s2 - a) for a in range(s2 + 1)]
-            )
-        post_lists.append(per_pair)
-
-    counts = np.ones(n, dtype=np.int64)
-    for i in range(n_types):
-        counts *= states[:, 2 * i + 1].astype(np.int64) + 1
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    posts = np.empty(offsets[-1], dtype=np.int64)
-    stride_of = [int(s) for s in strides]
-    pos = 0
-    for sid in range(n):
-        row = states[sid]
-        options = []
-        for i in range(n_types):
-            m = int(bounds[i])
-            pidx = _pair_index(m, int(row[2 * i]), int(row[2 * i + 1]))
-            # pre-scale by the stride so a post id is just a sum
-            options.append([p * stride_of[i] for p in post_lists[i][pidx]])
-        for combo in itertools.product(*options):
-            posts[pos] = sum(combo)
-            pos += 1
-    return offsets, posts
-
-
 @dataclass(frozen=True)
 class WeakCommunicationReport:
     weakly_communicating: bool
@@ -325,63 +327,53 @@ class WeakCommunicationReport:
     all_repairing_id: int
 
 
-def _union_edges(model: CtmdpModel):
-    """Directed edges of the union graph over every state-action pair."""
-    n = model.n_states
-    act_pre = np.repeat(
-        np.arange(n, dtype=np.int64), np.diff(model.act_offsets)
-    )
-    posts = model.act_posts
-    cnt = np.diff(model.trn_offsets)[posts]
-    src = np.repeat(act_pre, cnt)
-    starts = model.trn_offsets[posts]
-    total = int(cnt.sum())
-    if total == 0:
-        return src[:0], src[:0]
-    rep_starts = np.repeat(starts, cnt)
-    seq = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(cnt) - cnt, cnt
-    )
-    tgt = model.trn_targets[rep_starts + seq]
-    return src, tgt
-
-
 def check_weakly_communicating(model: CtmdpModel) -> WeakCommunicationReport:
     """Structure check: one communicating core plus universally-transient rest.
 
-    Communication existence between states is decided on the union graph
-    of all state-action transitions: a cycle-free path there can always
-    be realized by a single stationary policy.  States with no incoming
-    union edges can never be revisited, hence are transient under every
-    policy; the all-repairing state is the canonical example.
+    Weak communication (Puterman, *Markov Decision Processes*, 1994,
+    sec. 8.3) is decided on the layered graph of all actions, 2n nodes:
+    each state points to the post-decision state of each of its actions,
+    and each post-decision state to its transition targets.  A path
+    between states there is a path of the union of all policies, and a
+    cycle-free one is realized by one stationary policy.  Every state is
+    the post-decision state of its own zero action, so the states no
+    transition enters are exactly those never revisited, transient under
+    every policy (the all-repairing state, for one).  The rest is the
+    core, whose classes are the strong components on the pre-decision
+    half.  Every transition enters the core, so a reverse search from a
+    one-class core ends after two layers: the post-decision states with a
+    transition, then the states with an action into one.  It must reach
+    every transient state.
     """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import breadth_first_order, connected_components
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
 
     n = model.n_states
-    all_rep = model.state_id(tuple((int(m), 0) for m in model.bounds))
+    all_rep = model.state_id(tuple((m, 0) for m in model.design))
     if n == 1:
         return WeakCommunicationReport(True, (), 1, all_rep)
 
-    src, tgt = _union_edges(model)
-    indeg = np.bincount(tgt, minlength=n)
-    transient = np.nonzero(indeg == 0)[0]
-    graph = coo_matrix(
-        (np.ones(len(src)), (src, tgt)), shape=(n, n)
-    ).tocsr()
-    n_comp, labels = connected_components(graph, directed=True, connection="strong")
-    core = np.setdiff1d(np.arange(n), transient)
-    core_labels = np.unique(labels[core]) if core.size else np.array([])
+    indptr = np.concatenate(
+        [model.act_offsets, model.n_state_actions + model.trn_offsets[1:]]
+    )
+    indices = np.concatenate(
+        [model.act_posts + n, model.trn_targets], dtype=np.int32, casting="unsafe"
+    )
+    graph = csr_matrix((np.ones(indices.size), indices, indptr), shape=(2 * n, 2 * n))
+    _, labels = connected_components(graph, directed=True, connection="strong")
+
+    entered = np.zeros(n, dtype=bool)
+    entered[model.trn_targets] = True
+    transient = np.flatnonzero(~entered)
+    core_labels = np.unique(labels[:n][entered])
     ok = core_labels.size == 1
     if ok:
-        for t in transient:
-            reach = breadth_first_order(graph, int(t), return_predecessors=False)
-            if not np.any(labels[reach] == core_labels[0]):
-                ok = False
-                break
+        moves = np.diff(model.trn_offsets) > 0
+        reaches = np.logical_or.reduceat(moves[model.act_posts], model.act_offsets[:-1])
+        ok = bool(reaches[transient].all())
     return WeakCommunicationReport(
         weakly_communicating=bool(ok),
-        transient_ids=tuple(int(t) for t in transient),
+        transient_ids=tuple(transient.tolist()),
         n_core_classes=int(core_labels.size),
         all_repairing_id=all_rep,
     )

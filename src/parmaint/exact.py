@@ -11,7 +11,7 @@ oracle for the heuristic to be judged against — at desk scale only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from parmaint.app import (
     DOM_TOL,
@@ -20,10 +20,11 @@ from parmaint.app import (
     SolutionPoint,
     _check_tolerance,
     _close,
+    _coord_dist,
     _dominates,
     _full_repair_point,
+    _merge_traces,
     _solve_point,
-    non_dom_filter,
 )
 from parmaint.ctmdp import build_model
 from parmaint.dop import _feasible_designs
@@ -155,27 +156,9 @@ def exact_front(
     designs = enumerate_feasible_designs(
         instance, maximal_only=maximal_only, ceiling=ceiling
     )
-    population = []
-    notes = []
-    for design in designs:
-        try:
-            pts = _trace_design(instance, design)
-        except Exception as exc:
-            notes.append(f"design {design}: exact trace failed: {exc}")
-            continue
-        for p in pts:
-            for flag in p.flags:
-                notes.append(f"design {design} penalty {p.penalty}: {flag}")
-        population.extend(pts)
-
-    front = non_dom_filter(population, tolerance)
-    return replace(front, notes=tuple(notes))
-
-
-def _coord_dist(x: float, y: float) -> float:
-    if x == y:  # covers matching infinities
-        return 0.0
-    return abs(x - y)
+    return _merge_traces(
+        designs, lambda design: _trace_design(instance, design), "exact trace", [], tolerance
+    )
 
 
 @dataclass(frozen=True)

@@ -193,12 +193,16 @@ def read_policy(path, model) -> MaintenancePolicy:
         toks = line.split()
         if len(toks) != 2:
             raise ValueError(f"bad policy row: {line!r}")
-        sid = model.state_id(
-            tuple(tuple(int(v) for v in pair.split(",")) for pair in toks[0].split("|"))
-        )
+        try:
+            sid = model.state_id(
+                tuple(tuple(int(v) for v in pair.split(",")) for pair in toks[0].split("|"))
+            )
+            action = [int(v) for v in toks[1].split(",")]
+        except ValueError as exc:
+            raise ValueError(f"bad policy row {line!r}: {exc}") from None
         if actions[sid] is not None:
             raise ValueError(f"policy file repeats state {model.state_string(sid)}")
-        actions[sid] = [int(v) for v in toks[1].split(",")]
+        actions[sid] = action
     if None in actions:
         missing = actions.index(None)
         raise ValueError(f"policy file misses state {model.state_string(missing)}")

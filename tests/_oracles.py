@@ -14,8 +14,8 @@ import numpy as np
 from parmaint.ctmdp import (
     DEFAULT_STATE_CEILING,
     StateSpaceError,
+    WeakCommunicationReport,
     _check_state,
-    _pair_list,
     build_model,
 )
 from parmaint.mdp_solve import (
@@ -207,6 +207,11 @@ def model_for(instance, design):
 # against.
 
 
+def _pair_list(m: int):
+    """Lexicographic (repairing, damaged) pairs with at most m copies."""
+    return [(s1, s2) for s1 in range(m + 1) for s2 in range(m - s1 + 1)]
+
+
 def enumerate_states(bounds, ceiling: int | None = DEFAULT_STATE_CEILING):
     """All states of the box space, lexicographic, type 0 most significant."""
     bounds = [int(m) for m in bounds]
@@ -242,12 +247,10 @@ def feasible_actions(state):
     return list(itertools.product(*(range(s2 + 1) for _, s2 in state)))
 
 
-def transition_rates(instance, bounds, state, repair_interruption=False):
+def transition_rates(instance, bounds, state):
     """Outgoing (target, rate) pairs of a post-decision state.
 
     Healthy copies fail one at a time; repairs complete one at a time.
-    With the ``repair_interruption`` switch, copies under repair can also
-    fail, landing in the damaged pool.
     """
     _check_state(state, bounds)
     out = []
@@ -262,10 +265,6 @@ def transition_rates(instance, bounds, state, repair_interruption=False):
             target = list(state)
             target[i] = (s1 - 1, s2)
             out.append((tuple(target), s1 * comp.tau))
-            if repair_interruption:
-                target = list(state)
-                target[i] = (s1 - 1, s2 + 1)
-                out.append((tuple(target), s1 * comp.alpha))
     return out
 
 
@@ -289,6 +288,61 @@ def cost_rates(instance, bounds, state):
             usage = comp.usage_cost
             failed = 0
     return usage + repair, failed
+
+
+# Weak communication on the union graph, the check the layered-graph
+# version replaced: one edge from each state to every transition target
+# of every one of its actions, and one breadth-first search from each
+# transient state.
+
+
+def union_edges(model):
+    """Directed edges of the union graph over every state-action pair."""
+    n = model.n_states
+    act_pre = np.repeat(np.arange(n, dtype=np.int64), np.diff(model.act_offsets))
+    posts = model.act_posts
+    cnt = np.diff(model.trn_offsets)[posts]
+    src = np.repeat(act_pre, cnt)
+    starts = model.trn_offsets[posts]
+    total = int(cnt.sum())
+    if total == 0:
+        return src[:0], src[:0]
+    rep_starts = np.repeat(starts, cnt)
+    seq = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    tgt = model.trn_targets[rep_starts + seq]
+    return src, tgt
+
+
+def weak_communication_reference(model):
+    """The WeakCommunicationReport of the union-graph check."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import breadth_first_order, connected_components
+
+    n = model.n_states
+    all_rep = model.state_id(tuple((int(m), 0) for m in model.design))
+    if n == 1:
+        return WeakCommunicationReport(True, (), 1, all_rep)
+
+    src, tgt = union_edges(model)
+    indeg = np.bincount(tgt, minlength=n)
+    transient = np.nonzero(indeg == 0)[0]
+    graph = coo_matrix((np.ones(len(src)), (src, tgt)), shape=(n, n)).tocsr()
+    _, labels = connected_components(graph, directed=True, connection="strong")
+    core = np.setdiff1d(np.arange(n), transient)
+    core_labels = np.unique(labels[core]) if core.size else np.array([])
+    ok = core_labels.size == 1
+    if ok:
+        for t in transient:
+            reach = breadth_first_order(graph, int(t), return_predecessors=False)
+            if not np.any(labels[reach] == core_labels[0]):
+                ok = False
+                break
+    return WeakCommunicationReport(
+        weakly_communicating=bool(ok),
+        transient_ids=tuple(int(t) for t in transient),
+        n_core_classes=int(core_labels.size),
+        all_repairing_id=all_rep,
+    )
 
 
 # Relative value iteration, the solver policy iteration replaced, kept as

@@ -293,3 +293,21 @@ class TestRunApp:
         for tolerance in (math.nan, -1.0, math.inf):
             with pytest.raises(ValueError, match="tolerance"):
                 run_app(base_instance, tolerance=tolerance)
+
+    def test_failing_design_becomes_a_note(self, monkeypatch):
+        # run_app looks sp2 up when it traces, so a stand-in that raises
+        # for one design is seen; the other designs still make the front
+        import parmaint.app
+
+        inst = single_type_instance(q=0.1, usage=1.0, repair=3.0, bound=2)
+        whole = run_app(inst)
+
+        def failing(instance, design, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(parmaint.app, "sp2", failing)
+        front = run_app(inst)
+        assert front.notes == ("design (2,): dynamic stage failed: boom",)
+        # only the statics of the nested designs are left
+        assert {p.provenance for p in front} == {STATIC_SP1}
+        assert len(front) < len(whole)

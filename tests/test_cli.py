@@ -406,6 +406,25 @@ class TestSimulate:
             assert reason in capsys.readouterr().err
             assert not out.exists()
 
+    def test_policy_file_malformed_tokens(self, base_path, tmp_path, capsys):
+        pol = tmp_path / "policy.txt"
+        code = main(
+            ["dmp", base_path, "--design", "1,1,0,0", "--out", str(tmp_path / "gain.txt"),
+             "--policy-out", str(pol)]
+        )
+        assert code == EXIT_OK
+        row = "0,1|0,1|0,0|0,0 1,1,0,0"
+        bad = "0,x|0,1|0,0|0,0 1,1,0,0"
+        pol.write_text(pol.read_text().replace(row, bad))
+        out = tmp_path / "sim.txt"
+        code = main(
+            ["simulate", base_path, "--design", "1,1,0,0", "--policy-file", str(pol),
+             "--horizon", "100", "--out", str(out)]
+        )
+        assert code == EXIT_ERROR
+        assert f"bad policy row '{bad}'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_front_against_itself(self, base_path, tmp_path, capsys):

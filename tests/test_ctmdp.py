@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from parmaint.ctmdp import (
     build_model,
     check_weakly_communicating,
 )
+from parmaint.exact import enumerate_feasible_designs
 from parmaint.model import ComponentType, make_instance
 
 from _oracles import (
@@ -17,7 +21,10 @@ from _oracles import (
     random_instance,
     single_type_instance,
     transition_rates,
+    weak_communication_reference,
 )
+
+LARGE_DESIGNS = [(3, 4, 4), (5, 5, 5), (7, 7, 7)]
 
 
 class TestEnumerateStates:
@@ -101,20 +108,6 @@ class TestRatesAndCosts:
         assert out[((1, 1),)] == pytest.approx(2 * alpha)  # 2 healthy copies
         assert out[((0, 0),)] == pytest.approx(1 * 2.0)  # 1 repair under way
 
-    def test_repair_interruption_adds_failures_from_repair(self):
-        inst = single_type_instance(q=0.2, tau=2.0, bound=2)
-        alpha = inst.components[0].alpha
-        plain = transition_rates(inst, (2,), ((2, 0),))
-        assert plain == [(((1, 0),), 4.0)]
-        with_int = dict(
-            (t, r)
-            for t, r in transition_rates(
-                inst, (2,), ((2, 0),), repair_interruption=True
-            )
-        )
-        assert with_int[((1, 0),)] == pytest.approx(4.0)
-        assert with_int[((1, 1),)] == pytest.approx(2 * alpha)
-
     def test_costs_pick_cheapest_healthy(self):
         # catalog lists the expensive type first; canonical order flips them
         comps = [
@@ -158,7 +151,7 @@ class TestRatesAndCosts:
 def _model_matches_primitives(model: CtmdpModel):
     """Cross-check every CSR array against the reference functions."""
     inst = model.instance
-    bounds = tuple(int(m) for m in model.bounds)
+    bounds = model.design
     for sid in range(model.n_states):
         rows = model.state_rows(sid)
         # transitions
@@ -168,9 +161,7 @@ def _model_matches_primitives(model: CtmdpModel):
             for t, r in zip(model.trn_targets[lo:hi], model.trn_rates[lo:hi])
         }
         want = {}
-        for tgt, rate in transition_rates(
-            inst, bounds, rows, repair_interruption=model.repair_interruption
-        ):
+        for tgt, rate in transition_rates(inst, bounds, rows):
             want[tgt] = want.get(tgt, 0.0) + rate
         assert set(got) == set(want)
         for key in want:
@@ -254,17 +245,36 @@ class TestBuildModel:
         with pytest.raises(Exception):
             build_model(base_instance, design=(9, 9, 9, 9))
 
-    def test_repair_interruption_model(self):
-        inst = single_type_instance(q=0.2, tau=2.0, bound=3)
-        model = build_model(inst, design=(2,), repair_interruption=True)
-        assert model.repair_interruption
-        _model_matches_primitives(model)
-
     def test_state_ceiling(self, base_instance):
         with pytest.raises(StateSpaceError) as err:
             build_model(base_instance, design=(2, 1, 0, 0), ceiling=10)
         assert err.value.report["total"] == 18
         assert err.value.report["ceiling"] == 10
+
+    def test_ceiling_checked_before_the_state_table_is_built(self):
+        # 8,006,001 states, over the default ceiling: it must raise before
+        # any per-state array exists
+        inst = single_type_instance(bound=4000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateSpaceError) as err:
+                build_model(inst, design=(4000,))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert err.value.report["total"] == 4001 * 4002 // 2
+        assert peak < 2**20
+
+    def test_every_base_design_matches_primitives(self, base_instance):
+        designs = enumerate_feasible_designs(base_instance)
+        assert len(designs) == 76
+        for design in designs:
+            _model_matches_primitives(build_model(base_instance, design))
+
+    def test_large_design_matches_primitives(self, large_instance):
+        model = build_model(large_instance, (3, 4, 4))
+        assert model.n_states == 2250
+        _model_matches_primitives(model)
 
 
 class TestWeakCommunication:
@@ -307,3 +317,62 @@ class TestWeakCommunication:
             assert report.weakly_communicating
             assert report.all_repairing_id in report.transient_ids
             checked += 1
+
+    def test_matches_union_graph_reference_on_base_designs(self, base_instance):
+        for design in enumerate_feasible_designs(base_instance):
+            model = build_model(base_instance, design)
+            assert check_weakly_communicating(model) == weak_communication_reference(
+                model
+            ), design
+
+    @pytest.mark.parametrize("design", LARGE_DESIGNS)
+    def test_matches_union_graph_reference_on_large_designs(self, large_instance, design):
+        model = build_model(large_instance, design)
+        report = check_weakly_communicating(model)
+        assert report == weak_communication_reference(model)
+        assert report.weakly_communicating
+
+    @staticmethod
+    def _with_transitions(model, arcs):
+        # the model with its transitions replaced by (source, target) arcs
+        src = np.array([s for s, _ in arcs], dtype=np.int64)
+        offsets = np.zeros(model.n_states + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=model.n_states), out=offsets[1:])
+        return dataclasses.replace(
+            model,
+            trn_offsets=offsets,
+            trn_targets=np.array([t for _, t in arcs], dtype=np.int64),
+            trn_rates=np.ones(len(arcs)),
+        )
+
+    def test_broken_structures_match_the_reference(self):
+        # design (1,): states 0 = (0,0), 1 = (0,1), 2 = (1,0); state 1 may
+        # start a repair (post-state 2), the others have only the zero action
+        model = build_model(single_type_instance(q=0.3, bound=1), design=(1,))
+        assert model.act_posts.tolist() == [0, 1, 2, 2]
+        # with 2 -> 0 gone, the transient state 2 reaches nothing
+        stranded = self._with_transitions(model, [(0, 1)])
+        report = check_weakly_communicating(stranded)
+        assert report == weak_communication_reference(stranded)
+        assert not report.weakly_communicating
+        assert report.transient_ids == (0, 2)
+        assert report.n_core_classes == 1
+        # 1 and 2 each loop on themselves and 2 never leads back to 1
+        split = self._with_transitions(model, [(0, 1), (1, 1), (2, 2)])
+        report = check_weakly_communicating(split)
+        assert report == weak_communication_reference(split)
+        assert not report.weakly_communicating
+        assert report.n_core_classes == 2
+
+    def test_memory_stays_proportional_to_the_model(self, large_instance):
+        # 46,656 states, 1.7 M state-action pairs: an edge per transition of
+        # every action takes about 360 MB here, the layered graph about 26
+        model = build_model(large_instance, (7, 7, 7))
+        tracemalloc.start()
+        try:
+            report = check_weakly_communicating(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.weakly_communicating
+        assert peak < 120 * 2**20

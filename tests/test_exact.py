@@ -291,6 +291,27 @@ class TestOneEvaluationPerPoint:
         assert calls == enumerate_feasible_designs(single)
 
 
+class TestFailureNotes:
+    def test_failing_design_becomes_a_note(self, monkeypatch):
+        # exact_front looks _trace_design up when it traces, so a stand-in
+        # that raises for one design is seen; the others still count
+        import parmaint.exact
+
+        inst = single_type_instance(q=0.1, usage=1.0, repair=3.0, bound=2)
+        real = parmaint.exact._trace_design
+
+        def failing(instance, design):
+            if design == (1,):
+                raise RuntimeError("boom")
+            return real(instance, design)
+
+        monkeypatch.setattr(parmaint.exact, "_trace_design", failing)
+        front = exact_front(inst)
+        assert front.notes == ("design (1,): exact trace failed: boom",)
+        assert (1,) not in front.designs()
+        assert (2,) in front.designs()
+
+
 class TestRevalidate:
     def test_app_front_round_trip(self, base_instance):
         front = run_app(base_instance)

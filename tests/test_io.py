@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -291,6 +292,22 @@ class TestPolicyFiles:
         path = self._edited(tmp_path, model, "0,1|0,0|0,0|0,0", "1,0,0,0 extra")
         with pytest.raises(ValueError, match="bad policy row"):
             read_policy(path, model)
+
+    def test_malformed_tokens_name_the_row(self, tmp_path, base_instance):
+        model = build_model(base_instance, (1, 1, 0, 0))
+        path = tmp_path / "policy.txt"
+        write_policy(path, model, fully_active_policy(model))
+        text = path.read_text()
+        row = "0,1|0,1|0,0|0,0 1,1,0,0"
+        assert row in text
+        for bad in (
+            "0,1,2|0,1|0,0|0,0 1,1,0,0",  # three counts in a state pair
+            "0,x|0,1|0,0|0,0 1,1,0,0",  # a count that is no integer
+            "0,1|0,1|0,0|0,0 1,,0,0",  # an empty action count
+        ):
+            path.write_text(text.replace(row, bad))
+            with pytest.raises(ValueError, match=re.escape(f"bad policy row {bad!r}: ")):
+                read_policy(path, model)
 
 
 class TestSimReport:
