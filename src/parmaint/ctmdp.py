@@ -134,10 +134,18 @@ class CtmdpModel:
     def state_id(self, state) -> int:
         """Mixed-radix position of a state in the lexicographic order."""
         _check_state(state, self.design)
-        code = 0
-        for (s1, s2), m in zip(state, self.design):
-            code = code * _pair_count(m) + _pair_index(m, s1, s2)
-        return int(code)
+        return int(self.state_ids([[c for pair in state for c in pair]])[0])
+
+    def state_ids(self, rows) -> np.ndarray:
+        """Ids of the states given as rows laid out like ``states``, or -1
+        for a row outside the box."""
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, 2 * self.n_types)
+        s1, s2 = rows[:, 0::2], rows[:, 1::2]
+        ids = np.zeros(rows.shape[0], dtype=np.int64)
+        for i, m in enumerate(self.design):
+            ids = ids * _pair_count(m) + _pair_index(m, s1[:, i], s2[:, i])
+        inside = ((s1 >= 0) & (s2 >= 0) & (s2 <= np.array(self.design) - s1)).all(axis=1)
+        return np.where(inside, ids, -1)
 
     def start_id(self, state) -> int:
         """Id of a starting state given by id in ``[0, n)`` or by its rows."""

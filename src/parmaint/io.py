@@ -11,6 +11,9 @@ reference.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+
+import numpy as np
 
 from parmaint.app import ParetoFront, SolutionPoint
 from parmaint.mdp_solve import MaintenancePolicy
@@ -170,15 +173,40 @@ def write_gain_report(path, instance, design, penalty, gain, extra=()) -> None:
 
 def write_policy(path, model, policy) -> None:
     """One row per state: the state and the repairs the policy starts."""
+    states = model.states
+    repairs = states[policy.post_ids, 0::2] - states[:, 0::2]
+    n = model.n_types
+    row = "|".join(["{},{}"] * n) + " " + ",".join(["{}"] * n) + "\n"
     with open(path, "w") as fh:
         fh.write("# parmaint policy\n")
         fh.write("# state = s_repairing,s_damaged per type; action = repairs per type\n")
         fh.write("state action\n")
-        for sid in range(model.n_states):
-            act = policy.action_vector(sid)
-            fh.write(
-                f"{model.state_string(sid)} {','.join(str(a) for a in act)}\n"
-            )
+        fh.write("".join(row.format(*s, *a) for s, a in zip(states.tolist(), repairs.tolist())))
+
+
+# a count outside int64 is outside every model, and names its row as such
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _policy_row(line, model):
+    """The state counts, flattened, and the action of one policy row."""
+    toks = line.split()
+    if len(toks) != 2:
+        raise ValueError(f"bad policy row: {line!r}")
+    try:
+        pairs = toks[0].split("|")
+        counts = list(map(int, toks[0].replace("|", ",").split(",")))
+        if (
+            len(pairs) != model.n_types
+            or set(map(str.count, pairs, repeat(","))) != {1}
+            or not _INT64_MIN <= min(counts) <= max(counts) <= _INT64_MAX
+        ):
+            # raises, naming the misshapen part or the count
+            model.state_id([[int(v) for v in pair.split(",")] for pair in pairs])
+        action = list(map(int, toks[1].split(",")))
+    except ValueError as exc:
+        raise ValueError(f"bad policy row {line!r}: {exc}") from None
+    return counts, action
 
 
 def read_policy(path, model) -> MaintenancePolicy:
@@ -186,27 +214,30 @@ def read_policy(path, model) -> MaintenancePolicy:
 
     Every state needs exactly one row, and its action may repair at most
     the state's damaged copies of each type; anything else raises
-    ``ValueError`` naming the row or state.
+    ``ValueError`` naming the row or state: malformed tokens first,
+    then, in file order, a state outside the model or a repeated state.
     """
-    actions = [None] * model.n_states
-    for line in _noncomment_lines(path)[1:]:
-        toks = line.split()
-        if len(toks) != 2:
-            raise ValueError(f"bad policy row: {line!r}")
+    lines = _noncomment_lines(path)[1:]
+    rows = [_policy_row(line, model) for line in lines]
+    ids = model.state_ids([counts for counts, _ in rows])
+    later = np.ones(ids.size, dtype=bool)
+    later[np.unique(ids, return_index=True)[1]] = False  # rows after their state's first
+    bad = np.flatnonzero((ids < 0) | later)
+    if bad.size:
+        row = int(bad[0])
+        if ids[row] >= 0:
+            raise ValueError(f"policy file repeats state {model.state_string(int(ids[row]))}")
+        counts = rows[row][0]
         try:
-            sid = model.state_id(
-                tuple(tuple(int(v) for v in pair.split(",")) for pair in toks[0].split("|"))
-            )
-            action = [int(v) for v in toks[1].split(",")]
+            model.state_id(list(zip(counts[0::2], counts[1::2])))  # raises
         except ValueError as exc:
-            raise ValueError(f"bad policy row {line!r}: {exc}") from None
-        if actions[sid] is not None:
-            raise ValueError(f"policy file repeats state {model.state_string(sid)}")
-        actions[sid] = action
-    if None in actions:
-        missing = actions.index(None)
+            raise ValueError(f"bad policy row {lines[row]!r}: {exc}") from None
+    row_of = np.full(model.n_states, -1, dtype=np.int64)
+    row_of[ids] = np.arange(ids.size)
+    if ids.size < model.n_states:
+        missing = int(np.flatnonzero(row_of < 0)[0])
         raise ValueError(f"policy file misses state {model.state_string(missing)}")
-    return MaintenancePolicy(model, model.action_indices(actions))
+    return MaintenancePolicy(model, model.action_indices([rows[i][1] for i in row_of.tolist()]))
 
 
 # ---------------------------------------------------------------- sim reports

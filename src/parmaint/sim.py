@@ -3,13 +3,13 @@
 Simulates the policy-induced jump chain on post-decision states with
 competing exponential clocks (the direct method), as independently
 replicated batches on split counter-based streams, and reports
-batch-means estimates with standard errors.  The chain is compiled once
-per call into one tuple of Python floats and lists per node (outflow,
-cost rates, cumulative arc rates, successor post-states); each
-replication is one scalar loop over them that keeps an absolute clock,
-draws two uniforms per event and picks the arc by bisection.  Failure rates far below 1/horizon cannot be
-estimated tightly; reports carry a flag when fewer than 100 failure
-entries were observed.
+batch-means estimates with standard errors.  A replication runs path
+first: a scalar loop over the compiled chain (Python lists per node)
+walks the jumps one chunk of uniforms at a time, picking each arc by
+bisection, and numpy then prices the chunk: sojourns, clock, horizon
+cut, cost integrals and failure entries.  Failure rates far below
+1/horizon cannot be estimated tightly; reports carry a flag when fewer
+than 100 failure entries were observed.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -30,10 +30,11 @@ SIM_EVENT_CEILING = 1e10
 # each batch gets its own seeded stream, allocated before the run; a
 # count past this is a typo, not a run
 MAX_BATCHES = 10_000
-# uniforms per replication come in chunks that double up to the cap, so
-# the float lists stay small
-CHUNK_START = 4096
-CHUNK_CAP = 1 << 16
+# uniforms per replication come in chunks that double up to the cap, two
+# per event; the loop walks one chunk's jumps at a time, so a replication
+# walks fewer than CHUNK_CAP / 2 jumps past its horizon
+CHUNK_START = 64
+CHUNK_CAP = 8192
 
 
 @dataclass(frozen=True)
@@ -65,68 +66,87 @@ class SimReport:
 
 
 def _compile(model, policy):
-    """The policy's jump chain as one Python tuple per node.
+    """The policy's jump chain as one (total, cum, succ) node per post-state.
 
-    Each node holds its outflow, its two cost rates, its cumulative arc
-    rates summed left to right in arc order (self-loops kept), and its
-    successor post-states composed through ``policy.post_ids``, all as
-    Python floats, ints and lists.  The successor list repeats its last
-    arc once, so a draw that rounds past the last cumulative rate takes
-    the last arc.
+    Node i holds post-state i's outflow, its cumulative arc rates in arc
+    order (self-loops kept) and its successor post-states composed
+    through ``policy.post_ids``, as Python floats, ints and lists.  The
+    successor list repeats its last arc once, so a draw that rounds past
+    the last cumulative rate takes the last arc; an absorbing node has
+    no successors.
     """
     off = model.trn_offsets.tolist()
     rates = model.trn_rates.tolist()
     post = policy.post_ids[model.trn_targets].tolist()
     nodes = []
-    for lo, hi, total, c_o, c_f in zip(
-        off,
-        off[1:],
-        model.outflow.tolist(),
-        model.cost_op.tolist(),
-        model.cost_fail.tolist(),
-    ):
+    for lo, hi, total in zip(off, off[1:], model.outflow.tolist()):
         arcs = post[lo:hi]
-        nodes.append((total, c_o, c_f, list(accumulate(rates[lo:hi])), arcs + arcs[-1:]))
+        nodes.append((total, list(accumulate(rates[lo:hi])), arcs + arcs[-1:]))
     return nodes
 
 
-def _replicate(nodes, cur, t_end, rng, chunk=CHUNK_START):
+def _events(model, nodes, cur, t_end, rng, chunk=CHUNK_START):
+    """One replication's events over ``[0, t_end)``, chunk by chunk.
+
+    Each chunk of uniforms (two per event: sojourn, then jump) is walked
+    first, stopping at an absorbing node; its clock is one cumulative sum
+    seeded with the carried time, cut before the first event at or past
+    ``t_end``.  Yields (path, sojourns, clock), where kept event i moves
+    from ``path[i]`` to ``path[i + 1]`` at ``clock[i + 1]``.  Nothing is
+    drawn at an absorbing node or past the horizon, and the events do
+    not depend on the chunk sizes.
+    """
+    t = 0.0
+    u = np.empty(0)
+    while nodes[cur][2]:
+        u = np.concatenate((u, rng.random(chunk)))
+        chunk = min(2 * chunk, CHUNK_CAP)
+        path = [cur]
+        for x in u[1::2].tolist():
+            total, cum, succ = nodes[cur]
+            if not succ:
+                break
+            cur = succ[bisect_right(cum, x * total)]
+            path.append(cur)
+        n = len(path) - 1
+        path = np.fromiter(path, np.intp, n + 1)
+        dt = -np.log1p(-u[: 2 * n : 2]) / model.outflow[path[:-1]]
+        clock = np.cumsum(np.concatenate(([t], dt)))
+        kept = int(np.searchsorted(clock[1:], t_end, "left"))
+        yield path[: kept + 1], dt[:kept], clock[: kept + 1]
+        if kept < n:
+            return
+        t = clock[-1]
+        u = u[2 * n :]  # an odd chunk leaves one uniform for the next
+
+
+def _replicate(model, nodes, cur, t_end, rng, chunk=CHUNK_START):
     """One replication from post-state ``cur`` over ``[0, t_end)``.
 
-    Two uniforms per event, drawn from ``rng`` in chunks that double up
-    to ``CHUNK_CAP``; the path does not depend on the chunking.  An
-    absorbing state accrues its costs to ``t_end``.  Returns (cost
-    integral, failure-time integral, events, failure entries, final
-    post-state).
+    The cost integrals are sequential sums seeded with the values carried
+    over, so they do not depend on the chunks either; an absorbing state
+    accrues its costs to ``t_end``.  Returns (cost integral, failure-time
+    integral, events, failure entries, final post-state).
     """
-    log1p = math.log1p
+    c_o, c_f = model.cost_op, model.cost_fail
     t = acc_o = acc_f = 0.0
     events = fails = 0
-    u = []
-    pos = last = 0  # an event needs u[pos] and u[pos + 1], so pos < last
-    total, c_o, c_f, cum, succ = nodes[cur]
-    while total > 0.0:
-        if pos >= last:
-            u = u[pos:] + rng.random(chunk).tolist()
-            pos, last = 0, len(u) - 1
-            chunk = min(2 * chunk, CHUNK_CAP)
-        dt = -log1p(-u[pos]) / total
-        t_next = t + dt
-        if t_next >= t_end:
-            break
-        acc_o += dt * c_o
-        acc_f += dt * c_f
-        t = t_next
-        cur = succ[bisect_right(cum, u[pos + 1] * total)]
-        pos += 2
-        was_failed = c_f
-        total, c_o, c_f, cum, succ = nodes[cur]
-        if c_f > was_failed:
-            fails += 1
-        events += 1
-    acc_o += (t_end - t) * c_o
-    acc_f += (t_end - t) * c_f
-    return acc_o, acc_f, events, fails, cur
+    for path, dt, clock in _events(model, nodes, cur, t_end, rng, chunk):
+        stay = path[:-1]
+        acc_o = np.cumsum(np.concatenate(([acc_o], dt * c_o[stay])))[-1]
+        acc_f = np.cumsum(np.concatenate(([acc_f], dt * c_f[stay])))[-1]
+        failed = c_f[path]
+        fails += int(np.count_nonzero(failed[1:] > failed[:-1]))
+        events += dt.size
+        t, cur = clock[-1], path[-1]
+    acc_o += (t_end - t) * c_o[cur]
+    acc_f += (t_end - t) * c_f[cur]
+    return float(acc_o), float(acc_f), events, fails, int(cur)
+
+
+def _check_horizon(horizon):
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
 
 
 def simulate_policy(
@@ -147,8 +167,7 @@ def simulate_policy(
     times the model's largest outflow) exceeds ``SIM_EVENT_CEILING`` is
     rejected up front.
     """
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    _check_horizon(horizon)
     if not 2 <= batches <= MAX_BATCHES:
         raise ValueError(f"batches must lie in [2, {MAX_BATCHES}], got {batches}")
     bound = horizon * model.max_outflow
@@ -167,7 +186,7 @@ def simulate_policy(
     events = fails = 0
     for b in range(batches):
         rng = np.random.Generator(np.random.Philox(children[b]))
-        acc_o, acc_f, d_ev, d_fail, _ = _replicate(nodes, start_post, t_batch, rng)
+        acc_o, acc_f, d_ev, d_fail, _ = _replicate(model, nodes, start_post, t_batch, rng)
         means_o[b] = acc_o / t_batch
         means_f[b] = acc_f / t_batch
         events += d_ev
@@ -189,29 +208,29 @@ def simulate_policy(
     )
 
 
-def trace_events(model, policy, horizon: float, seed: int = 0, limit: int = 1000, initial_state: int = 0):
+def trace_events(
+    model, policy, horizon: float, seed: int = 0, limit: int = 1000, initial_state: int = 0
+):
     """First ``limit`` simulated events as (time, state, next state) rows.
 
     Companion to :func:`simulate_policy` for eyeballing sample paths: it
     steps the same compiled chain on the stream of the first replication
     of ``simulate_policy`` with the same seed, so its rows are that
-    replication's opening events.
+    replication's opening events.  The horizon must be positive and
+    finite, and the limit non-negative.
     """
+    _check_horizon(horizon)
+    if limit < 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
     nodes = _compile(model, policy)
     child = np.random.SeedSequence(seed).spawn(1)[0]
     rng = np.random.Generator(np.random.Philox(child))
-    rows = []
-    cur = int(policy.post_ids[model.start_id(initial_state)])
-    t = 0.0
-    while len(rows) < limit:
-        total, _, _, cum, succ = nodes[cur]
-        if total <= 0.0:
-            break
-        u_time, u_jump = rng.random(2).tolist()
-        t += -math.log1p(-u_time) / total
-        if t >= horizon:
-            break
-        nxt = succ[bisect_right(cum, u_jump * total)]
-        rows.append((t, model.state_string(cur), model.state_string(nxt)))
-        cur = nxt
-    return rows
+    start = int(policy.post_ids[model.start_id(initial_state)])
+    moves = (
+        move
+        for path, _, clock in _events(model, nodes, start, horizon, rng)
+        for move in zip(clock[1:].tolist(), path[:-1].tolist(), path[1:].tolist())
+    )
+    return [
+        (t, model.state_string(a), model.state_string(b)) for t, a, b in islice(moves, limit)
+    ]

@@ -8,6 +8,7 @@ two is meaningful.
 
 import itertools
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from parmaint.mdp_solve import (
     solve_average_cost,
 )
 from parmaint.model import ComponentType, make_instance
+from parmaint.sim import CHUNK_CAP, CHUNK_START
 
 
 def random_instance(rng, n_types=None, max_rows=2, bound_span=(4.0, 14.0)):
@@ -909,3 +911,77 @@ def simulate_reference(model, policy, horizon, batches=20, seed=0):
         events += d_ev
         fails += d_fail
     return means, events, fails
+
+
+# --- per-event compiled loop ----------------------------------------------
+# The replication loop simulate_policy ran before it went path first: the
+# same compiled jump chain, but each event's sojourn, cost integrals and
+# failure entry are priced inside the scalar loop, with math.log1p.  It
+# reads the same two uniforms per event, so its events, failure entries
+# and final post-states are the library's; its cost integrals differ
+# only where np.log1p and math.log1p round one ulp apart.
+
+
+def compile_nodes(model, policy):
+    """The policy's jump chain as one Python tuple per node.
+
+    Each node holds its outflow, its two cost rates, its cumulative arc
+    rates summed left to right in arc order (self-loops kept), and its
+    successor post-states composed through ``policy.post_ids``, all as
+    Python floats, ints and lists.  The successor list repeats its last
+    arc once, so a draw that rounds past the last cumulative rate takes
+    the last arc.
+    """
+    off = model.trn_offsets.tolist()
+    rates = model.trn_rates.tolist()
+    post = policy.post_ids[model.trn_targets].tolist()
+    nodes = []
+    for lo, hi, total, c_o, c_f in zip(
+        off,
+        off[1:],
+        model.outflow.tolist(),
+        model.cost_op.tolist(),
+        model.cost_fail.tolist(),
+    ):
+        arcs = post[lo:hi]
+        nodes.append((total, c_o, c_f, list(itertools.accumulate(rates[lo:hi])), arcs + arcs[-1:]))
+    return nodes
+
+
+def replicate_per_event(nodes, cur, t_end, rng, chunk=CHUNK_START):
+    """One replication from post-state ``cur`` over ``[0, t_end)``.
+
+    Two uniforms per event, drawn from ``rng`` in chunks that double up
+    to ``CHUNK_CAP``; the path does not depend on the chunking.  An
+    absorbing state accrues its costs to ``t_end``.  Returns (cost
+    integral, failure-time integral, events, failure entries, final
+    post-state).
+    """
+    log1p = math.log1p
+    t = acc_o = acc_f = 0.0
+    events = fails = 0
+    u = []
+    pos = last = 0  # an event needs u[pos] and u[pos + 1], so pos < last
+    total, c_o, c_f, cum, succ = nodes[cur]
+    while total > 0.0:
+        if pos >= last:
+            u = u[pos:] + rng.random(chunk).tolist()
+            pos, last = 0, len(u) - 1
+            chunk = min(2 * chunk, CHUNK_CAP)
+        dt = -log1p(-u[pos]) / total
+        t_next = t + dt
+        if t_next >= t_end:
+            break
+        acc_o += dt * c_o
+        acc_f += dt * c_f
+        t = t_next
+        cur = succ[bisect_right(cum, u[pos + 1] * total)]
+        pos += 2
+        was_failed = c_f
+        total, c_o, c_f, cum, succ = nodes[cur]
+        if c_f > was_failed:
+            fails += 1
+        events += 1
+    acc_o += (t_end - t) * c_o
+    acc_f += (t_end - t) * c_f
+    return acc_o, acc_f, events, fails, cur

@@ -396,6 +396,8 @@ class TestSimulate:
             (text.replace(row, "0,1|0,1|0,0|0,0 1"),
              "state 0,1|0,1|0,0|0,0: action has 1 entries for 4 types"),
             (text + "0,1|0,1|0,0|0,0 0,0,0,0\n", "repeats state 0,1|0,1|0,0|0,0"),
+            (text.replace(row, "0,99999999999999999999|0,1|0,0|0,0 1,1,0,0"),
+             "state row (0, 99999999999999999999) violates copy bound 1"),
         ):
             pol.write_text(bad)
             code = main(

@@ -309,6 +309,66 @@ class TestPolicyFiles:
             with pytest.raises(ValueError, match=re.escape(f"bad policy row {bad!r}: ")):
                 read_policy(path, model)
 
+    def test_state_outside_the_model_names_the_row(self, tmp_path, base_instance):
+        model = build_model(base_instance, (1, 1, 0, 0))
+        path = tmp_path / "policy.txt"
+        write_policy(path, model, fully_active_policy(model))
+        text = path.read_text()
+        row = "0,1|0,1|0,0|0,0 1,1,0,0"
+        for bad, reason in (
+            ("0,1|0,2|0,0|0,0 1,1,0,0", "state row (0, 2) violates copy bound 1"),
+            ("-1,0|0,1|0,0|0,0 0,1,0,0", "state row (-1, 0) violates copy bound 1"),
+            ("0,1|0,1|0,0 1,1,0,0", "state has 3 rows for 4 types"),
+            ("0,1|0,1,0|0,0|0,0 1,1,0,0", "too many values to unpack"),
+            ("0,2|0,1,0|0,0|0,0 1,1,0,0", "state row (0, 2) violates copy bound 1"),
+            # counts no int64 holds, and a pair whose int64 sum wraps negative
+            # (that pair's wrapped mixed-radix code is a valid state id)
+            (
+                "0,99999999999999999999|0,1|0,0|0,0 1,1,0,0",
+                "state row (0, 99999999999999999999) violates copy bound 1",
+            ),
+            (
+                "0,1|-99999999999999999999,0|0,0|0,0 1,1,0,0",
+                "state row (-99999999999999999999, 0) violates copy bound 1",
+            ),
+            (
+                "0,0|4611686018427387904,6917529027641081857|0,0|0,0 1,1,0,0",
+                "state row (4611686018427387904, 6917529027641081857) violates copy bound 1",
+            ),
+        ):
+            path.write_text(text.replace(row, bad))
+            with pytest.raises(ValueError, match=re.escape(f"bad policy row {bad!r}: {reason}")):
+                read_policy(path, model)
+
+    def test_faults_are_reported_in_file_order(self, tmp_path, base_instance):
+        model = build_model(base_instance, (1, 1, 0, 0))
+        path = tmp_path / "policy.txt"
+        write_policy(path, model, fully_active_policy(model))
+        lines = path.read_text().splitlines()
+        repeat = "0,1|0,0|0,0|0,0 0,0,0,0"
+        outside = "0,0|0,3|0,0|0,0 0,0,0,0"
+        later = "0,0|0,0|0,0|0,0 0,0,0,0"
+        path.write_text("\n".join(lines + [repeat, later, outside]) + "\n")
+        with pytest.raises(ValueError, match=r"repeats state 0,1\|0,0"):
+            read_policy(path, model)
+        path.write_text("\n".join(lines + [outside, repeat]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"bad policy row {outside!r}")):
+            read_policy(path, model)
+
+    def test_rows_in_a_looser_layout_read_alike(self, tmp_path, base_instance):
+        # extra blanks and signed or zero-padded counts are still integers
+        model = build_model(base_instance, (2, 1, 0, 0))
+        policy = solve_average_cost(model, penalty=64.0).policy
+        path = tmp_path / "policy.txt"
+        write_policy(path, model, policy)
+        lines = path.read_text().splitlines()
+        loose = [
+            l.replace(" ", "\t  ").replace("|0,", "|+0,").replace(",0|", ",00|") for l in lines
+        ]
+        assert loose != lines
+        path.write_text("\n".join(loose) + "\n")
+        assert read_policy(path, model) == policy
+
 
 class TestSimReport:
     def test_key_value_lines(self, tmp_path, base_instance):

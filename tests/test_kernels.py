@@ -1,3 +1,6 @@
+import math
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
@@ -8,11 +11,20 @@ from parmaint.mdp_solve import (
     fully_active_policy,
     solve_average_cost,
 )
-from parmaint.sim import CHUNK_CAP, CHUNK_START, _compile, _replicate, simulate_policy
+from parmaint.sim import (
+    CHUNK_CAP,
+    CHUNK_START,
+    _compile,
+    _replicate,
+    simulate_policy,
+)
 
 from _oracles import (
+    compile_nodes,
     greedy_choice,
     greedy_loop,
+    policy_from_rule,
+    replicate_per_event,
     rvi_loop,
     rvi_solve,
     rvi_sweeps,
@@ -112,7 +124,12 @@ class TestLoopAgreement:
         for b, child in enumerate(np.random.SeedSequence(seed).spawn(batches)):
             runs = [
                 _replicate(
-                    nodes, start, t_batch, np.random.Generator(np.random.Philox(child)), chunk
+                    small_model,
+                    nodes,
+                    start,
+                    t_batch,
+                    np.random.Generator(np.random.Philox(child)),
+                    chunk,
                 )
                 for chunk in (CHUNK_START, 2, 3, CHUNK_CAP)
             ]
@@ -145,7 +162,7 @@ class TestSimBatchKernel:
         idle = MaintenancePolicy(model, [0] * model.n_states)
         healthy, failed = model.state_id(((0, 0),)), model.state_id(((0, 1),))
         nodes = _compile(model, idle)
-        out = _replicate(nodes, healthy, 1000.0, _Uniforms([0.5, 0.5]))
+        out = _replicate(model, nodes, healthy, 1000.0, _Uniforms([0.5, 0.5]))
         acc_o, acc_f, events, fails, cur = out
         assert events == 1
         assert fails == 1
@@ -169,7 +186,7 @@ class TestSimBatchKernel:
         t_end = np.nextafter(t_jump, np.inf)
         uniforms = [0.5, 1.5, 0.5, 0.5]
         acc_o, _, events, _, cur = _replicate(
-            _compile(small_model, policy), start, t_end, _Uniforms(uniforms)
+            small_model, _compile(small_model, policy), start, t_end, _Uniforms(uniforms)
         )
         assert events == 1
         assert cur == successors[-1]
@@ -221,3 +238,79 @@ class TestSimAgainstReference:
         for seed in (0, 7):
             report = self.assert_matches(model, policy, 1e6, seed)
             assert report.events > 40_000 and report.failure_entries > 0
+
+
+class TestPathFirstAgainstPerEventLoop:
+    """The path-first replication against the per-event compiled loop."""
+
+    @staticmethod
+    def assert_matches(model, policy, t_end, rng_of, chunk=CHUNK_START):
+        start = int(policy.post_ids[0])
+        got = _replicate(model, _compile(model, policy), start, t_end, rng_of(), chunk)
+        want = replicate_per_event(compile_nodes(model, policy), start, t_end, rng_of())
+        assert got[2:] == want[2:]  # events, failure entries, final post-state
+        assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+        assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0.0)
+        return got
+
+    def assert_batches_match(self, model, policy, horizon, seed, chunk=CHUNK_START):
+        runs = []
+        for child in np.random.SeedSequence(seed).spawn(20):
+            rng_of = lambda: np.random.Generator(np.random.Philox(child))  # noqa: E731
+            runs.append(self.assert_matches(model, policy, horizon / 20, rng_of, chunk))
+        return runs
+
+    def test_base_fixtures(self, base_instance):
+        for model, policy, horizon, seed in _base_cases(base_instance):
+            self.assert_batches_match(model, policy, horizon, seed)
+
+    def test_large_design(self, large_instance):
+        model, policy = _large_policy(large_instance)
+        for seed in (0, 7):
+            runs = self.assert_batches_match(model, policy, 1e7, seed)
+            assert sum(run[2] for run in runs) > 400_000
+            assert sum(run[3] for run in runs) > 0
+
+    def test_small_chunks(self, base_instance):
+        model, policy, horizon, seed = _base_cases(base_instance)[2]
+        for chunk in (2, 3):
+            self.assert_batches_match(model, policy, horizon, seed, chunk)
+
+    def test_absorption_inside_a_chunk(self):
+        # three copies; one damaged copy alone is repaired, two are left,
+        # so two failures during one repair lead to the absorbing (0, 3)
+        inst = single_type_instance(q=0.05, bound=3)
+        model = build_model(inst, (3,))
+        policy = policy_from_rule(model, lambda rows: (int(rows[0] == (0, 1)),))
+        dead = model.state_id(((0, 3),))
+        # the event count at the end of each chunk
+        chunk_ends, end, chunk = [], 0, CHUNK_START
+        while end < 10**5:
+            end += chunk // 2
+            chunk_ends.append(end)
+            chunk = min(2 * chunk, CHUNK_CAP)
+        counts = []
+        for child in np.random.SeedSequence(5).spawn(20):
+            rng_of = lambda: np.random.Generator(np.random.Philox(child))  # noqa: E731
+            _, acc_f, events, _, cur = self.assert_matches(model, policy, 1e6, rng_of)
+            # absorbed before the end of a chunk, then billed failed to the end
+            assert cur == dead and 0 < events < 10**5 and events not in chunk_ends
+            assert acc_f > 0.5e6
+            counts.append(events)
+        assert max(counts) > chunk_ends[0]  # some runs absorb past the first chunk
+
+    def test_sojourn_ending_at_the_horizon_is_no_event(self, small_model):
+        # both logarithms round -log1p(-0.5) alike, so the two loops share
+        # one clock; the run ends exactly when the third sojourn does
+        assert np.log1p(-0.5) == math.log1p(-0.5)
+        policy = fully_active_policy(small_model)
+        start = int(policy.post_ids[0])
+        nodes = compile_nodes(small_model, policy)
+        t, cur = 0.0, start
+        for _ in range(3):
+            total, _, _, cum, succ = nodes[cur]
+            t += -math.log1p(-0.5) / total
+            cur = succ[bisect_right(cum, 0.5 * total)]
+        uniforms = [0.5] * 8
+        got = self.assert_matches(small_model, policy, t, lambda: _Uniforms(uniforms))
+        assert got[2] == 2

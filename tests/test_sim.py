@@ -223,6 +223,20 @@ class TestTraceEvents:
         policy = fully_active_policy(model)
         assert trace_events(model, policy, horizon=100.0) == []
 
+    def test_bad_horizon_rejected(self, single_model):
+        # simulate_policy rejects these too; a NaN horizon used to return
+        # `limit` rows, and a negative one an empty list
+        policy = fully_active_policy(single_model)
+        for horizon in (math.nan, -5.0, 0.0, math.inf):
+            with pytest.raises(ValueError, match="horizon must be positive and finite"):
+                trace_events(single_model, policy, horizon=horizon, limit=5)
+
+    def test_negative_limit_rejected(self, single_model):
+        policy = fully_active_policy(single_model)
+        with pytest.raises(ValueError, match="limit must be non-negative, got -3"):
+            trace_events(single_model, policy, horizon=100.0, limit=-3)
+        assert trace_events(single_model, policy, horizon=100.0, limit=0) == []
+
     def test_rows_are_the_first_replications_opening_events(self, base_instance):
         model = build_model(base_instance, (2, 1, 0, 0))
         policy = solve_average_cost(model, 50.0).policy
@@ -236,7 +250,7 @@ class TestTraceEvents:
             # stop the loop between rows i and i+1 on the same stream
             t_end = 0.5 * (rows[i][0] + rows[i + 1][0])
             rng = np.random.Generator(np.random.Philox(child))
-            _, _, events, _, cur = _replicate(nodes, start, t_end, rng)
+            _, _, events, _, cur = _replicate(model, nodes, start, t_end, rng)
             assert events == i + 1
             assert model.state_string(cur) == rows[i][2]
             assert rows[i + 1][1] == rows[i][2]
