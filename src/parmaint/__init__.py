@@ -12,7 +12,6 @@ from parmaint.model import (
     Instance,
     derive_failure_rate,
     load_instance,
-    tightened_copy_bound,
 )
 from parmaint.ctmdp import CtmdpModel, build_model
 from parmaint.mdp_solve import (
@@ -53,7 +52,6 @@ __all__ = [
     "Instance",
     "derive_failure_rate",
     "load_instance",
-    "tightened_copy_bound",
     "CtmdpModel",
     "build_model",
     "GainPair",

@@ -30,7 +30,7 @@ EXIT_FLAGGED = 2
 
 def _load(args):
     instance = load_instance(args.instance)
-    if getattr(args, "multipliers", None):
+    if args.multipliers:
         values = [float(v) for v in args.multipliers.split(",")]
         instance = instance.modified(rate_multipliers=values)
     return instance
@@ -199,13 +199,12 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub, multipliers=True):
+def _add_common(sub):
     sub.add_argument("instance", help="instance file (json or table form)")
-    if multipliers:
-        sub.add_argument(
-            "--multipliers",
-            help="comma-separated per-type factors applied to both event rates",
-        )
+    sub.add_argument(
+        "--multipliers",
+        help="comma-separated per-type factors applied to both event rates",
+    )
     sub.add_argument(
         "--threads",
         type=int,

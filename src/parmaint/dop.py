@@ -5,11 +5,12 @@ unavailable with a known probability and the long-run cost pair of a
 design has a closed form: a modular repair term, a priority-ordered
 usage term, and the all-down probability.  This module evaluates those
 forms, cross-checks them against the slot-by-slot probability-chain
-values, and solves the two design-only problems exactly by bounded
-enumeration: the reliability-extreme problem (most negative log failure
-rate) and the failure-penalized problem under a log-failure-rate cap.
-The sweep over progressively tighter caps produces the static candidate
-front.
+values, and solves the two design-only problems exactly on one table
+of every feasible design with its closed-form terms: the
+reliability-extreme problem (most negative log failure rate) and the
+failure-penalized problem under a log-failure-rate cap, a masked argmin
+over the table.  The sweep over progressively tighter caps builds the
+table once and produces the static candidate front from it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from parmaint.model import Instance, tightened_copy_bound
+from parmaint.model import Instance
 
 __all__ = [
     "StaticSolution",
@@ -109,8 +110,9 @@ def probability_chain_values(instance: Instance, design):
     return y, z
 
 
-def _feasible_designs(a: np.ndarray, b: np.ndarray, caps) -> list:
-    """All integer vectors 0 <= x <= caps with a @ x <= b, lex order."""
+def _feasible_designs(instance: Instance) -> list:
+    """All integer designs 0 <= x <= copy bounds with A x <= b, lex order."""
+    a, b, caps = instance.constraints, instance.constraint_bounds, instance.copy_bounds
     n = len(caps)
     cols = [a[:, i] for i in range(n)]
     out = []
@@ -132,20 +134,62 @@ def _feasible_designs(a: np.ndarray, b: np.ndarray, caps) -> list:
     return out
 
 
+def _design_table(instance: Instance):
+    """Every feasible design (lex order) with its repair, usage and ln failure."""
+    designs = _feasible_designs(instance)
+    return (designs, *_objective_terms(instance, _design_matrix(designs)))
+
+
+def _most_reliable(table) -> int:
+    """Row of the most negative log failure rate; ties go to the smallest design."""
+    ln_f = table[3]
+    return int(np.flatnonzero(ln_f <= ln_f.min() + 1e-12)[0])  # rows are in lex order
+
+
+def _check_cap(epsilon: float, delta: float) -> None:
+    if epsilon > 0:
+        raise ValueError(f"log-failure-rate cap must be <= 0, got {epsilon}")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"penalty inflation must be finite and >= 0, got {delta}")
+
+
+def _row(table, i, **fields) -> StaticSolution:
+    designs, repair, usage, ln_f = table
+    g_o, ln_g_f = float(repair[i] + usage[i]), float(ln_f[i])
+    return StaticSolution(design=designs[i], g_o=g_o, ln_g_f=ln_g_f, **fields)
+
+
+def _solve_cap(instance: Instance, table, epsilon: float, delta: float) -> StaticSolution:
+    """Masked argmin of the penalized objective over the table's rows."""
+    designs, repair, usage, ln_f = table
+    keep = ln_f <= epsilon + EPS_SLACK
+    if not np.any(keep):
+        raise ValueError(f"no feasible design reaches a log failure rate of {epsilon}")
+    c_top = instance.usage_costs().max()
+    aug = repair + usage + (1.0 + delta) * c_top * np.exp(ln_f)
+    aug = np.where(keep, aug, np.inf)
+    best = aug.min()
+    tol = TIE_TOL * max(1.0, abs(best))
+    tied_idx = np.nonzero(aug <= best + tol)[0]
+    order = sorted(tied_idx, key=lambda i: (ln_f[i], designs[i]))
+    ties = tuple(
+        _row(
+            table, i, tag="trivial" if sum(designs[i]) == 0 else "sweep",
+            epsilon=epsilon, objective=float(aug[i]),
+        )
+        for i in order
+    )
+    return replace(ties[0], ties=ties)
+
+
 def solve_fdop(instance: Instance) -> tuple:
     """Design with the most negative log failure rate, exactly.
 
-    Bounded enumeration over the knapsack polytope; ties go to the
+    One pass over the table of every feasible design; ties go to the
     lexicographically smallest design.
     """
-    designs = _feasible_designs(
-        instance.constraints, instance.constraint_bounds, instance.copy_bounds
-    )
-    x = _design_matrix(designs)
-    ln_f = x @ instance.ln_q_vector()
-    best = ln_f.min()
-    tied = [designs[i] for i in np.nonzero(ln_f <= best + 1e-12)[0]]
-    return min(tied)
+    table = _design_table(instance)
+    return table[0][_most_reliable(table)]
 
 
 def solve_eps_delta_dop(
@@ -155,49 +199,14 @@ def solve_eps_delta_dop(
 
     Minimizes operational cost rate plus (1 + delta) times the top usage
     cost times the failure probability, over designs whose log failure
-    rate is at most ``epsilon``, by exhaustive search under the
-    tightened per-type copy caps.  The returned solution carries every
-    co-optimal design (within a small relative tolerance) in ``ties``,
-    ordered by (log failure rate, design); the representative is the
-    most reliable of them.
+    rate is at most ``epsilon``: a masked argmin over the table of every
+    feasible design.  The returned solution carries every co-optimal
+    design (within a small relative tolerance) in ``ties``, ordered by
+    (log failure rate, design); the representative is the most reliable
+    of them.
     """
-    if epsilon > 0:
-        raise ValueError(f"log-failure-rate cap must be <= 0, got {epsilon}")
-    if not (math.isfinite(delta) and delta >= 0):
-        raise ValueError(f"penalty inflation must be finite and >= 0, got {delta}")
-    caps = [
-        tightened_copy_bound(instance, i, epsilon, delta)
-        for i in range(instance.n_types)
-    ]
-    designs = _feasible_designs(
-        instance.constraints, instance.constraint_bounds, caps
-    )
-    x = _design_matrix(designs)
-    repair, usage, ln_f = _objective_terms(instance, x)
-    keep = ln_f <= epsilon + EPS_SLACK
-    if not np.any(keep):
-        raise ValueError(
-            f"no feasible design reaches a log failure rate of {epsilon}"
-        )
-    c_top = instance.usage_costs().max()
-    aug = repair + usage + (1.0 + delta) * c_top * np.exp(ln_f)
-    aug = np.where(keep, aug, np.inf)
-    best = aug.min()
-    tol = TIE_TOL * max(1.0, abs(best))
-    tied_idx = np.nonzero(aug <= best + tol)[0]
-    order = sorted(tied_idx, key=lambda i: (ln_f[i], designs[i]))
-    ties = tuple(
-        StaticSolution(
-            design=designs[i],
-            g_o=float(repair[i] + usage[i]),
-            ln_g_f=float(ln_f[i]),
-            tag="trivial" if sum(designs[i]) == 0 else "sweep",
-            epsilon=epsilon,
-            objective=float(aug[i]),
-        )
-        for i in order
-    )
-    return replace(ties[0], ties=ties)
+    _check_cap(epsilon, delta)
+    return _solve_cap(instance, _design_table(instance), epsilon, delta)
 
 
 def sp1_sweep(
@@ -209,7 +218,8 @@ def sp1_sweep(
 ) -> list:
     """Static candidate front by sweeping the log-failure-rate cap.
 
-    Starts at ``eps_min``, solves the penalized problem, then tightens
+    Enumerates the feasible designs once into one table, then starts at
+    ``eps_min``, solves the penalized problem on that table, and tightens
     the cap to the found solution's log failure rate plus ``delta_eps``
     until the cap passes the reliability extreme, which seeds the stop
     bound and is guaranteed a place in the output.  Duplicate designs
@@ -221,9 +231,10 @@ def sp1_sweep(
         raise ValueError(f"starting cap must be finite, got {eps_min}")
     if not (math.isfinite(delta_eps) and delta_eps < 0):
         raise ValueError(f"cap step must be finite and negative, got {delta_eps}")
-    anchor_design = solve_fdop(instance)
-    anchor_go, anchor_ln = dop_objectives(instance, anchor_design)
-
+    _check_cap(eps_min, delta)
+    table = _design_table(instance)
+    designs, _, _, ln_f = table
+    anchor = _most_reliable(table)
     results: list[StaticSolution] = []
     seen = set()
 
@@ -233,8 +244,8 @@ def sp1_sweep(
             results.append(sol)
 
     eps = float(eps_min)
-    while eps >= anchor_ln - EPS_SLACK:
-        sol = solve_eps_delta_dop(instance, eps, delta)
+    while eps >= ln_f[anchor] - EPS_SLACK:
+        sol = _solve_cap(instance, table, eps, delta)
         if record_ties:
             for s in reversed(sol.ties):
                 record(s)
@@ -242,18 +253,7 @@ def sp1_sweep(
             record(replace(sol, ties=()))
         eps = sol.ln_g_f + delta_eps
 
-    record(
-        StaticSolution(
-            design=anchor_design,
-            g_o=anchor_go,
-            ln_g_f=anchor_ln,
-            tag="reliability",
-        )
-    )
-    empty = (0,) * instance.n_types
-    if empty not in seen:
-        go0, ln0 = dop_objectives(instance, empty)
-        results.insert(
-            0, StaticSolution(design=empty, g_o=go0, ln_g_f=ln0, tag="trivial")
-        )
+    record(_row(table, anchor, tag="reliability"))
+    if designs[0] not in seen:  # the empty design heads the lex order
+        results.insert(0, _row(table, 0, tag="trivial"))
     return results

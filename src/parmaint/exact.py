@@ -63,9 +63,7 @@ def enumerate_feasible_designs(
     type can be added — sufficient for front purposes, since a larger
     design can emulate any smaller one.
     """
-    designs = _feasible_designs(
-        instance.constraints, instance.constraint_bounds, instance.copy_bounds
-    )
+    designs = _feasible_designs(instance)
     if len(designs) > ceiling:
         raise EnumerationError(len(designs), ceiling)
     if not maximal_only:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -27,7 +26,6 @@ __all__ = [
     "make_instance",
     "instance_document",
     "write_instance",
-    "tightened_copy_bound",
 ]
 
 
@@ -147,6 +145,11 @@ class Instance:
             )
         return tuple(int(counts[pos]) for pos in self.catalog_order)
 
+    def _catalog_view(self):
+        """Components and constraint columns back in catalog order."""
+        slots = np.argsort(self.catalog_order)  # catalog position -> slot
+        return [self.components[i] for i in slots], self.constraints[:, slots]
+
     def modified(self, usage_costs=None, repair_costs=None, rate_multipliers=None):
         """A new instance with catalog-ordered parameter overrides applied.
 
@@ -155,9 +158,7 @@ class Instance:
         The result is re-canonicalized, since usage-cost edits can change
         the priority order.
         """
-        catalog = [None] * self.n_types
-        for slot, comp in enumerate(self.components):
-            catalog[self.catalog_order[slot]] = comp
+        catalog, a_catalog = self._catalog_view()
         for name, values in (("usage_cost", usage_costs), ("repair_cost", repair_costs)):
             if values is None:
                 continue
@@ -174,9 +175,6 @@ class Instance:
                 replace(c, alpha=c.alpha * float(m), tau=c.tau * float(m))
                 for c, m in zip(catalog, rate_multipliers)
             ]
-        a_catalog = np.zeros_like(self.constraints)
-        for slot in range(self.n_types):
-            a_catalog[:, self.catalog_order[slot]] = self.constraints[:, slot]
         return make_instance(
             catalog, a_catalog, self.constraint_bounds, self.constraint_names
         )
@@ -200,35 +198,6 @@ def _analytic_copy_bound(q, repair_cost, usage_cost, top_usage_cost, delta):
     lnq = math.log(q)
     t = (-q * repair_cost) / (margin * lnq)
     return max(0, math.ceil(math.log(t) / lnq))
-
-
-def tightened_copy_bound(instance: Instance, index: int, epsilon: float, delta: float) -> int:
-    """Largest copy count of one type worth enumerating at this (epsilon, delta).
-
-    Combines the analytic single-type bound with the number of copies at
-    which the type alone already meets the log-failure-rate target
-    ``epsilon``, then caps with the knapsack bound.  When the analytic
-    bound does not exist the knapsack bound is used with a warning.
-    """
-    comp = instance.components[index]
-    knapsack = instance.copy_bounds[index]
-    lnq = math.log(comp.unavailability)
-    eps_term = max(0, math.ceil(epsilon / lnq))
-    top_cost = max(c.usage_cost for c in instance.components)
-    analytic = _analytic_copy_bound(
-        comp.unavailability, comp.repair_cost, comp.usage_cost, top_cost, delta
-    )
-    if analytic is None:
-        warnings.warn(
-            f"no analytic copy bound for type {comp.label!r} "
-            f"((1+delta) max usage cost does not exceed its usage cost); "
-            f"falling back to the knapsack bound",
-            stacklevel=2,
-        )
-        return knapsack
-    if analytic is math.inf:
-        return knapsack
-    return min(max(analytic, eps_term), knapsack)
 
 
 def make_instance(components, constraints, bounds, names=None) -> Instance:
@@ -318,6 +287,8 @@ _COMPONENT_KEYS = {
 
 
 def _component_from_record(rec: dict, position: int) -> ComponentType:
+    if not isinstance(rec, dict):
+        raise InstanceError(f"component {position + 1} must be a mapping, got {rec!r}")
     unknown = set(rec) - _COMPONENT_KEYS - {"label"}
     if unknown:
         raise InstanceError(f"unknown component fields {sorted(unknown)}")
@@ -360,16 +331,25 @@ def _instance_from_document(doc: dict) -> Instance:
     comps = doc.get("components")
     if not comps:
         raise InstanceError("document has no components")
-    components = [_component_from_record(rec, i) for i, rec in enumerate(comps)]
     rows = doc.get("constraints", [])
+    if not isinstance(comps, list) or not isinstance(rows, list):
+        raise InstanceError("components and constraints must be lists")
+    components = [_component_from_record(rec, i) for i, rec in enumerate(comps)]
     n = len(components)
     a = np.zeros((len(rows), n))
     b = np.zeros(len(rows))
     names = []
     for j, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise InstanceError(f"constraint row {j} must be a mapping, got {row!r}")
         coeffs = row.get("coefficients")
         if coeffs is None or "bound" not in row:
             raise InstanceError(f"constraint row {j} needs coefficients and a bound")
+        if not isinstance(coeffs, list):
+            raise InstanceError(
+                f"constraint {row.get('name', j)!r} coefficients must be a list, "
+                f"got {coeffs!r}"
+            )
         if len(coeffs) != n:
             raise InstanceError(
                 f"constraint {row.get('name', j)!r} has {len(coeffs)} "
@@ -451,13 +431,7 @@ def load_instance(source) -> Instance:
 
 def instance_document(instance: Instance) -> dict:
     """Catalog-ordered plain document for an instance (JSON-ready)."""
-    n = instance.n_types
-    comps = [None] * n
-    a = np.zeros_like(instance.constraints)
-    for slot in range(n):
-        pos = instance.catalog_order[slot]
-        comps[pos] = instance.components[slot]
-        a[:, pos] = instance.constraints[:, slot]
+    comps, a = instance._catalog_view()
     return {
         "components": [
             {

@@ -48,6 +48,15 @@ class TestValidate:
         line = next(l for l in plain.splitlines() if l.startswith("unavailability:"))
         assert line in scaled
 
+    def test_malformed_record_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"components": [1]}')
+        code = main(["instance", "validate", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("error: component 1 must be a mapping")
+        assert "Traceback" not in err
+
     def test_bad_multiplier_count(self, base_path, capsys):
         code = main(["instance", "validate", base_path, "--multipliers", "2,2"])
         assert code == EXIT_ERROR
@@ -68,10 +77,9 @@ class TestDop:
 
     def test_zero_delta_accepted(self, base_path, tmp_path):
         out = tmp_path / "static.txt"
-        with pytest.warns(UserWarning, match="knapsack bound"):
-            code = main(
-                ["dop", base_path, "--out", str(out), "--delta", "0", "--ties"]
-            )
+        code = main(
+            ["dop", base_path, "--out", str(out), "--delta", "0", "--ties"]
+        )
         assert code == EXIT_OK
 
     def test_front_out(self, base_path, base_instance, tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from parmaint import dop
 from parmaint.dop import (
     StaticSolution,
     dop_objectives,
@@ -318,6 +319,46 @@ class TestSweep:
         inst = make_instance(comps, [[1.0, 1.0]], [4.0])
         sol = solve_eps_delta_dop(inst, -0.1)
         assert sol.ln_g_f == min(t.ln_g_f for t in sol.ties)
+
+
+class TestOneEnumerationPerSweep:
+    @staticmethod
+    def _count_enumerations(monkeypatch):
+        calls = []
+        real = dop._feasible_designs
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(dop, "_feasible_designs", counted)
+        return calls
+
+    def test_base(self, base_instance, monkeypatch):
+        calls = self._count_enumerations(monkeypatch)
+        sols = sp1_sweep(base_instance)
+        assert len(calls) == 1
+        assert [(s.design, s.tag) for s in sols] == [
+            ((0, 0, 0, 0), "trivial"),
+            ((1, 0, 0, 0), "sweep"),
+            ((2, 0, 0, 0), "sweep"),
+            ((3, 0, 0, 0), "sweep"),
+            ((4, 0, 0, 0), "sweep"),
+            ((0, 5, 0, 0), "sweep"),
+        ]
+
+    def test_large(self, large_instance, monkeypatch):
+        calls = self._count_enumerations(monkeypatch)
+        sols = sp1_sweep(large_instance)
+        assert len(calls) == 1
+        assert [(s.design, s.tag) for s in sols] == [((0, 0, 0), "trivial")] + [
+            ((k, 0, 0), "sweep") for k in range(1, 12)
+        ]
+
+    def test_with_ties(self, base_instance, monkeypatch):
+        calls = self._count_enumerations(monkeypatch)
+        sp1_sweep(base_instance, delta=0.0, record_ties=True)
+        assert len(calls) == 1
 
 
 class TestStaticSolutionRecord:

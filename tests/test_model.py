@@ -6,10 +6,10 @@ import pytest
 from parmaint.model import (
     ComponentType,
     InstanceError,
+    instance_document,
     derive_failure_rate,
     load_instance,
     make_instance,
-    tightened_copy_bound,
     write_instance,
 )
 
@@ -215,49 +215,6 @@ class TestCopyBounds:
         assert inst.copy_bounds == (2,)
 
 
-class TestTightenedCopyBound:
-    def test_base_type_bounds(self, base_instance):
-        # at epsilon = 0 the reliability requirement is vacuous and extra
-        # copies never pay for their repair load, so the cap collapses to 0;
-        # deeper targets raise it copy by copy until the knapsack cap bites
-        assert tightened_copy_bound(base_instance, 0, epsilon=0.0, delta=0.1) == 0
-        assert tightened_copy_bound(base_instance, 0, epsilon=-13.0, delta=0.1) == 3
-        assert tightened_copy_bound(base_instance, 0, epsilon=-50.0, delta=0.1) == 4
-
-    def test_epsilon_term_forces_depth(self):
-        inst = single_type_instance(q=0.01, repair=100.0, bound=100)
-        eps = 10.0 * math.log(0.01)
-        bound = tightened_copy_bound(inst, 0, epsilon=eps, delta=0.1)
-        assert bound >= 10
-
-    def test_knapsack_caps_epsilon_term(self):
-        inst = single_type_instance(q=0.01, repair=100.0, bound=3)
-        eps = 10.0 * math.log(0.01)
-        assert tightened_copy_bound(inst, 0, epsilon=eps, delta=0.1) == 3
-
-    def test_free_repair_falls_back_to_knapsack(self):
-        inst = single_type_instance(q=0.3, repair=0.0, bound=7)
-        assert tightened_copy_bound(inst, 0, epsilon=0.0, delta=0.1) == 7
-
-    def test_missing_margin_warns_and_uses_knapsack(self):
-        # cheapest type's usage cost equals the top cost, so with delta=0
-        # the penalized objective has no interior minimizer for it
-        comps = [_comp(label="a", usage_cost=2.0), _comp(label="b", usage_cost=2.0)]
-        inst = make_instance(comps, [[1.0, 1.0]], [6.0])
-        with pytest.warns(UserWarning, match="knapsack"):
-            bound = tightened_copy_bound(inst, 0, epsilon=0.0, delta=0.0)
-        assert bound == inst.copy_bounds[0]
-
-    def test_monotone_in_epsilon(self):
-        inst = single_type_instance(q=0.1, repair=5.0, bound=50)
-        bounds = [
-            tightened_copy_bound(inst, 0, epsilon=k * math.log(0.1), delta=0.1)
-            for k in (0, 5, 10, 20)
-        ]
-        assert bounds == sorted(bounds)
-        assert bounds[-1] >= 20
-
-
 class TestModified:
     def test_usage_costs_resort(self, base_instance):
         inst = base_instance.modified(usage_costs=[10.0, 1.0, 1.0, 1.0])
@@ -285,6 +242,18 @@ class TestModified:
     def test_multiplier_count_checked(self, base_instance):
         with pytest.raises(InstanceError):
             base_instance.modified(rate_multipliers=[2.0, 3.0])
+
+    def test_no_override_keeps_a_permuted_instance(self):
+        comps = [
+            _comp(label="a", usage_cost=5.0, weight=1.0),
+            _comp(label="b", usage_cost=1.0, weight=2.0),
+            _comp(label="c", usage_cost=3.0, weight=4.0),
+        ]
+        inst = make_instance(comps, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [9.0, 30.0])
+        again = inst.modified()
+        assert again.components == inst.components
+        assert again.catalog_order == inst.catalog_order == (1, 2, 0)
+        np.testing.assert_array_equal(again.constraints, inst.constraints)
 
 
 class TestLoaders:
@@ -323,6 +292,47 @@ class TestLoaders:
         assert again.labels == base_instance.labels
         np.testing.assert_allclose(again.q_vector(), base_instance.q_vector())
         assert again.constraint_names == base_instance.constraint_names
+
+    def test_document_is_in_catalog_order(self):
+        comps = [
+            _comp(label="a", usage_cost=5.0),
+            _comp(label="b", usage_cost=1.0),
+            _comp(label="c", usage_cost=3.0),
+        ]
+        inst = make_instance(comps, [[1.0, 2.0, 3.0]], [9.0], names=["r"])
+        doc = instance_document(inst)
+        assert [c["label"] for c in doc["components"]] == ["a", "b", "c"]
+        assert [c["usage_cost"] for c in doc["components"]] == [5.0, 1.0, 3.0]
+        assert doc["constraints"] == [
+            {"name": "r", "coefficients": [1.0, 2.0, 3.0], "bound": 9.0}
+        ]
+        assert load_instance(doc).constraints.tolist() == inst.constraints.tolist()
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda d: d.update(components=[1]), "component 1 must be a mapping"),
+            (lambda d: d.update(components=5), "must be lists"),
+            (lambda d: d.update(constraints=5), "must be lists"),
+            (lambda d: d.update(constraints=[1]), "constraint row 0 must be a mapping"),
+            (
+                lambda d: d["constraints"][0].update(coefficients=5),
+                "coefficients must be a list",
+            ),
+        ],
+        ids=[
+            "component-not-mapping",
+            "components-not-list",
+            "constraints-not-list",
+            "row-not-mapping",
+            "coefficients-not-list",
+        ],
+    )
+    def test_malformed_records_raise(self, edit, reason):
+        doc = instance_document(single_type_instance())
+        edit(doc)
+        with pytest.raises(InstanceError, match=reason):
+            load_instance(doc)
 
     def test_reliability_and_alpha_must_agree(self, tmp_path):
         doc = """{
