@@ -33,10 +33,11 @@ __all__ = [
 
 
 def fmt(x) -> str:
-    """12-significant-digit text for a number; '-' for missing."""
+    """12-significant-digit text for a number; '-' for missing.  A signed
+    zero is written as 0."""
     if x is None:
         return "-"
-    x = float(x)
+    x = float(x) + 0.0
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return "%.12g" % x

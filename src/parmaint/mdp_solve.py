@@ -6,17 +6,22 @@ iteration on the transition rates (Howard's method with the gain and
 bias improvement steps of Puterman, *Markov Decision Processes*, 1994,
 ch. 9), which stops when no state has a strictly improving action: that
 is the certificate of optimality.  A policy is evaluated exactly on the
-sparse chain it induces on post-decision states: one sparse LU of the
-balance equations, one diagonal block per recurrent class, gives the
-stationary laws and, transposed, the biases; one of the transient
-states gives their absorption-weighted gains and biases.  So policies
-whose chain has transient states or several recurrent classes are
-handled too (direct sparse methods as in Stewart, *Introduction to the
-Numerical Solution of Markov Chains*, 1994).  The solve evaluates each
-policy for the operational cost and the failure indicator at once, so
-it returns the certified policy's exact pair ``(g_o, g_f)`` with no
-second evaluation; ``evaluate_policy`` serves policies no solve
-produced and other starting states.
+chain it induces on post-decision states: one LU of the balance
+equations, one diagonal block per recurrent class, gives the stationary
+laws and, transposed, the biases; one of the transient states gives
+their absorption-weighted gains and biases.  So policies whose chain
+has transient states or several recurrent classes are handled too
+(direct methods as in Stewart, *Introduction to the Numerical Solution
+of Markov Chains*, 1994, ch. 2).  Chains and blocks of up to
+``DENSE_NODES`` nodes, the measured size below which dense numpy beats
+scipy's sparse routines per call, are solved dense; larger ones sparse,
+and only they import scipy.  Both factorizations keep the diagonal
+pivots of these diagonally dominant M-matrices and exchange no rows (see
+``_m_matrix_lu``).  The solve evaluates each policy for the operational
+cost and the failure indicator at once, so it returns the certified
+policy's exact pair ``(g_o, g_f)`` with no second evaluation;
+``evaluate_policy`` serves policies no solve produced and other starting
+states.
 """
 
 from __future__ import annotations
@@ -41,6 +46,9 @@ LN_GF_FLOOR = 1e-300  # below this, report log failure rate as -inf
 
 DEFAULT_MAX_ITERATIONS = 1000  # policies evaluated before a solve is flagged
 IMPROVE_RTOL = 1e-12  # margin an action must beat the current one by, relative
+# chains and blocks of up to this many nodes are solved dense: the largest
+# measured chain size at which that beat the sparse path per call
+DENSE_NODES = 84
 
 
 @dataclass(frozen=True)
@@ -241,28 +249,85 @@ def _compressed(fmt, size, major, minor, values):
     return fmt((values[order], minor[order].astype(np.int32), indptr), shape=(size, size))
 
 
-def _m_matrix_lu(diag, rows, cols, rates):
-    """Sparse LU of ``diag(diag) - R`` where R holds ``rates`` at (rows, cols).
+def _strong_components(m, src, dst, rate):
+    """(count, labels) of the strong components of the m-node chain
+    with arcs ``src`` -> ``dst`` at ``rate``, as scipy's
+    ``connected_components`` gives them: labels in ``[0, count)`` that
+    group the nodes into the same components.
 
-    The matrices met here are nonsingular, diagonally dominant
-    M-matrices, so the LU factorization keeps its diagonal pivots:
-    ordering on the symmetrized pattern with pivoting switched off keeps
-    the fill low and tiny probabilities at full relative precision.
-    Returns None for an empty matrix.
+    Up to ``DENSE_NODES`` nodes the reach matrix is closed by repeated
+    squaring (a path of length at most 2^k after k squarings), and two
+    nodes share a component when each reaches the other; components are
+    numbered by their lowest node.
     """
+    if m <= DENSE_NODES:
+        reach = np.eye(m)
+        reach[src, dst] = 1.0
+        while True:
+            closed = (reach @ reach > 0.0).astype(np.float64)
+            if np.array_equal(closed, reach):
+                break
+            reach = closed
+        lowest = np.argmax((reach > 0.0) & (reach.T > 0.0), axis=1)
+        heads, labels = np.unique(lowest, return_inverse=True)
+        return heads.shape[0], labels
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    graph = _compressed(csr_matrix, m, src, dst, rate)
+    graph.sum_duplicates()  # on a duplicate entry scipy's search never returns
+    return connected_components(graph, directed=True, connection="strong")
+
+
+class _DenseInverse:
+    """The explicit inverse of a small matrix, solving like a scipy LU."""
+
+    def __init__(self, inverse):
+        self.inverse = inverse
+
+    def solve(self, b, trans="N"):
+        # + 0.0 turns the -0.0 a zero right-hand side can give into 0.0
+        return (self.inverse.T if trans == "T" else self.inverse) @ b + 0.0
+
+
+def _m_matrix_lu(out, src, dst, rates, transpose=False):
+    """LU of the M-matrix ``diag(out) - R``, or of its transpose with
+    ``transpose``, where R sums ``rates`` at (src, dst): row i holds
+    node i's total outflow ``out[i]`` and the arcs leaving it within the
+    block.  Solves with ``.solve(b, trans=...)`` as scipy's ``splu``
+    does; None for an empty matrix.
+
+    The matrix is a nonsingular, diagonally dominant M-matrix, and both
+    paths keep its diagonal pivots: elimination then needs no row
+    exchanges, so no rounding can promote an off-diagonal entry to a
+    pivot, and tiny probabilities keep full relative precision.  Up to
+    ``DENSE_NODES`` nodes, LAPACK inverts the column-dominant
+    orientation ``diag(out) - R^T``, where partial pivoting keeps every
+    diagonal pivot (it takes the first entry of largest magnitude), and
+    the one inverse, nonnegative as every M-matrix inverse is, serves
+    both orientations and both ``trans``.  Larger matrices take a sparse
+    LU with pivoting switched off, ordered on the symmetrized pattern to
+    keep the fill low.
+    """
+    size = out.shape[0]
+    if size == 0:
+        return None
+    if size <= DENSE_NODES:
+        a = np.diag(out)
+        np.subtract.at(a, (dst, src), rates)
+        inverse = np.linalg.inv(a)
+        return _DenseInverse(inverse if transpose else inverse.T)
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import splu
 
-    size = diag.shape[0]
-    if size == 0:
-        return None
+    rows, cols = (dst, src) if transpose else (src, dst)
     ids = np.arange(size)
     a = _compressed(
         csc_matrix,
         size,
         np.concatenate([ids, cols]),
         np.concatenate([ids, rows]),
-        np.concatenate([diag, -rates]),
+        np.concatenate([out, -rates]),
     )
     return splu(
         a,
@@ -276,7 +341,8 @@ def _policy_arcs(model: CtmdpModel, post_ids):
     """The arcs (source, target, rate) of the policy's chain on all
     post-states: every transition target is replaced by the post-state
     the policy moves it to, and self-loops are dropped (they do not
-    change a continuous-time chain).  Parallel arcs stay separate."""
+    change a continuous-time chain).  Parallel arcs stay separate, and
+    the arcs come sorted by source."""
     src = np.repeat(np.arange(model.n_states, dtype=np.int64), np.diff(model.trn_offsets))
     dst = post_ids[model.trn_targets]
     keep = src != dst
@@ -297,13 +363,9 @@ def _chain_gains(src, dst, rate, costs, with_bias=False):
     exact absorption probabilities: one more LU, on the transient nodes,
     solved for the gains and then for the biases.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
     m = costs.shape[0]
     out = np.bincount(src, weights=rate, minlength=m)
-    graph = _compressed(csr_matrix, m, src, dst, rate)
-    n_comp, labels = connected_components(graph, directed=True, connection="strong")
+    n_comp, labels = _strong_components(m, src, dst, rate)
     leaves = np.zeros(n_comp, dtype=bool)
     leaves[labels[src[labels[src] != labels[dst]]]] = True
     rec = ~leaves[labels]
@@ -317,7 +379,9 @@ def _chain_gains(src, dst, rate, costs, with_bias=False):
     into = rec[src] & free[dst]
     coupled = into & free[src]
     pinned = into & ~free[src]
-    lu = _m_matrix_lu(out[free], pos[dst[coupled]], pos[src[coupled]], rate[coupled])
+    lu = _m_matrix_lu(
+        out[free], pos[src[coupled]], pos[dst[coupled]], rate[coupled], transpose=True
+    )
     pi = rec.astype(np.float64)
     if lu is not None:
         pi[free] = lu.solve(
@@ -359,6 +423,34 @@ def _chain_gains(src, dst, rate, costs, with_bias=False):
     return gain, bias
 
 
+def _breadth_first(n, src, dst, start):
+    """The nodes reachable from ``start`` in breadth-first order, the
+    start first, over arcs ``src`` -> ``dst`` sorted by source.
+
+    One level at a time: the arcs out of the current level, node by node
+    and in arc order within a node, discover the next level in the order
+    of their first unvisited targets, the order a first-in first-out
+    search visits them in.
+    """
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    seen = np.zeros(n, dtype=bool)
+    seen[start] = True
+    level = np.array([start], dtype=np.int64)
+    levels = [level]
+    while level.size:
+        counts = offsets[level + 1] - offsets[level]
+        ends = np.cumsum(counts)
+        arcs = np.repeat(offsets[level] - ends + counts, counts) + np.arange(ends[-1])
+        targets = dst[arcs]
+        targets = targets[~seen[targets]]
+        _, first = np.unique(targets, return_index=True)
+        level = targets[np.sort(first)]
+        seen[level] = True
+        levels.append(level)
+    return np.concatenate(levels)
+
+
 def evaluate_policy(model: CtmdpModel, policy: MaintenancePolicy, initial_state=0) -> GainPair:
     """Exact long-run cost pair of a policy from a given starting state.
 
@@ -369,14 +461,10 @@ def evaluate_policy(model: CtmdpModel, policy: MaintenancePolicy, initial_state=
     transient.  ``initial_state`` is a pre-decision state id in
     ``[0, n)`` or the state's rows.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order
-
     n = model.n_states
     start = int(policy.post_ids[model.start_id(initial_state)])
     src, dst, rate = _policy_arcs(model, policy.post_ids)
-    graph = _compressed(csr_matrix, n, src, dst, rate)
-    nodes = breadth_first_order(graph, start, return_predecessors=False)
+    nodes = _breadth_first(n, src, dst, start)
     local = np.full(n, -1, dtype=np.int64)
     local[nodes] = np.arange(nodes.shape[0])
     keep = local[src] >= 0  # arcs out of reachable nodes stay reachable

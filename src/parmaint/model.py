@@ -286,41 +286,55 @@ _COMPONENT_KEYS = {
 }
 
 
+def _number(value, record: str, field: str) -> float:
+    """A numeric field of an instance record as a float.
+
+    Numbers and numeric text (the table form's values) are accepted;
+    anything else, ``null``, booleans, lists and mappings included,
+    raises an InstanceError naming the record and the field.
+    """
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise InstanceError(f"{record} field {field!r} must be a number, got {value!r}")
+
+
 def _component_from_record(rec: dict, position: int) -> ComponentType:
     if not isinstance(rec, dict):
         raise InstanceError(f"component {position + 1} must be a mapping, got {rec!r}")
     unknown = set(rec) - _COMPONENT_KEYS - {"label"}
     if unknown:
         raise InstanceError(f"unknown component fields {sorted(unknown)}")
+    record = f"component {rec.get('label', position + 1)!r}"
     missing = {"tau", "usage_cost", "repair_cost", "install_cost", "weight"} - set(rec)
     if missing:
-        raise InstanceError(
-            f"component {rec.get('label', position + 1)!r} is missing "
-            f"fields {sorted(missing)}"
-        )
-    tau = float(rec["tau"])
-    p = rec.get("p", rec.get("reliability"))
+        raise InstanceError(f"{record} is missing fields {sorted(missing)}")
+    tau = _number(rec["tau"], record, "tau")
+    p_field = "p" if "p" in rec else "reliability"
+    p = rec.get(p_field)
     alpha = rec.get("alpha")
     if p is None and alpha is None:
         raise InstanceError(
-            f"component {rec.get('label', position + 1)!r} needs either a "
-            f"failure rate (alpha) or a reliability (p)"
+            f"{record} needs either a failure rate (alpha) or a reliability (p)"
         )
+    if alpha is not None:
+        alpha = _number(alpha, record, "alpha")
     if p is not None:
-        derived = derive_failure_rate(float(p), tau)
-        if alpha is not None and abs(float(alpha) - derived) > 1e-9:
+        derived = derive_failure_rate(_number(p, record, p_field), tau)
+        if alpha is not None and abs(alpha - derived) > 1e-9:
             raise InstanceError(
-                f"component {rec.get('label', position + 1)!r} gives both "
-                f"alpha={alpha} and p={p}, which disagree"
+                f"{record} gives both alpha={alpha} and p={p}, which disagree"
             )
         alpha = derived
     return ComponentType(
-        alpha=float(alpha),
+        alpha=alpha,
         tau=tau,
-        usage_cost=float(rec["usage_cost"]),
-        repair_cost=float(rec["repair_cost"]),
-        install_cost=float(rec["install_cost"]),
-        weight=float(rec["weight"]),
+        usage_cost=_number(rec["usage_cost"], record, "usage_cost"),
+        repair_cost=_number(rec["repair_cost"], record, "repair_cost"),
+        install_cost=_number(rec["install_cost"], record, "install_cost"),
+        weight=_number(rec["weight"], record, "weight"),
         label=str(rec.get("label", "")),
     )
 
@@ -345,18 +359,15 @@ def _instance_from_document(doc: dict) -> Instance:
         coeffs = row.get("coefficients")
         if coeffs is None or "bound" not in row:
             raise InstanceError(f"constraint row {j} needs coefficients and a bound")
+        record = f"constraint {row.get('name', j)!r}"
         if not isinstance(coeffs, list):
-            raise InstanceError(
-                f"constraint {row.get('name', j)!r} coefficients must be a list, "
-                f"got {coeffs!r}"
-            )
+            raise InstanceError(f"{record} coefficients must be a list, got {coeffs!r}")
         if len(coeffs) != n:
             raise InstanceError(
-                f"constraint {row.get('name', j)!r} has {len(coeffs)} "
-                f"coefficients for {n} component types"
+                f"{record} has {len(coeffs)} coefficients for {n} component types"
             )
-        a[j] = [float(v) for v in coeffs]
-        b[j] = float(row["bound"])
+        a[j] = [_number(v, record, f"coefficients[{k}]") for k, v in enumerate(coeffs)]
+        b[j] = _number(row["bound"], record, "bound")
         names.append(str(row.get("name", f"row{j}")))
     return make_instance(components, a, b, names)
 
@@ -395,8 +406,8 @@ def _instance_from_table(text: str) -> Instance:
             rows.append(
                 {
                     "name": parts[1],
-                    "bound": float(kv["bound"]),
-                    "coefficients": [float(v) for v in kv["coeffs"].split(",")],
+                    "bound": kv["bound"],
+                    "coefficients": kv["coeffs"].split(","),
                 }
             )
         else:

@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -55,6 +59,34 @@ class TestValidate:
         err = capsys.readouterr().err
         assert code == EXIT_ERROR
         assert err.startswith("error: component 1 must be a mapping")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "where, field, value, reason",
+        [
+            ("components", "tau", None, "component '1' field 'tau' must be a number"),
+            ("constraints", "bound", [1], "constraint 'cost' field 'bound' must be a number"),
+            (
+                "constraints",
+                "coefficients",
+                [3, None, 2, 2],
+                "constraint 'cost' field 'coefficients[1]' must be a number",
+            ),
+            ("components", "weight", {"a": 1}, "component '1' field 'weight' must be a number"),
+        ],
+    )
+    def test_non_numeric_field_is_an_error(
+        self, base_path, tmp_path, capsys, where, field, value, reason
+    ):
+        with open(base_path) as fh:
+            doc = json.load(fh)
+        doc[where][0][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = main(["instance", "validate", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith(f"error: {reason}")
         assert "Traceback" not in err
 
     def test_bad_multiplier_count(self, base_path, capsys):
@@ -473,3 +505,39 @@ class TestCompare:
         code = main(["compare", str(tmp_path / "a.txt"), str(tmp_path / "b.txt")])
         assert code == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
+
+
+class TestScipyOnlyForLargeChains:
+    """Chains of up to ``DENSE_NODES`` nodes are solved by numpy alone, so a
+    command that solves only such chains never imports scipy."""
+
+    @staticmethod
+    def _run(root, *argv):
+        code = (
+            "import sys\n"
+            "from parmaint.cli import main\n"
+            "status = main(sys.argv[1:])\n"
+            "print(status, 'scipy' in sys.modules, 'scipy.sparse.linalg' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            cwd=root, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        status, scipy, splu = done.stdout.split("\n")[-2].split()
+        assert status == str(EXIT_OK)
+        return scipy == "True", splu == "True"
+
+    def test_small_chains_take_numpy(self, instances_dir, tmp_path):
+        root = instances_dir.parent
+        out = str(tmp_path / "front.txt")
+        assert self._run(root, "app", "instances/base-6-20.json", "--out", out) == (False, False)
+        single = "perfbench/data/single-1.json"
+        assert self._run(root, "exact", single, "--out", out) == (False, False)
+
+    def test_large_chain_takes_sparse_lu(self, instances_dir, tmp_path):
+        # 2,250 states: the solve's chains are far above the cutoff
+        argv = ["dmp", "perfbench/data/large-3.json", "--design", "3,4,4"]
+        argv += ["--penalty", "1e5", "--out", str(tmp_path / "gain.txt")]
+        assert self._run(instances_dir.parent, *argv) == (True, True)

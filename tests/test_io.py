@@ -59,6 +59,10 @@ class TestFmt:
         assert fmt(math.inf) == "inf"
         assert fmt(-math.inf) == "-inf"
 
+    def test_signed_zero_written_as_zero(self):
+        assert fmt(-0.0) == "0"
+        assert fmt(0.0) == "0"
+
 
 class TestStaticTable:
     def test_catalog_order_in_file(self, tmp_path):

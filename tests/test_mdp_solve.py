@@ -3,13 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from parmaint import mdp_solve
 from parmaint.ctmdp import build_model
 from parmaint.dop import dop_objectives
-from parmaint.exact import enumerate_feasible_designs
+from parmaint.exact import enumerate_feasible_designs, exact_front
 from parmaint.mdp_solve import (
     GainPair,
     MaintenancePolicy,
+    _breadth_first,
+    _chain_gains,
+    _compressed,
     _policy_arcs,
+    _strong_components,
     evaluate_policy,
     fully_active_policy,
     solve_average_cost,
@@ -535,3 +540,139 @@ class TestSolvePair:
         model = build_model(large_instance, design=(3, 4, 4))
         self._check(model, solve_average_cost(model, 1e5), 1e5)
 
+
+def _random_chain(rng, m, n_classes):
+    """Arcs (sorted by source) and two cost columns of a random m-node
+    chain: ``n_classes`` closed classes, the first a single absorbing
+    node, and transient nodes that each lead on to a later node in a
+    random order ending with the recurrent ones, plus parallel arcs and
+    arcs back among the transient nodes.  Rates span several orders of
+    magnitude."""
+    nodes = rng.permutation(m)
+    n_trans = int(rng.integers(1, m // 2))
+    trans, rec = nodes[:n_trans], nodes[n_trans:]
+    cuts = np.sort(rng.choice(np.arange(2, rec.size), n_classes - 2, replace=False))
+    arcs = []
+    for cls in [rec[:1]] + np.split(rec[1:], cuts - 1):
+        if cls.size > 1:
+            arcs += zip(cls, np.roll(cls, -1))
+            pairs = cls[rng.integers(0, cls.size, size=(2 * cls.size, 2))]
+            arcs += [(u, v) for u, v in pairs if u != v]
+    order = np.concatenate([trans, rec])
+    for i, u in enumerate(trans):
+        arcs += [(u, v) for v in rng.choice(order[i + 1 :], 2)]
+        back = rng.choice(trans)
+        if back != u:
+            arcs.append((u, back))
+    arcs.sort(key=lambda arc: arc[0])
+    src, dst = np.array(arcs, dtype=np.int64).T
+    rate = rng.lognormal(0.0, 2.0, size=src.size)
+    costs = rng.random((m, 2)) * (rng.random((m, 1)) < 0.7)
+    return src, dst, rate, costs
+
+
+def _dense_and_sparse(monkeypatch, f, *args):
+    """``f(*args)`` with every chain solved dense, then sparse."""
+    monkeypatch.setattr(mdp_solve, "DENSE_NODES", 10**9)
+    dense = f(*args)
+    monkeypatch.setattr(mdp_solve, "DENSE_NODES", 0)
+    return dense, f(*args)
+
+
+class TestDenseAndSparsePaths:
+    """Both ways of solving a chain give the same gains, biases, classes
+    and policy-iteration paths."""
+
+    @staticmethod
+    def _agree(monkeypatch, src, dst, rate, costs, bias_rtol=1e-12):
+        (gain, bias), (want_gain, want_bias) = _dense_and_sparse(
+            monkeypatch, _chain_gains, src, dst, rate, costs, True
+        )
+        np.testing.assert_allclose(gain, want_gain, rtol=1e-12, atol=0.0)
+        # a bias entry can be a near-cancelling sum, so its error is
+        # measured against the largest bias of its cost column
+        scale = np.abs(want_bias).max(axis=0)
+        assert np.all(np.abs(bias - want_bias) <= bias_rtol * scale)
+
+    def test_base_designs_at_gate_penalties(self, base_instance, monkeypatch):
+        solves = 0
+        for design in enumerate_feasible_designs(base_instance):
+            model = build_model(base_instance, design=design)
+            costs = np.column_stack([model.cost_op, model.cost_fail])
+            for penalty in GATE_PENALTIES:
+                dense, sparse = _dense_and_sparse(
+                    monkeypatch, solve_average_cost, model, penalty
+                )
+                assert dense.converged and sparse.converged
+                assert dense.iterations == sparse.iterations, (design, penalty)
+                assert dense.policy == sparse.policy, (design, penalty)
+                self._agree(monkeypatch, *_policy_arcs(model, dense.policy.post_ids), costs)
+                solves += 1
+        assert solves == 532
+
+    def test_multichain_transient_start(self, monkeypatch):
+        _, model, policy = TestStartDependence()._two_type_setup()
+        costs = np.column_stack([model.cost_op, model.cost_fail])
+        self._agree(monkeypatch, *_policy_arcs(model, policy.post_ids), costs)
+
+    def test_random_chains_with_several_classes(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            m = int(rng.integers(8, 70))
+            n_classes = int(rng.integers(2, 5))
+            src, dst, rate, costs = _random_chain(rng, m, n_classes)
+            (count, labels), (want_count, want_labels) = _dense_and_sparse(
+                monkeypatch, _strong_components, m, src, dst, rate
+            )
+            # the same grouping, so each class pins the same first node
+            assert count == want_count
+            assert np.unique(np.stack([labels, want_labels]), axis=1).shape[1] == count
+            leaving = np.unique(labels[src[labels[src] != labels[dst]]])
+            assert count - leaving.size == n_classes
+            # rates over four decades: against a 40-digit solve, each
+            # path's biases are off by up to 1.8e-12 of the column's largest
+            self._agree(monkeypatch, src, dst, rate, costs, bias_rtol=1e-11)
+
+    def test_breadth_first_order_matches_scipy(self, base_instance, large_instance):
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import breadth_first_order
+
+        def check(n, src, dst, start):
+            # rows keep the arc order, as the search visits them
+            graph = _compressed(csr_matrix, n, src, dst, np.ones(src.size))
+            want = breadth_first_order(graph, start, return_predecessors=False)
+            np.testing.assert_array_equal(_breadth_first(n, src, dst, start), want)
+
+        rng = np.random.default_rng(5)
+        for instance, design in ((base_instance, (2, 1, 1, 0)), (large_instance, (2, 2, 3))):
+            model = build_model(instance, design=design)
+            counts = np.diff(model.act_offsets)
+            for _ in range(10):
+                policy = MaintenancePolicy(model, rng.integers(0, counts))
+                src, dst, _ = _policy_arcs(model, policy.post_ids)
+                check(model.n_states, src, dst, int(rng.integers(model.n_states)))
+        for _ in range(20):
+            m = int(rng.integers(8, 70))
+            src, dst, _, _ = _random_chain(rng, m, 3)
+            check(m, src, dst, int(rng.integers(m)))
+
+
+class TestDiagonalPivots:
+    def test_exact_front_base_converges_in_few_steps(self, base_instance, monkeypatch):
+        # a dense LU that exchanged rows of the row-dominant systems made
+        # warm-started solves cycle to max_iterations at tie penalties
+        # and took 8,806 steps here; the sparse LU took 4,787
+        import parmaint.app
+
+        runs = []
+
+        def counting(*args, **kwargs):
+            res = solve_average_cost(*args, **kwargs)
+            runs.append((res.iterations, res.converged))
+            return res
+
+        monkeypatch.setattr(parmaint.app, "solve_average_cost", counting)
+        exact_front(base_instance)
+        assert len(runs) == 2405
+        assert all(converged for _, converged in runs)
+        assert sum(steps for steps, _ in runs) <= 4787
