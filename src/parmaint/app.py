@@ -106,6 +106,14 @@ def non_nested_designs(solutions):
     return keep
 
 
+def static_points(solutions):
+    """Front points of static-sweep solutions, in their order."""
+    return [
+        SolutionPoint(g_o=s.g_o, ln_g_f=s.ln_g_f, design=s.design, provenance=STATIC_SP1)
+        for s in solutions
+    ]
+
+
 def emulating_policy(model, sub_design) -> MaintenancePolicy:
     """Run a larger build as if it were a smaller one.
 
@@ -273,13 +281,7 @@ def run_app(
     selected = non_nested_designs(statics)
     chosen = {s.design for s in selected}
 
-    population = [
-        SolutionPoint(
-            g_o=s.g_o, ln_g_f=s.ln_g_f, design=s.design, provenance=STATIC_SP1
-        )
-        for s in statics
-        if s.design not in chosen
-    ]
+    population = static_points(s for s in statics if s.design not in chosen)
     return _merge_traces(
         [s.design for s in selected],
         lambda design: sp2(instance, design, p_min=p_min, delta_p=delta_p),

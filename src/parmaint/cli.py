@@ -75,14 +75,7 @@ def cmd_dop(args) -> int:
     anchor = instance.to_catalog(solve_fdop(instance))
     print("reliability extreme:", ",".join(str(c) for c in anchor))
     if args.front_out:
-        points = [
-            app_mod.SolutionPoint(
-                g_o=s.g_o, ln_g_f=s.ln_g_f, design=s.design,
-                provenance=app_mod.STATIC_SP1,
-            )
-            for s in solutions
-        ]
-        front = app_mod.non_dom_filter(points, args.tolerance)
+        front = app_mod.non_dom_filter(app_mod.static_points(solutions), args.tolerance)
         io.write_front(args.front_out, instance, front)
         print(f"non-dominated static front: {len(front)} points -> {args.front_out}")
     return EXIT_OK
@@ -304,10 +297,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, StateSpaceError, EnumerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, ValueError) as exc:
+    except (StateSpaceError, EnumerationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -20,8 +20,8 @@ pivots of these diagonally dominant M-matrices and exchange no rows (see
 ``_m_matrix_lu``).  The solve evaluates each policy for the operational
 cost and the failure indicator at once, so it returns the certified
 policy's exact pair ``(g_o, g_f)`` with no second evaluation;
-``evaluate_policy`` serves policies no solve produced and other starting
-states.
+``evaluate_policy`` solves the same chain, on all post-states, for
+policies no solve produced and other starting states.
 """
 
 from __future__ import annotations
@@ -140,7 +140,8 @@ def solve_average_cost(
     state 0, with ``gain == pair.scalarized(penalty)``.  The start is the never-repair policy unless
     ``initial_policy`` (a policy of the same model, such as the optimum
     at a nearby penalty) is given.  The penalty must be finite and
-    non-negative: a negative one would reward failure.
+    non-negative: a negative one would reward failure.  One so large
+    that the improvement tests overflow raises ``ValueError`` too.
     """
     if not (math.isfinite(penalty) and penalty >= 0.0):
         raise ValueError(f"penalty must be finite and non-negative, got {penalty}")
@@ -155,18 +156,16 @@ def solve_average_cost(
     else:
         choice = initial_policy.choice
     costs = np.column_stack([model.cost_op, model.cost_fail])
-    cost = model.cost_op + penalty * model.cost_fail
     for step in range(1, max_iterations + 1):
         policy = MaintenancePolicy(model, choice)
         # the gains and biases of the two cost columns; the penalized
         # ones follow by linearity
-        node_gain, node_bias = _chain_gains(
-            *_policy_arcs(model, policy.post_ids), costs, with_bias=True
-        )
+        node_gain, node_bias = _chain_gains(*_policy_arcs(model, policy.post_ids), costs)
         pairs = node_gain[policy.post_ids]
-        gains = pairs[:, 0] + penalty * pairs[:, 1]
-        bias = node_bias[policy.post_ids, 0] + penalty * node_bias[policy.post_ids, 1]
-        choice = _improve(model, cost, policy.choice, gains, bias)
+        with np.errstate(over="ignore", invalid="ignore"):  # _switch rejects overflow
+            gains = pairs[:, 0] + penalty * pairs[:, 1]
+            bias = node_bias[policy.post_ids, 0] + penalty * node_bias[policy.post_ids, 1]
+            choice = _improve(model, penalty, policy.choice, gains, bias)
         if choice is None:
             break
     pair = GainPair(float(pairs[0, 0]), float(pairs[0, 1]))
@@ -181,7 +180,7 @@ def solve_average_cost(
     )
 
 
-def _improve(model: CtmdpModel, cost, choice, gains, bias):
+def _improve(model: CtmdpModel, penalty, choice, gains, bias):
     """An improving choice vector for the policy with these gains and
     biases, or None when no state has an improving action.
 
@@ -209,24 +208,29 @@ def _improve(model: CtmdpModel, cost, choice, gains, bias):
     flow, stay = terms(gains)
     test = flow - stay
     scale = flow + stay
-    better = _switch(test, scale, cur, aoff, counts)
+    better = _switch(test, scale, cur, aoff, counts, penalty)
     if better is not None:
         return better
 
     tied = np.abs(test - np.repeat(test[cur], counts)) <= IMPROVE_RTOL * (
         scale + np.repeat(scale[cur], counts)
     )
+    cost = (model.cost_op + penalty * model.cost_fail)[posts]
     flow, stay = terms(bias)
-    test = np.where(tied, cost[posts] + flow - stay, np.inf)
+    test = np.where(tied, cost + flow - stay, np.inf)
     flow, stay = terms(np.abs(bias))
-    return _switch(test, cost[posts] + flow + stay, cur, aoff, counts)
+    return _switch(test, cost + flow + stay, cur, aoff, counts, penalty)
 
 
-def _switch(test, scale, cur, aoff, counts):
+def _switch(test, scale, cur, aoff, counts, penalty):
     """Choice vector taking, per state, the first action minimizing
     ``test`` where it beats the current action ``cur`` by more than
     ``IMPROVE_RTOL`` times their summed scales; None when no state moves.
+    The scales bound the tests' magnitudes, so where one overflows a test
+    may be NaN and no action can be certified: that raises ``ValueError``.
     """
+    if not np.isfinite(scale).all():
+        raise ValueError(f"penalty {penalty} overflows the policy-improvement tests")
     best = np.minimum.reduceat(test, aoff)
     pos = np.arange(test.shape[0], dtype=np.int64)
     hit = np.where(test == np.repeat(best, counts), pos, np.iinfo(np.int64).max)
@@ -349,8 +353,8 @@ def _policy_arcs(model: CtmdpModel, post_ids):
     return src[keep], dst[keep], model.trn_rates[keep]
 
 
-def _chain_gains(src, dst, rate, costs, with_bias=False):
-    """Gains, and with ``with_bias`` biases, of every node of a chain.
+def _chain_gains(src, dst, rate, costs):
+    """Gains and biases of every node of a chain.
 
     The chain's arcs run from ``src`` to ``dst`` at ``rate``, with no
     self-loops, and ``costs`` holds one row of cost rates per node and
@@ -394,8 +398,8 @@ def _chain_gains(src, dst, rate, costs, with_bias=False):
         [np.bincount(labels, weights=pi * c, minlength=n_comp) for c in costs.T] + [mass]
     ) / mass[:, None]
     gain = class_gain[labels, :-1]
-    bias = np.zeros_like(gain) if with_bias else None
-    if with_bias and lu is not None:
+    bias = np.zeros_like(gain)
+    if lu is not None:
         # out_i h_i - sum_{j free} rate(i->j) h_j = cost_i - gain_i for free i
         bias[free] = lu.solve(costs[free] - gain[free], trans="T")
     del lu  # free its fill before the transient factorization
@@ -415,59 +419,24 @@ def _chain_gains(src, dst, rate, costs, with_bias=False):
     np.add.at(rhs, pos[src[absorb]], rate[absorb, None] * class_gain[labels[dst[absorb]]])
     x = lu.solve(rhs)
     gain[trans] = x[:, :-1] / x[:, -1:]
-    if with_bias:
-        # the same rows with the bias equation cost_i - gain_i + sum rate (h_j - h_i) = 0
-        rhs = costs[trans] - gain[trans]
-        np.add.at(rhs, pos[src[absorb]], rate[absorb, None] * bias[dst[absorb]])
-        bias[trans] = lu.solve(rhs)
+    # the same rows with the bias equation cost_i - gain_i + sum rate (h_j - h_i) = 0
+    rhs = costs[trans] - gain[trans]
+    np.add.at(rhs, pos[src[absorb]], rate[absorb, None] * bias[dst[absorb]])
+    bias[trans] = lu.solve(rhs)
     return gain, bias
-
-
-def _breadth_first(n, src, dst, start):
-    """The nodes reachable from ``start`` in breadth-first order, the
-    start first, over arcs ``src`` -> ``dst`` sorted by source.
-
-    One level at a time: the arcs out of the current level, node by node
-    and in arc order within a node, discover the next level in the order
-    of their first unvisited targets, the order a first-in first-out
-    search visits them in.
-    """
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    level = np.array([start], dtype=np.int64)
-    levels = [level]
-    while level.size:
-        counts = offsets[level + 1] - offsets[level]
-        ends = np.cumsum(counts)
-        arcs = np.repeat(offsets[level] - ends + counts, counts) + np.arange(ends[-1])
-        targets = dst[arcs]
-        targets = targets[~seen[targets]]
-        _, first = np.unique(targets, return_index=True)
-        level = targets[np.sort(first)]
-        seen[level] = True
-        levels.append(level)
-    return np.concatenate(levels)
 
 
 def evaluate_policy(model: CtmdpModel, policy: MaintenancePolicy, initial_state=0) -> GainPair:
     """Exact long-run cost pair of a policy from a given starting state.
 
-    The policy's chain is restricted to the post-states reachable from
-    the start (breadth-first, the start first) and solved for their gains
-    (see ``_chain_gains``): the start's own class gain when it is
+    The policy's chain on all post-states is solved for its gains, as
+    each policy-iteration step solves it (see ``_chain_gains``), and the
+    start's post-state gives the pair: its own class gain when it is
     recurrent, the absorption-weighted mix of the class gains when it is
     transient.  ``initial_state`` is a pre-decision state id in
     ``[0, n)`` or the state's rows.
     """
-    n = model.n_states
-    start = int(policy.post_ids[model.start_id(initial_state)])
-    src, dst, rate = _policy_arcs(model, policy.post_ids)
-    nodes = _breadth_first(n, src, dst, start)
-    local = np.full(n, -1, dtype=np.int64)
-    local[nodes] = np.arange(nodes.shape[0])
-    keep = local[src] >= 0  # arcs out of reachable nodes stay reachable
-    costs = np.column_stack([model.cost_op[nodes], model.cost_fail[nodes]])
-    gain, _ = _chain_gains(local[src[keep]], local[dst[keep]], rate[keep], costs)
-    return GainPair(float(gain[0, 0]), float(gain[0, 1]))
+    costs = np.column_stack([model.cost_op, model.cost_fail])
+    gain, _ = _chain_gains(*_policy_arcs(model, policy.post_ids), costs)
+    start = policy.post_ids[model.start_id(initial_state)]
+    return GainPair(float(gain[start, 0]), float(gain[start, 1]))

@@ -309,6 +309,16 @@ class TestDmp:
             assert "penalty must be finite and non-negative" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_overflowing_penalty(self, base_path, tmp_path, capsys):
+        out = tmp_path / "gain.txt"
+        code = main(
+            ["dmp", base_path, "--design", "1,1,0,0", "--penalty", "1e306", "--out", str(out)]
+        )
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: penalty 1e+306 overflows the policy-improvement tests\n"
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_plain_run(self, base_path, tmp_path, capsys):
