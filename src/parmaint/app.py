@@ -87,9 +87,6 @@ class ParetoFront:
     def __len__(self):
         return len(self.points)
 
-    def designs(self):
-        return sorted({p.design for p in self.points})
-
 
 def non_nested_designs(solutions):
     """Drop solutions whose design fits componentwise inside another's."""

@@ -28,16 +28,25 @@ EXIT_ERROR = 1
 EXIT_FLAGGED = 2
 
 
+def _numbers(flag, text, kind):
+    """The comma-separated values of a flag, each parsed by ``kind``."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        what = "integers" if kind is int else "numbers"
+        raise ValueError(f"{flag} needs comma-separated {what}, got {text!r}") from None
+
+
 def _load(args):
     instance = load_instance(args.instance)
     if args.multipliers:
-        values = [float(v) for v in args.multipliers.split(",")]
+        values = _numbers("--multipliers", args.multipliers, float)
         instance = instance.modified(rate_multipliers=values)
     return instance
 
 
 def _parse_design(instance, text):
-    counts = [int(v) for v in text.split(",")]
+    counts = _numbers("--design", text, int)
     if len(counts) != instance.n_types:
         raise InstanceError(
             f"design needs {instance.n_types} counts, got {len(counts)}"
@@ -147,6 +156,8 @@ def cmd_dmp(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     instance = _load(args)
     design = _parse_design(instance, args.design)
     model = build_model(instance, design=design)

@@ -188,11 +188,6 @@ class CtmdpModel:
             choice = choice * radix[:, i] + acts[:, i]
         return choice
 
-    def action_vector(self, sid: int, post_id: int):
-        pre = self.states[sid]
-        post = self.states[post_id]
-        return tuple(int(post[2 * i] - pre[2 * i]) for i in range(self.n_types))
-
     def state_string(self, sid: int) -> str:
         return "|".join(f"{s1},{s2}" for s1, s2 in self.state_rows(sid))
 
@@ -288,19 +283,16 @@ def _build_actions(design, states, strides, sizes):
     return offsets, posts
 
 
-def build_model(
-    instance: Instance,
-    design,
-    *,
-    ceiling: int | None = DEFAULT_STATE_CEILING,
-) -> CtmdpModel:
-    """Build the decision model of one fixed design."""
+def build_model(instance: Instance, design) -> CtmdpModel:
+    """Build the decision model of one fixed design; one with more than
+    ``DEFAULT_STATE_CEILING`` states raises ``StateSpaceError``."""
     design = tuple(int(x) for x in design)
     if len(design) != instance.n_types or any(x < 0 for x in design):
         raise ValueError(f"bad design {design} for {instance.n_types} types")
     sizes = np.array([_pair_count(m) for m in design], dtype=np.int64)
     total = int(np.prod(sizes))
-    if ceiling is not None and total > ceiling:
+    ceiling = DEFAULT_STATE_CEILING
+    if total > ceiling:
         raise StateSpaceError(
             f"design {design} yields {total} states, over the ceiling "
             f"of {ceiling}",

@@ -16,6 +16,7 @@ table once and produces the static candidate front from it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -110,28 +111,36 @@ def probability_chain_values(instance: Instance, design):
     return y, z
 
 
+def _design_prefixes(instance: Instance):
+    """Each feasible choice of copies of all types but the last, in lex
+    order, with the count k of the last type's copies that still fit:
+    the designs 0 <= x <= copy bounds with A x <= b that extend it end in
+    0..k-1.  Coefficients are non-negative, so at every type the copies
+    that fit are a prefix 0..k-1, and k is found by bisection."""
+    a, b, caps = instance.constraints, instance.constraint_bounds, instance.copy_bounds
+
+    def rec(prefix, slack):
+        i = len(prefix)
+        k = bisect_left(
+            range(int(caps[i]) + 1), True, key=lambda v: np.any(slack - v * a[:, i] < -1e-9)
+        )
+        if i == len(caps) - 1:
+            yield prefix, k
+            return
+        for v in range(k):
+            yield from rec(prefix + (v,), slack - v * a[:, i])
+
+    return rec((), b.astype(float))
+
+
+def _feasible_count(instance: Instance) -> int:
+    """Number of designs ``_feasible_designs`` lists, without listing them."""
+    return sum(k for _, k in _design_prefixes(instance))
+
+
 def _feasible_designs(instance: Instance) -> list:
     """All integer designs 0 <= x <= copy bounds with A x <= b, lex order."""
-    a, b, caps = instance.constraints, instance.constraint_bounds, instance.copy_bounds
-    n = len(caps)
-    cols = [a[:, i] for i in range(n)]
-    out = []
-    cur = [0] * n
-
-    def rec(i, slack):
-        if i == n:
-            out.append(tuple(cur))
-            return
-        for v in range(int(caps[i]) + 1):
-            rest = slack - v * cols[i]
-            if np.any(rest < -1e-9):
-                break  # coefficients are non-negative: more copies only worse
-            cur[i] = v
-            rec(i + 1, rest)
-        cur[i] = 0
-
-    rec(0, b.astype(float))
-    return out
+    return [prefix + (v,) for prefix, k in _design_prefixes(instance) for v in range(k)]
 
 
 def _design_table(instance: Instance):

@@ -27,7 +27,7 @@ from parmaint.app import (
     _solve_point,
 )
 from parmaint.ctmdp import build_model
-from parmaint.dop import _feasible_designs
+from parmaint.dop import _feasible_count, _feasible_designs
 
 __all__ = [
     "EnumerationError",
@@ -40,6 +40,7 @@ __all__ = [
 
 DESIGN_CEILING = 200_000
 DICHOTOMIC_DEPTH = 40
+DICHOTOMIC_RTOL = 1e-9  # relative margin a segment's solve must beat its ends by
 PENALTY_CLAMP = (1e-9, 1e12)  # bounds on the segment weights solved at
 
 
@@ -61,11 +62,13 @@ def enumerate_feasible_designs(
 
     With ``maximal_only`` keeps just the designs to which no copy of any
     type can be added — sufficient for front purposes, since a larger
-    design can emulate any smaller one.
+    design can emulate any smaller one.  The designs are counted before
+    any is listed, so a space above ``ceiling`` raises at once.
     """
+    count = _feasible_count(instance)
+    if count > ceiling:
+        raise EnumerationError(count, ceiling)
     designs = _feasible_designs(instance)
-    if len(designs) > ceiling:
-        raise EnumerationError(len(designs), ceiling)
     if not maximal_only:
         return designs
     members = set(designs)
@@ -82,16 +85,17 @@ def enumerate_feasible_designs(
     return out
 
 
-def dichotomic_expand(solve_at, left, right, rel_tol=1e-9, max_depth=DICHOTOMIC_DEPTH):
+def dichotomic_expand(solve_at, left, right, depth=DICHOTOMIC_DEPTH):
     """Supported points strictly between two front points, recursively.
 
     ``solve_at(penalty)`` must return an exactly evaluated SolutionPoint.
     The solve is at the segment's slope, the penalty at which both ends
     scalarize (``g_o + penalty * g_f``) to the same value; recursion
-    stops when the solve no longer beats that value by ``rel_tol``
-    relative, or at ``max_depth``.
+    stops when the solve no longer beats that value by
+    ``DICHOTOMIC_RTOL`` relative, or ``DICHOTOMIC_DEPTH`` levels down
+    (``depth`` counts the levels left).
     """
-    if max_depth <= 0:
+    if depth <= 0:
         return []
     d_gf = left.g_f - right.g_f
     d_go = right.g_o - left.g_o
@@ -101,15 +105,15 @@ def dichotomic_expand(solve_at, left, right, rel_tol=1e-9, max_depth=DICHOTOMIC_
     mid = solve_at(penalty)
     base = left.g_o + penalty * left.g_f
     value = mid.g_o + penalty * mid.g_f
-    if base - value <= rel_tol * max(1.0, abs(base)):
+    if base - value <= DICHOTOMIC_RTOL * max(1.0, abs(base)):
         return []
     for end in (left, right):
         if _close(mid.g_o, end.g_o, DOM_TOL) and _close(mid.ln_g_f, end.ln_g_f, DOM_TOL):
             return []
     return (
-        dichotomic_expand(solve_at, left, mid, rel_tol, max_depth - 1)
+        dichotomic_expand(solve_at, left, mid, depth - 1)
         + [mid]
-        + dichotomic_expand(solve_at, mid, right, rel_tol, max_depth - 1)
+        + dichotomic_expand(solve_at, mid, right, depth - 1)
     )
 
 
@@ -174,10 +178,6 @@ class ComparisonReport:
 
     def count(self, status: str) -> int:
         return sum(1 for e in self.entries if e.status == status)
-
-    @property
-    def dominated(self):
-        return tuple(e for e in self.entries if e.status == "dominated")
 
 
 def compare_fronts(front, reference, tolerance: float = 1e-6) -> ComparisonReport:

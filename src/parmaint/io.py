@@ -156,7 +156,7 @@ def write_plot_data(path, instance, front) -> None:
 # ---------------------------------------------------------------- gain reports
 
 
-def write_gain_report(path, instance, design, penalty, gain, extra=()) -> None:
+def write_gain_report(path, instance, design, penalty, gain) -> None:
     counts = instance.to_catalog(design)
     with open(path, "w") as fh:
         fh.write("# parmaint gain report\n")
@@ -165,8 +165,6 @@ def write_gain_report(path, instance, design, penalty, gain, extra=()) -> None:
         fh.write(f"g_o = {fmt(gain.g_o)}\n")
         fh.write(f"g_f = {fmt(gain.g_f)}\n")
         fh.write(f"ln_g_f = {fmt(gain.ln_g_f)}\n")
-        for key, value in extra:
-            fh.write(f"{key} = {value}\n")
 
 
 # --------------------------------------------------------------------- policy

@@ -13,15 +13,16 @@ their absorption-weighted gains and biases.  So policies whose chain
 has transient states or several recurrent classes are handled too
 (direct methods as in Stewart, *Introduction to the Numerical Solution
 of Markov Chains*, 1994, ch. 2).  Chains and blocks of up to
-``DENSE_NODES`` nodes, the measured size below which dense numpy beats
-scipy's sparse routines per call, are solved dense; larger ones sparse,
-and only they import scipy.  Both factorizations keep the diagonal
-pivots of these diagonally dominant M-matrices and exchange no rows (see
-``_m_matrix_lu``).  The solve evaluates each policy for the operational
-cost and the failure indicator at once, so it returns the certified
-policy's exact pair ``(g_o, g_f)`` with no second evaluation;
-``evaluate_policy`` solves the same chain, on all post-states, for
-policies no solve produced and other starting states.
+``DENSE_NODES`` nodes (see its comment for the measured trade-off) are
+solved dense; larger ones sparse, and only they import scipy.  Both
+factorizations keep the diagonal pivots of these diagonally dominant
+M-matrices and exchange no rows (see ``_m_matrix_lu``).  The solve
+evaluates each policy for the operational cost and the failure
+indicator at once, so it returns the certified policy's exact pair
+``(g_o, g_f)`` with no second evaluation; ``evaluate_policy`` solves the
+same chain for policies no solve produced and other starting states.
+Both solve it on the post-states the policy uses, the only ones its
+moves reach.
 """
 
 from __future__ import annotations
@@ -44,11 +45,12 @@ __all__ = [
 
 LN_GF_FLOOR = 1e-300  # below this, report log failure rate as -inf
 
-DEFAULT_MAX_ITERATIONS = 1000  # policies evaluated before a solve is flagged
+MAX_ITERATIONS = 1000  # policies evaluated before a solve is flagged
 IMPROVE_RTOL = 1e-12  # margin an action must beat the current one by, relative
-# chains and blocks of up to this many nodes are solved dense: the largest
-# measured chain size at which that beat the sparse path per call
-DENSE_NODES = 84
+# chains and blocks of up to this many nodes are solved dense: per call that
+# wins below 90 nodes and is at most 0.15 ms slower up to 100, while a
+# command whose chains all fit never imports scipy (0.3 s)
+DENSE_NODES = 100
 
 
 @dataclass(frozen=True)
@@ -89,9 +91,6 @@ class MaintenancePolicy:
         self.choice = choice
         self.post_ids = model.act_posts[model.act_offsets[:-1] + choice]
 
-    def action_vector(self, sid: int):
-        return self.model.action_vector(sid, int(self.post_ids[sid]))
-
     def __eq__(self, other):
         return (
             isinstance(other, MaintenancePolicy)
@@ -120,7 +119,6 @@ class SolveResult:
 def solve_average_cost(
     model: CtmdpModel,
     penalty: float,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
     initial_policy: MaintenancePolicy | None = None,
 ) -> SolveResult:
     """Optimal average cost of the failure-penalized problem.
@@ -132,7 +130,7 @@ def solve_average_cost(
     unless another beats it by a relative ``IMPROVE_RTOL``.  The solve
     converges when no state has an improving action, which certifies
     the returned policy optimal from every starting state; after
-    ``max_iterations`` evaluated policies it stops with the last one
+    ``MAX_ITERATIONS`` evaluated policies it stops with the last one
     unconverged.  Each policy's chain is solved once for the two cost
     columns (operational cost rate and failure indicator), and the
     penalized gains and biases are their combinations, so the result
@@ -147,24 +145,20 @@ def solve_average_cost(
         raise ValueError(f"penalty must be finite and non-negative, got {penalty}")
     if model.n_states == 0:
         raise ValueError("model has no states")
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
     if initial_policy is None:
         choice = np.zeros(model.n_states, dtype=np.int64)
     elif initial_policy.model is not model:
         raise ValueError("initial_policy belongs to another model")
     else:
         choice = initial_policy.choice
-    costs = np.column_stack([model.cost_op, model.cost_fail])
-    for step in range(1, max_iterations + 1):
+    for step in range(1, MAX_ITERATIONS + 1):
         policy = MaintenancePolicy(model, choice)
         # the gains and biases of the two cost columns; the penalized
         # ones follow by linearity
-        node_gain, node_bias = _chain_gains(*_policy_arcs(model, policy.post_ids), costs)
-        pairs = node_gain[policy.post_ids]
+        pairs, pair_bias = _policy_gains(model, policy.post_ids)
         with np.errstate(over="ignore", invalid="ignore"):  # _switch rejects overflow
             gains = pairs[:, 0] + penalty * pairs[:, 1]
-            bias = node_bias[policy.post_ids, 0] + penalty * node_bias[policy.post_ids, 1]
+            bias = pair_bias[:, 0] + penalty * pair_bias[:, 1]
             choice = _improve(model, penalty, policy.choice, gains, bias)
         if choice is None:
             break
@@ -283,23 +277,12 @@ def _strong_components(m, src, dst, rate):
     return connected_components(graph, directed=True, connection="strong")
 
 
-class _DenseInverse:
-    """The explicit inverse of a small matrix, solving like a scipy LU."""
-
-    def __init__(self, inverse):
-        self.inverse = inverse
-
-    def solve(self, b, trans="N"):
-        # + 0.0 turns the -0.0 a zero right-hand side can give into 0.0
-        return (self.inverse.T if trans == "T" else self.inverse) @ b + 0.0
-
-
 def _m_matrix_lu(out, src, dst, rates, transpose=False):
-    """LU of the M-matrix ``diag(out) - R``, or of its transpose with
+    """Solver of the M-matrix ``diag(out) - R``, or of its transpose with
     ``transpose``, where R sums ``rates`` at (src, dst): row i holds
     node i's total outflow ``out[i]`` and the arcs leaving it within the
-    block.  Solves with ``.solve(b, trans=...)`` as scipy's ``splu``
-    does; None for an empty matrix.
+    block.  The solver is called as ``solve(b, trans=...)``, like the
+    ``solve`` of scipy's ``splu``; None for an empty matrix.
 
     The matrix is a nonsingular, diagonally dominant M-matrix, and both
     paths keep its diagonal pivots: elimination then needs no row
@@ -320,7 +303,14 @@ def _m_matrix_lu(out, src, dst, rates, transpose=False):
         a = np.diag(out)
         np.subtract.at(a, (dst, src), rates)
         inverse = np.linalg.inv(a)
-        return _DenseInverse(inverse if transpose else inverse.T)
+        if not transpose:
+            inverse = inverse.T
+
+        def solve(b, trans="N"):
+            # + 0.0 turns the -0.0 a zero right-hand side can give into 0.0
+            return (inverse.T if trans == "T" else inverse) @ b + 0.0
+
+        return solve
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import splu
 
@@ -338,19 +328,29 @@ def _m_matrix_lu(out, src, dst, rates, transpose=False):
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
-    )
+    ).solve
 
 
-def _policy_arcs(model: CtmdpModel, post_ids):
-    """The arcs (source, target, rate) of the policy's chain on all
-    post-states: every transition target is replaced by the post-state
-    the policy moves it to, and self-loops are dropped (they do not
-    change a continuous-time chain).  Parallel arcs stay separate, and
-    the arcs come sorted by source."""
+def _policy_gains(model: CtmdpModel, post_ids):
+    """Gains and biases, one row per state and one column per cost
+    (operational cost rate, failure indicator), of the policy moving each
+    state to its post-state in ``post_ids``.
+
+    The chain is solved (see ``_chain_gains``) on the post-states the
+    policy uses, numbered in order: every arc, its target replaced by the
+    post-state the policy moves it to, lands among them, and each
+    recurrent class keeps its first node, where its biases are 0.
+    Self-loops are dropped; they do not change a continuous-time chain.
+    """
+    used = np.zeros(model.n_states, dtype=bool)
+    used[post_ids] = True
+    local = np.cumsum(used) - 1
     src = np.repeat(np.arange(model.n_states, dtype=np.int64), np.diff(model.trn_offsets))
     dst = post_ids[model.trn_targets]
-    keep = src != dst
-    return src[keep], dst[keep], model.trn_rates[keep]
+    keep = used[src] & (src != dst)
+    costs = np.column_stack([model.cost_op, model.cost_fail])[used]
+    gain, bias = _chain_gains(local[src[keep]], local[dst[keep]], model.trn_rates[keep], costs)
+    return gain[local[post_ids]], bias[local[post_ids]]
 
 
 def _chain_gains(src, dst, rate, costs):
@@ -383,12 +383,12 @@ def _chain_gains(src, dst, rate, costs):
     into = rec[src] & free[dst]
     coupled = into & free[src]
     pinned = into & ~free[src]
-    lu = _m_matrix_lu(
+    solve = _m_matrix_lu(
         out[free], pos[src[coupled]], pos[dst[coupled]], rate[coupled], transpose=True
     )
     pi = rec.astype(np.float64)
-    if lu is not None:
-        pi[free] = lu.solve(
+    if solve is not None:
+        pi[free] = solve(
             np.bincount(pos[dst[pinned]], weights=rate[pinned], minlength=int(free.sum()))
         )
     mass = np.bincount(labels, weights=pi, minlength=n_comp)
@@ -399,10 +399,10 @@ def _chain_gains(src, dst, rate, costs):
     ) / mass[:, None]
     gain = class_gain[labels, :-1]
     bias = np.zeros_like(gain)
-    if lu is not None:
+    if solve is not None:
         # out_i h_i - sum_{j free} rate(i->j) h_j = cost_i - gain_i for free i
-        bias[free] = lu.solve(costs[free] - gain[free], trans="T")
-    del lu  # free its fill before the transient factorization
+        bias[free] = solve(costs[free] - gain[free], trans="T")
+    del solve  # free its fill before the transient factorization
     trans = ~rec
     if not trans.any():
         return gain, bias
@@ -414,29 +414,28 @@ def _chain_gains(src, dst, rate, costs):
     pos = np.cumsum(trans) - 1
     stay = trans[src] & trans[dst]
     absorb = trans[src] & rec[dst]
-    lu = _m_matrix_lu(out[trans], pos[src[stay]], pos[dst[stay]], rate[stay])
+    solve = _m_matrix_lu(out[trans], pos[src[stay]], pos[dst[stay]], rate[stay])
     rhs = np.zeros((int(trans.sum()), class_gain.shape[1]))
     np.add.at(rhs, pos[src[absorb]], rate[absorb, None] * class_gain[labels[dst[absorb]]])
-    x = lu.solve(rhs)
+    x = solve(rhs)
     gain[trans] = x[:, :-1] / x[:, -1:]
     # the same rows with the bias equation cost_i - gain_i + sum rate (h_j - h_i) = 0
     rhs = costs[trans] - gain[trans]
     np.add.at(rhs, pos[src[absorb]], rate[absorb, None] * bias[dst[absorb]])
-    bias[trans] = lu.solve(rhs)
+    bias[trans] = solve(rhs)
     return gain, bias
 
 
 def evaluate_policy(model: CtmdpModel, policy: MaintenancePolicy, initial_state=0) -> GainPair:
     """Exact long-run cost pair of a policy from a given starting state.
 
-    The policy's chain on all post-states is solved for its gains, as
-    each policy-iteration step solves it (see ``_chain_gains``), and the
-    start's post-state gives the pair: its own class gain when it is
-    recurrent, the absorption-weighted mix of the class gains when it is
-    transient.  ``initial_state`` is a pre-decision state id in
-    ``[0, n)`` or the state's rows.
+    The policy's chain is solved for its gains, as each policy-iteration
+    step solves it (see ``_policy_gains``), and the start's post-state
+    gives the pair: its own class gain when it is recurrent, the
+    absorption-weighted mix of the class gains when it is transient.
+    ``initial_state`` is a pre-decision state id in ``[0, n)`` or the
+    state's rows.
     """
-    costs = np.column_stack([model.cost_op, model.cost_fail])
-    gain, _ = _chain_gains(*_policy_arcs(model, policy.post_ids), costs)
-    start = policy.post_ids[model.start_id(initial_state)]
+    gain, _ = _policy_gains(model, policy.post_ids)
+    start = model.start_id(initial_state)
     return GainPair(float(gain[start, 0]), float(gain[start, 1]))

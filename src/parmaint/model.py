@@ -117,12 +117,6 @@ class Instance:
     def repair_costs(self) -> np.ndarray:
         return np.array([c.repair_cost for c in self.components])
 
-    def alphas(self) -> np.ndarray:
-        return np.array([c.alpha for c in self.components])
-
-    def taus(self) -> np.ndarray:
-        return np.array([c.tau for c in self.components])
-
     def is_feasible(self, design) -> bool:
         """Whether a design (canonical-order copy counts) fits the budget."""
         x = np.asarray(design, dtype=float)

@@ -138,7 +138,7 @@ class TestFrontContainer:
         )
         assert len(front) == 2
         assert [p.g_o for p in front] == [1.0, 2.0]
-        assert front.designs() == [(0, 2), (1, 0)]
+        assert sorted({p.design for p in front}) == [(0, 2), (1, 0)]
         assert front.complete
 
     def test_notes_mark_incomplete(self):

@@ -94,6 +94,12 @@ class TestValidate:
         assert code == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
 
+    def test_non_numeric_multiplier(self, base_path, capsys):
+        code = main(["instance", "validate", base_path, "--multipliers", "1,a,1,1"])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: --multipliers needs comma-separated numbers, got '1,a,1,1'\n"
+
 
 class TestDop:
     def test_static_table(self, base_path, base_instance, tmp_path, capsys):
@@ -243,6 +249,25 @@ class TestExact:
         assert code == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
 
+    def test_ceiling_checked_before_listing(self, tmp_path, capsys):
+        # a million copies of one type: counted at once, never listed
+        doc = {
+            "components": [
+                {"label": "a", "p": 0.9, "tau": 1, "usage_cost": 1, "repair_cost": 10,
+                 "install_cost": 1, "weight": 1}
+            ],
+            "constraints": [{"name": "slots", "coefficients": [1], "bound": 1e6}],
+        }
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "exact.txt"
+        start = time.perf_counter()
+        code = main(["exact", str(path), "--out", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_ERROR
+        assert "design space has 1000001 members" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDmp:
     def test_empty_design_full_repair(self, base_path, tmp_path, capsys):
@@ -281,12 +306,9 @@ class TestDmp:
         assert float(got["g_f"]) == pytest.approx(0.01, abs=1e-10)
         model = build_model(base_instance, (1, 0, 0, 0))
         policy = read_policy(pol, model)
-        assert policy.action_vector(model.state_id(((0, 1), (0, 0), (0, 0), (0, 0)))) == (
-            1,
-            0,
-            0,
-            0,
-        )
+        sid = model.state_id(((0, 1), (0, 0), (0, 0), (0, 0)))
+        repairs = model.states[policy.post_ids[sid], 0::2] - model.states[sid, 0::2]
+        assert repairs.tolist() == [1, 0, 0, 0]
 
     def test_wrong_design_length(self, base_path, capsys):
         code = main(["dmp", base_path, "--design", "1,0,0"])
@@ -297,6 +319,12 @@ class TestDmp:
         code = main(["dmp", base_path, "--design", "9,9,9,9"])
         assert code == EXIT_ERROR
         assert "violates" in capsys.readouterr().err
+
+    def test_non_integer_design_count(self, base_path, capsys):
+        code = main(["dmp", base_path, "--design", "1,x,0,0"])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: --design needs comma-separated integers, got '1,x,0,0'\n"
 
     def test_bad_penalty(self, base_path, tmp_path, capsys):
         out = tmp_path / "gain.txt"
@@ -379,6 +407,15 @@ class TestSimulate:
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert "horizon 1e+30" in err and "over the ceiling" in err
+        assert not out.exists()
+
+    def test_negative_seed(self, base_path, tmp_path, capsys):
+        out = tmp_path / "sim.txt"
+        code = main(
+            ["simulate", base_path, "--design", "1,0,0,0", "--seed", "-1", "--out", str(out)]
+        )
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
         assert not out.exists()
 
     def test_batches_beyond_ceiling(self, base_path, tmp_path, capsys):
@@ -545,6 +582,9 @@ class TestScipyOnlyForLargeChains:
         assert self._run(root, "app", "instances/base-6-20.json", "--out", out) == (False, False)
         single = "perfbench/data/single-1.json"
         assert self._run(root, "exact", single, "--out", out) == (False, False)
+        # full repair on 2,250 states uses the 100 with nothing damaged
+        argv = ["dmp", "perfbench/data/large-3.json", "--design", "3,4,4"]
+        assert self._run(root, *argv, "--out", str(tmp_path / "gain.txt")) == (False, False)
 
     def test_large_chain_takes_sparse_lu(self, instances_dir, tmp_path):
         # 2,250 states: the solve's chains are far above the cutoff

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from parmaint import ctmdp
 from parmaint.ctmdp import (
     CtmdpModel,
     StateSpaceError,
@@ -218,13 +219,11 @@ class TestBuildModel:
         model = build_model(base_instance, design=(2, 0, 0, 0))
         sid = model.state_id(((0, 2), (0, 0), (0, 0), (0, 0)))
         lo, hi = model.act_offsets[sid], model.act_offsets[sid + 1]
-        vectors = [
-            model.action_vector(sid, int(p)) for p in model.act_posts[lo:hi]
-        ]
-        assert vectors == [
-            (0, 0, 0, 0),
-            (1, 0, 0, 0),
-            (2, 0, 0, 0),
+        repairs = model.states[model.act_posts[lo:hi], 0::2] - model.states[sid, 0::2]
+        assert repairs.tolist() == [
+            [0, 0, 0, 0],
+            [1, 0, 0, 0],
+            [2, 0, 0, 0],
         ]
 
     def test_action_indices_pick_the_listed_actions(self, base_instance):
@@ -232,9 +231,8 @@ class TestBuildModel:
         model = build_model(base_instance, design=(2, 1, 1, 1))
         acts = rng.integers(0, model.states[:, 1::2].astype(np.int64) + 1)
         choice = model.action_indices(acts)
-        for sid in range(model.n_states):
-            post = int(model.act_posts[model.act_offsets[sid] + choice[sid]])
-            assert model.action_vector(sid, post) == tuple(acts[sid])
+        posts = model.act_posts[model.act_offsets[:-1] + choice]
+        np.testing.assert_array_equal(model.states[posts, 0::2] - model.states[:, 0::2], acts)
 
     def test_state_string(self, base_instance):
         model = build_model(base_instance, design=(2, 1, 0, 0))
@@ -245,9 +243,10 @@ class TestBuildModel:
         with pytest.raises(Exception):
             build_model(base_instance, design=(9, 9, 9, 9))
 
-    def test_state_ceiling(self, base_instance):
+    def test_state_ceiling(self, base_instance, monkeypatch):
+        monkeypatch.setattr(ctmdp, "DEFAULT_STATE_CEILING", 10)
         with pytest.raises(StateSpaceError) as err:
-            build_model(base_instance, design=(2, 1, 0, 0), ceiling=10)
+            build_model(base_instance, design=(2, 1, 0, 0))
         assert err.value.report["total"] == 18
         assert err.value.report["ceiling"] == 10
 

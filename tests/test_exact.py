@@ -85,7 +85,7 @@ class TestCompareFronts:
         assert report.count("matched") == 1
         assert report.count("dominated") == 1
         assert report.count("absent") == 1
-        assert report.dominated[0].dominator is reference[0]
+        assert report.entries[1].dominator is reference[0]
         assert report.entries[0].distance == 0.0
 
     def test_matching_infinities_have_zero_distance(self):
@@ -308,8 +308,9 @@ class TestFailureNotes:
         monkeypatch.setattr(parmaint.exact, "_trace_design", failing)
         front = exact_front(inst)
         assert front.notes == ("design (1,): exact trace failed: boom",)
-        assert (1,) not in front.designs()
-        assert (2,) in front.designs()
+        designs = {p.design for p in front}
+        assert (1,) not in designs
+        assert (2,) in designs
 
 
 class TestRevalidate:

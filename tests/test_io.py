@@ -202,7 +202,6 @@ class TestGainReport:
             (1, 0, 0, 0),
             100.0,
             pair,
-            extra=(("iterations", res.iterations),),
         )
         text = path.read_text()
         got = dict(
@@ -215,7 +214,6 @@ class TestGainReport:
         assert float(got["g_o"]) == pytest.approx(pair.g_o, rel=1e-11)
         assert float(got["g_f"]) == pytest.approx(pair.g_f, rel=1e-11)
         assert float(got["ln_g_f"]) == pytest.approx(pair.ln_g_f, rel=1e-11)
-        assert int(got["iterations"]) == res.iterations
 
     def test_missing_penalty_dash(self, tmp_path, base_instance):
         model = build_model(base_instance, (1, 0, 0, 0))

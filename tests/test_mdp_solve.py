@@ -11,7 +11,6 @@ from parmaint.mdp_solve import (
     GainPair,
     MaintenancePolicy,
     _chain_gains,
-    _policy_arcs,
     _strong_components,
     evaluate_policy,
     fully_active_policy,
@@ -63,11 +62,10 @@ class TestMaintenancePolicy:
         inst = single_type_instance(q=0.2, bound=3)
         model = build_model(inst, design=(3,))
         policy = fully_active_policy(model)
-        for sid in range(model.n_states):
-            (s1, s2) = model.state_rows(sid)[0]
-            assert policy.action_vector(sid) == (s2,)
-            post = model.state_rows(int(policy.post_ids[sid]))
-            assert post[0][1] == 0  # nothing left damaged
+        post = model.states[policy.post_ids]
+        # every damaged copy goes to repair, so nothing is left damaged
+        np.testing.assert_array_equal(post[:, 0] - model.states[:, 0], model.states[:, 1])
+        assert not post[:, 1].any()
 
     def test_equality(self):
         inst = single_type_instance(q=0.2, bound=2)
@@ -114,13 +112,14 @@ class TestSingleCopyClosedForms:
         assert gain.g_o == pytest.approx(0.0, abs=1e-10)
         assert gain.g_f == pytest.approx(1.0, abs=1e-10)
 
-    def test_certificate_holds(self):
+    def test_certificate_holds(self, monkeypatch):
         res = solve_average_cost(self.model, penalty=100.0)
         assert improving_actions(self.model, 100.0, res.policy, res.gains, res.bias) == []
         assert res.gains == pytest.approx(np.full(self.model.n_states, 2.99), rel=1e-12)
         # the never-repair start, cut off before improving, fails the check:
         # every start ends failed (gain 100), and repairing wins on bias
-        early = solve_average_cost(self.model, penalty=100.0, max_iterations=1)
+        monkeypatch.setattr(mdp_solve, "MAX_ITERATIONS", 1)
+        early = solve_average_cost(self.model, penalty=100.0)
         found = improving_actions(self.model, 100.0, early.policy, early.gains, early.bias)
         assert found and {reason for _, _, reason in found} == {"bias"}
 
@@ -132,20 +131,19 @@ class TestSingleCopyClosedForms:
         assert converged
         assert gain == pytest.approx(res.gain, abs=1e-8)
 
-    def test_unconverged_run_reports_honestly(self):
+    def test_unconverged_run_reports_honestly(self, monkeypatch):
         # the cold start never repairs, so at least a second policy is
         # needed; a cap of one returns the first, exactly evaluated
         full = solve_average_cost(self.model, penalty=100.0)
         assert full.converged and full.iterations >= 2
-        res = solve_average_cost(self.model, penalty=100.0, max_iterations=1)
+        monkeypatch.setattr(mdp_solve, "MAX_ITERATIONS", 1)
+        res = solve_average_cost(self.model, penalty=100.0)
         assert not res.converged
         assert res.iterations == 1
         assert not res.policy.choice.any()
         exact = evaluate_policy(self.model, res.policy).scalarized(100.0)
         assert res.gain == pytest.approx(exact, rel=1e-12)
         assert res.gain > full.gain + 1.0
-        with pytest.raises(ValueError, match="max_iterations"):
-            solve_average_cost(self.model, penalty=100.0, max_iterations=0)
 
     def test_warm_start_accepted(self):
         # the optimum at 64 is still optimal at 65: certified at once
@@ -275,7 +273,6 @@ class TestStartDependence:
 
     def test_two_recurrent_classes(self):
         inst, model, policy = self._two_type_setup()
-        a1, a2 = inst.alphas()
         q1, q2 = inst.q_vector()
         p1 = 1.0 - q1
         c1, c2 = inst.usage_costs()
@@ -297,7 +294,7 @@ class TestStartDependence:
 
     def test_transient_start_mixes_with_absorption_probabilities(self):
         inst, model, policy = self._two_type_setup()
-        a1, a2 = inst.alphas()
+        a1, a2 = (c.alpha for c in inst.components)
         cls1 = evaluate_policy(model, policy, initial_state=((0, 1), (0, 2)))
         cls2 = evaluate_policy(model, policy, initial_state=((0, 1), (1, 0)))
         # from all-healthy, reaching class 1 needs type b to fail twice
@@ -498,7 +495,7 @@ class TestValueIterationGate:
                 ours, reference = self._gains(model, penalty)
                 assert ours == pytest.approx(reference, rel=1e-9), (design, penalty)
                 policy = solve_average_cost(model, penalty).policy
-                src, dst, rate = _policy_arcs(model, policy.post_ids)
+                src, dst, rate, _ = _full_chain(model, policy.post_ids)
                 chain = coo_matrix((rate, (src, dst)), shape=(n, n))
                 n_comp, labels = connected_components(chain, connection="strong")
                 leaving = set(labels[src[labels[src] != labels[dst]]])
@@ -530,19 +527,68 @@ class TestSolvePair:
             for penalty in GATE_PENALTIES:
                 self._check(model, solve_average_cost(model, penalty), penalty)
 
-    def test_multichain_and_transient_start(self):
+    def test_multichain_and_transient_start(self, monkeypatch):
         # one evaluated step returns the start policy itself: state 0 is
         # transient and mixes the two recurrent classes
         _, model, policy = TestStartDependence()._two_type_setup()
         for penalty in (0.0, 7.0, 1e4):
-            res = solve_average_cost(model, penalty, max_iterations=1, initial_policy=policy)
+            monkeypatch.setattr(mdp_solve, "MAX_ITERATIONS", 1)
+            res = solve_average_cost(model, penalty, initial_policy=policy)
             assert res.policy == policy
             self._check(model, res, penalty)
+            monkeypatch.undo()
             self._check(model, solve_average_cost(model, penalty), penalty)
 
     def test_large_design(self, large_instance):
         model = build_model(large_instance, design=(3, 4, 4))
         self._check(model, solve_average_cost(model, 1e5), 1e5)
+
+
+def _full_chain(model, post_ids):
+    """The policy's chain on all post-states, those it never uses
+    included: arcs sorted by source, self-loops dropped, and the two
+    cost columns (operational cost rate, failure indicator)."""
+    src = np.repeat(np.arange(model.n_states), np.diff(model.trn_offsets))
+    dst = post_ids[model.trn_targets]
+    keep = src != dst
+    costs = np.column_stack([model.cost_op, model.cost_fail])
+    return src[keep], dst[keep], model.trn_rates[keep], costs
+
+
+class TestChainOnUsedPostStates:
+    """A policy's chain solved on the post-states it uses gives the gains
+    of its chain on all post-states."""
+
+    @staticmethod
+    def _full_gains(model, policy):
+        gain, _ = _chain_gains(*_full_chain(model, policy.post_ids))
+        return gain[policy.post_ids]
+
+    @staticmethod
+    def _close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_multichain_from_every_start(self, monkeypatch):
+        _, model, policy = TestStartDependence()._two_type_setup()
+        want = self._full_gains(model, policy)
+        for start in range(model.n_states):
+            pair = evaluate_policy(model, policy, initial_state=start)
+            self._close([pair.g_o, pair.g_f], want[start])
+        # one evaluated step: the solve's gains are those of this policy
+        monkeypatch.setattr(mdp_solve, "MAX_ITERATIONS", 1)
+        for penalty in (0.0, 7.0, 1e4):
+            res = solve_average_cost(model, penalty, initial_policy=policy)
+            self._close(res.gains, want[:, 0] + penalty * want[:, 1])
+
+    def test_base_designs_at_gate_penalties(self, base_instance):
+        for design in enumerate_feasible_designs(base_instance):
+            model = build_model(base_instance, design=design)
+            for penalty in GATE_PENALTIES:
+                res = solve_average_cost(model, penalty)
+                want = self._full_gains(model, res.policy)
+                self._close(res.gains, want[:, 0] + penalty * want[:, 1])
+                pair = evaluate_policy(model, res.policy)
+                self._close([pair.g_o, pair.g_f], want[0])
 
 
 def _random_chain(rng, m, n_classes):
@@ -602,7 +648,6 @@ class TestDenseAndSparsePaths:
         solves = 0
         for design in enumerate_feasible_designs(base_instance):
             model = build_model(base_instance, design=design)
-            costs = np.column_stack([model.cost_op, model.cost_fail])
             for penalty in GATE_PENALTIES:
                 dense, sparse = _dense_and_sparse(
                     monkeypatch, solve_average_cost, model, penalty
@@ -610,14 +655,13 @@ class TestDenseAndSparsePaths:
                 assert dense.converged and sparse.converged
                 assert dense.iterations == sparse.iterations, (design, penalty)
                 assert dense.policy == sparse.policy, (design, penalty)
-                self._agree(monkeypatch, *_policy_arcs(model, dense.policy.post_ids), costs)
+                self._agree(monkeypatch, *_full_chain(model, dense.policy.post_ids))
                 solves += 1
         assert solves == 532
 
     def test_multichain_transient_start(self, monkeypatch):
         _, model, policy = TestStartDependence()._two_type_setup()
-        costs = np.column_stack([model.cost_op, model.cost_fail])
-        self._agree(monkeypatch, *_policy_arcs(model, policy.post_ids), costs)
+        self._agree(monkeypatch, *_full_chain(model, policy.post_ids))
 
     def test_random_chains_with_several_classes(self, monkeypatch):
         rng = np.random.default_rng(11)
@@ -641,7 +685,7 @@ class TestDenseAndSparsePaths:
 class TestDiagonalPivots:
     def test_exact_front_base_converges_in_few_steps(self, base_instance, monkeypatch):
         # a dense LU that exchanged rows of the row-dominant systems made
-        # warm-started solves cycle to max_iterations at tie penalties
+        # warm-started solves cycle to MAX_ITERATIONS at tie penalties
         # and took 8,806 steps here; the sparse LU took 4,787
         import parmaint.app
 

@@ -179,8 +179,8 @@ class TestCanonicalOrder:
         assert inst.n_types == 1
         assert inst.q_vector()[0] == pytest.approx(0.25)
         assert inst.ln_q_vector()[0] == pytest.approx(math.log(0.25))
-        assert inst.alphas()[0] == 0.5
-        assert inst.taus()[0] == 1.5
+        assert inst.components[0].alpha == 0.5
+        assert inst.components[0].tau == 1.5
         assert inst.repair_costs()[0] == 4.0
 
 
@@ -272,7 +272,7 @@ class TestLoaders:
         np.testing.assert_allclose(
             base_instance.q_vector(), [0.01, 0.02, 0.03, 0.04], atol=1e-12
         )
-        np.testing.assert_allclose(base_instance.taus(), np.ones(4))
+        np.testing.assert_allclose([c.tau for c in base_instance.components], np.ones(4))
         np.testing.assert_allclose(base_instance.usage_costs(), np.ones(4))
         np.testing.assert_allclose(base_instance.repair_costs(), 100 * np.ones(4))
 
@@ -282,7 +282,9 @@ class TestLoaders:
         again = load_instance(path)
         assert again.labels == base_instance.labels
         np.testing.assert_allclose(again.q_vector(), base_instance.q_vector())
-        np.testing.assert_allclose(again.alphas(), base_instance.alphas())
+        np.testing.assert_allclose(
+            [c.alpha for c in again.components], [c.alpha for c in base_instance.components]
+        )
         assert again.copy_bounds == base_instance.copy_bounds
 
     def test_table_round_trip(self, base_instance, tmp_path):
