@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -28,7 +29,6 @@ __all__ = [
     "dop_objectives",
     "probability_chain_values",
     "solve_fdop",
-    "solve_eps_delta_dop",
     "sp1_sweep",
 ]
 
@@ -111,19 +111,25 @@ def probability_chain_values(instance: Instance, design):
     return y, z
 
 
+def _fit(a, caps, i, slack) -> int:
+    """Count k of type i's copy numbers that fit in ``slack``: 0..k-1.
+    Coefficients are non-negative, so the copies that fit are a prefix
+    of 0..caps[i], and k is found by bisection."""
+    return bisect_left(
+        range(int(caps[i]) + 1), True, key=lambda v: np.any(slack - v * a[:, i] < -1e-9)
+    )
+
+
 def _design_prefixes(instance: Instance):
     """Each feasible choice of copies of all types but the last, in lex
     order, with the count k of the last type's copies that still fit:
     the designs 0 <= x <= copy bounds with A x <= b that extend it end in
-    0..k-1.  Coefficients are non-negative, so at every type the copies
-    that fit are a prefix 0..k-1, and k is found by bisection."""
+    0..k-1."""
     a, b, caps = instance.constraints, instance.constraint_bounds, instance.copy_bounds
 
     def rec(prefix, slack):
         i = len(prefix)
-        k = bisect_left(
-            range(int(caps[i]) + 1), True, key=lambda v: np.any(slack - v * a[:, i] < -1e-9)
-        )
+        k = _fit(a, caps, i, slack)
         if i == len(caps) - 1:
             yield prefix, k
             return
@@ -134,8 +140,25 @@ def _design_prefixes(instance: Instance):
 
 
 def _feasible_count(instance: Instance) -> int:
-    """Number of designs ``_feasible_designs`` lists, without listing them."""
-    return sum(k for _, k in _design_prefixes(instance))
+    """Number of designs ``_feasible_designs`` lists, without listing them.
+
+    The count of completions of a prefix depends only on the next type
+    and the slack left, so it is memoized on the two; the slacks are
+    the same sums ``_design_prefixes`` forms, so the counts agree.
+    """
+    a, b, caps = instance.constraints, instance.constraint_bounds, instance.copy_bounds
+    last = len(caps) - 1
+
+    @cache
+    def count(i, slack):
+        slack = np.array(slack)
+        k = _fit(a, caps, i, slack)
+        if i == last:
+            return k
+        rest = slack - np.arange(k)[:, None] * a[:, i]  # row v: slack after v copies
+        return sum(count(i + 1, row) for row in map(tuple, rest.tolist()))
+
+    return count(0, tuple(b.astype(float)))
 
 
 def _feasible_designs(instance: Instance) -> list:
@@ -169,11 +192,12 @@ def _row(table, i, **fields) -> StaticSolution:
 
 
 def _solve_cap(instance: Instance, table, epsilon: float, delta: float) -> StaticSolution:
-    """Masked argmin of the penalized objective over the table's rows."""
+    """Masked argmin of the penalized objective over the table's rows.
+
+    The cap must admit a row; every cap ``sp1_sweep`` solves admits the
+    reliability anchor."""
     designs, repair, usage, ln_f = table
     keep = ln_f <= epsilon + EPS_SLACK
-    if not np.any(keep):
-        raise ValueError(f"no feasible design reaches a log failure rate of {epsilon}")
     c_top = instance.usage_costs().max()
     aug = repair + usage + (1.0 + delta) * c_top * np.exp(ln_f)
     aug = np.where(keep, aug, np.inf)
@@ -199,23 +223,6 @@ def solve_fdop(instance: Instance) -> tuple:
     """
     table = _design_table(instance)
     return table[0][_most_reliable(table)]
-
-
-def solve_eps_delta_dop(
-    instance: Instance, epsilon: float, delta: float = 0.1
-) -> StaticSolution:
-    """Exact minimizer of the failure-penalized static objective.
-
-    Minimizes operational cost rate plus (1 + delta) times the top usage
-    cost times the failure probability, over designs whose log failure
-    rate is at most ``epsilon``: a masked argmin over the table of every
-    feasible design.  The returned solution carries every co-optimal
-    design (within a small relative tolerance) in ``ties``, ordered by
-    (log failure rate, design); the representative is the most reliable
-    of them.
-    """
-    _check_cap(epsilon, delta)
-    return _solve_cap(instance, _design_table(instance), epsilon, delta)
 
 
 def sp1_sweep(

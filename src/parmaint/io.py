@@ -2,10 +2,9 @@
 
 All numeric output uses 12 significant digits so files compare stably
 across runs and platforms.  Design columns are always written in the
-order of the user's catalog, labeled ``x_<label>``; readers convert back
-to the solver's internal (usage-cost-sorted) order when given the
-instance.  See FORMATS.md at the repository root for the full format
-reference.
+order of the user's catalog, labeled ``x_<label>``, and front files are
+read back in that order.  See FORMATS.md at the repository root for the
+full format reference.
 """
 
 from __future__ import annotations
@@ -84,15 +83,13 @@ def write_static_table(path, instance, solutions) -> None:
 
 def write_front(path, instance, front) -> None:
     """Front rows: provenance, design counts, penalty, cost pair."""
-    points = front.points if isinstance(front, ParetoFront) else tuple(front)
-    notes = front.notes if isinstance(front, ParetoFront) else ()
     cols = ["provenance"] + _design_header(instance) + ["p", "g_o", "ln_g_f"]
     with open(path, "w") as fh:
         fh.write("# parmaint front\n")
-        for note in notes:
+        for note in front.notes:
             fh.write(f"# note: {note}\n")
         fh.write(" ".join(cols) + "\n")
-        for p in points:
+        for p in front.points:
             counts = instance.to_catalog(p.design)
             row = (
                 [p.provenance]
@@ -102,8 +99,8 @@ def write_front(path, instance, front) -> None:
             fh.write(" ".join(row) + "\n")
 
 
-def read_front(path, instance=None) -> ParetoFront:
-    """Load a front file; designs are canonicalized when given the instance."""
+def read_front(path) -> ParetoFront:
+    """Load a front file; designs stay in the file's catalog order."""
     notes = []
     lines = []
     with open(path) as fh:
@@ -125,13 +122,11 @@ def read_front(path, instance=None) -> ParetoFront:
         g_o, ln_g_f = float(toks[n + 2]), float(toks[n + 3])
         if not math.isfinite(g_o) or math.isnan(ln_g_f):
             raise ValueError(f"bad front values: {line!r}")
-        counts = [int(t) for t in toks[1 : n + 1]]
-        design = instance.from_catalog(counts) if instance else tuple(counts)
         points.append(
             SolutionPoint(
                 g_o=g_o,
                 ln_g_f=ln_g_f,
-                design=design,
+                design=tuple(int(t) for t in toks[1 : n + 1]),
                 provenance=toks[0],
                 penalty=_parse_opt(toks[n + 1]),
             )
@@ -141,9 +136,8 @@ def read_front(path, instance=None) -> ParetoFront:
 
 def write_plot_data(path, instance, front) -> None:
     """Per-design series of (g_o, ln_g_f) rows for external plotting."""
-    points = front.points if isinstance(front, ParetoFront) else tuple(front)
     series = {}
-    for p in points:
+    for p in front.points:
         series.setdefault(instance.to_catalog(p.design), []).append(p)
     with open(path, "w") as fh:
         fh.write("# parmaint plot data: g_o ln_g_f per design series\n")
@@ -265,21 +259,16 @@ def write_sim_report(path, report) -> None:
 # ------------------------------------------------------------ compare reports
 
 
-def write_compare_report(path, report, instance=None) -> None:
+def write_compare_report(path, report) -> None:
     """Per-point verdicts of one front judged against another.
 
-    Without an instance, design counts pass through in the order the
-    compared fronts used (front files already carry catalog order).
+    Design counts pass through in the order of the compared fronts,
+    which front files keep in catalog order.
     """
-    if report.entries and instance is None:
-        design_cols = [f"x_{i + 1}" for i in range(len(report.entries[0].point.design))]
-    elif instance is not None:
-        design_cols = _design_header(instance)
-    else:
-        design_cols = []
+    n = len(report.entries[0].point.design) if report.entries else 0
     cols = (
         ["status", "provenance"]
-        + design_cols
+        + [f"x_{i + 1}" for i in range(n)]
         + ["p", "g_o", "ln_g_f", "distance", "dom_provenance", "dom_p", "dom_g_o", "dom_ln_g_f"]
     )
     with open(path, "w") as fh:
@@ -290,10 +279,9 @@ def write_compare_report(path, report, instance=None) -> None:
         fh.write(" ".join(cols) + "\n")
         for e in report.entries:
             p = e.point
-            counts = instance.to_catalog(p.design) if instance else p.design
             row = (
                 [e.status, p.provenance]
-                + [str(c) for c in counts]
+                + [str(c) for c in p.design]
                 + [fmt(p.penalty), fmt(p.g_o), fmt(p.ln_g_f), fmt(e.distance)]
             )
             if e.dominator is None:

@@ -71,11 +71,6 @@ class ComponentType:
                 raise InstanceError(f"{name} must be non-negative, got {val}")
 
     @property
-    def reliability(self) -> float:
-        """Long-run availability of one always-repaired unit."""
-        return self.tau / (self.tau + self.alpha)
-
-    @property
     def unavailability(self) -> float:
         return self.alpha / (self.tau + self.alpha)
 
@@ -182,14 +177,15 @@ def _analytic_copy_bound(q, repair_cost, usage_cost, top_usage_cost, delta):
     convex in x with minimizer
     ``x* = ln(-q r / (((1+delta) c_top - c) ln q)) / ln q``.
     Returns None when the coefficient ``(1+delta) c_top - c`` is not
-    positive (no interior minimizer), and +inf when repair is free.
+    positive (no interior minimizer), and +inf when repair is free or
+    ``q`` rounds to 1, where ``ln q = 0`` leaves no finite bound.
     """
     margin = (1.0 + delta) * top_usage_cost - usage_cost
     if margin <= 0.0:
         return None
-    if repair_cost <= 0.0:
-        return math.inf
     lnq = math.log(q)
+    if repair_cost <= 0.0 or lnq == 0.0:
+        return math.inf
     t = (-q * repair_cost) / (margin * lnq)
     return max(0, math.ceil(math.log(t) / lnq))
 

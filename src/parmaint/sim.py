@@ -17,11 +17,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate
 
 import numpy as np
 
-__all__ = ["SimReport", "simulate_policy", "trace_events"]
+__all__ = ["SimReport", "simulate_policy"]
 
 MIN_FAILURE_ENTRIES = 100
 # horizon * max outflow bounds the expected event count of a run; above
@@ -85,18 +85,23 @@ def _compile(model, policy):
     return nodes
 
 
-def _events(model, nodes, cur, t_end, rng, chunk=CHUNK_START):
-    """One replication's events over ``[0, t_end)``, chunk by chunk.
+def _replicate(model, nodes, cur, t_end, rng, chunk=CHUNK_START):
+    """One replication from post-state ``cur`` over ``[0, t_end)``.
 
     Each chunk of uniforms (two per event: sojourn, then jump) is walked
     first, stopping at an absorbing node; its clock is one cumulative sum
     seeded with the carried time, cut before the first event at or past
-    ``t_end``.  Yields (path, sojourns, clock), where kept event i moves
-    from ``path[i]`` to ``path[i + 1]`` at ``clock[i + 1]``.  Nothing is
-    drawn at an absorbing node or past the horizon, and the events do
-    not depend on the chunk sizes.
+    ``t_end``, so kept event i moves from ``path[i]`` to ``path[i + 1]``
+    at ``clock[i + 1]``.  Nothing is drawn at an absorbing node or past
+    the horizon.  The cost integrals are sequential sums seeded with the
+    values carried over, so neither the events nor the integrals depend
+    on the chunk sizes; an absorbing state accrues its costs to
+    ``t_end``.  Returns (cost integral, failure-time integral, events,
+    failure entries, final post-state).
     """
-    t = 0.0
+    c_o, c_f = model.cost_op, model.cost_fail
+    t = acc_o = acc_f = 0.0
+    events = fails = 0
     u = np.empty(0)
     while nodes[cur][2]:
         u = np.concatenate((u, rng.random(chunk)))
@@ -113,40 +118,20 @@ def _events(model, nodes, cur, t_end, rng, chunk=CHUNK_START):
         dt = -np.log1p(-u[: 2 * n : 2]) / model.outflow[path[:-1]]
         clock = np.cumsum(np.concatenate(([t], dt)))
         kept = int(np.searchsorted(clock[1:], t_end, "left"))
-        yield path[: kept + 1], dt[:kept], clock[: kept + 1]
-        if kept < n:
-            return
-        t = clock[-1]
-        u = u[2 * n :]  # an odd chunk leaves one uniform for the next
-
-
-def _replicate(model, nodes, cur, t_end, rng, chunk=CHUNK_START):
-    """One replication from post-state ``cur`` over ``[0, t_end)``.
-
-    The cost integrals are sequential sums seeded with the values carried
-    over, so they do not depend on the chunks either; an absorbing state
-    accrues its costs to ``t_end``.  Returns (cost integral, failure-time
-    integral, events, failure entries, final post-state).
-    """
-    c_o, c_f = model.cost_op, model.cost_fail
-    t = acc_o = acc_f = 0.0
-    events = fails = 0
-    for path, dt, clock in _events(model, nodes, cur, t_end, rng, chunk):
+        path, dt = path[: kept + 1], dt[:kept]
         stay = path[:-1]
         acc_o = np.cumsum(np.concatenate(([acc_o], dt * c_o[stay])))[-1]
         acc_f = np.cumsum(np.concatenate(([acc_f], dt * c_f[stay])))[-1]
         failed = c_f[path]
         fails += int(np.count_nonzero(failed[1:] > failed[:-1]))
-        events += dt.size
-        t, cur = clock[-1], path[-1]
+        events += kept
+        t, cur = clock[kept], path[-1]
+        if kept < n:
+            break
+        u = u[2 * n :]  # an odd chunk leaves one uniform for the next
     acc_o += (t_end - t) * c_o[cur]
     acc_f += (t_end - t) * c_f[cur]
     return float(acc_o), float(acc_f), events, fails, int(cur)
-
-
-def _check_horizon(horizon):
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
 
 
 def simulate_policy(
@@ -155,19 +140,20 @@ def simulate_policy(
     horizon: float,
     batches: int = 20,
     seed: int = 0,
-    initial_state: int = 0,
 ) -> SimReport:
     """Estimate a policy's long-run cost pair by simulation.
 
     The horizon is split into ``batches`` independent replications from
-    the initial state, each on its own spawned stream, so identical
-    inputs give identical output and batch standard errors are honest.
+    state 0 (every copy working), each on its own spawned stream, so
+    identical inputs give identical output and batch standard errors are
+    honest.
     An absorbing state legally accrues its costs to the end of the
     batch.  A horizon whose bound on the expected event count (horizon
     times the model's largest outflow) exceeds ``SIM_EVENT_CEILING`` is
     rejected up front.
     """
-    _check_horizon(horizon)
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if not 2 <= batches <= MAX_BATCHES:
         raise ValueError(f"batches must lie in [2, {MAX_BATCHES}], got {batches}")
     bound = horizon * model.max_outflow
@@ -178,7 +164,7 @@ def simulate_policy(
             f"{SIM_EVENT_CEILING:.3g}"
         )
     nodes = _compile(model, policy)
-    start_post = int(policy.post_ids[model.start_id(initial_state)])
+    start_post = int(policy.post_ids[0])
     t_batch = float(horizon) / batches
     children = np.random.SeedSequence(seed).spawn(batches)
     means_o = np.zeros(batches)
@@ -206,31 +192,3 @@ def simulate_policy(
         batch_g_o=tuple(means_o),
         batch_g_f=tuple(means_f),
     )
-
-
-def trace_events(
-    model, policy, horizon: float, seed: int = 0, limit: int = 1000, initial_state: int = 0
-):
-    """First ``limit`` simulated events as (time, state, next state) rows.
-
-    Companion to :func:`simulate_policy` for eyeballing sample paths: it
-    steps the same compiled chain on the stream of the first replication
-    of ``simulate_policy`` with the same seed, so its rows are that
-    replication's opening events.  The horizon must be positive and
-    finite, and the limit non-negative.
-    """
-    _check_horizon(horizon)
-    if limit < 0:
-        raise ValueError(f"limit must be non-negative, got {limit}")
-    nodes = _compile(model, policy)
-    child = np.random.SeedSequence(seed).spawn(1)[0]
-    rng = np.random.Generator(np.random.Philox(child))
-    start = int(policy.post_ids[model.start_id(initial_state)])
-    moves = (
-        move
-        for path, _, clock in _events(model, nodes, start, horizon, rng)
-        for move in zip(clock[1:].tolist(), path[:-1].tolist(), path[1:].tolist())
-    )
-    return [
-        (t, model.state_string(a), model.state_string(b)) for t, a, b in islice(moves, limit)
-    ]

@@ -61,6 +61,25 @@ class TestValidate:
         assert err.startswith("error: component 1 must be a mapping")
         assert "Traceback" not in err
 
+    def test_never_available_unconstrained_type_is_an_error(self, tmp_path, capsys):
+        # unavailability 1 / (1 + 1e-300) rounds to 1 and no row limits "b"
+        doc = {
+            "components": [
+                {"label": "a", "p": 0.9, "tau": 1, "usage_cost": 1, "repair_cost": 10,
+                 "install_cost": 1, "weight": 1},
+                {"label": "b", "alpha": 1, "tau": 1e-300, "usage_cost": 1,
+                 "repair_cost": 10, "install_cost": 1, "weight": 1},
+            ],
+            "constraints": [{"name": "slots", "coefficients": [1, 0], "bound": 3}],
+        }
+        path = tmp_path / "never.json"
+        path.write_text(json.dumps(doc))
+        code = main(["instance", "validate", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("error: component type 'b' is not limited")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "where, field, value, reason",
         [
@@ -127,7 +146,7 @@ class TestDop:
             ["dop", base_path, "--out", str(out), "--front-out", str(front_out)]
         )
         assert code == EXIT_OK
-        front = read_front(front_out, base_instance)
+        front = read_front(front_out)  # base's catalog order is its priority order
         assert len(front) >= 2
         assert all(p.provenance == "static-SP1" for p in front)
         assert revalidate_front(base_instance, front) <= 1e-8
@@ -150,7 +169,7 @@ class TestApp:
         out = tmp_path / "front.txt"
         assert main(["app", base_path, "--out", str(out)]) == EXIT_OK
         assert "heuristic front: 12 points" in capsys.readouterr().out
-        front = read_front(out, base_instance)
+        front = read_front(out)
         assert len(front) == 12
         assert front.complete
         assert revalidate_front(base_instance, front) <= 1e-8
@@ -266,6 +285,23 @@ class TestExact:
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_ERROR
         assert "design space has 1000001 members" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_large_space_counted_quickly(self, instances_dir, tmp_path):
+        # 3 types sharing 1,000 slots: C(1003, 3) designs, far too many to
+        # list one by one, counted within the timeout
+        doc = json.loads((instances_dir.parent / "perfbench/data/large-3.json").read_text())
+        doc["constraints"][0]["bound"] = 1000
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "exact.txt"
+        env = dict(os.environ, PYTHONPATH=str(instances_dir.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "parmaint.cli", "exact", str(path), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert done.returncode == EXIT_ERROR
+        assert "design space has 167668501 members" in done.stderr
         assert not out.exists()
 
 

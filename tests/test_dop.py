@@ -8,11 +8,10 @@ from parmaint.dop import (
     StaticSolution,
     dop_objectives,
     probability_chain_values,
-    solve_eps_delta_dop,
     solve_fdop,
     sp1_sweep,
 )
-from parmaint.model import ComponentType, make_instance
+from parmaint.model import ComponentType, load_instance, make_instance
 
 from _oracles import (
     grid_feasible_designs,
@@ -193,8 +192,10 @@ class TestReliabilityExtreme:
 
 
 class TestPenalizedSolve:
+    """The penalized solve at each cap, seen through the sweep's records."""
+
     def test_base_at_loose_cap(self, base_instance):
-        sol = solve_eps_delta_dop(base_instance, -0.1)
+        sol = sp1_sweep(base_instance)[1]
         assert sol.design == (1, 0, 0, 0)
         assert sol.epsilon == -0.1
         assert sol.tag == "sweep"
@@ -202,31 +203,36 @@ class TestPenalizedSolve:
         assert sol.objective == pytest.approx(1.99 + 1.1 * 0.01, rel=1e-10)
 
     def test_vacuous_cap_picks_empty(self, base_instance):
-        sol = solve_eps_delta_dop(base_instance, 0.0)
+        sol = sp1_sweep(base_instance)[0]
         assert sol.design == (0, 0, 0, 0)
+        assert sol.epsilon == 0.0
         assert sol.tag == "trivial"
         assert sol.objective == pytest.approx(1.1, rel=1e-12)
 
     def test_cap_is_respected(self, base_instance):
         for eps in (-0.1, -5.0, -10.0, -16.0):
-            sol = solve_eps_delta_dop(base_instance, eps)
-            assert sol.ln_g_f <= eps + 1e-9
-
-    def test_unreachable_cap_raises(self, base_instance):
-        with pytest.raises(ValueError, match="no feasible design"):
-            solve_eps_delta_dop(base_instance, -30.0)
+            sols = [s for s in sp1_sweep(base_instance, eps_min=eps) if s.tag == "sweep"]
+            assert sols[0].epsilon == eps
+            for sol in sols:
+                assert sol.ln_g_f <= sol.epsilon + 1e-9
 
     def test_argument_validation(self, base_instance):
-        with pytest.raises(ValueError):
-            solve_eps_delta_dop(base_instance, 0.5)
-        with pytest.raises(ValueError):
-            solve_eps_delta_dop(base_instance, -1.0, delta=-0.2)
+        with pytest.raises(ValueError, match="cap must be <= 0"):
+            sp1_sweep(base_instance, eps_min=0.5)
+        with pytest.raises(ValueError, match="penalty inflation"):
+            sp1_sweep(base_instance, eps_min=-1.0, delta=-0.2)
 
     def test_ties_on_identical_types(self):
+        # co-optimal designs are recorded least reliable first, ending
+        # with the representative the plain sweep keeps
         inst = _identical_pair()
-        sol = solve_eps_delta_dop(inst, -0.1)
-        assert [t.design for t in sol.ties] == [(0, 1), (1, 0)]
-        assert sol.design == (0, 1)
+        tied = sp1_sweep(inst, eps_min=-0.1, record_ties=True)
+        assert [(s.design, s.epsilon) for s in tied[:3]] == [
+            ((0, 0), None),
+            ((1, 0), -0.1),
+            ((0, 1), -0.1),
+        ]
+        assert sp1_sweep(inst, eps_min=-0.1)[1].design == (0, 1)
 
     def test_matches_exhaustive_search(self):
         # independent oracle: enumerate the whole feasible grid and
@@ -252,7 +258,8 @@ class TestPenalizedSolve:
             if not feas:
                 continue
             best = min(v for v, _ in feas)
-            sol = solve_eps_delta_dop(inst, eps, delta)
+            sols = sp1_sweep(inst, eps_min=eps, delta=delta)
+            sol = next(s for s in sols if s.epsilon == eps)
             assert sol.objective == pytest.approx(best, rel=1e-9, abs=1e-12)
             checked += 1
 
@@ -316,9 +323,12 @@ class TestSweep:
             ComponentType(alpha=0.1, tau=1.0, usage_cost=1.0, repair_cost=5.0,
                           install_cost=1.0, weight=1.0, label="b"),
         ]
-        inst = make_instance(comps, [[1.0, 1.0]], [4.0])
-        sol = solve_eps_delta_dop(inst, -0.1)
-        assert sol.ln_g_f == min(t.ln_g_f for t in sol.ties)
+        for inst in (make_instance(comps, [[1.0, 1.0]], [4.0]), _identical_pair()):
+            tied = sp1_sweep(inst, record_ties=True)
+            for sol in (s for s in sp1_sweep(inst) if s.tag == "sweep"):
+                ties = [t for t in tied if t.epsilon == sol.epsilon]
+                assert sol.design == ties[-1].design
+                assert sol.ln_g_f == min(t.ln_g_f for t in ties)
 
 
 class TestOneEnumerationPerSweep:
@@ -359,6 +369,21 @@ class TestOneEnumerationPerSweep:
         calls = self._count_enumerations(monkeypatch)
         sp1_sweep(base_instance, delta=0.0, record_ties=True)
         assert len(calls) == 1
+
+
+class TestFeasibleCount:
+    """The memoized count against the list it stands in for."""
+
+    def test_committed_instances(self, base_instance, large_instance, instances_dir):
+        single = load_instance(instances_dir.parent / "perfbench" / "data" / "single-1.json")
+        for inst, want in ((base_instance, 76), (single, 5), (large_instance, 364)):
+            assert dop._feasible_count(inst) == len(dop._feasible_designs(inst)) == want
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(47)
+        for _ in range(40):
+            inst = random_instance(rng, n_types=int(rng.integers(1, 5)))
+            assert dop._feasible_count(inst) == len(dop._feasible_designs(inst))
 
 
 class TestStaticSolutionRecord:

@@ -81,11 +81,11 @@ class TestFrontFiles:
         front = run_app(base_instance)
         path = tmp_path / "front.txt"
         write_front(path, base_instance, front)
-        back = read_front(path, base_instance)
+        back = read_front(path)
         assert len(back.points) == len(front.points)
         assert back.notes == front.notes
         for orig, got in zip(front.points, back.points):
-            assert got.design == orig.design
+            assert got.design == base_instance.to_catalog(orig.design)
             assert got.provenance == orig.provenance
             if orig.penalty is None:
                 assert got.penalty is None
@@ -109,7 +109,7 @@ class TestFrontFiles:
         )
         path = tmp_path / "front.txt"
         write_front(path, base_instance, front)
-        back = read_front(path, base_instance)
+        back = read_front(path)
         assert back.notes == front.notes
 
     def test_designs_stay_in_catalog_order_without_instance(self, tmp_path):
@@ -129,8 +129,6 @@ class TestFrontFiles:
         write_front(path, inst, front)
         raw = read_front(path)
         assert raw.points[0].design == (2, 1)
-        cooked = read_front(path, inst)
-        assert cooked.points[0].design == (1, 2)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "front.txt"
@@ -138,7 +136,7 @@ class TestFrontFiles:
         with pytest.raises(ValueError, match="front header"):
             read_front(path)
 
-    def test_bad_row_rejected(self, tmp_path, base_instance):
+    def test_bad_row_rejected(self, tmp_path):
         path = tmp_path / "front.txt"
         path.write_text(
             "# parmaint front\n"
@@ -146,7 +144,7 @@ class TestFrontFiles:
             "static-SP1 1 0 0 0 -\n"
         )
         with pytest.raises(ValueError, match="front row"):
-            read_front(path, base_instance)
+            read_front(path)
 
     def test_junk_header_rejected(self, tmp_path):
         path = tmp_path / "front.txt"
@@ -456,13 +454,3 @@ class TestCompareReport:
         assert dominated[8:] == [DYNAMIC_SP2, "4", "0.5", "-2"]
         matched = next(r for r in rows if r[0] == "matched")
         assert matched[8:] == ["-", "-", "-", "-"]
-
-    def test_instance_header(self, tmp_path):
-        inst = _flipped_instance()
-        report = self._report()
-        path = tmp_path / "cmp.txt"
-        write_compare_report(path, report, instance=inst)
-        header = [
-            l for l in path.read_text().splitlines() if l and not l.startswith("#")
-        ][0]
-        assert header.split()[2:4] == ["x_dear", "x_cheap"]

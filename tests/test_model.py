@@ -45,7 +45,6 @@ class TestDeriveFailureRate:
     def test_round_trip_with_component(self):
         alpha = derive_failure_rate(0.97, 1.4)
         comp = _comp(alpha=alpha, tau=1.4)
-        assert comp.reliability == pytest.approx(0.97)
         assert comp.unavailability == pytest.approx(0.03)
 
     def test_rejects_degenerate_reliability(self):
@@ -83,9 +82,7 @@ class TestComponentType:
 
     def test_availability_split(self):
         comp = _comp(alpha=0.25, tau=0.75)
-        assert comp.reliability == pytest.approx(0.75)
         assert comp.unavailability == pytest.approx(0.25)
-        assert comp.reliability + comp.unavailability == pytest.approx(1.0)
 
 
 class TestMakeInstanceValidation:
@@ -131,6 +128,13 @@ class TestMakeInstanceValidation:
         # free repair no analytic cap exists either
         comps = [_comp(label="a"), _comp(label="b", repair_cost=0.0)]
         with pytest.raises(InstanceError, match="not limited"):
+            make_instance(comps, [[1.0, 0.0]], [5.0])
+
+    def test_unconstrained_type_that_is_never_available_rejected(self):
+        # q = 1 / (1 + 1e-300) rounds to 1, so ln q = 0 and the analytic
+        # cap has no finite value
+        comps = [_comp(label="a"), _comp(label="b", alpha=1.0, tau=1e-300)]
+        with pytest.raises(InstanceError, match="'b' is not limited"):
             make_instance(comps, [[1.0, 0.0]], [5.0])
 
     def test_unconstrained_type_with_repair_cost_gets_analytic_bound(self):

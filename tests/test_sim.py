@@ -16,10 +16,7 @@ from parmaint.sim import (
     MIN_FAILURE_ENTRIES,
     SIM_EVENT_CEILING,
     SimReport,
-    _compile,
-    _replicate,
     simulate_policy,
-    trace_events,
 )
 
 from _oracles import single_type_instance
@@ -153,8 +150,8 @@ class TestAbsorption:
 class TestValidation:
     def test_horizon_positive(self, single_model):
         policy = fully_active_policy(single_model)
-        for horizon in (0.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match="horizon"):
+        for horizon in (0.0, -5.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="horizon must be positive and finite"):
                 simulate_policy(single_model, policy, horizon=horizon)
 
     def test_batches_at_least_two(self, single_model):
@@ -176,81 +173,3 @@ class TestValidation:
         for h in (horizon, 1e30):
             with pytest.raises(ValueError, match="over the ceiling"):
                 simulate_policy(single_model, policy, horizon=h)
-
-    def test_out_of_range_start_rejected(self, single_model):
-        policy = fully_active_policy(single_model)
-        n = single_model.n_states
-        for start in (-1, n):
-            with pytest.raises(ValueError, match=rf"outside \[0, {n}\)"):
-                simulate_policy(single_model, policy, horizon=10.0, initial_state=start)
-            with pytest.raises(ValueError, match=rf"outside \[0, {n}\)"):
-                trace_events(single_model, policy, horizon=10.0, initial_state=start)
-
-
-class TestTraceEvents:
-    def test_alternating_repair_cycle(self, single_model):
-        policy = fully_active_policy(single_model)
-        rows = trace_events(single_model, policy, horizon=1e6, limit=6)
-        assert len(rows) == 6
-        times = [t for t, _, _ in rows]
-        assert times == sorted(times)
-        assert all(t > 0 for t in times)
-        healthy = "0,0|0,0|0,0|0,0"
-        repairing = "1,0|0,0|0,0|0,0"
-        assert rows[0][1:] == (healthy, repairing)
-        assert rows[1][1:] == (repairing, healthy)
-        assert rows[2][1:] == (healthy, repairing)
-
-    def test_deterministic(self, single_model):
-        policy = fully_active_policy(single_model)
-        a = trace_events(single_model, policy, horizon=100.0, seed=5)
-        b = trace_events(single_model, policy, horizon=100.0, seed=5)
-        assert a == b
-
-    def test_limit_respected(self, single_model):
-        policy = fully_active_policy(single_model)
-        rows = trace_events(single_model, policy, horizon=1e6, limit=3)
-        assert len(rows) == 3
-
-    def test_absorbing_path_ends(self, single_model):
-        idle = MaintenancePolicy(single_model, [0] * single_model.n_states)
-        rows = trace_events(single_model, idle, horizon=1e6, limit=50)
-        assert len(rows) == 1
-        assert rows[0][2] == "0,1|0,0|0,0|0,0"
-
-    def test_no_events_without_transitions(self, base_instance):
-        model = build_model(base_instance, (0, 0, 0, 0))
-        policy = fully_active_policy(model)
-        assert trace_events(model, policy, horizon=100.0) == []
-
-    def test_bad_horizon_rejected(self, single_model):
-        # simulate_policy rejects these too; a NaN horizon used to return
-        # `limit` rows, and a negative one an empty list
-        policy = fully_active_policy(single_model)
-        for horizon in (math.nan, -5.0, 0.0, math.inf):
-            with pytest.raises(ValueError, match="horizon must be positive and finite"):
-                trace_events(single_model, policy, horizon=horizon, limit=5)
-
-    def test_negative_limit_rejected(self, single_model):
-        policy = fully_active_policy(single_model)
-        with pytest.raises(ValueError, match="limit must be non-negative, got -3"):
-            trace_events(single_model, policy, horizon=100.0, limit=-3)
-        assert trace_events(single_model, policy, horizon=100.0, limit=0) == []
-
-    def test_rows_are_the_first_replications_opening_events(self, base_instance):
-        model = build_model(base_instance, (2, 1, 0, 0))
-        policy = solve_average_cost(model, 50.0).policy
-        rows = trace_events(model, policy, horizon=1e9, seed=4, limit=12)
-        assert len(rows) == 12
-        assert len({row[2] for row in rows}) > 2
-        nodes = _compile(model, policy)
-        start = int(policy.post_ids[0])
-        child = np.random.SeedSequence(4).spawn(1)[0]
-        for i in range(len(rows) - 1):
-            # stop the loop between rows i and i+1 on the same stream
-            t_end = 0.5 * (rows[i][0] + rows[i + 1][0])
-            rng = np.random.Generator(np.random.Philox(child))
-            _, _, events, _, cur = _replicate(model, nodes, start, t_end, rng)
-            assert events == i + 1
-            assert model.state_string(cur) == rows[i][2]
-            assert rows[i + 1][1] == rows[i][2]
