@@ -16,9 +16,9 @@ import numpy as np
 
 from parmaint import app as app_mod
 from parmaint import io
-from parmaint.dop import sp1_sweep, solve_fdop
+from parmaint.dop import DESIGN_CEILING, EnumerationError, sp1_sweep, solve_fdop
 from parmaint.ctmdp import StateSpaceError, build_model
-from parmaint.exact import EnumerationError, compare_fronts, exact_front
+from parmaint.exact import compare_fronts, exact_front
 from parmaint.mdp_solve import evaluate_policy, fully_active_policy, solve_average_cost
 from parmaint.model import InstanceError, load_instance
 from parmaint.sim import simulate_policy
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     dop = subs.add_parser("dop", help="static design sweep")
     _add_common(dop)
     _add_sweep_params(dop)
-    dop.add_argument("--tolerance", type=float, default=1e-9)
+    dop.add_argument("--tolerance", type=float, default=app_mod.DOM_TOL)
     dop.add_argument("--out", default="parmaint_static.txt")
     dop.add_argument(
         "--front-out", default=None, help="also export the non-dominated static front"
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(ex)
     ex.add_argument("--tolerance", type=float, default=app_mod.DOM_TOL)
     ex.add_argument("--maximal-only", action="store_true")
-    ex.add_argument("--ceiling", type=int, default=200_000)
+    ex.add_argument("--ceiling", type=int, default=DESIGN_CEILING)
     ex.add_argument("--out", default="parmaint_exact.txt")
     ex.add_argument("--plot-out", default=None)
     ex.set_defaults(func=cmd_exact)

@@ -6,18 +6,19 @@ design has a closed form: a modular repair term, a priority-ordered
 usage term, and the all-down probability.  This module evaluates those
 forms, cross-checks them against the slot-by-slot probability-chain
 values, and solves the two design-only problems exactly on one table
-of every feasible design with its closed-form terms: the
-reliability-extreme problem (most negative log failure rate) and the
-failure-penalized problem under a log-failure-rate cap, a masked argmin
-over the table.  The sweep over progressively tighter caps builds the
-table once and produces the static candidate front from it.
+of every feasible design sorted by log failure rate: the
+reliability-extreme problem (the table's head) and the
+failure-penalized problem under a log-failure-rate cap (a running
+minimum over the prefix the cap admits).  The sweep over progressively
+tighter caps builds the table once, after counting the designs against
+``DESIGN_CEILING``, and produces the static candidate front from it.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -25,6 +26,8 @@ import numpy as np
 from parmaint.model import Instance
 
 __all__ = [
+    "DESIGN_CEILING",
+    "EnumerationError",
     "StaticSolution",
     "dop_objectives",
     "probability_chain_values",
@@ -34,6 +37,18 @@ __all__ = [
 
 EPS_SLACK = 1e-12  # slack when testing the log-failure-rate cap
 TIE_TOL = 1e-9  # relative tolerance for recording alternate optima
+DESIGN_CEILING = 200_000
+
+
+class EnumerationError(RuntimeError):
+    """Design space too large to enumerate; carries the offending count."""
+
+    def __init__(self, count, ceiling):
+        super().__init__(
+            f"design space has {count} members, above the ceiling of {ceiling}"
+        )
+        self.count = count
+        self.ceiling = ceiling
 
 
 @dataclass(frozen=True)
@@ -46,7 +61,6 @@ class StaticSolution:
     tag: str = "sweep"  # "sweep" | "reliability" | "trivial"
     epsilon: float | None = None  # cap active when this design was found
     objective: float | None = None  # penalized objective value at that cap
-    ties: tuple = field(default=(), compare=False)  # co-optimal alternates
 
 
 def _design_matrix(designs) -> np.ndarray:
@@ -161,21 +175,31 @@ def _feasible_count(instance: Instance) -> int:
     return count(0, tuple(b.astype(float)))
 
 
-def _feasible_designs(instance: Instance) -> list:
-    """All integer designs 0 <= x <= copy bounds with A x <= b, lex order."""
+def _feasible_designs(instance: Instance, ceiling: int = DESIGN_CEILING) -> list:
+    """All integer designs 0 <= x <= copy bounds with A x <= b, lex order.
+
+    They are counted before any is listed, so a space above ``ceiling``
+    raises ``EnumerationError`` at once."""
+    count = _feasible_count(instance)
+    if count > ceiling:
+        raise EnumerationError(count, ceiling)
     return [prefix + (v,) for prefix, k in _design_prefixes(instance) for v in range(k)]
 
 
 def _design_table(instance: Instance):
-    """Every feasible design (lex order) with its repair, usage and ln failure."""
+    """Every feasible design with its repair, usage and ln failure, sorted
+    by ln failure; the stable sort keeps equal rates in lex order."""
     designs = _feasible_designs(instance)
-    return (designs, *_objective_terms(instance, _design_matrix(designs)))
+    repair, usage, ln_f = _objective_terms(instance, _design_matrix(designs))
+    order = np.argsort(ln_f, kind="stable")
+    return [designs[i] for i in order], repair[order], usage[order], ln_f[order]
 
 
 def _most_reliable(table) -> int:
     """Row of the most negative log failure rate; ties go to the smallest design."""
-    ln_f = table[3]
-    return int(np.flatnonzero(ln_f <= ln_f.min() + 1e-12)[0])  # rows are in lex order
+    designs, ln_f = table[0], table[3]
+    near = int(np.searchsorted(ln_f, ln_f[0] + 1e-12, "right"))
+    return min(range(near), key=designs.__getitem__)
 
 
 def _check_cap(epsilon: float, delta: float) -> None:
@@ -189,30 +213,6 @@ def _row(table, i, **fields) -> StaticSolution:
     designs, repair, usage, ln_f = table
     g_o, ln_g_f = float(repair[i] + usage[i]), float(ln_f[i])
     return StaticSolution(design=designs[i], g_o=g_o, ln_g_f=ln_g_f, **fields)
-
-
-def _solve_cap(instance: Instance, table, epsilon: float, delta: float) -> StaticSolution:
-    """Masked argmin of the penalized objective over the table's rows.
-
-    The cap must admit a row; every cap ``sp1_sweep`` solves admits the
-    reliability anchor."""
-    designs, repair, usage, ln_f = table
-    keep = ln_f <= epsilon + EPS_SLACK
-    c_top = instance.usage_costs().max()
-    aug = repair + usage + (1.0 + delta) * c_top * np.exp(ln_f)
-    aug = np.where(keep, aug, np.inf)
-    best = aug.min()
-    tol = TIE_TOL * max(1.0, abs(best))
-    tied_idx = np.nonzero(aug <= best + tol)[0]
-    order = sorted(tied_idx, key=lambda i: (ln_f[i], designs[i]))
-    ties = tuple(
-        _row(
-            table, i, tag="trivial" if sum(designs[i]) == 0 else "sweep",
-            epsilon=epsilon, objective=float(aug[i]),
-        )
-        for i in order
-    )
-    return replace(ties[0], ties=ties)
 
 
 def solve_fdop(instance: Instance) -> tuple:
@@ -234,14 +234,16 @@ def sp1_sweep(
 ) -> list:
     """Static candidate front by sweeping the log-failure-rate cap.
 
-    Enumerates the feasible designs once into one table, then starts at
-    ``eps_min``, solves the penalized problem on that table, and tightens
-    the cap to the found solution's log failure rate plus ``delta_eps``
-    until the cap passes the reliability extreme, which seeds the stop
-    bound and is guaranteed a place in the output.  Duplicate designs
-    keep their first appearance.  With ``record_ties`` every co-optimal
-    design of each solve is recorded (listed least-reliable first so the
-    output stays ordered); by default only representatives are kept.
+    Enumerates the feasible designs once into one table sorted by log
+    failure rate, then starts at ``eps_min``, takes the optimum over the
+    prefix the cap admits (a running minimum; its first row within
+    ``TIE_TOL`` is the representative), and tightens the cap to that
+    log failure rate plus ``delta_eps`` until the cap passes the
+    reliability extreme, which seeds the stop bound and is guaranteed a
+    place in the output.  Duplicate designs keep their first appearance.
+    With ``record_ties`` every co-optimal design of each solve is
+    recorded (listed least-reliable first so the output stays ordered);
+    by default only representatives are kept.
     """
     if not math.isfinite(eps_min):
         raise ValueError(f"starting cap must be finite, got {eps_min}")
@@ -249,27 +251,32 @@ def sp1_sweep(
         raise ValueError(f"cap step must be finite and negative, got {delta_eps}")
     _check_cap(eps_min, delta)
     table = _design_table(instance)
-    designs, _, _, ln_f = table
+    designs, repair, usage, ln_f = table
     anchor = _most_reliable(table)
+    aug = repair + usage + (1.0 + delta) * instance.usage_costs().max() * np.exp(ln_f)
+    low = np.minimum.accumulate(aug)  # optimum of each prefix
+    neg_low = -low  # ascending, for bisection
+    empty = (0,) * instance.n_types
     results: list[StaticSolution] = []
     seen = set()
 
-    def record(sol: StaticSolution):
-        if sol.design not in seen:
-            seen.add(sol.design)
-            results.append(sol)
+    def record(i, **fields):
+        if designs[i] not in seen:
+            seen.add(designs[i])
+            results.append(_row(table, i, **fields))
 
     eps = float(eps_min)
     while eps >= ln_f[anchor] - EPS_SLACK:
-        sol = _solve_cap(instance, table, eps, delta)
-        if record_ties:
-            for s in reversed(sol.ties):
-                record(s)
-        else:
-            record(replace(sol, ties=()))
-        eps = sol.ln_g_f + delta_eps
+        k = int(np.searchsorted(ln_f, eps + EPS_SLACK, "right"))  # rows the cap admits
+        limit = low[k - 1] + TIE_TOL * max(1.0, abs(low[k - 1]))
+        first = int(np.searchsorted(neg_low, -limit))
+        tied = first + np.flatnonzero(aug[first:k] <= limit) if record_ties else [first]
+        for i in reversed(tied):
+            tag = "trivial" if designs[i] == empty else "sweep"
+            record(i, tag=tag, epsilon=eps, objective=float(aug[i]))
+        eps = float(ln_f[first]) + delta_eps
 
-    record(_row(table, anchor, tag="reliability"))
-    if designs[0] not in seen:  # the empty design heads the lex order
-        results.insert(0, _row(table, 0, tag="trivial"))
+    record(anchor, tag="reliability")
+    if empty not in seen:
+        results.insert(0, _row(table, designs.index(empty), tag="trivial"))
     return results

@@ -27,10 +27,9 @@ from parmaint.app import (
     _solve_point,
 )
 from parmaint.ctmdp import build_model
-from parmaint.dop import _feasible_count, _feasible_designs
+from parmaint.dop import DESIGN_CEILING, _feasible_designs
 
 __all__ = [
-    "EnumerationError",
     "enumerate_feasible_designs",
     "exact_front",
     "ComparisonEntry",
@@ -38,21 +37,9 @@ __all__ = [
     "compare_fronts",
 ]
 
-DESIGN_CEILING = 200_000
 DICHOTOMIC_DEPTH = 40
 DICHOTOMIC_RTOL = 1e-9  # relative margin a segment's solve must beat its ends by
 PENALTY_CLAMP = (1e-9, 1e12)  # bounds on the segment weights solved at
-
-
-class EnumerationError(RuntimeError):
-    """Design space too large to enumerate; carries the offending count."""
-
-    def __init__(self, count, ceiling):
-        super().__init__(
-            f"design space has {count} members, above the ceiling of {ceiling}"
-        )
-        self.count = count
-        self.ceiling = ceiling
 
 
 def enumerate_feasible_designs(
@@ -62,13 +49,10 @@ def enumerate_feasible_designs(
 
     With ``maximal_only`` keeps just the designs to which no copy of any
     type can be added — sufficient for front purposes, since a larger
-    design can emulate any smaller one.  The designs are counted before
-    any is listed, so a space above ``ceiling`` raises at once.
+    design can emulate any smaller one.  A space above ``ceiling`` raises
+    ``dop.EnumerationError`` before any design is listed.
     """
-    count = _feasible_count(instance)
-    if count > ceiling:
-        raise EnumerationError(count, ceiling)
-    designs = _feasible_designs(instance)
+    designs = _feasible_designs(instance, ceiling)
     if not maximal_only:
         return designs
     members = set(designs)

@@ -223,9 +223,11 @@ def make_instance(components, constraints, bounds, names=None) -> Instance:
     labels = [c.label for c in comps]
     if len(set(labels)) != len(labels):
         raise InstanceError(f"duplicate component labels: {labels}")
-    for lab in labels:
-        if any(ch.isspace() for ch in lab):
-            raise InstanceError(f"component label {lab!r} contains whitespace")
+    for comp in comps:
+        if any(ch.isspace() for ch in comp.label):
+            raise InstanceError(f"component label {comp.label!r} contains whitespace")
+        if comp.unavailability == 0.0:  # ln q = -inf would poison every closed form
+            raise InstanceError(f"component type {comp.label!r} has unavailability rounding to 0")
 
     # stable sort by usage cost: canonical index == usage priority
     order = sorted(range(n), key=lambda i: (comps[i].usage_cost, i))

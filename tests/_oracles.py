@@ -12,6 +12,7 @@ from bisect import bisect_right
 
 import numpy as np
 
+from parmaint import dop
 from parmaint.ctmdp import (
     DEFAULT_STATE_CEILING,
     StateSpaceError,
@@ -114,6 +115,68 @@ def augmented_slot_objective(instance, slots, delta):
         total += q[i] * r[i] + c[i] * (1.0 - q[i]) * prefix
         prefix *= q[i]
     return total + (1.0 + delta) * c_top * prefix
+
+
+def _lex_table(instance):
+    """The feasible designs in lex order with their repair, usage and ln
+    failure, from the library's closed forms: the references below check
+    how a cap's design is chosen, not the terms it is chosen on."""
+    designs = dop._feasible_designs(instance)
+    return (designs, *dop._objective_terms(instance, dop._design_matrix(designs)))
+
+
+def reference_fdop(instance):
+    """Most reliable design: first lex row within 1e-12 of the least ln failure."""
+    designs, _, _, ln_f = _lex_table(instance)
+    return designs[int(np.flatnonzero(ln_f <= ln_f.min() + 1e-12)[0])]
+
+
+def _reference_cap(instance, table, epsilon, delta):
+    """Masked argmin of the penalized objective over the whole lex table:
+    every co-optimal row, most reliable first."""
+    designs, repair, usage, ln_f = table
+    keep = ln_f <= epsilon + dop.EPS_SLACK
+    c_top = instance.usage_costs().max()
+    aug = repair + usage + (1.0 + delta) * c_top * np.exp(ln_f)
+    aug = np.where(keep, aug, np.inf)
+    best = aug.min()
+    tol = dop.TIE_TOL * max(1.0, abs(best))
+    tied_idx = np.nonzero(aug <= best + tol)[0]
+    order = sorted(tied_idx, key=lambda i: (ln_f[i], designs[i]))
+    return tuple(
+        dop._row(
+            table, i, tag="trivial" if sum(designs[i]) == 0 else "sweep",
+            epsilon=epsilon, objective=float(aug[i]),
+        )
+        for i in order
+    )
+
+
+def reference_sweep(instance, eps_min=0.0, delta_eps=-0.1, delta=0.1, record_ties=False):
+    """``dop.sp1_sweep`` solved cap by cap as a masked argmin over the
+    lex-ordered table, with no sorting and no running minimum."""
+    table = _lex_table(instance)
+    designs, _, _, ln_f = table
+    anchor = int(np.flatnonzero(ln_f <= ln_f.min() + 1e-12)[0])
+    results = []
+    seen = set()
+
+    def record(sol):
+        if sol.design not in seen:
+            seen.add(sol.design)
+            results.append(sol)
+
+    eps = float(eps_min)
+    while eps >= ln_f[anchor] - dop.EPS_SLACK:
+        ties = _reference_cap(instance, table, eps, delta)
+        for s in reversed(ties) if record_ties else ties[:1]:
+            record(s)
+        eps = ties[0].ln_g_f + delta_eps
+
+    record(dop._row(table, anchor, tag="reliability"))
+    if designs[0] not in seen:  # the empty design heads the lex order
+        results.insert(0, dop._row(table, 0, tag="trivial"))
+    return results
 
 
 def policy_from_rule(model, rule):

@@ -20,6 +20,21 @@ def base_path(instances_dir):
 
 
 @pytest.fixture(scope="module")
+def million_path(tmp_path_factory):
+    """One type with a million copies allowed: 1,000,001 designs."""
+    doc = {
+        "components": [
+            {"label": "a", "p": 0.9, "tau": 1, "usage_cost": 1, "repair_cost": 10,
+             "install_cost": 1, "weight": 1}
+        ],
+        "constraints": [{"name": "slots", "coefficients": [1], "bound": 1e6}],
+    }
+    path = tmp_path_factory.mktemp("inst") / "big.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
 def tiny_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("inst") / "tiny.json"
     write_instance(single_type_instance(), path)
@@ -79,6 +94,27 @@ class TestValidate:
         assert code == EXIT_ERROR
         assert err.startswith("error: component type 'b' is not limited")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("row", [[1, 1], [1, 0]], ids=["limited", "unlimited"])
+    def test_unavailability_rounding_to_zero_is_an_error(self, row, tmp_path, capsys):
+        # 1e-320 / (1e-320 + 1e10) underflows to 0, so ln q would be -inf
+        doc = {
+            "components": [
+                {"label": "a", "p": 0.9, "tau": 1, "usage_cost": 1, "repair_cost": 10,
+                 "install_cost": 1, "weight": 1},
+                {"label": "b", "alpha": 1e-320, "tau": 1e10, "usage_cost": 1,
+                 "repair_cost": 10, "install_cost": 1, "weight": 1},
+            ],
+            "constraints": [{"name": "slots", "coefficients": row, "bound": 3}],
+        }
+        path = tmp_path / "perfect.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["instance", "validate"], ["dop", "--out", str(tmp_path / "s.txt")]):
+            code = main([*argv, str(path)])
+            err = capsys.readouterr().err
+            assert code == EXIT_ERROR
+            assert err == "error: component type 'b' has unavailability rounding to 0\n"
+        assert not (tmp_path / "s.txt").exists()
 
     @pytest.mark.parametrize(
         "where, field, value, reason",
@@ -268,20 +304,11 @@ class TestExact:
         assert code == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
 
-    def test_ceiling_checked_before_listing(self, tmp_path, capsys):
+    def test_ceiling_checked_before_listing(self, million_path, tmp_path, capsys):
         # a million copies of one type: counted at once, never listed
-        doc = {
-            "components": [
-                {"label": "a", "p": 0.9, "tau": 1, "usage_cost": 1, "repair_cost": 10,
-                 "install_cost": 1, "weight": 1}
-            ],
-            "constraints": [{"name": "slots", "coefficients": [1], "bound": 1e6}],
-        }
-        path = tmp_path / "big.json"
-        path.write_text(json.dumps(doc))
         out = tmp_path / "exact.txt"
         start = time.perf_counter()
-        code = main(["exact", str(path), "--out", str(out)])
+        code = main(["exact", million_path, "--out", str(out)])
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_ERROR
         assert "design space has 1000001 members" in capsys.readouterr().err
@@ -303,6 +330,21 @@ class TestExact:
         assert done.returncode == EXIT_ERROR
         assert "design space has 167668501 members" in done.stderr
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["dop", "app"])
+def test_static_stage_checks_the_ceiling(command, million_path, instances_dir, tmp_path):
+    # the sweep lists its designs through the same counted guard as exact
+    out = tmp_path / "out.txt"
+    env = dict(os.environ, PYTHONPATH=str(instances_dir.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "parmaint.cli", command, million_path, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == EXIT_ERROR
+    assert "design space has 1000001 members" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
 
 
 class TestDmp:

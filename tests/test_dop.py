@@ -16,6 +16,8 @@ from parmaint.model import ComponentType, load_instance, make_instance
 from _oracles import (
     grid_feasible_designs,
     random_instance,
+    reference_fdop,
+    reference_sweep,
     single_type_instance,
     augmented_slot_objective,
     stationary_design_gain,
@@ -371,6 +373,41 @@ class TestOneEnumerationPerSweep:
         assert len(calls) == 1
 
 
+class TestAgainstReference:
+    """The sorted-table sweep against the per-cap masked argmin, bit for bit."""
+
+    ARGUMENTS = [
+        {},
+        {"eps_min": -2.0, "delta_eps": -0.05, "delta": 0.0},
+        {"delta_eps": -1e-3, "delta": 0.5},
+        {"eps_min": -0.5, "delta_eps": -0.3, "delta": 2.0},
+    ]
+
+    @staticmethod
+    def _instances(base_instance, large_instance, instances_dir):
+        single = load_instance(instances_dir.parent / "perfbench" / "data" / "single-1.json")
+        yield from (base_instance, single, large_instance, _identical_pair())
+        rng = np.random.default_rng(53)
+        for _ in range(300):
+            yield random_instance(rng)
+        # a twin of one type makes exact ties in ln failure and objective,
+        # which only the tie order and the tie tolerance decide
+        for _ in range(60):
+            comps, a = random_instance(rng)._catalog_view()
+            twin = ComponentType(**{**vars(comps[0]), "label": "twin"})
+            yield make_instance(comps + [twin], np.hstack([a, a[:, :1]]), [8.0] * len(a))
+
+    def test_sweeps_and_extreme_match(self, base_instance, large_instance, instances_dir):
+        fields = lambda s: (s.design, s.g_o, s.ln_g_f, s.tag, s.epsilon, s.objective)
+        for inst in self._instances(base_instance, large_instance, instances_dir):
+            assert solve_fdop(inst) == reference_fdop(inst)
+            for kwargs in self.ARGUMENTS:
+                for ties in (False, True):
+                    got = sp1_sweep(inst, record_ties=ties, **kwargs)
+                    want = reference_sweep(inst, record_ties=ties, **kwargs)
+                    assert list(map(fields, got)) == list(map(fields, want))
+
+
 class TestFeasibleCount:
     """The memoized count against the list it stands in for."""
 
@@ -392,4 +429,3 @@ class TestStaticSolutionRecord:
         assert sol.tag == "sweep"
         assert sol.epsilon is None
         assert sol.objective is None
-        assert sol.ties == ()

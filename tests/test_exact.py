@@ -5,9 +5,8 @@ import pytest
 
 from parmaint.app import EXACT, STATIC_SP1, SolutionPoint, non_dom_filter, run_app, sp2
 from parmaint.ctmdp import build_model
-from parmaint.dop import dop_objectives
+from parmaint.dop import EnumerationError, dop_objectives
 from parmaint.exact import (
-    EnumerationError,
     _trace_design,
     compare_fronts,
     enumerate_feasible_designs,

@@ -137,6 +137,13 @@ class TestMakeInstanceValidation:
         with pytest.raises(InstanceError, match="'b' is not limited"):
             make_instance(comps, [[1.0, 0.0]], [5.0])
 
+    @pytest.mark.parametrize("column", [1.0, 0.0], ids=["limited", "unlimited"])
+    def test_unavailability_rounding_to_zero_rejected(self, column):
+        # q = 1e-320 / (1e-320 + 1e10) underflows to 0, so ln q = -inf
+        comps = [_comp(label="a"), _comp(label="b", alpha=1e-320, tau=1e10)]
+        with pytest.raises(InstanceError, match="'b' has unavailability rounding to 0"):
+            make_instance(comps, [[1.0, column]], [5.0])
+
     def test_unconstrained_type_with_repair_cost_gets_analytic_bound(self):
         # by hand: q = 1/11, margin = 0.1, r = 0.5 puts the single-type
         # optimum just past one copy, so the analytic cap is 1
