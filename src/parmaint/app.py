@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import compress
 
 import numpy as np
 
@@ -90,17 +91,12 @@ class ParetoFront:
 
 def non_nested_designs(solutions):
     """Drop solutions whose design fits componentwise inside another's."""
-    designs = [s.design for s in solutions]
-    keep = []
-    for s in solutions:
-        x = s.design
-        nested = any(
-            all(a <= b for a, b in zip(x, y)) and any(a < b for a, b in zip(x, y))
-            for y in designs
-        )
-        if not nested:
-            keep.append(s)
-    return keep
+    designs = np.array([s.design for s in solutions])
+    return [
+        s
+        for s in solutions
+        if not (np.all(designs >= s.design, axis=1) & np.any(designs > s.design, axis=1)).any()
+    ]
 
 
 def static_points(solutions):
@@ -160,7 +156,7 @@ def _full_repair_point(instance, model, design, provenance):
     policy = fully_active_policy(model)
     gain = evaluate_policy(model, policy)
     g_o, ln_g_f = dop_objectives(instance, design)
-    matches = _close(gain.ln_g_f, ln_g_f, 1e-8) and abs(gain.g_o - g_o) <= 1e-8
+    matches = _gap(gain.ln_g_f, ln_g_f) <= 1e-8 and abs(gain.g_o - g_o) <= 1e-8
     return SolutionPoint(
         g_o=gain.g_o,
         ln_g_f=gain.ln_g_f,
@@ -172,14 +168,21 @@ def _full_repair_point(instance, model, design, provenance):
     )
 
 
-def _coord_dist(x: float, y: float) -> float:
-    if x == y:  # covers matching infinities
-        return 0.0
-    return abs(x - y)
+def _gap(x, y):
+    """Elementwise ``|x - y|``, with matching infinities 0 apart."""
+    with np.errstate(invalid="ignore"):  # inf - inf, discarded where x == y
+        return np.where(x == y, 0.0, np.abs(np.subtract(x, y)))
 
 
-def _close(x: float, y: float, tol: float) -> bool:
-    return _coord_dist(x, y) <= tol
+def _coincide(a_g_o, a_ln_g_f, b_g_o, b_ln_g_f, tol):
+    """Whether points a and b agree within ``tol`` in both objectives;
+    elementwise on arrays."""
+    return (_gap(a_g_o, b_g_o) <= tol) & (_gap(a_ln_g_f, b_ln_g_f) <= tol)
+
+
+def _columns(points):
+    """The ``g_o`` and ``ln_g_f`` columns of a list of points."""
+    return np.array([(p.g_o, p.ln_g_f) for p in points], dtype=float).reshape(-1, 2).T
 
 
 def sp2(
@@ -216,11 +219,13 @@ def sp2(
     return points
 
 
-def _dominates(a: SolutionPoint, b: SolutionPoint, tol: float) -> bool:
+def _dominates(a_g_o, a_ln_g_f, b_g_o, b_ln_g_f, tol):
+    """Whether point a is within ``tol`` of point b in both objectives and
+    better by more than ``tol`` in one; elementwise on arrays."""
     return (
-        a.g_o <= b.g_o + tol
-        and a.ln_g_f <= b.ln_g_f + tol
-        and (a.g_o < b.g_o - tol or a.ln_g_f < b.ln_g_f - tol)
+        (a_g_o <= b_g_o + tol)
+        & (a_ln_g_f <= b_ln_g_f + tol)
+        & ((a_g_o < b_g_o - tol) | (a_ln_g_f < b_ln_g_f - tol))
     )
 
 
@@ -234,22 +239,17 @@ def non_dom_filter(points, tolerance: float = DOM_TOL) -> ParetoFront:
     """
     _check_tolerance(tolerance)
     pts = list(points)
+    g_o, ln_g_f = _columns(pts)
     survivors = [
-        p
-        for p in pts
-        if not any(q is not p and _dominates(q, p, tolerance) for q in pts)
+        p for p in pts if not _dominates(g_o, ln_g_f, p.g_o, p.ln_g_f, tolerance).any()
     ]
     survivors.sort(key=SolutionPoint.identity_key)
-    kept = []
-    for p in survivors:
-        if any(
-            _close(p.g_o, k.g_o, tolerance) and _close(p.ln_g_f, k.ln_g_f, tolerance)
-            for k in kept
-        ):
-            continue
-        kept.append(p)
-    kept.sort(key=lambda p: (p.g_o, -p.ln_g_f))
-    return ParetoFront(points=tuple(kept))
+    g_o, ln_g_f = _columns(survivors)
+    kept = np.zeros(len(survivors), dtype=bool)
+    for i, p in enumerate(survivors):
+        kept[i] = not _coincide(g_o[kept], ln_g_f[kept], p.g_o, p.ln_g_f, tolerance).any()
+    front = sorted(compress(survivors, kept), key=lambda p: (p.g_o, -p.ln_g_f))
+    return ParetoFront(points=tuple(front))
 
 
 def run_app(

@@ -13,16 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from parmaint.app import (
     DOM_TOL,
     EXACT,
     ParetoFront,
     SolutionPoint,
     _check_tolerance,
-    _close,
-    _coord_dist,
+    _coincide,
+    _columns,
     _dominates,
     _full_repair_point,
+    _gap,
     _merge_traces,
     _solve_point,
 )
@@ -92,7 +95,7 @@ def dichotomic_expand(solve_at, left, right, depth=DICHOTOMIC_DEPTH):
     if base - value <= DICHOTOMIC_RTOL * max(1.0, abs(base)):
         return []
     for end in (left, right):
-        if _close(mid.g_o, end.g_o, DOM_TOL) and _close(mid.ln_g_f, end.ln_g_f, DOM_TOL):
+        if _coincide(mid.g_o, mid.ln_g_f, end.g_o, end.ln_g_f, DOM_TOL):
             return []
     return (
         dichotomic_expand(solve_at, left, mid, depth - 1)
@@ -119,9 +122,7 @@ def _trace_design(instance, design):
 
     left = solve_at(PENALTY_CLAMP[0])
     right = _full_repair_point(instance, model, design, EXACT)
-    if _close(left.g_o, right.g_o, DOM_TOL) and _close(
-        left.ln_g_f, right.ln_g_f, DOM_TOL
-    ):
+    if _coincide(left.g_o, left.ln_g_f, right.g_o, right.ln_g_f, DOM_TOL):
         return [left]
     return [left] + dichotomic_expand(solve_at, left, right) + [right]
 
@@ -175,20 +176,13 @@ def compare_fronts(front, reference, tolerance: float = 1e-6) -> ComparisonRepor
     """
     _check_tolerance(tolerance)
     ref_pts = list(reference)
+    g_o, ln_g_f = _columns(ref_pts)
     entries = []
     for p in front:
-        dominator = None
-        for q in ref_pts:
-            if _dominates(q, p, tolerance):
-                dominator = q
-                break
-        if ref_pts:
-            distance = min(
-                max(_coord_dist(p.g_o, q.g_o), _coord_dist(p.ln_g_f, q.ln_g_f))
-                for q in ref_pts
-            )
-        else:
-            distance = float("inf")
+        beaten = np.flatnonzero(_dominates(g_o, ln_g_f, p.g_o, p.ln_g_f, tolerance))
+        dominator = ref_pts[beaten[0]] if beaten.size else None
+        gaps = np.maximum(_gap(g_o, p.g_o), _gap(ln_g_f, p.ln_g_f))
+        distance = float(gaps.min(initial=np.inf))
         if dominator is not None:
             status = "dominated"
         elif distance <= tolerance:

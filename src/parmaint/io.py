@@ -119,18 +119,14 @@ def read_front(path) -> ParetoFront:
         toks = line.split()
         if len(toks) != n + 4:
             raise ValueError(f"bad front row: {line!r}")
-        g_o, ln_g_f = float(toks[n + 2]), float(toks[n + 3])
+        try:
+            design = tuple(int(t) for t in toks[1 : n + 1])
+            penalty, g_o, ln_g_f = _parse_opt(toks[n + 1]), float(toks[n + 2]), float(toks[n + 3])
+        except ValueError as exc:
+            raise ValueError(f"bad front row {line!r}: {exc}") from None
         if not math.isfinite(g_o) or math.isnan(ln_g_f):
             raise ValueError(f"bad front values: {line!r}")
-        points.append(
-            SolutionPoint(
-                g_o=g_o,
-                ln_g_f=ln_g_f,
-                design=tuple(int(t) for t in toks[1 : n + 1]),
-                provenance=toks[0],
-                penalty=_parse_opt(toks[n + 1]),
-            )
-        )
+        points.append(SolutionPoint(g_o, ln_g_f, design, toks[0], penalty))
     return ParetoFront(points=tuple(points), notes=tuple(notes))
 
 

@@ -113,11 +113,18 @@ class Instance:
         return np.array([c.repair_cost for c in self.components])
 
     def is_feasible(self, design) -> bool:
-        """Whether a design (canonical-order copy counts) fits the budget."""
+        """Whether a design (canonical-order copy counts) fits the budget:
+        the rows, and the copy bound of each type some row limits."""
         x = np.asarray(design, dtype=float)
         if x.shape != (self.n_types,) or np.any(x < 0):
             return False
-        return bool(np.all(self.constraints @ x <= self.constraint_bounds + 1e-9))
+        limited = np.any(self.constraints > 0, axis=0)
+        if np.any(x[limited] > np.asarray(self.copy_bounds)[limited]):
+            return False
+        slack = self.constraint_bounds.astype(float)
+        for i, count in enumerate(x):  # the order dop's design listing subtracts in
+            slack = slack - count * self.constraints[:, i]
+        return bool(np.all(slack >= -1e-9))
 
     def to_catalog(self, design) -> tuple[int, ...]:
         """Reorder canonical copy counts back to catalog positions."""

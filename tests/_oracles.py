@@ -13,6 +13,7 @@ from bisect import bisect_right
 import numpy as np
 
 from parmaint import dop
+from parmaint.app import DOM_TOL, ParetoFront, SolutionPoint, _check_tolerance
 from parmaint.ctmdp import (
     DEFAULT_STATE_CEILING,
     StateSpaceError,
@@ -20,6 +21,7 @@ from parmaint.ctmdp import (
     _check_state,
     build_model,
 )
+from parmaint.exact import ComparisonEntry, ComparisonReport
 from parmaint.mdp_solve import (
     MaintenancePolicy,
     evaluate_policy,
@@ -177,6 +179,91 @@ def reference_sweep(instance, eps_min=0.0, delta_eps=-0.1, delta=0.1, record_tie
     if designs[0] not in seen:  # the empty design heads the lex order
         results.insert(0, dop._row(table, 0, tag="trivial"))
     return results
+
+
+def _ref_coord_dist(x: float, y: float) -> float:
+    if x == y:  # covers matching infinities
+        return 0.0
+    return abs(x - y)
+
+
+def _ref_close(x: float, y: float, tol: float) -> bool:
+    return _ref_coord_dist(x, y) <= tol
+
+
+def _ref_dominates(a, b, tol: float) -> bool:
+    return (
+        a.g_o <= b.g_o + tol
+        and a.ln_g_f <= b.ln_g_f + tol
+        and (a.g_o < b.g_o - tol or a.ln_g_f < b.ln_g_f - tol)
+    )
+
+
+def reference_non_nested_designs(solutions):
+    """``app.non_nested_designs`` as a scan over every pair of designs."""
+    designs = [s.design for s in solutions]
+    keep = []
+    for s in solutions:
+        x = s.design
+        nested = any(
+            all(a <= b for a, b in zip(x, y)) and any(a < b for a, b in zip(x, y))
+            for y in designs
+        )
+        if not nested:
+            keep.append(s)
+    return keep
+
+
+def reference_non_dom_filter(points, tolerance=DOM_TOL):
+    """``app.non_dom_filter`` as a scan over every pair of points."""
+    _check_tolerance(tolerance)
+    pts = list(points)
+    survivors = [
+        p
+        for p in pts
+        if not any(q is not p and _ref_dominates(q, p, tolerance) for q in pts)
+    ]
+    survivors.sort(key=SolutionPoint.identity_key)
+    kept = []
+    for p in survivors:
+        if any(
+            _ref_close(p.g_o, k.g_o, tolerance) and _ref_close(p.ln_g_f, k.ln_g_f, tolerance)
+            for k in kept
+        ):
+            continue
+        kept.append(p)
+    kept.sort(key=lambda p: (p.g_o, -p.ln_g_f))
+    return ParetoFront(points=tuple(kept))
+
+
+def reference_compare_fronts(front, reference, tolerance=1e-6):
+    """``exact.compare_fronts`` as a scan over every reference point."""
+    _check_tolerance(tolerance)
+    ref_pts = list(reference)
+    entries = []
+    for p in front:
+        dominator = None
+        for q in ref_pts:
+            if _ref_dominates(q, p, tolerance):
+                dominator = q
+                break
+        if ref_pts:
+            distance = min(
+                max(_ref_coord_dist(p.g_o, q.g_o), _ref_coord_dist(p.ln_g_f, q.ln_g_f))
+                for q in ref_pts
+            )
+        else:
+            distance = float("inf")
+        if dominator is not None:
+            status = "dominated"
+        elif distance <= tolerance:
+            status = "matched"
+        else:
+            status = "absent"
+        entries.append(
+            ComparisonEntry(point=p, status=status, distance=distance, dominator=dominator)
+        )
+    return ComparisonReport(entries=tuple(entries), tolerance=tolerance)
 
 
 def policy_from_rule(model, rule):

@@ -398,6 +398,22 @@ class TestDmp:
         assert code == EXIT_ERROR
         assert "violates" in capsys.readouterr().err
 
+    def test_count_above_a_limited_copy_bound(self, tmp_path, capsys):
+        # 1.0000000001e-3 > 1e-3 by only 1e-13, but the copy bound is 0
+        doc = {
+            "components": [
+                {"label": "a", "p": 0.9, "tau": 1, "usage_cost": 1, "repair_cost": 10,
+                 "install_cost": 1, "weight": 1}
+            ],
+            "constraints": [{"name": "slots", "coefficients": [1.0000000001e-3], "bound": 1e-3}],
+        }
+        path = tmp_path / "tight.json"
+        path.write_text(json.dumps(doc))
+        code = main(["dmp", str(path), "--design", "1", "--out", str(tmp_path / "gain.txt")])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: design 1 violates the instance constraints\n"
+        assert not (tmp_path / "gain.txt").exists()
+
     def test_non_integer_design_count(self, base_path, capsys):
         code = main(["dmp", base_path, "--design", "1,x,0,0"])
         assert code == EXIT_ERROR

@@ -160,6 +160,22 @@ class TestFrontFiles:
             with pytest.raises(ValueError, match="front values"):
                 read_front(path)
 
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("exact x 5 2.5 -1", "invalid literal for int() with base 10: 'x'"),
+            ("exact 1 abc 2.5 -1", "could not convert string to float: 'abc'"),
+            ("exact 1 5 abc -1", "could not convert string to float: 'abc'"),
+        ],
+        ids=["design", "penalty", "g_o"],
+    )
+    def test_malformed_token_names_the_row(self, tmp_path, row, reason):
+        path = tmp_path / "front.txt"
+        path.write_text(f"provenance x_1 p g_o ln_g_f\n{row}\n")
+        with pytest.raises(ValueError) as info:
+            read_front(path)
+        assert str(info.value) == f"bad front row {row!r}: {reason}"
+
     def test_minus_infinite_log_failure_rate_accepted(self, tmp_path):
         path = tmp_path / "front.txt"
         path.write_text("provenance x_1 p g_o ln_g_f\nexact 1 - 2.5 -inf\n")

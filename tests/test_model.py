@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from parmaint import dop
 from parmaint.model import (
     ComponentType,
     InstanceError,
@@ -207,6 +209,40 @@ class TestFeasibility:
     def test_bad_shape_or_sign(self, base_instance):
         assert not base_instance.is_feasible((1, 0, 0))
         assert not base_instance.is_feasible((-1, 0, 0, 0))
+
+    def test_count_above_copy_bound_rejected(self):
+        # floor(b / a + 1e-12) = 0, though a exceeds b by only 1e-13
+        inst = make_instance([_comp()], [[1.0000000001e-3]], [1e-3])
+        assert inst.copy_bounds == (0,)
+        assert inst.is_feasible((0,))
+        assert not inst.is_feasible((1,))
+
+    def test_unlimited_type_not_held_to_its_analytic_bound(self):
+        comps = [_comp(label="a"), _comp(label="b", usage_cost=2.0)]
+        inst = make_instance(comps, [[1.0, 0.0]], [2.0])
+        assert inst.is_feasible((2, inst.copy_bounds[1] + 1))
+
+    def test_matches_the_design_listing_on_boundary_instances(self):
+        # coefficients c k and bounds c m (1 +- 1e-10): rows hit their
+        # bounds to within rounding, and at c = 1, m near 10 the 1e-9
+        # slack is decided by the order the terms are subtracted in
+        rng = np.random.default_rng(11)
+        checked = 0
+        for trial in range(600):
+            c = (1e-3, 1.0, 1e6)[trial % 3]
+            n, r = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+            k = rng.integers(0, 10, size=(r, n)).astype(float)
+            k[:, rng.random(n) < 0.2] = 0.0  # some types in no row
+            b = c * rng.integers(0, 12, size=r) * (1.0 + rng.choice([-1e-10, 0.0, 1e-10], r))
+            comps = [_comp(label=f"t{i}", usage_cost=float(i + 1)) for i in range(n)]
+            inst = make_instance(comps, c * k, b)
+            listed = set(dop._feasible_designs(inst))
+            limited = np.any(inst.constraints > 0, axis=0)
+            tops = [cap + 1 if lim else cap for cap, lim in zip(inst.copy_bounds, limited)]
+            for x in itertools.product(*(range(t + 1) for t in tops)):
+                assert inst.is_feasible(x) == (x in listed), (inst.constraints, b, x)
+                checked += 1
+        assert checked > 5_000
 
 
 class TestCopyBounds:
