@@ -16,7 +16,7 @@ import numpy as np
 
 from parmaint import app as app_mod
 from parmaint import io
-from parmaint.dop import DESIGN_CEILING, EnumerationError, sp1_sweep, solve_fdop
+from parmaint.dop import EnumerationError, sp1_sweep, solve_fdop
 from parmaint.ctmdp import StateSpaceError, build_model
 from parmaint.exact import compare_fronts, exact_front
 from parmaint.mdp_solve import evaluate_policy, fully_active_policy, solve_average_cost
@@ -120,12 +120,7 @@ def cmd_app(args) -> int:
 
 def cmd_exact(args) -> int:
     instance = _load(args)
-    front = exact_front(
-        instance,
-        tolerance=args.tolerance,
-        maximal_only=args.maximal_only,
-        ceiling=args.ceiling,
-    )
+    front = exact_front(instance, tolerance=args.tolerance, maximal_only=args.maximal_only)
     return _report_front(front, instance, args.out, args.plot_out, "exact front")
 
 
@@ -265,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(ex)
     ex.add_argument("--tolerance", type=float, default=app_mod.DOM_TOL)
     ex.add_argument("--maximal-only", action="store_true")
-    ex.add_argument("--ceiling", type=int, default=DESIGN_CEILING)
     ex.add_argument("--out", default="parmaint_exact.txt")
     ex.add_argument("--plot-out", default=None)
     ex.set_defaults(func=cmd_exact)

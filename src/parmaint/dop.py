@@ -175,14 +175,14 @@ def _feasible_count(instance: Instance) -> int:
     return count(0, tuple(b.astype(float)))
 
 
-def _feasible_designs(instance: Instance, ceiling: int = DESIGN_CEILING) -> list:
+def _feasible_designs(instance: Instance) -> list:
     """All integer designs 0 <= x <= copy bounds with A x <= b, lex order.
 
-    They are counted before any is listed, so a space above ``ceiling``
-    raises ``EnumerationError`` at once."""
+    They are counted before any is listed, so a space above
+    ``DESIGN_CEILING`` raises ``EnumerationError`` at once."""
     count = _feasible_count(instance)
-    if count > ceiling:
-        raise EnumerationError(count, ceiling)
+    if count > DESIGN_CEILING:
+        raise EnumerationError(count, DESIGN_CEILING)
     return [prefix + (v,) for prefix, k in _design_prefixes(instance) for v in range(k)]
 
 

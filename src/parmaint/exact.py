@@ -1,12 +1,13 @@
 """Exact front oracle: every feasible design, exactly solved.
 
 Enumerates the whole knapsack-feasible design space, traces each
-design's supported policy trade-off curve with the recursive weighted
-scalarization (each point the exact (g_o, g_f) of a certified solve's
-policy, or of full repair), and merges everything into one
-non-dominated front.  The bi-objective integrated problem
-decomposes over fixed designs, so this per-design procedure is an exact
-oracle for the heuristic to be judged against — at desk scale only.
+design's supported policy trade-off curve with the dichotomic weighted
+scalarization of Aneja and Nair (1979) (each point the exact (g_o, g_f)
+of a certified solve's policy, or of full repair), and merges
+everything into one non-dominated front.  The bi-objective integrated
+problem decomposes over fixed designs, so this per-design procedure is
+an exact oracle for the heuristic to be judged against — at desk scale
+only.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from parmaint.app import (
     _solve_point,
 )
 from parmaint.ctmdp import build_model
-from parmaint.dop import DESIGN_CEILING, _feasible_designs
+from parmaint.dop import _feasible_designs
 
 __all__ = [
     "enumerate_feasible_designs",
@@ -40,22 +41,19 @@ __all__ = [
     "compare_fronts",
 ]
 
-DICHOTOMIC_DEPTH = 40
 DICHOTOMIC_RTOL = 1e-9  # relative margin a segment's solve must beat its ends by
-PENALTY_CLAMP = (1e-9, 1e12)  # bounds on the segment weights solved at
 
 
-def enumerate_feasible_designs(
-    instance, maximal_only: bool = False, ceiling: int = DESIGN_CEILING
-):
+def enumerate_feasible_designs(instance, maximal_only: bool = False):
     """All designs satisfying the knapsack constraints, in lex order.
 
     With ``maximal_only`` keeps just the designs to which no copy of any
     type can be added — sufficient for front purposes, since a larger
-    design can emulate any smaller one.  A space above ``ceiling`` raises
-    ``dop.EnumerationError`` before any design is listed.
+    design can emulate any smaller one.  A space above
+    ``dop.DESIGN_CEILING`` raises ``dop.EnumerationError`` before any
+    design is listed.
     """
-    designs = _feasible_designs(instance, ceiling)
+    designs = _feasible_designs(instance)
     if not maximal_only:
         return designs
     members = set(designs)
@@ -72,66 +70,49 @@ def enumerate_feasible_designs(
     return out
 
 
-def dichotomic_expand(solve_at, left, right, depth=DICHOTOMIC_DEPTH):
-    """Supported points strictly between two front points, recursively.
-
-    ``solve_at(penalty)`` must return an exactly evaluated SolutionPoint.
-    The solve is at the segment's slope, the penalty at which both ends
-    scalarize (``g_o + penalty * g_f``) to the same value; recursion
-    stops when the solve no longer beats that value by
-    ``DICHOTOMIC_RTOL`` relative, or ``DICHOTOMIC_DEPTH`` levels down
-    (``depth`` counts the levels left).
-    """
-    if depth <= 0:
-        return []
-    d_gf = left.g_f - right.g_f
-    d_go = right.g_o - left.g_o
-    if d_gf <= 0.0 or d_go <= 0.0:
-        return []
-    penalty = min(max(d_go / d_gf, PENALTY_CLAMP[0]), PENALTY_CLAMP[1])
-    mid = solve_at(penalty)
-    base = left.g_o + penalty * left.g_f
-    value = mid.g_o + penalty * mid.g_f
-    if base - value <= DICHOTOMIC_RTOL * max(1.0, abs(base)):
-        return []
-    for end in (left, right):
-        if _coincide(mid.g_o, mid.ln_g_f, end.g_o, end.ln_g_f, DOM_TOL):
-            return []
-    return (
-        dichotomic_expand(solve_at, left, mid, depth - 1)
-        + [mid]
-        + dichotomic_expand(solve_at, mid, right, depth - 1)
-    )
-
-
 def _trace_design(instance, design):
     """Supported points of one design's policy trade-off curve.
 
-    The trace runs from the cheapest policy (the solve at the smallest
-    penalty) to full repair, the limit of the penalty-optimal policies
-    as the penalty grows, and fills the segments in between.
+    The trace runs from the cheapest policy (the solve at penalty 0) to
+    full repair, the limit of the penalty-optimal policies as the
+    penalty grows, and fills the segments in between left first, each
+    solve warm-started from the last.  A segment is solved at its slope,
+    the penalty at which both ends scalarize (``g_o + penalty * g_f``)
+    to the same value; the new point splits it unless it coincides with
+    an end or fails to beat that value by ``DICHOTOMIC_RTOL`` relative.
+    Each split adds a distinct policy, so the trace ends.
     """
     model = build_model(instance, design=design)
-    policy = None
-
-    def solve_at(penalty):
-        nonlocal policy
-        pt = _solve_point(model, design, penalty, policy, EXACT)
-        policy = pt.policy
-        return pt
-
-    left = solve_at(PENALTY_CLAMP[0])
+    left = _solve_point(model, design, 0.0, None, EXACT)
     right = _full_repair_point(instance, model, design, EXACT)
     if _coincide(left.g_o, left.ln_g_f, right.g_o, right.ln_g_f, DOM_TOL):
         return [left]
-    return [left] + dichotomic_expand(solve_at, left, right) + [right]
+    # points holds the finished prefix; ends the open right ends, nearest last
+    points, ends, policy = [left], [right], left.policy
+    while ends:
+        left, right = points[-1], ends[-1]
+        d_gf = left.g_f - right.g_f
+        d_go = right.g_o - left.g_o
+        if d_gf > 0.0 and d_go > 0.0:
+            penalty = d_go / d_gf
+            mid = _solve_point(model, design, penalty, policy, EXACT)
+            policy = mid.policy
+            base = left.g_o + penalty * left.g_f
+            value = mid.g_o + penalty * mid.g_f
+            if base - value > DICHOTOMIC_RTOL * max(1.0, abs(base)) and not any(
+                _coincide(mid.g_o, mid.ln_g_f, end.g_o, end.ln_g_f, DOM_TOL)
+                for end in (left, right)
+            ):
+                ends.append(mid)
+                continue
+        points.append(ends.pop())
+    return points
 
 
 def exact_front(
     instance,
     tolerance: float = DOM_TOL,
     maximal_only: bool = False,
-    ceiling: int = DESIGN_CEILING,
 ) -> ParetoFront:
     """Non-dominated front over all feasible designs and their policies.
 
@@ -140,9 +121,7 @@ def exact_front(
     notes instead of failing the whole oracle.
     """
     _check_tolerance(tolerance)
-    designs = enumerate_feasible_designs(
-        instance, maximal_only=maximal_only, ceiling=ceiling
-    )
+    designs = enumerate_feasible_designs(instance, maximal_only=maximal_only)
     return _merge_traces(
         designs, lambda design: _trace_design(instance, design), "exact trace", [], tolerance
     )

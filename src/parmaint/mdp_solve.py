@@ -129,9 +129,11 @@ def solve_average_cost(
     test among the gain-optimal actions, keeping the current action
     unless another beats it by a relative ``IMPROVE_RTOL``.  The solve
     converges when no state has an improving action, which certifies
-    the returned policy optimal from every starting state; after
-    ``MAX_ITERATIONS`` evaluated policies it stops with the last one
-    unconverged.  Each policy's chain is solved once for the two cost
+    the returned policy optimal from every starting state.  It stops
+    unconverged when an improvement step returns to a policy it has
+    already evaluated (a cycle), with the evaluated policy of least gain
+    from state 0, or with the last one after ``MAX_ITERATIONS`` evaluated
+    policies.  Each policy's chain is solved once for the two cost
     columns (operational cost rate and failure indicator), and the
     penalized gains and biases are their combinations, so the result
     also carries the returned policy's exact pair ``(g_o, g_f)`` from
@@ -151,8 +153,11 @@ def solve_average_cost(
         raise ValueError("initial_policy belongs to another model")
     else:
         choice = initial_policy.choice
+    seen = set()  # choice vectors evaluated so far
+    best = None  # policy, pairs, gains and biases of the least gain from state 0
     for step in range(1, MAX_ITERATIONS + 1):
         policy = MaintenancePolicy(model, choice)
+        seen.add(policy.choice.tobytes())
         # the gains and biases of the two cost columns; the penalized
         # ones follow by linearity
         pairs, pair_bias = _policy_gains(model, policy.post_ids)
@@ -160,7 +165,14 @@ def solve_average_cost(
             gains = pairs[:, 0] + penalty * pairs[:, 1]
             bias = pair_bias[:, 0] + penalty * pair_bias[:, 1]
             choice = _improve(model, penalty, policy.choice, gains, bias)
+        if best is None or gains[0] < best[2][0]:
+            best = policy, pairs, gains, bias
         if choice is None:
+            break
+        if choice.tobytes() in seen:
+            # a cycle: rounding in the biases makes each policy of it look
+            # improvable by the next
+            policy, pairs, gains, bias = best
             break
     pair = GainPair(float(pairs[0, 0]), float(pairs[0, 1]))
     return SolveResult(
@@ -323,12 +335,16 @@ def _m_matrix_lu(out, src, dst, rates, transpose=False):
         np.concatenate([ids, rows]),
         np.concatenate([out, -rates]),
     )
-    return splu(
-        a,
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    ).solve
+    try:
+        lu = splu(
+            a,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:  # SuperLU's report of a zero pivot
+        raise ValueError(f"sparse LU of a {size}-node block failed: {exc}") from exc
+    return lu.solve
 
 
 def _policy_gains(model: CtmdpModel, post_ids):

@@ -13,7 +13,16 @@ from bisect import bisect_right
 import numpy as np
 
 from parmaint import dop
-from parmaint.app import DOM_TOL, ParetoFront, SolutionPoint, _check_tolerance
+from parmaint.app import (
+    DOM_TOL,
+    EXACT,
+    ParetoFront,
+    SolutionPoint,
+    _check_tolerance,
+    _coincide,
+    _full_repair_point,
+    _solve_point,
+)
 from parmaint.ctmdp import (
     DEFAULT_STATE_CEILING,
     StateSpaceError,
@@ -264,6 +273,69 @@ def reference_compare_fronts(front, reference, tolerance=1e-6):
             ComparisonEntry(point=p, status=status, distance=distance, dominator=dominator)
         )
     return ComparisonReport(entries=tuple(entries), tolerance=tolerance)
+
+
+# The recursive dichotomic trace, with its depth cap and penalty clamp: the
+# reference for ``exact._trace_design`` on curves whose slopes stay inside
+# the clamp.
+DICHOTOMIC_DEPTH = 40
+DICHOTOMIC_RTOL = 1e-9  # relative margin a segment's solve must beat its ends by
+PENALTY_CLAMP = (1e-9, 1e12)  # bounds on the segment weights solved at
+
+
+def dichotomic_expand(solve_at, left, right, depth=DICHOTOMIC_DEPTH):
+    """Supported points strictly between two front points, recursively.
+
+    ``solve_at(penalty)`` must return an exactly evaluated SolutionPoint.
+    The solve is at the segment's slope, the penalty at which both ends
+    scalarize (``g_o + penalty * g_f``) to the same value; recursion
+    stops when the solve no longer beats that value by
+    ``DICHOTOMIC_RTOL`` relative, or ``DICHOTOMIC_DEPTH`` levels down
+    (``depth`` counts the levels left).
+    """
+    if depth <= 0:
+        return []
+    d_gf = left.g_f - right.g_f
+    d_go = right.g_o - left.g_o
+    if d_gf <= 0.0 or d_go <= 0.0:
+        return []
+    penalty = min(max(d_go / d_gf, PENALTY_CLAMP[0]), PENALTY_CLAMP[1])
+    mid = solve_at(penalty)
+    base = left.g_o + penalty * left.g_f
+    value = mid.g_o + penalty * mid.g_f
+    if base - value <= DICHOTOMIC_RTOL * max(1.0, abs(base)):
+        return []
+    for end in (left, right):
+        if _coincide(mid.g_o, mid.ln_g_f, end.g_o, end.ln_g_f, DOM_TOL):
+            return []
+    return (
+        dichotomic_expand(solve_at, left, mid, depth - 1)
+        + [mid]
+        + dichotomic_expand(solve_at, mid, right, depth - 1)
+    )
+
+
+def reference_trace_design(instance, design):
+    """Supported points of one design's policy trade-off curve.
+
+    The trace runs from the cheapest policy (the solve at the smallest
+    penalty) to full repair, the limit of the penalty-optimal policies
+    as the penalty grows, and fills the segments in between.
+    """
+    model = build_model(instance, design=design)
+    policy = None
+
+    def solve_at(penalty):
+        nonlocal policy
+        pt = _solve_point(model, design, penalty, policy, EXACT)
+        policy = pt.policy
+        return pt
+
+    left = solve_at(PENALTY_CLAMP[0])
+    right = _full_repair_point(instance, model, design, EXACT)
+    if _coincide(left.g_o, left.ln_g_f, right.g_o, right.ln_g_f, DOM_TOL):
+        return [left]
+    return [left] + dichotomic_expand(solve_at, left, right) + [right]
 
 
 def policy_from_rule(model, rule):

@@ -20,21 +20,6 @@ def base_path(instances_dir):
 
 
 @pytest.fixture(scope="module")
-def million_path(tmp_path_factory):
-    """One type with a million copies allowed: 1,000,001 designs."""
-    doc = {
-        "components": [
-            {"label": "a", "p": 0.9, "tau": 1, "usage_cost": 1, "repair_cost": 10,
-             "install_cost": 1, "weight": 1}
-        ],
-        "constraints": [{"name": "slots", "coefficients": [1], "bound": 1e6}],
-    }
-    path = tmp_path_factory.mktemp("inst") / "big.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
-
-
-@pytest.fixture(scope="module")
 def tiny_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("inst") / "tiny.json"
     write_instance(single_type_instance(), path)
@@ -298,12 +283,6 @@ class TestExact:
         assert "tolerance must be finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_ceiling_error(self, base_path, tmp_path, capsys):
-        out = tmp_path / "exact.txt"
-        code = main(["exact", base_path, "--out", str(out), "--ceiling", "10"])
-        assert code == EXIT_ERROR
-        assert "error:" in capsys.readouterr().err
-
     def test_ceiling_checked_before_listing(self, million_path, tmp_path, capsys):
         # a million copies of one type: counted at once, never listed
         out = tmp_path / "exact.txt"
@@ -348,6 +327,22 @@ def test_static_stage_checks_the_ceiling(command, million_path, instances_dir, t
 
 
 class TestDmp:
+    def test_singular_sparse_factor_is_an_error(self, instances_dir, tmp_path):
+        # SuperLU finds an exactly zero pivot in this chain's transient block
+        path = tmp_path / "one-type.json"
+        write_instance(single_type_instance(q=1e-6, repair=1000.0, bound=40), path)
+        env = dict(os.environ, PYTHONPATH=str(instances_dir.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "parmaint.cli", "dmp", str(path), "--design", "40",
+             "--penalty", "39001", "--out", str(tmp_path / "gain.txt")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == EXIT_ERROR
+        assert "Traceback" not in done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "-node block" in lines[0]
+
     def test_empty_design_full_repair(self, base_path, tmp_path, capsys):
         out = tmp_path / "gain.txt"
         code = main(["dmp", base_path, "--design", "0,0,0,0", "--out", str(out)])

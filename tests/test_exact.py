@@ -13,11 +13,13 @@ from parmaint.exact import (
     exact_front,
 )
 from parmaint.mdp_solve import MaintenancePolicy, evaluate_policy
+from parmaint.model import load_instance
 
 from _oracles import (
     grid_feasible_designs,
     iterate_policies,
     nondominated_values,
+    reference_trace_design,
     revalidate_front,
     single_type_instance,
 )
@@ -60,11 +62,11 @@ class TestEnumeration:
         assert enumerate_feasible_designs(inst) == [(0,), (1,), (2,), (3,)]
         assert enumerate_feasible_designs(inst, maximal_only=True) == [(3,)]
 
-    def test_ceiling(self, base_instance):
+    def test_ceiling(self, million_path):
         with pytest.raises(EnumerationError) as err:
-            enumerate_feasible_designs(base_instance, ceiling=10)
-        assert err.value.count == 76
-        assert err.value.ceiling == 10
+            enumerate_feasible_designs(load_instance(million_path))
+        assert err.value.count == 1_000_001
+        assert err.value.ceiling == 200_000
 
 
 class TestCompareFronts:
@@ -227,6 +229,38 @@ class TestTraceDesign:
         front = exact_front(inst, maximal_only=True)
         _, ln5 = dop_objectives(inst, (5,))
         assert front.points[-1].ln_g_f == pytest.approx(ln5, abs=1e-9)
+
+    def test_keeps_supported_point_beyond_the_penalty_clamp(self):
+        # the segment ending at full repair has slope 2.5e12; a solve
+        # clamped to 1e12 returned its left end and lost this point
+        inst = single_type_instance(q=1e-3, repair=1000.0, bound=5)
+        front = exact_front(inst, maximal_only=True)
+        assert front.complete
+        assert len(front) == 16
+        assert self._has_point(front, 5.44629506, -29.823584)
+
+
+@pytest.fixture(scope="module")
+def single_instance(instances_dir):
+    return load_instance(instances_dir.parent / "perfbench" / "data" / "single-1.json")
+
+
+class TestTraceReference:
+    @pytest.mark.parametrize("name", ["base_instance", "single_instance"])
+    def test_every_design_matches_the_recursive_trace(self, name, request):
+        # no slope on these curves leaves the old clamp, so only the first
+        # solve's penalty differs: 0 instead of the clamp's 1e-9
+        inst = request.getfixturevalue(name)
+        for design in enumerate_feasible_designs(inst):
+            got = _trace_design(inst, design)
+            want = reference_trace_design(inst, design)
+            assert want[0].penalty == 1e-9 and got[0].penalty == 0.0
+            assert [
+                (p.g_o, p.ln_g_f, p.design, p.penalty, p.flags) for p in got[1:]
+            ] == [(p.g_o, p.ln_g_f, p.design, p.penalty, p.flags) for p in want[1:]]
+            assert (got[0].g_o, got[0].ln_g_f, got[0].design) == (
+                want[0].g_o, want[0].ln_g_f, want[0].design
+            )
 
 
 class TestDecompositionSoundness:

@@ -452,6 +452,32 @@ class TestHugePenaltyRegression:
         assert gain.ln_g_f == pytest.approx(-19.5601150266, abs=1e-6)
 
 
+class TestPolicyCycle:
+    def test_cycle_ends_with_the_least_gain_evaluated(self):
+        # two policies differing only at state (0, 2): each one's bias test
+        # sees the other's action as better, by more than the rounding
+        # margin, so the loop alternated between them up to MAX_ITERATIONS;
+        # of the two, (5.0000024, 6.0e-13) has the lesser penalized gain
+        inst = single_type_instance(q=1e-3, repair=1000.0, bound=5)
+        res = solve_average_cost(build_model(inst, (5,)), 6671582084.759989)
+        assert not res.converged
+        assert res.iterations <= 10
+        assert res.pair.g_o == pytest.approx(5.00000240455958, rel=1e-12)
+        assert res.pair.g_f == pytest.approx(5.99797678808505e-13, rel=1e-9)
+
+    def test_cycle_through_full_repair_keeps_a_better_policy(self):
+        # this cycle passes full repair (gain 301) and comes back to it;
+        # ending there would return the trace's right end, and the trace
+        # would drop the point and its flag
+        inst = single_type_instance(q=1e-2, repair=1000.0, bound=30)
+        model = build_model(inst, (30,))
+        res = solve_average_cost(model, 4157400326.592283)
+        assert not res.converged
+        assert res.iterations <= 10
+        full = evaluate_policy(model, fully_active_policy(model)).scalarized(4157400326.592283)
+        assert res.gain < full - 100.0
+
+
 GATE_PENALTIES = (1e-9, 1.0, 30.0, 1e3, 1e5, 1e8, 1e12)
 
 
