@@ -46,8 +46,7 @@ EXACT = "exact"
 DEFAULT_P_MIN = 1.0
 DEFAULT_DELTA_P = 2.0
 SWEEP_CAP = 200  # penalty levels per design before giving up
-LFR_MATCH_TOL = 1e-9  # |ln g_f - static ln g_f| counting as "reached"
-DOM_TOL = 1e-9  # absolute dominance/duplicate tolerance
+DOM_TOL = 1e-9  # absolute tolerance of every dominance, duplicate and "reached" test
 
 
 @dataclass(frozen=True)
@@ -195,8 +194,9 @@ def sp2(
 
     Multiplies the failure penalty by ``delta_p`` per level, starting at
     ``p_min``, until the achieved log failure rate reaches the design's
-    full-repair value, then closes with the exactly evaluated
-    full-repair point, recorded as the design's static representative.
+    full-repair value within ``DOM_TOL``, then closes with the exactly
+    evaluated full-repair point, recorded as the design's static
+    representative.
     """
     _check_sweep(p_min, delta_p)
     design = tuple(int(x) for x in design)
@@ -210,7 +210,7 @@ def sp2(
         pt = _solve_point(model, design, penalty, policy, DYNAMIC_SP2)
         policy = pt.policy
         points.append(pt)
-        if pt.ln_g_f <= ln_g_f_static + LFR_MATCH_TOL:
+        if pt.ln_g_f <= ln_g_f_static + DOM_TOL:
             break
         penalty *= delta_p
     else:
@@ -259,8 +259,6 @@ def run_app(
     delta: float = 0.1,
     p_min: float = DEFAULT_P_MIN,
     delta_p: float = DEFAULT_DELTA_P,
-    tolerance: float = DOM_TOL,
-    record_ties: bool = False,
 ) -> ParetoFront:
     """Full heuristic front: static sweep, containment filter, penalty
     sweeps, non-dominated merge.
@@ -270,36 +268,39 @@ def run_app(
     that do get a dynamic stage contribute their static values through
     the closing full-repair point of their sweep.  Per-design failures
     are collected into the front's notes rather than aborting the run;
-    bad sweep arguments or tolerance raise ``ValueError`` before any work.
+    bad sweep arguments raise ``ValueError`` before any work.
     """
     _check_sweep(p_min, delta_p)
-    _check_tolerance(tolerance)
-    statics = sp1_sweep(instance, eps_min, delta_eps, delta, record_ties=record_ties)
+    statics = sp1_sweep(instance, eps_min, delta_eps, delta)
     selected = non_nested_designs(statics)
     chosen = {s.design for s in selected}
 
     population = static_points(s for s in statics if s.design not in chosen)
     return _merge_traces(
         [s.design for s in selected],
-        lambda design: sp2(instance, design, p_min=p_min, delta_p=delta_p),
-        "dynamic stage", population, tolerance,
+        lambda design: (sp2(instance, design, p_min=p_min, delta_p=delta_p), ()),
+        "dynamic stage", population,
     )
 
 
-def _merge_traces(designs, trace, stage, population, tolerance) -> ParetoFront:
-    """Front of ``population`` plus each design's ``trace(design)``; a trace
-    that raises, and each point flag, become notes instead of failing."""
+def _merge_traces(designs, trace, stage, population) -> ParetoFront:
+    """Front of ``population`` plus the points each design's trace keeps.
+
+    ``trace(design)`` returns the points it keeps and the flagged points
+    it solved but left out; a trace that raises, and each flag of a kept
+    or left-out point, become notes instead of failing.
+    """
     notes = []
     for design in designs:
         try:
-            pts = trace(design)
+            kept, dropped = trace(design)
         except Exception as exc:  # keep other designs' results
             notes.append(f"design {design}: {stage} failed: {exc}")
             continue
-        for p in pts:
+        for p in (*kept, *dropped):
             for flag in p.flags:
                 notes.append(f"design {design} penalty {p.penalty}: {flag}")
-        population.extend(pts)
+        population.extend(kept)
 
-    front = non_dom_filter(population, tolerance)
+    front = non_dom_filter(population)
     return replace(front, notes=tuple(notes))

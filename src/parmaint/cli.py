@@ -84,7 +84,7 @@ def cmd_dop(args) -> int:
     anchor = instance.to_catalog(solve_fdop(instance))
     print("reliability extreme:", ",".join(str(c) for c in anchor))
     if args.front_out:
-        front = app_mod.non_dom_filter(app_mod.static_points(solutions), args.tolerance)
+        front = app_mod.non_dom_filter(app_mod.static_points(solutions))
         io.write_front(args.front_out, instance, front)
         print(f"non-dominated static front: {len(front)} points -> {args.front_out}")
     return EXIT_OK
@@ -112,15 +112,13 @@ def cmd_app(args) -> int:
         delta=args.delta,
         p_min=args.p_min,
         delta_p=args.delta_p,
-        tolerance=args.tolerance,
-        record_ties=args.ties,
     )
     return _report_front(front, instance, args.out, args.plot_out, "heuristic front")
 
 
 def cmd_exact(args) -> int:
     instance = _load(args)
-    front = exact_front(instance, tolerance=args.tolerance, maximal_only=args.maximal_only)
+    front = exact_front(instance, maximal_only=args.maximal_only)
     return _report_front(front, instance, args.out, args.plot_out, "exact front")
 
 
@@ -216,11 +214,6 @@ def _add_sweep_params(sub):
     sub.add_argument("--eps-min", type=float, default=0.0)
     sub.add_argument("--delta-eps", type=float, default=-0.1)
     sub.add_argument("--delta", type=float, default=0.1)
-    sub.add_argument(
-        "--ties",
-        action="store_true",
-        help="record co-optimal designs of each static solve, not just one",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,7 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
     dop = subs.add_parser("dop", help="static design sweep")
     _add_common(dop)
     _add_sweep_params(dop)
-    dop.add_argument("--tolerance", type=float, default=app_mod.DOM_TOL)
+    dop.add_argument(
+        "--ties",
+        action="store_true",
+        help="record co-optimal designs of each static solve, not just one",
+    )
     dop.add_argument("--out", default="parmaint_static.txt")
     dop.add_argument(
         "--front-out", default=None, help="also export the non-dominated static front"
@@ -251,14 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep_params(appc)
     appc.add_argument("--p-min", type=float, default=app_mod.DEFAULT_P_MIN)
     appc.add_argument("--delta-p", type=float, default=app_mod.DEFAULT_DELTA_P)
-    appc.add_argument("--tolerance", type=float, default=app_mod.DOM_TOL)
     appc.add_argument("--out", default="parmaint_front.txt")
     appc.add_argument("--plot-out", default=None)
     appc.set_defaults(func=cmd_app)
 
     ex = subs.add_parser("exact", help="exact front over all feasible designs")
     _add_common(ex)
-    ex.add_argument("--tolerance", type=float, default=app_mod.DOM_TOL)
     ex.add_argument("--maximal-only", action="store_true")
     ex.add_argument("--out", default="parmaint_exact.txt")
     ex.add_argument("--plot-out", default=None)

@@ -80,15 +80,16 @@ def _trace_design(instance, design):
     the penalty at which both ends scalarize (``g_o + penalty * g_f``)
     to the same value; the new point splits it unless it coincides with
     an end or fails to beat that value by ``DICHOTOMIC_RTOL`` relative.
-    Each split adds a distinct policy, so the trace ends.
+    Each split adds a distinct policy, so the trace ends.  Returns the
+    kept points in order of cost and the flagged points it left out.
     """
     model = build_model(instance, design=design)
     left = _solve_point(model, design, 0.0, None, EXACT)
     right = _full_repair_point(instance, model, design, EXACT)
     if _coincide(left.g_o, left.ln_g_f, right.g_o, right.ln_g_f, DOM_TOL):
-        return [left]
+        return [left], [right] if right.flags else []
     # points holds the finished prefix; ends the open right ends, nearest last
-    points, ends, policy = [left], [right], left.policy
+    points, ends, dropped, policy = [left], [right], [], left.policy
     while ends:
         left, right = points[-1], ends[-1]
         d_gf = left.g_f - right.g_f
@@ -105,25 +106,23 @@ def _trace_design(instance, design):
             ):
                 ends.append(mid)
                 continue
+            if mid.flags:
+                dropped.append(mid)
         points.append(ends.pop())
-    return points
+    return points, dropped
 
 
-def exact_front(
-    instance,
-    tolerance: float = DOM_TOL,
-    maximal_only: bool = False,
-) -> ParetoFront:
+def exact_front(instance, maximal_only: bool = False) -> ParetoFront:
     """Non-dominated front over all feasible designs and their policies.
 
     Designs are traced one after another in lexicographic order and then
     merged.  Solver trouble on one design is reported in the front's
-    notes instead of failing the whole oracle.
+    notes instead of failing the whole oracle, and so is every flagged
+    solve, kept or not.
     """
-    _check_tolerance(tolerance)
     designs = enumerate_feasible_designs(instance, maximal_only=maximal_only)
     return _merge_traces(
-        designs, lambda design: _trace_design(instance, design), "exact trace", [], tolerance
+        designs, lambda design: _trace_design(instance, design), "exact trace", []
     )
 
 

@@ -450,8 +450,10 @@ def evaluate_policy(model: CtmdpModel, policy: MaintenancePolicy, initial_state=
     gives the pair: its own class gain when it is recurrent, the
     absorption-weighted mix of the class gains when it is transient.
     ``initial_state`` is a pre-decision state id in ``[0, n)`` or the
-    state's rows.
+    state's rows.  A policy of another model raises ``ValueError``.
     """
+    if policy.model is not model:
+        raise ValueError("policy belongs to another model")
     gain, _ = _policy_gains(model, policy.post_ids)
     start = model.start_id(initial_state)
     return GainPair(float(gain[start, 0]), float(gain[start, 1]))

@@ -150,8 +150,10 @@ def simulate_policy(
     An absorbing state legally accrues its costs to the end of the
     batch.  A horizon whose bound on the expected event count (horizon
     times the model's largest outflow) exceeds ``SIM_EVENT_CEILING`` is
-    rejected up front.
+    rejected up front, as is a policy of another model.
     """
+    if policy.model is not model:
+        raise ValueError("policy belongs to another model")
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if not 2 <= batches <= MAX_BATCHES:

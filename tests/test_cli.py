@@ -6,10 +6,12 @@ import time
 
 import pytest
 
+from parmaint.app import run_app
 from parmaint.cli import EXIT_ERROR, EXIT_FLAGGED, EXIT_OK, main
 from parmaint.ctmdp import build_model
+from parmaint.exact import exact_front
 from parmaint.io import read_front, read_policy
-from parmaint.model import write_instance
+from parmaint.model import load_instance, write_instance
 
 from _oracles import revalidate_front, single_type_instance
 
@@ -244,14 +246,6 @@ class TestApp:
             assert "dynamic stage failed" not in err
             assert not out.exists()
 
-    def test_bad_tolerance(self, base_path, tmp_path, capsys):
-        out = tmp_path / "front.txt"
-        for value in ("nan", "-1"):
-            code = main(["app", base_path, "--out", str(out), "--tolerance", value])
-            assert code == EXIT_ERROR
-            assert "tolerance must be finite" in capsys.readouterr().err
-            assert not out.exists()
-
     def test_mode_flag_removed(self, base_path, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["app", base_path, "--out", str(tmp_path / "f.txt"), "--mode", "sweep"])
@@ -273,15 +267,6 @@ class TestExact:
         front = read_front(out)
         assert len(front) >= 2
         assert all(p.provenance == "exact" for p in front)
-
-    def test_bad_tolerance(self, base_path, tmp_path, capsys):
-        out = tmp_path / "exact.txt"
-        start = time.perf_counter()
-        code = main(["exact", base_path, "--out", str(out), "--tolerance", "-1"])
-        assert time.perf_counter() - start < 1.0
-        assert code == EXIT_ERROR
-        assert "tolerance must be finite" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_ceiling_checked_before_listing(self, million_path, tmp_path, capsys):
         # a million copies of one type: counted at once, never listed
@@ -309,6 +294,36 @@ class TestExact:
         assert done.returncode == EXIT_ERROR
         assert "design space has 167668501 members" in done.stderr
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda path, out: main(["dop", path, "--out", out, "--tolerance", "1e-9"]), SystemExit),
+        (lambda path, out: main(["app", path, "--out", out, "--tolerance", "1e-9"]), SystemExit),
+        (lambda path, out: main(["exact", path, "--out", out, "--tolerance", "1e-9"]), SystemExit),
+        (lambda path, out: main(["app", path, "--out", out, "--ties"]), SystemExit),
+        (lambda path, out: run_app(load_instance(path), tolerance=1e-9), TypeError),
+        (lambda path, out: run_app(load_instance(path), record_ties=True), TypeError),
+        (lambda path, out: exact_front(load_instance(path), tolerance=1e-9), TypeError),
+    ],
+    ids=[
+        "dop-tolerance",
+        "app-tolerance",
+        "exact-tolerance",
+        "app-ties",
+        "run_app-tolerance",
+        "run_app-record_ties",
+        "exact_front-tolerance",
+    ],
+)
+def test_front_builder_options_removed(base_path, tmp_path, call, error):
+    # the front builders dedupe at DOM_TOL only, and only dop keeps --ties
+    with pytest.raises(error) as exc:
+        call(base_path, str(tmp_path / "f.txt"))
+    if error is SystemExit:
+        assert exc.value.code == 2
+    assert not (tmp_path / "f.txt").exists()
 
 
 @pytest.mark.parametrize("command", ["dop", "app"])

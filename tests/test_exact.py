@@ -166,14 +166,14 @@ class TestExactFront:
 class TestTraceDesign:
     def test_single_copy_extremes_only(self):
         inst = single_type_instance(q=0.01, usage=1.0, repair=100.0, bound=4)
-        points = _trace_design(inst, (1,))
+        points, _ = _trace_design(inst, (1,))
         assert len(points) == 2
         assert (points[0].g_o, points[0].ln_g_f) == (0.0, 0.0)
         assert points[1].g_o == pytest.approx(1.99, rel=1e-10)
         assert points[1].penalty is None
 
     def test_ends_at_full_repair(self, base_instance):
-        points = _trace_design(base_instance, (4, 0, 0, 0))
+        points, _ = _trace_design(base_instance, (4, 0, 0, 0))
         end = points[-1]
         assert end.penalty is None and end.provenance == EXACT and end.flags == ()
         g_o, ln = dop_objectives(base_instance, (4, 0, 0, 0))
@@ -182,7 +182,7 @@ class TestTraceDesign:
         assert all(p.penalty is not None for p in points[:-1])
 
     def test_supported_points_revalidate_and_are_nondominated(self, base_instance):
-        points = _trace_design(base_instance, (4, 0, 0, 0))
+        points, _ = _trace_design(base_instance, (4, 0, 0, 0))
         assert len(points) >= 5
         for p in points:
             gain = evaluate_policy(p.policy.model, p.policy)
@@ -193,7 +193,7 @@ class TestTraceDesign:
         assert len(front) == len(coords)
 
     def test_covers_every_sweep_point(self, base_instance):
-        trace = _trace_design(base_instance, (4, 0, 0, 0))
+        trace, _ = _trace_design(base_instance, (4, 0, 0, 0))
         for s in sp2(base_instance, (4, 0, 0, 0)):
             close = any(
                 abs(s.g_o - d.g_o) <= 1e-6 and abs(s.ln_g_f - d.ln_g_f) <= 1e-6
@@ -212,13 +212,13 @@ class TestTraceDesign:
         # by 4e-10, so its scalarized gaps are tiny unless taken per unit
         # of cost; the solve at its slope finds this point 19% below it
         inst = single_type_instance(q=1e-3, repair=1000.0, bound=5)
-        points = _trace_design(inst, (5,))
+        points, _ = _trace_design(inst, (5,))
         assert self._has_point(points, 4.4305795, -23.1773)
 
     def test_keeps_supported_point_the_sweep_finds(self):
         # sp2 reaches this point at penalty 524,288; the trace must too
         inst = single_type_instance(q=1e-3, repair=100.0, bound=4)
-        points = _trace_design(inst, (4,))
+        points, _ = _trace_design(inst, (4,))
         assert self._has_point(points, 1.3000001, -21.0111)
         assert self._has_point(sp2(inst, (4,)), 1.3000001, -21.0111)
 
@@ -252,7 +252,7 @@ class TestTraceReference:
         # solve's penalty differs: 0 instead of the clamp's 1e-9
         inst = request.getfixturevalue(name)
         for design in enumerate_feasible_designs(inst):
-            got = _trace_design(inst, design)
+            got, _ = _trace_design(inst, design)
             want = reference_trace_design(inst, design)
             assert want[0].penalty == 1e-9 and got[0].penalty == 0.0
             assert [
@@ -344,6 +344,29 @@ class TestFailureNotes:
         designs = {p.design for p in front}
         assert (1,) not in designs
         assert (2,) in designs
+
+    def test_every_flagged_solve_becomes_a_note(self, monkeypatch):
+        # 6 solves on this curve end unconverged and none splits its
+        # segment; each is still a note, and the front does not change
+        import parmaint.exact
+
+        inst = single_type_instance(q=1e-3, repair=1000.0, bound=10)
+        real = parmaint.exact._solve_point
+        flagged = []
+
+        def spy(*args):
+            point = real(*args)
+            if point.flags:
+                flagged.append(point)
+            return point
+
+        monkeypatch.setattr(parmaint.exact, "_solve_point", spy)
+        front = exact_front(inst)
+        assert len(flagged) == 6
+        assert sorted(front.notes) == sorted(
+            f"design {p.design} penalty {p.penalty}: unconverged" for p in flagged
+        )
+        assert len(front) == 117
 
 
 class TestRevalidate:

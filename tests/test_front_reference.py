@@ -39,7 +39,7 @@ def base_population(base_instance):
     return [
         pt
         for design in enumerate_feasible_designs(base_instance)
-        for pt in _trace_design(base_instance, design)
+        for pt in _trace_design(base_instance, design)[0]
     ]
 
 

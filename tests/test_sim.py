@@ -167,6 +167,17 @@ class TestValidation:
                 simulate_policy(single_model, policy, horizon=10.0, batches=batches)
             assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("other", [(0, 2, 0, 0), (1, 0, 0, 0)])
+    def test_policy_of_another_model(self, base_instance, other):
+        # (2,0,0,0) and (0,2,0,0) both have 6 states, so only the check
+        # tells their policies apart; (1,0,0,0) has 3
+        model = build_model(base_instance, (2, 0, 0, 0))
+        policy = fully_active_policy(build_model(base_instance, other))
+        with pytest.raises(ValueError, match="policy belongs to another model"):
+            evaluate_policy(model, policy)
+        with pytest.raises(ValueError, match="policy belongs to another model"):
+            simulate_policy(model, policy, horizon=10.0)
+
     def test_horizon_beyond_event_ceiling(self, single_model):
         policy = fully_active_policy(single_model)
         horizon = 1.001 * SIM_EVENT_CEILING / single_model.max_outflow
