@@ -6,23 +6,22 @@ iteration on the transition rates (Howard's method with the gain and
 bias improvement steps of Puterman, *Markov Decision Processes*, 1994,
 ch. 9), which stops when no state has a strictly improving action: that
 is the certificate of optimality.  A policy is evaluated exactly on the
-chain it induces on post-decision states: one LU of the balance
-equations, one diagonal block per recurrent class, gives the stationary
-laws and, transposed, the biases; one of the transient states gives
-their absorption-weighted gains and biases.  So policies whose chain
-has transient states or several recurrent classes are handled too
-(direct methods as in Stewart, *Introduction to the Numerical Solution
-of Markov Chains*, 1994, ch. 2).  Chains and blocks of up to
-``DENSE_NODES`` nodes (see its comment for the measured trade-off) are
-solved dense; larger ones sparse, and only they import scipy.  Both
-factorizations keep the diagonal pivots of these diagonally dominant
-M-matrices and exchange no rows (see ``_m_matrix_lu``).  The solve
-evaluates each policy for the operational cost and the failure
-indicator at once, so it returns the certified policy's exact pair
-``(g_o, g_f)`` with no second evaluation; ``evaluate_policy`` solves the
-same chain for policies no solve produced and other starting states.
-Both solve it on the post-states the policy uses, the only ones its
-moves reach.
+chain it induces on post-decision states, by one LU over every node but
+each recurrent class's first: it gives the stationary laws, the
+transient states' absorption-weighted gains and every bias.  So
+policies whose chain has transient states or several recurrent classes
+are handled too (direct methods as in Stewart, *Introduction to the
+Numerical Solution of Markov Chains*, 1994, ch. 2).  Chains and blocks
+of up to ``DENSE_NODES`` nodes (see its comment for the measured
+trade-off) are solved dense; larger ones sparse, and only they import
+scipy.  Both factorizations keep the diagonal pivots of these
+diagonally dominant M-matrices and exchange no rows (see
+``_m_matrix_lu``).  The solve evaluates each policy for the operational
+cost and the failure indicator at once, so it returns the certified
+policy's exact pair ``(g_o, g_f)`` with no second evaluation;
+``evaluate_policy`` solves the same chain for policies no solve
+produced and other starting states.  Both solve it on the post-states
+the policy uses, the only ones its moves reach.
 """
 
 from __future__ import annotations
@@ -289,34 +288,30 @@ def _strong_components(m, src, dst, rate):
     return connected_components(graph, directed=True, connection="strong")
 
 
-def _m_matrix_lu(out, src, dst, rates, transpose=False):
-    """Solver of the M-matrix ``diag(out) - R``, or of its transpose with
-    ``transpose``, where R sums ``rates`` at (src, dst): row i holds
-    node i's total outflow ``out[i]`` and the arcs leaving it within the
-    block.  The solver is called as ``solve(b, trans=...)``, like the
-    ``solve`` of scipy's ``splu``; None for an empty matrix.
+def _m_matrix_lu(out, src, dst, rates):
+    """Solver of the transpose of the M-matrix ``M = diag(out) - R``,
+    where R sums ``rates`` at (src, dst): row i of M holds node i's total
+    outflow ``out[i]`` and the arcs leaving it within the block.  The
+    solver is called as ``solve(b, trans=...)``, like the ``solve`` of
+    scipy's ``splu``: ``solve(b)`` solves ``M^T x = b`` and
+    ``solve(b, trans="T")`` solves ``M x = b``.
 
-    The matrix is a nonsingular, diagonally dominant M-matrix, and both
-    paths keep its diagonal pivots: elimination then needs no row
-    exchanges, so no rounding can promote an off-diagonal entry to a
-    pivot, and tiny probabilities keep full relative precision.  Up to
-    ``DENSE_NODES`` nodes, LAPACK inverts the column-dominant
-    orientation ``diag(out) - R^T``, where partial pivoting keeps every
-    diagonal pivot (it takes the first entry of largest magnitude), and
-    the one inverse, nonnegative as every M-matrix inverse is, serves
-    both orientations and both ``trans``.  Larger matrices take a sparse
-    LU with pivoting switched off, ordered on the symmetrized pattern to
-    keep the fill low.
+    M is a nonsingular, diagonally dominant M-matrix, and both paths keep
+    the diagonal pivots of its column-dominant transpose: elimination
+    then needs no row exchanges, so no rounding can promote an
+    off-diagonal entry to a pivot, and tiny probabilities keep full
+    relative precision.  Up to ``DENSE_NODES`` nodes, LAPACK inverts
+    ``M^T``, where partial pivoting keeps every diagonal pivot (it takes
+    the first entry of largest magnitude), and the one inverse,
+    nonnegative as every M-matrix inverse is, serves both ``trans``.
+    Larger matrices take a sparse LU with pivoting switched off, ordered
+    on the symmetrized pattern to keep the fill low.
     """
     size = out.shape[0]
-    if size == 0:
-        return None
     if size <= DENSE_NODES:
         a = np.diag(out)
         np.subtract.at(a, (dst, src), rates)
         inverse = np.linalg.inv(a)
-        if not transpose:
-            inverse = inverse.T
 
         def solve(b, trans="N"):
             # + 0.0 turns the -0.0 a zero right-hand side can give into 0.0
@@ -326,13 +321,12 @@ def _m_matrix_lu(out, src, dst, rates, transpose=False):
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import splu
 
-    rows, cols = (dst, src) if transpose else (src, dst)
     ids = np.arange(size)
     a = _compressed(
         csc_matrix,
         size,
-        np.concatenate([ids, cols]),
-        np.concatenate([ids, rows]),
+        np.concatenate([ids, src]),
+        np.concatenate([ids, dst]),
         np.concatenate([out, -rates]),
     )
     try:
@@ -375,13 +369,15 @@ def _chain_gains(src, dst, rate, costs):
     The chain's arcs run from ``src`` to ``dst`` at ``rate``, with no
     self-loops, and ``costs`` holds one row of cost rates per node and
     one column per objective; both results have the shape of ``costs``.
-    The recurrent classes are the strong components that no arc leaves.
-    Their balance equations, with the probability of each class's first
-    (lowest) node pinned to 1, form one block-diagonal system, one block
-    per class; the transpose of the same LU gives the recurrent biases,
-    0 at each first node.  Transient nodes mix the class gains by their
-    exact absorption probabilities: one more LU, on the transient nodes,
-    solved for the gains and then for the biases.
+    The recurrent classes are the strong components that no arc leaves;
+    each one's first (lowest) node is pinned, and every other node is
+    free.  On the free nodes, ``M = diag(out) - R`` is block triangular,
+    as no arc leaves a recurrent class, and its elimination keeps the
+    zero block, so one LU serves three systems.  ``M^T`` gives the
+    balance equations, with the probability of each first node pinned to
+    1, and so the recurrent stationary laws; ``M`` gives the transient
+    nodes' absorption-weighted mix of the class gains, and then every
+    free node's bias, 0 at each first node.
     """
     m = costs.shape[0]
     out = np.bincount(src, weights=rate, minlength=m)
@@ -389,24 +385,19 @@ def _chain_gains(src, dst, rate, costs):
     leaves = np.zeros(n_comp, dtype=bool)
     leaves[labels[src[labels[src] != labels[dst]]]] = True
     rec = ~leaves[labels]
+    _, first = np.unique(labels, return_index=True)
+    free = np.ones(m, dtype=bool)
+    free[first[~leaves]] = False
+    size = int(free.sum())
+    pos = np.cumsum(free) - 1
+    coupled = free[src] & free[dst]
+    pinned = ~free[src]  # arcs out of a first node, all into its class
+    solve = _m_matrix_lu(out[free], pos[src[coupled]], pos[dst[coupled]], rate[coupled])
 
     # balance: out_j pi_j - sum_{i free} rate(i->j) pi_i = rate(first->j)
-    # for every free (recurrent, not first) node j, with pi = 1 at first
-    _, first = np.unique(labels, return_index=True)
-    free = rec.copy()
-    free[first[~leaves]] = False
-    pos = np.cumsum(free) - 1
-    into = rec[src] & free[dst]
-    coupled = into & free[src]
-    pinned = into & ~free[src]
-    solve = _m_matrix_lu(
-        out[free], pos[src[coupled]], pos[dst[coupled]], rate[coupled], transpose=True
-    )
+    # for every free node j, with pi = 1 at first; 0 on transient j
     pi = rec.astype(np.float64)
-    if solve is not None:
-        pi[free] = solve(
-            np.bincount(pos[dst[pinned]], weights=rate[pinned], minlength=int(free.sum()))
-        )
+    pi[free] = solve(np.bincount(pos[dst[pinned]], weights=rate[pinned], minlength=size))
     mass = np.bincount(labels, weights=pi, minlength=n_comp)
     mass[leaves] = 1.0  # transient components carry no probability
     # per class: the gains and a column of ones for the absorbed mass below
@@ -414,31 +405,27 @@ def _chain_gains(src, dst, rate, costs):
         [np.bincount(labels, weights=pi * c, minlength=n_comp) for c in costs.T] + [mass]
     ) / mass[:, None]
     gain = class_gain[labels, :-1]
+    transient = ~rec
+    if transient.any():
+        # absorption: out_i x_i - sum_{j free} rate(i->j) x_j
+        #   = sum_{j recurrent} rate(i->j) gain(class of j) for transient i,
+        # and 0 for recurrent i, whose x is then 0; dividing by the
+        # absorbed mass, 1 up to rounding, keeps the gain of a certain
+        # absorption exact
+        absorb = transient[src] & rec[dst]
+        rhs = np.zeros((size, class_gain.shape[1]))
+        np.add.at(rhs, pos[src[absorb]], rate[absorb, None] * class_gain[labels[dst[absorb]]])
+        x = solve(rhs, trans="T")[transient[free]]
+        lost = int((x[:, -1] == 0.0).sum())
+        if lost:
+            raise ValueError(
+                f"absorption in a {m}-node chain lost its mass: {lost} of "
+                f"{x.shape[0]} transient nodes are absorbed with mass 0"
+            )
+        gain[transient] = x[:, :-1] / x[:, -1:]
+    # out_i h_i - sum_{j free} rate(i->j) h_j = cost_i - gain_i for free i
     bias = np.zeros_like(gain)
-    if solve is not None:
-        # out_i h_i - sum_{j free} rate(i->j) h_j = cost_i - gain_i for free i
-        bias[free] = solve(costs[free] - gain[free], trans="T")
-    del solve  # free its fill before the transient factorization
-    trans = ~rec
-    if not trans.any():
-        return gain, bias
-
-    # absorption: out_i x_i - sum_{j transient} rate(i->j) x_j
-    #   = sum_{j recurrent} rate(i->j) gain(class of j) for transient i;
-    # dividing by the absorbed mass, 1 up to rounding, keeps the gain of
-    # a certain absorption exact
-    pos = np.cumsum(trans) - 1
-    stay = trans[src] & trans[dst]
-    absorb = trans[src] & rec[dst]
-    solve = _m_matrix_lu(out[trans], pos[src[stay]], pos[dst[stay]], rate[stay])
-    rhs = np.zeros((int(trans.sum()), class_gain.shape[1]))
-    np.add.at(rhs, pos[src[absorb]], rate[absorb, None] * class_gain[labels[dst[absorb]]])
-    x = solve(rhs)
-    gain[trans] = x[:, :-1] / x[:, -1:]
-    # the same rows with the bias equation cost_i - gain_i + sum rate (h_j - h_i) = 0
-    rhs = costs[trans] - gain[trans]
-    np.add.at(rhs, pos[src[absorb]], rate[absorb, None] * bias[dst[absorb]])
-    bias[trans] = solve(rhs)
+    bias[free] = solve(costs[free] - gain[free], trans="T")
     return gain, bias
 
 

@@ -9,6 +9,7 @@ two is meaningful.
 import itertools
 import math
 from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 
@@ -940,6 +941,89 @@ def gth_stationary(rates):
         pi[k] = sum(pi[i] * a[i][k] for i in range(k))
     total = sum(pi)
     return [p / total for p in pi]
+
+
+def _solve_exact(a, b):
+    """x with ``a x = b`` for a square list-of-rows matrix ``a`` of
+    Fractions and right-hand sides ``b`` (one row per equation, one
+    column per side), by Gauss-Jordan elimination on the first nonzero
+    entry of each column; exact, so no pivot order is better than another."""
+    rows = [list(ar) + list(br) for ar, br in zip(a, b)]
+    n = len(rows)
+    for k in range(n):
+        p = next(i for i in range(k, n) if rows[i][k] != 0)
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k][k]
+        rows[k] = [v / pivot for v in rows[k]]
+        for i in range(n):
+            if i != k and rows[i][k] != 0:
+                f = rows[i][k]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[k])]
+    return [row[n:] for row in rows]
+
+
+def chain_gains_exact(src, dst, rate, costs):
+    """Gains and biases of every node of a chain, in exact rationals and
+    rounded to floats once at the end; the shapes and the conventions of
+    ``mdp_solve._chain_gains``.
+
+    The float rates and costs are taken as the exact binary fractions
+    they are.  Classes come from plain reachability: a node is recurrent
+    when every node it reaches reaches it back, and its class is the set
+    it reaches.  Each class's stationary law solves its balance
+    equations with its first (lowest) node's weight set to 1; transient
+    gains solve the absorption equations; every bias solves
+    ``out_i h_i - sum_j rate(i->j) h_j = cost_i - gain_i`` with h = 0 at
+    each class's first node.
+    """
+    m, k = costs.shape
+    arcs = [{} for _ in range(m)]  # arcs[i][j]: total rate i -> j
+    for i, j, r in zip(src.tolist(), dst.tolist(), rate.tolist()):
+        arcs[i][j] = arcs[i].get(j, Fraction(0)) + Fraction(r)
+    out = [sum(row.values(), Fraction(0)) for row in arcs]
+    cost = [[Fraction(v) for v in row] for row in costs.tolist()]
+    reach = []
+    for i in range(m):
+        seen, stack = {i}, [i]
+        while stack:
+            for v in arcs[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        reach.append(frozenset(seen))
+    recurrent = [all(i in reach[j] for j in reach[i]) for i in range(m)]
+
+    def system(rows, cols):
+        # out_i [i == j] - rate(i -> j) for i in rows, j in cols
+        return [[(out[i] if i == j else 0) - arcs[i].get(j, 0) for j in cols] for i in rows]
+
+    gain = [None] * m
+    firsts = set()
+    for cls in {reach[i] for i in range(m) if recurrent[i]}:
+        first = min(cls)
+        firsts.add(first)
+        free = sorted(cls - {first})
+        # balance of free j: out_j pi_j - sum_{i free} rate(i->j) pi_i = rate(first->j)
+        a = [list(col) for col in zip(*system(free, free))]
+        x = _solve_exact(a, [[arcs[first].get(j, 0)] for j in free])
+        pi = {first: Fraction(1), **{j: row[0] for j, row in zip(free, x)}}
+        total = sum(pi.values())
+        g = [sum(pi[i] * cost[i][c] for i in cls) / total for c in range(k)]
+        for i in cls:
+            gain[i] = g
+    trans = [i for i in range(m) if not recurrent[i]]
+    into = [
+        [sum(r * gain[j][c] for j, r in arcs[t].items() if recurrent[j]) for c in range(k)]
+        for t in trans
+    ]
+    for t, g in zip(trans, _solve_exact(system(trans, trans), into)):
+        gain[t] = g
+    free = [i for i in range(m) if i not in firsts]
+    rhs = [[cost[i][c] - gain[i][c] for c in range(k)] for i in free]
+    bias = [[0] * k for _ in range(m)]
+    for i, h in zip(free, _solve_exact(system(free, free), rhs)):
+        bias[i] = h
+    return np.array(gain, dtype=np.float64), np.array(bias, dtype=np.float64)
 
 
 def threshold_type_law(alpha, tau, copies, threshold):

@@ -343,13 +343,13 @@ def test_static_stage_checks_the_ceiling(command, million_path, instances_dir, t
 
 class TestDmp:
     def test_singular_sparse_factor_is_an_error(self, instances_dir, tmp_path):
-        # SuperLU finds an exactly zero pivot in this chain's transient block
+        # SuperLU finds an exactly zero pivot in one of this solve's chains
         path = tmp_path / "one-type.json"
-        write_instance(single_type_instance(q=1e-6, repair=1000.0, bound=40), path)
+        write_instance(single_type_instance(q=1e-7, repair=1000.0, bound=40), path)
         env = dict(os.environ, PYTHONPATH=str(instances_dir.parent / "src"))
         done = subprocess.run(
-            [sys.executable, "-m", "parmaint.cli", "dmp", str(path), "--design", "40",
-             "--penalty", "39001", "--out", str(tmp_path / "gain.txt")],
+            [sys.executable, "-m", "parmaint.cli", "dmp", str(path), "--design", "39",
+             "--penalty", "10000", "--out", str(tmp_path / "gain.txt")],
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == EXIT_ERROR

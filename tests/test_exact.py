@@ -368,6 +368,14 @@ class TestFailureNotes:
         )
         assert len(front) == 117
 
+    def test_lost_absorption_mass_is_named(self):
+        # rates over sixteen decades: a transient solve of some chain here
+        # absorbs no mass at all, which no penalty overflow explains
+        front = exact_front(single_type_instance(q=1e-8, repair=1000.0, bound=40))
+        failed = [note for note in front.notes if "exact trace failed" in note]
+        assert not any("overflows" in note for note in failed)
+        assert any("-node chain lost its mass" in note for note in failed)
+
 
 class TestRevalidate:
     def test_app_front_round_trip(self, base_instance):
