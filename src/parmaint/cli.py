@@ -151,6 +151,8 @@ def cmd_dmp(args) -> int:
 def cmd_simulate(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    if args.policy_file and args.penalty is not None:
+        raise ValueError("--penalty and --policy-file each choose the policy; give one")
     instance = _load(args)
     design = _parse_design(instance, args.design)
     model = build_model(instance, design=design)

@@ -53,56 +53,25 @@ def _design_header(instance) -> list:
     return labels
 
 
-def _noncomment_lines(path):
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                out.append(line)
-    return out
-
-
-# ---------------------------------------------------------------- static table
-
-
-def write_static_table(path, instance, solutions) -> None:
-    """Static front rows: design counts, cost pair, and origin tag."""
-    cols = _design_header(instance) + ["g_o", "ln_g_f", "tag"]
+def _write_table(path, comments, columns, rows) -> None:
+    """``# `` comment lines, the header, then one line of tokens per row."""
     with open(path, "w") as fh:
-        fh.write("# parmaint static front\n")
-        fh.write(" ".join(cols) + "\n")
-        for s in solutions:
-            counts = instance.to_catalog(s.design)
-            row = [str(c) for c in counts] + [fmt(s.g_o), fmt(s.ln_g_f), s.tag]
-            fh.write(" ".join(row) + "\n")
+        fh.writelines(f"# {comment}\n" for comment in comments)
+        fh.write(" ".join(columns) + "\n")
+        fh.writelines(" ".join(row) + "\n" for row in rows)
 
 
-# ----------------------------------------------------------------------- front
-
-
-def write_front(path, instance, front) -> None:
-    """Front rows: provenance, design counts, penalty, cost pair."""
-    cols = ["provenance"] + _design_header(instance) + ["p", "g_o", "ln_g_f"]
+def _write_report(path, title, items) -> None:
+    """The ``# `` title line, then one ``key = text`` line per item."""
     with open(path, "w") as fh:
-        fh.write("# parmaint front\n")
-        for note in front.notes:
-            fh.write(f"# note: {note}\n")
-        fh.write(" ".join(cols) + "\n")
-        for p in front.points:
-            counts = instance.to_catalog(p.design)
-            row = (
-                [p.provenance]
-                + [str(c) for c in counts]
-                + [fmt(p.penalty), fmt(p.g_o), fmt(p.ln_g_f)]
-            )
-            fh.write(" ".join(row) + "\n")
+        fh.write(f"# {title}\n")
+        fh.writelines(f"{key} = {text}\n" for key, text in items)
 
 
-def read_front(path) -> ParetoFront:
-    """Load a front file; designs stay in the file's catalog order."""
-    notes = []
-    lines = []
+def _read_table(path, kind, accepts):
+    """The notes, header tokens and data lines of a table file; a header
+    that ``accepts`` rejects raises ``ValueError``."""
+    notes, lines = [], []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -111,11 +80,47 @@ def read_front(path) -> ParetoFront:
             elif line and not line.startswith("#"):
                 lines.append(line)
     header = lines[0].split() if lines else []
-    if header[:1] != ["provenance"] or header[-3:] != ["p", "g_o", "ln_g_f"]:
-        raise ValueError(f"{path} has no front header")
+    if not accepts(header):
+        raise ValueError(f"{path} has no {kind} header")
+    return notes, header, lines[1:]
+
+
+# ---------------------------------------------------------------- static table
+
+
+def write_static_table(path, instance, solutions) -> None:
+    """Static front rows: design counts, cost pair, and origin tag."""
+    rows = (
+        [*map(str, instance.to_catalog(s.design)), fmt(s.g_o), fmt(s.ln_g_f), s.tag]
+        for s in solutions
+    )
+    cols = _design_header(instance) + ["g_o", "ln_g_f", "tag"]
+    _write_table(path, ["parmaint static front"], cols, rows)
+
+
+# ----------------------------------------------------------------------- front
+
+
+def write_front(path, instance, front) -> None:
+    """Front rows: provenance, design counts, penalty, cost pair."""
+    rows = (
+        [p.provenance, *map(str, instance.to_catalog(p.design))]
+        + [fmt(p.penalty), fmt(p.g_o), fmt(p.ln_g_f)]
+        for p in front.points
+    )
+    comments = ["parmaint front"] + [f"note: {note}" for note in front.notes]
+    cols = ["provenance"] + _design_header(instance) + ["p", "g_o", "ln_g_f"]
+    _write_table(path, comments, cols, rows)
+
+
+def read_front(path) -> ParetoFront:
+    """Load a front file; designs stay in the file's catalog order."""
+    notes, header, lines = _read_table(
+        path, "front", lambda h: h[:1] == ["provenance"] and h[-3:] == ["p", "g_o", "ln_g_f"]
+    )
     n = len(header) - 4  # provenance, p, g_o, ln_g_f
     points = []
-    for line in lines[1:]:
+    for line in lines:
         toks = line.split()
         if len(toks) != n + 4:
             raise ValueError(f"bad front row: {line!r}")
@@ -147,14 +152,10 @@ def write_plot_data(path, instance, front) -> None:
 
 
 def write_gain_report(path, instance, design, penalty, gain) -> None:
-    counts = instance.to_catalog(design)
-    with open(path, "w") as fh:
-        fh.write("# parmaint gain report\n")
-        fh.write(f"design = {' '.join(str(c) for c in counts)}\n")
-        fh.write(f"penalty = {fmt(penalty)}\n")
-        fh.write(f"g_o = {fmt(gain.g_o)}\n")
-        fh.write(f"g_f = {fmt(gain.g_f)}\n")
-        fh.write(f"ln_g_f = {fmt(gain.ln_g_f)}\n")
+    counts = " ".join(map(str, instance.to_catalog(design)))
+    items = [("design", counts), ("penalty", fmt(penalty))]
+    items += [(key, fmt(getattr(gain, key))) for key in ("g_o", "g_f", "ln_g_f")]
+    _write_report(path, "parmaint gain report", items)
 
 
 # --------------------------------------------------------------------- policy
@@ -165,12 +166,11 @@ def write_policy(path, model, policy) -> None:
     states = model.states
     repairs = states[policy.post_ids, 0::2] - states[:, 0::2]
     n = model.n_types
-    row = "|".join(["{},{}"] * n) + " " + ",".join(["{}"] * n) + "\n"
-    with open(path, "w") as fh:
-        fh.write("# parmaint policy\n")
-        fh.write("# state = s_repairing,s_damaged per type; action = repairs per type\n")
-        fh.write("state action\n")
-        fh.write("".join(row.format(*s, *a) for s, a in zip(states.tolist(), repairs.tolist())))
+    state, action = "|".join(["{},{}"] * n), ",".join(["{}"] * n)
+    pairs = zip(states.tolist(), repairs.tolist())
+    rows = ((state.format(*s), action.format(*a)) for s, a in pairs)
+    key = "state = s_repairing,s_damaged per type; action = repairs per type"
+    _write_table(path, ["parmaint policy", key], ["state", "action"], rows)
 
 
 # a count outside int64 is outside every model, and names its row as such
@@ -206,7 +206,7 @@ def read_policy(path, model) -> MaintenancePolicy:
     ``ValueError`` naming the row or state: malformed tokens first,
     then, in file order, a state outside the model or a repeated state.
     """
-    lines = _noncomment_lines(path)[1:]
+    _, _, lines = _read_table(path, "policy", lambda h: h == ["state", "action"])
     rows = [_policy_row(line, model) for line in lines]
     ids = model.state_ids([counts for counts, _ in rows])
     later = np.ones(ids.size, dtype=bool)
@@ -233,23 +233,12 @@ def read_policy(path, model) -> MaintenancePolicy:
 
 
 def write_sim_report(path, report) -> None:
-    with open(path, "w") as fh:
-        fh.write("# parmaint simulation report\n")
-        for key in (
-            "g_o",
-            "se_g_o",
-            "g_f",
-            "se_g_f",
-            "horizon",
-            "batches",
-            "seed",
-            "events",
-            "failure_entries",
-        ):
-            value = getattr(report, key)
-            text = fmt(value) if isinstance(value, float) else str(value)
-            fh.write(f"{key} = {text}\n")
-        fh.write(f"rare_failure = {'yes' if report.rare_failure else 'no'}\n")
+    floats = ("g_o", "se_g_o", "g_f", "se_g_f", "horizon")
+    ints = ("batches", "seed", "events", "failure_entries")
+    items = [(key, fmt(getattr(report, key))) for key in floats]
+    items += [(key, str(getattr(report, key))) for key in ints]
+    items.append(("rare_failure", "yes" if report.rare_failure else "no"))
+    _write_report(path, "parmaint simulation report", items)
 
 
 # ------------------------------------------------------------ compare reports
@@ -267,22 +256,13 @@ def write_compare_report(path, report) -> None:
         + [f"x_{i + 1}" for i in range(n)]
         + ["p", "g_o", "ln_g_f", "distance", "dom_provenance", "dom_p", "dom_g_o", "dom_ln_g_f"]
     )
-    with open(path, "w") as fh:
-        fh.write("# parmaint front comparison\n")
-        fh.write(f"# tolerance = {fmt(report.tolerance)}\n")
-        for status in ("matched", "dominated", "absent"):
-            fh.write(f"# {status} = {report.count(status)}\n")
-        fh.write(" ".join(cols) + "\n")
-        for e in report.entries:
-            p = e.point
-            row = (
-                [e.status, p.provenance]
-                + [str(c) for c in p.design]
-                + [fmt(p.penalty), fmt(p.g_o), fmt(p.ln_g_f), fmt(e.distance)]
-            )
-            if e.dominator is None:
-                row += ["-", "-", "-", "-"]
-            else:
-                d = e.dominator
-                row += [d.provenance, fmt(d.penalty), fmt(d.g_o), fmt(d.ln_g_f)]
-            fh.write(" ".join(row) + "\n")
+    comments = ["parmaint front comparison", f"tolerance = {fmt(report.tolerance)}"]
+    comments += [f"{s} = {report.count(s)}" for s in ("matched", "dominated", "absent")]
+    rows = []
+    for e in report.entries:
+        p, d = e.point, e.dominator
+        row = [e.status, p.provenance, *map(str, p.design)]
+        row += [fmt(p.penalty), fmt(p.g_o), fmt(p.ln_g_f), fmt(e.distance)]
+        row += ["-"] * 4 if d is None else [d.provenance, fmt(d.penalty), fmt(d.g_o), fmt(d.ln_g_f)]
+        rows.append(row)
+    _write_table(path, comments, cols, rows)

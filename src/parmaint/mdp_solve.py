@@ -246,18 +246,6 @@ def _switch(test, scale, cur, aoff, counts, penalty):
     return np.where(moves, first, cur) - aoff
 
 
-def _compressed(fmt, size, major, minor, values):
-    """A size x size scipy matrix of format ``fmt`` (``csr_matrix`` or
-    ``csc_matrix``) from its entries, built by a stable sort on the
-    major index (rows for CSR, columns for CSC); duplicate entries are
-    kept, and every use here sums them.  The index arrays are 32-bit,
-    the width scipy's graph and LU routines work in."""
-    order = np.argsort(major, kind="stable")
-    indptr = np.zeros(size + 1, dtype=np.int32)
-    np.cumsum(np.bincount(major, minlength=size), out=indptr[1:])
-    return fmt((values[order], minor[order].astype(np.int32), indptr), shape=(size, size))
-
-
 def _strong_components(m, src, dst, rate):
     """(count, labels) of the strong components of the m-node chain
     with arcs ``src`` -> ``dst`` at ``rate``, as scipy's
@@ -283,8 +271,8 @@ def _strong_components(m, src, dst, rate):
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
-    graph = _compressed(csr_matrix, m, src, dst, rate)
-    graph.sum_duplicates()  # on a duplicate entry scipy's search never returns
+    # the constructor sums duplicate arcs; on a duplicate scipy's search never returns
+    graph = csr_matrix((rate, (src, dst)), shape=(m, m))
     return connected_components(graph, directed=True, connection="strong")
 
 
@@ -322,13 +310,8 @@ def _m_matrix_lu(out, src, dst, rates):
     from scipy.sparse.linalg import splu
 
     ids = np.arange(size)
-    a = _compressed(
-        csc_matrix,
-        size,
-        np.concatenate([ids, src]),
-        np.concatenate([ids, dst]),
-        np.concatenate([out, -rates]),
-    )
+    rows, cols = np.concatenate([ids, dst]), np.concatenate([ids, src])
+    a = csc_matrix((np.concatenate([out, -rates]), (rows, cols)), shape=(size, size))
     try:
         lu = splu(
             a,

@@ -618,6 +618,44 @@ class TestSimulate:
         assert f"bad policy row '{bad}'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_policy_file_without_header(self, base_path, tmp_path, capsys):
+        # the first row must not stand in for the header, nor any other header
+        pol = tmp_path / "policy.txt"
+        code = main(
+            ["dmp", base_path, "--design", "1,1,0,0", "--out", str(tmp_path / "gain.txt"),
+             "--policy-out", str(pol)]
+        )
+        assert code == EXIT_OK
+        text = pol.read_text()
+        assert "\nstate action\n" in text
+        out = tmp_path / "sim.txt"
+        for header in ("", "foo bar\n"):
+            pol.write_text(text.replace("state action\n", header))
+            code = main(
+                ["simulate", base_path, "--design", "1,1,0,0", "--policy-file", str(pol),
+                 "--horizon", "100", "--out", str(out)]
+            )
+            assert code == EXIT_ERROR
+            assert capsys.readouterr().err == f"error: {pol} has no policy header\n"
+            assert not out.exists()
+
+    def test_penalty_with_policy_file_rejected(self, base_path, tmp_path, capsys):
+        pol = tmp_path / "policy.txt"
+        code = main(
+            ["dmp", base_path, "--design", "1,0,0,0", "--penalty", "100",
+             "--out", str(tmp_path / "gain.txt"), "--policy-out", str(pol)]
+        )
+        assert code == EXIT_OK
+        out = tmp_path / "sim.txt"
+        code = main(
+            ["simulate", base_path, "--design", "1,0,0,0", "--policy-file", str(pol),
+             "--penalty", "100", "--horizon", "100", "--out", str(out)]
+        )
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "--penalty" in err and "--policy-file" in err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_front_against_itself(self, base_path, tmp_path, capsys):

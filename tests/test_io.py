@@ -1,5 +1,6 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from parmaint.app import DYNAMIC_SP2, STATIC_SP1, ParetoFront, SolutionPoint, run_app
 from parmaint.ctmdp import build_model
 from parmaint.dop import StaticSolution
-from parmaint.exact import compare_fronts
+from parmaint.exact import ComparisonEntry, ComparisonReport, compare_fronts
 from parmaint.io import (
     fmt,
     read_front,
@@ -20,9 +21,17 @@ from parmaint.io import (
     write_sim_report,
     write_static_table,
 )
-from parmaint.mdp_solve import evaluate_policy, fully_active_policy, solve_average_cost
+from parmaint.mdp_solve import GainPair, evaluate_policy, fully_active_policy, solve_average_cost
 from parmaint.model import ComponentType, make_instance
-from parmaint.sim import simulate_policy
+from parmaint.sim import SimReport, simulate_policy
+
+FORMATS = Path(__file__).resolve().parents[1] / "FORMATS.md"
+
+
+def _example(heading):
+    """The first code block under a FORMATS.md heading, as file text."""
+    text = FORMATS.read_text()
+    return text[text.index(f"\n## {heading}") :].split("```\n", 2)[1]
 
 
 def _flipped_instance():
@@ -267,6 +276,17 @@ class TestPolicyFiles:
         with pytest.raises(ValueError, match="misses state"):
             read_policy(path, model)
 
+    def test_missing_or_junk_header_rejected(self, tmp_path, base_instance):
+        # a headless file once lost its first row to the header slot
+        model = build_model(base_instance, (1, 0, 0, 0))
+        path = tmp_path / "policy.txt"
+        write_policy(path, model, fully_active_policy(model))
+        text = path.read_text()
+        for header in ("", "foo bar\n", "state action extra\n"):
+            path.write_text(text.replace("state action\n", header))
+            with pytest.raises(ValueError, match=re.escape(f"{path} has no policy header")):
+                read_policy(path, model)
+
     @staticmethod
     def _edited(tmp_path, model, state, action, extra=()):
         # the fully active policy's file with one state's action replaced
@@ -470,3 +490,90 @@ class TestCompareReport:
         assert dominated[8:] == [DYNAMIC_SP2, "4", "0.5", "-2"]
         matched = next(r for r in rows if r[0] == "matched")
         assert matched[8:] == ["-", "-", "-", "-"]
+
+
+class TestWrittenBytes:
+    """Each writer's whole output, from hand-built inputs."""
+
+    def test_static_table(self, tmp_path, base_instance):
+        solutions = [
+            StaticSolution(base_instance.from_catalog(design), g_o, ln_g_f, tag)
+            for design, g_o, ln_g_f, tag in (
+                ((0, 0, 0, 0), 0.0, 0.0, "trivial"),
+                ((1, 0, 0, 0), 1.99, -4.60517018599, "sweep"),
+                ((0, 5, 0, 0), 10.9999999968, -19.5601150271, "sweep"),
+            )
+        ]
+        path = tmp_path / "static.txt"
+        write_static_table(path, base_instance, solutions)
+        assert path.read_text() == _example("Static front")
+
+    def test_front_with_a_note(self, tmp_path, base_instance):
+        inst = base_instance
+        front = ParetoFront(
+            points=(
+                SolutionPoint(0.0, 0.0, inst.from_catalog((0, 5, 0, 0)), DYNAMIC_SP2, 1.0),
+                SolutionPoint(2.9999, -9.21034037198, inst.from_catalog((2, 0, 0, 0)), STATIC_SP1),
+            ),
+            notes=("design 0,5,0,0 penalty 1: unconverged",),
+        )
+        path = tmp_path / "front.txt"
+        write_front(path, inst, front)
+        title, rest = _example("Front").split("\n", 1)
+        note = "# note: design 0,5,0,0 penalty 1: unconverged"
+        assert path.read_text() == f"{title}\n{note}\n{rest}"
+
+    def test_gain_report(self, tmp_path, base_instance):
+        path = tmp_path / "gain.txt"
+        design = base_instance.from_catalog((1, 0, 0, 0))
+        write_gain_report(path, base_instance, design, 100.0, GainPair(1.99, 0.01))
+        assert path.read_text() == _example("Gain report")
+
+    def test_sim_report(self, tmp_path):
+        report = SimReport(
+            g_o=2.47969658303,
+            g_f=0.0149464301316,
+            se_g_o=0.665889256293,
+            se_g_f=0.00672615410397,
+            horizon=2000.0,
+            batches=20,
+            seed=0,
+            events=32,
+            failure_entries=16,
+            batch_g_o=(),
+            batch_g_f=(),
+        )
+        path = tmp_path / "sim.txt"
+        write_sim_report(path, report)
+        assert path.read_text() == _example("Simulation report")
+
+    def test_compare_report(self, tmp_path):
+        matched = SolutionPoint(0.0, 0.0, (0, 5), DYNAMIC_SP2, 1.0)
+        beaten = SolutionPoint(2.9999, -9.21034037198, (2, 0), STATIC_SP1, None)
+        report = ComparisonReport(
+            entries=(
+                ComparisonEntry(matched, "matched", 0.0),
+                ComparisonEntry(beaten, "dominated", 0.5, matched),
+            ),
+            tolerance=1e-6,
+        )
+        path = tmp_path / "cmp.txt"
+        write_compare_report(path, report)
+        assert path.read_text() == (
+            "# parmaint front comparison\n"
+            "# tolerance = 1e-06\n"
+            "# matched = 1\n"
+            "# dominated = 1\n"
+            "# absent = 0\n"
+            "status provenance x_1 x_2 p g_o ln_g_f distance"
+            " dom_provenance dom_p dom_g_o dom_ln_g_f\n"
+            "matched dynamic-SP2 0 5 1 0 0 0 - - - -\n"
+            "dominated static-SP1 2 0 - 2.9999 -9.21034037198 0.5 dynamic-SP2 1 0 0\n"
+        )
+
+    def test_policy_head(self, tmp_path, base_instance):
+        model = build_model(base_instance, base_instance.from_catalog((1, 0, 0, 0)))
+        path = tmp_path / "policy.txt"
+        write_policy(path, model, fully_active_policy(model))
+        head = _example("Policy").splitlines()[:3] + ["0,0|0,0|0,0|0,0 0,0,0,0"]
+        assert path.read_text().splitlines()[:4] == head
