@@ -15,13 +15,17 @@ Numerical Solution of Markov Chains*, 1994, ch. 2).  Chains and blocks
 of up to ``DENSE_NODES`` nodes (see its comment for the measured
 trade-off) are solved dense; larger ones sparse, and only they import
 scipy.  Both factorizations keep the diagonal pivots of these
-diagonally dominant M-matrices and exchange no rows (see
-``_m_matrix_lu``).  The solve evaluates each policy for the operational
-cost and the failure indicator at once, so it returns the certified
-policy's exact pair ``(g_o, g_f)`` with no second evaluation;
-``evaluate_policy`` solves the same chain for policies no solve
-produced and other starting states.  Both solve it on the post-states
-the policy uses, the only ones its moves reach.
+diagonally dominant M-matrices and exchange no rows; the sparse one
+orders the nodes by their count of down copies, which makes each chain
+a level-dependent quasi-birth-death process (Latouche and Ramaswami,
+*Introduction to Matrix Analytic Methods in Stochastic Modeling*,
+1999), and refines each solve once (see ``_m_matrix_lu``).  The solve
+evaluates each policy for the operational cost and the failure
+indicator at once, so it returns the certified policy's exact pair
+``(g_o, g_f)`` with no second evaluation; ``evaluate_policy`` solves
+the same chain for policies no solve produced and other starting
+states.  Both solve it on the post-states the policy uses, the only
+ones its moves reach.
 """
 
 from __future__ import annotations
@@ -74,7 +78,9 @@ class MaintenancePolicy:
 
     Stored as the index of the chosen action within each state's
     lexicographic action list, with the induced post-decision state ids
-    alongside.
+    alongside.  A policy that a solve returns carries the gains and
+    biases of its chain in ``evaluation``, and a solve warm-started from
+    it takes them over instead of solving that chain again.
     """
 
     def __init__(self, model: CtmdpModel, choice):
@@ -89,6 +95,7 @@ class MaintenancePolicy:
         self.model = model
         self.choice = choice
         self.post_ids = model.act_posts[model.act_offsets[:-1] + choice]
+        self.evaluation = None  # _policy_gains of this policy, once a solve returns it
 
     def __eq__(self, other):
         return (
@@ -136,43 +143,54 @@ def solve_average_cost(
     columns (operational cost rate and failure indicator), and the
     penalized gains and biases are their combinations, so the result
     also carries the returned policy's exact pair ``(g_o, g_f)`` from
-    state 0, with ``gain == pair.scalarized(penalty)``.  The start is the never-repair policy unless
-    ``initial_policy`` (a policy of the same model, such as the optimum
-    at a nearby penalty) is given.  The penalty must be finite and
-    non-negative: a negative one would reward failure.  One so large
-    that the improvement tests overflow raises ``ValueError`` too.
+    state 0, with ``gain == pair.scalarized(penalty)``.  The start is
+    the never-repair policy unless ``initial_policy`` (a policy of the
+    same model, such as the optimum at a nearby penalty) is given; the
+    solve takes over the evaluation a returned policy carries, and
+    solves the start's chain only without one.  The penalty must be
+    finite and non-negative: a negative one would reward failure.  One
+    so large that the improvement tests overflow raises ``ValueError``
+    too.
     """
     if not (math.isfinite(penalty) and penalty >= 0.0):
         raise ValueError(f"penalty must be finite and non-negative, got {penalty}")
     if model.n_states == 0:
         raise ValueError("model has no states")
     if initial_policy is None:
-        choice = np.zeros(model.n_states, dtype=np.int64)
+        policy = MaintenancePolicy(model, np.zeros(model.n_states, dtype=np.int64))
     elif initial_policy.model is not model:
         raise ValueError("initial_policy belongs to another model")
     else:
-        choice = initial_policy.choice
+        policy = initial_policy
     seen = set()  # choice vectors evaluated so far
-    best = None  # policy, pairs, gains and biases of the least gain from state 0
+    best = None  # policy, evaluation, gains and biases of the least gain from state 0
     for step in range(1, MAX_ITERATIONS + 1):
-        policy = MaintenancePolicy(model, choice)
+        if step > 1:
+            policy = MaintenancePolicy(model, choice)
         seen.add(policy.choice.tobytes())
-        # the gains and biases of the two cost columns; the penalized
-        # ones follow by linearity
-        pairs, pair_bias = _policy_gains(model, policy.post_ids)
+        # the gains and biases of the two cost columns, taken over from a
+        # start that a solve returned; the penalized ones follow by linearity
+        evaluation, policy.evaluation = policy.evaluation, None
+        if evaluation is None:
+            evaluation = _policy_gains(model, policy.post_ids)
+        pairs, pair_bias = evaluation
         with np.errstate(over="ignore", invalid="ignore"):  # _switch rejects overflow
             gains = pairs[:, 0] + penalty * pairs[:, 1]
             bias = pair_bias[:, 0] + penalty * pair_bias[:, 1]
             choice = _improve(model, penalty, policy.choice, gains, bias)
         if best is None or gains[0] < best[2][0]:
-            best = policy, pairs, gains, bias
+            best = policy, evaluation, gains, bias
         if choice is None:
             break
         if choice.tobytes() in seen:
             # a cycle: rounding in the biases makes each policy of it look
             # improvable by the next
-            policy, pairs, gains, bias = best
+            policy, evaluation, gains, bias = best
             break
+    # only the returned policy keeps its evaluation, so front points do not
+    # hold one each
+    policy.evaluation = evaluation
+    pairs = evaluation[0]
     pair = GainPair(float(pairs[0, 0]), float(pairs[0, 1]))
     return SolveResult(
         policy=policy,
@@ -276,7 +294,7 @@ def _strong_components(m, src, dst, rate):
     return connected_components(graph, directed=True, connection="strong")
 
 
-def _m_matrix_lu(out, src, dst, rates):
+def _m_matrix_lu(out, src, dst, rates, level):
     """Solver of the transpose of the M-matrix ``M = diag(out) - R``,
     where R sums ``rates`` at (src, dst): row i of M holds node i's total
     outflow ``out[i]`` and the arcs leaving it within the block.  The
@@ -292,8 +310,18 @@ def _m_matrix_lu(out, src, dst, rates):
     ``M^T``, where partial pivoting keeps every diagonal pivot (it takes
     the first entry of largest magnitude), and the one inverse,
     nonnegative as every M-matrix inverse is, serves both ``trans``.
-    Larger matrices take a sparse LU with pivoting switched off, ordered
-    on the symmetrized pattern to keep the fill low.
+    Larger matrices take a sparse LU with pivoting switched off, in the
+    order of the nodes' ``level``: odd levels first, then even levels
+    ascending, ties by node number.  In a policy's chain the level is the
+    count of down copies, which every transition changes by one, so the
+    odd block is diagonal and what is left after it is banded: no
+    ordering pass is needed, and chains of a few thousand nodes fill
+    less than under a minimum-degree order (larger ones more).  Any
+    ``level`` gives the same solves up to rounding.  Each sparse solve
+    is refined once with an extended-precision residual (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 12): in
+    this order a class gain can come out one ulp off, which hitting
+    times amplify into the biases.
     """
     size = out.shape[0]
     if size <= DENSE_NODES:
@@ -309,19 +337,36 @@ def _m_matrix_lu(out, src, dst, rates):
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import splu
 
-    ids = np.arange(size)
-    rows, cols = np.concatenate([ids, dst]), np.concatenate([ids, src])
+    # node order[k] goes k-th, and node i to rank[i]
+    order = np.lexsort((level, level % 2 == 0))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(size)
+    rows, cols = np.concatenate([rank, rank[dst]]), np.concatenate([rank, rank[src]])
     a = csc_matrix((np.concatenate([out, -rates]), (rows, cols)), shape=(size, size))
     try:
         lu = splu(
             a,
-            permc_spec="MMD_AT_PLUS_A",
+            permc_spec="NATURAL",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
     except RuntimeError as exc:  # SuperLU's report of a zero pivot
         raise ValueError(f"sparse LU of a {size}-node block failed: {exc}") from exc
-    return lu.solve
+
+    ext = np.longdouble
+    out_ext, rates_ext = out.astype(ext), rates.astype(ext)
+
+    def solve(b, trans="N"):
+        x = lu.solve(b[order], trans=trans)[rank]
+        # one step of iterative refinement: the residual b - M^T x (b - M x
+        # for trans="T") is formed in extended precision
+        into, frm = (dst, src) if trans == "N" else (src, dst)
+        xe = x.astype(ext).reshape(size, -1)
+        r = b.astype(ext).reshape(size, -1) - out_ext[:, None] * xe
+        np.add.at(r, into, rates_ext[:, None] * xe[frm])
+        return x + lu.solve(r.astype(np.float64).reshape(b.shape)[order], trans=trans)[rank]
+
+    return solve
 
 
 def _policy_gains(model: CtmdpModel, post_ids):
@@ -334,6 +379,8 @@ def _policy_gains(model: CtmdpModel, post_ids):
     post-state the policy moves it to, lands among them, and each
     recurrent class keeps its first node, where its biases are 0.
     Self-loops are dropped; they do not change a continuous-time chain.
+    Each post-state's level, its total count of down copies, orders the
+    sparse factor (see ``_m_matrix_lu``).
     """
     used = np.zeros(model.n_states, dtype=bool)
     used[post_ids] = True
@@ -342,16 +389,21 @@ def _policy_gains(model: CtmdpModel, post_ids):
     dst = post_ids[model.trn_targets]
     keep = used[src] & (src != dst)
     costs = np.column_stack([model.cost_op, model.cost_fail])[used]
-    gain, bias = _chain_gains(local[src[keep]], local[dst[keep]], model.trn_rates[keep], costs)
+    level = model.states.sum(axis=1)[used]
+    gain, bias = _chain_gains(
+        local[src[keep]], local[dst[keep]], model.trn_rates[keep], costs, level
+    )
     return gain[local[post_ids]], bias[local[post_ids]]
 
 
-def _chain_gains(src, dst, rate, costs):
+def _chain_gains(src, dst, rate, costs, level):
     """Gains and biases of every node of a chain.
 
     The chain's arcs run from ``src`` to ``dst`` at ``rate``, with no
     self-loops, and ``costs`` holds one row of cost rates per node and
     one column per objective; both results have the shape of ``costs``.
+    ``level`` holds one integer per node, which orders the factor (see
+    ``_m_matrix_lu``).
     The recurrent classes are the strong components that no arc leaves;
     each one's first (lowest) node is pinned, and every other node is
     free.  On the free nodes, ``M = diag(out) - R`` is block triangular,
@@ -375,7 +427,9 @@ def _chain_gains(src, dst, rate, costs):
     pos = np.cumsum(free) - 1
     coupled = free[src] & free[dst]
     pinned = ~free[src]  # arcs out of a first node, all into its class
-    solve = _m_matrix_lu(out[free], pos[src[coupled]], pos[dst[coupled]], rate[coupled])
+    solve = _m_matrix_lu(
+        out[free], pos[src[coupled]], pos[dst[coupled]], rate[coupled], level[free]
+    )
 
     # balance: out_j pi_j - sum_{i free} rate(i->j) pi_i = rate(first->j)
     # for every free node j, with pi = 1 at first; 0 on transient j

@@ -344,12 +344,14 @@ def test_static_stage_checks_the_ceiling(command, million_path, instances_dir, t
 class TestDmp:
     def test_singular_sparse_factor_is_an_error(self, instances_dir, tmp_path):
         # SuperLU finds an exactly zero pivot in one of this solve's chains
+        # (a 107-node block), at the penalty where exact's trace of this
+        # design meets it
         path = tmp_path / "one-type.json"
-        write_instance(single_type_instance(q=1e-7, repair=1000.0, bound=40), path)
+        write_instance(single_type_instance(q=1e-8, repair=1000.0, bound=40), path)
         env = dict(os.environ, PYTHONPATH=str(instances_dir.parent / "src"))
         done = subprocess.run(
-            [sys.executable, "-m", "parmaint.cli", "dmp", str(path), "--design", "39",
-             "--penalty", "10000", "--out", str(tmp_path / "gain.txt")],
+            [sys.executable, "-m", "parmaint.cli", "dmp", str(path), "--design", "20",
+             "--penalty", "19001.000000007407", "--out", str(tmp_path / "gain.txt")],
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == EXIT_ERROR

@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ from parmaint.ctmdp import (
     check_weakly_communicating,
 )
 from parmaint.exact import enumerate_feasible_designs
-from parmaint.model import ComponentType, make_instance
+from parmaint.model import ComponentType, load_instance, make_instance
 
 from _oracles import (
     apply_action,
@@ -274,6 +275,49 @@ class TestBuildModel:
         model = build_model(large_instance, (3, 4, 4))
         assert model.n_states == 2250
         _model_matches_primitives(model)
+
+
+def _down_count_moves(model: CtmdpModel):
+    """Per transition and per (state, action): the change in the total
+    count of down copies (repairing plus damaged, over all types)."""
+    level = model.states.sum(axis=1, dtype=np.int64)
+    src = np.repeat(np.arange(model.n_states), np.diff(model.trn_offsets))
+    pre = np.repeat(np.arange(model.n_states), np.diff(model.act_offsets))
+    return level[model.trn_targets] - level[src], level[model.act_posts] - level[pre]
+
+
+class TestDownCountLevels:
+    """Every transition moves the down count by one and no action moves
+    it, so each policy's chain is a quasi-birth-death process on it: the
+    sparse factor's order relies on that for its fill, not its results."""
+
+    @staticmethod
+    def _check(model):
+        moves, actions = _down_count_moves(model)
+        assert moves.size > 0 or model.n_states == 1
+        assert np.all(np.abs(moves) == 1)
+        assert np.all(actions == 0)
+
+    def test_base_designs(self, base_instance):
+        for design in enumerate_feasible_designs(base_instance):
+            self._check(build_model(base_instance, design))
+
+    def test_single_type_benchmark_designs(self):
+        single = load_instance(
+            pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "data" / "single-1.json"
+        )
+        for design in enumerate_feasible_designs(single):
+            self._check(build_model(single, design))
+
+    def test_large_design(self, large_instance):
+        self._check(build_model(large_instance, (3, 4, 4)))
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            inst = random_instance(rng)
+            for design in enumerate_feasible_designs(inst)[:10]:
+                self._check(build_model(inst, design))
 
 
 class TestWeakCommunication:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from parmaint import mdp_solve
+from parmaint.app import run_app
 from parmaint.ctmdp import build_model
 from parmaint.dop import dop_objectives
 from parmaint.exact import enumerate_feasible_designs, exact_front
@@ -522,7 +523,7 @@ class TestValueIterationGate:
                 ours, reference = self._gains(model, penalty)
                 assert ours == pytest.approx(reference, rel=1e-9), (design, penalty)
                 policy = solve_average_cost(model, penalty).policy
-                src, dst, rate, _ = _full_chain(model, policy.post_ids)
+                src, dst, rate, _, _ = _full_chain(model, policy.post_ids)
                 chain = coo_matrix((rate, (src, dst)), shape=(n, n))
                 n_comp, labels = connected_components(chain, connection="strong")
                 leaving = set(labels[src[labels[src] != labels[dst]]])
@@ -573,13 +574,14 @@ class TestSolvePair:
 
 def _full_chain(model, post_ids):
     """The policy's chain on all post-states, those it never uses
-    included: arcs sorted by source, self-loops dropped, and the two
-    cost columns (operational cost rate, failure indicator)."""
+    included: arcs sorted by source, self-loops dropped, the two cost
+    columns (operational cost rate, failure indicator) and each
+    post-state's count of down copies."""
     src = np.repeat(np.arange(model.n_states), np.diff(model.trn_offsets))
     dst = post_ids[model.trn_targets]
     keep = src != dst
     costs = np.column_stack([model.cost_op, model.cost_fail])
-    return src[keep], dst[keep], model.trn_rates[keep], costs
+    return src[keep], dst[keep], model.trn_rates[keep], costs, model.states.sum(axis=1)
 
 
 class TestChainOnUsedPostStates:
@@ -624,7 +626,8 @@ def _random_chain(rng, m, n_classes):
     node, and transient nodes that each lead on to a later node in a
     random order ending with the recurrent ones, plus parallel arcs and
     arcs back among the transient nodes.  Rates span several orders of
-    magnitude."""
+    magnitude.  The chain is no birth-death process, so its levels, which
+    only order the sparse factor, are the node numbers."""
     nodes = rng.permutation(m)
     n_trans = int(rng.integers(1, m // 2))
     trans, rec = nodes[:n_trans], nodes[n_trans:]
@@ -645,7 +648,7 @@ def _random_chain(rng, m, n_classes):
     src, dst = np.array(arcs, dtype=np.int64).T
     rate = rng.lognormal(0.0, 2.0, size=src.size)
     costs = rng.random((m, 2)) * (rng.random((m, 1)) < 0.7)
-    return src, dst, rate, costs
+    return src, dst, rate, costs, np.arange(m)
 
 
 def _dense_and_sparse(monkeypatch, f, *args):
@@ -661,9 +664,9 @@ class TestDenseAndSparsePaths:
     and policy-iteration paths, and on small chains the exact ones."""
 
     @staticmethod
-    def _agree(monkeypatch, src, dst, rate, costs, bias_rtol=1e-12):
+    def _agree(monkeypatch, src, dst, rate, costs, level, bias_rtol=1e-12):
         (gain, bias), (want_gain, want_bias) = _dense_and_sparse(
-            monkeypatch, _chain_gains, src, dst, rate, costs
+            monkeypatch, _chain_gains, src, dst, rate, costs, level
         )
         np.testing.assert_allclose(gain, want_gain, rtol=1e-12, atol=0.0)
         # a bias entry can be a near-cancelling sum, so its error is
@@ -695,7 +698,7 @@ class TestDenseAndSparsePaths:
         for _ in range(100):
             m = int(rng.integers(8, 70))
             n_classes = int(rng.integers(2, 5))
-            src, dst, rate, costs = _random_chain(rng, m, n_classes)
+            src, dst, rate, costs, level = _random_chain(rng, m, n_classes)
             (count, labels), (want_count, want_labels) = _dense_and_sparse(
                 monkeypatch, _strong_components, m, src, dst, rate
             )
@@ -706,16 +709,18 @@ class TestDenseAndSparsePaths:
             assert count - leaving.size == n_classes
             # rates over four decades: against exact rationals, each path's
             # biases are off by up to 2.7e-12 of the column's largest
-            self._agree(monkeypatch, src, dst, rate, costs, bias_rtol=1e-11)
+            self._agree(monkeypatch, src, dst, rate, costs, level, bias_rtol=1e-11)
 
     def test_small_random_chains_against_exact_rationals(self, monkeypatch):
         rng = np.random.default_rng(12)
         for _ in range(50):
             m = int(rng.integers(8, 21))
-            src, dst, rate, costs = _random_chain(rng, m, int(rng.integers(2, 5)))
+            src, dst, rate, costs, level = _random_chain(rng, m, int(rng.integers(2, 5)))
             want_gain, want_bias = chain_gains_exact(src, dst, rate, costs)
             scale = np.abs(want_bias).max(axis=0)
-            for gain, bias in _dense_and_sparse(monkeypatch, _chain_gains, src, dst, rate, costs):
+            for gain, bias in _dense_and_sparse(
+                monkeypatch, _chain_gains, src, dst, rate, costs, level
+            ):
                 np.testing.assert_allclose(gain, want_gain, rtol=1e-12, atol=0.0)
                 assert np.all(np.abs(bias - want_bias) <= 1e-11 * scale)
 
@@ -737,9 +742,9 @@ class TestLostAbsorptionMass:
             return lossy
 
         monkeypatch.setattr(mdp_solve, "_m_matrix_lu", losing)
-        src, dst, rate, costs = _random_chain(np.random.default_rng(3), 12, 2)
+        chain = _random_chain(np.random.default_rng(3), 12, 2)
         with pytest.raises(ValueError, match=r"12-node chain lost its mass: \d+ of \d+ transient"):
-            _chain_gains(src, dst, rate, costs)
+            _chain_gains(*chain)
 
 
 class TestDiagonalPivots:
@@ -761,3 +766,65 @@ class TestDiagonalPivots:
         assert len(runs) == 2405
         assert all(converged for _, converged in runs)
         assert sum(steps for steps, _ in runs) <= 4787
+
+
+class TestEvaluatedOnce:
+    """A solve warm-started from a policy that a solve evaluated reuses
+    that evaluation instead of solving the same chain again."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = []
+        real = mdp_solve._policy_gains
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(mdp_solve, "_policy_gains", counting)
+        return calls
+
+    def test_warm_start_from_a_solved_policy(self, base_instance, monkeypatch):
+        model = build_model(base_instance, design=(2, 1, 0, 0))
+        cold = solve_average_cost(model, 1e3)
+        calls = self._counting(monkeypatch)
+        warm = solve_average_cost(model, 1e3, initial_policy=cold.policy)
+        # the optimum is certified on its carried evaluation alone
+        assert len(calls) == 0 and warm.iterations == 1 and warm.converged
+        assert warm.pair == cold.pair and warm.policy == cold.policy
+        np.testing.assert_array_equal(warm.gains, cold.gains)
+        np.testing.assert_array_equal(warm.bias, cold.bias)
+
+    def test_front_builders_evaluate_each_policy_once(self, base_instance, monkeypatch):
+        calls = self._counting(monkeypatch)
+        run_app(base_instance)
+        assert len(calls) == 32
+        calls.clear()
+        exact_front(base_instance)
+        assert len(calls) <= 2600
+
+
+class TestLevelOrderFill:
+    def test_large_design_factors_stay_small(self, large_instance, monkeypatch):
+        # every policy of design-large factors with at most 107,810 L+U
+        # nonzeros in level-parity order; a minimum-degree order gave one
+        # iterate 191,513
+        import scipy.sparse.linalg
+
+        real = scipy.sparse.linalg.splu
+        factors = []
+
+        def recording(*args, **kwargs):
+            lu = real(*args, **kwargs)
+            factors.append(lu)
+            return lu
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
+        res = solve_average_cost(build_model(large_instance, design=(3, 4, 4)), 1e5)
+        # 11 policies; the never-repair one's chain is small enough for the dense path
+        assert res.converged and res.iterations == 11 and len(factors) == 10
+        assert max(lu.L.nnz + lu.U.nnz for lu in factors) <= 120_000
+        # the factor keeps the given order and exchanges no rows
+        for lu in factors:
+            ids = np.arange(lu.shape[0])
+            assert np.array_equal(lu.perm_c, ids) and np.array_equal(lu.perm_r, ids)
