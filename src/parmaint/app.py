@@ -278,29 +278,31 @@ def run_app(
     population = static_points(s for s in statics if s.design not in chosen)
     return _merge_traces(
         [s.design for s in selected],
-        lambda design: (sp2(instance, design, p_min=p_min, delta_p=delta_p), ()),
+        lambda design, front: (sp2(instance, design, p_min=p_min, delta_p=delta_p), ()),
         "dynamic stage", population,
     )
 
 
 def _merge_traces(designs, trace, stage, population) -> ParetoFront:
-    """Front of ``population`` plus the points each design's trace keeps.
+    """Front of ``population`` plus the points each design's trace keeps,
+    merged design by design.
 
-    ``trace(design)`` returns the points it keeps and the flagged points
-    it solved but left out; a trace that raises, and each flag of a kept
-    or left-out point, become notes instead of failing.
+    ``trace(design, front)`` gets the front's points so far and returns
+    the points it keeps and the flagged points it solved but left out; a
+    trace that raises, and each flag of a kept or left-out point, become
+    notes instead of failing.  As dominance within ``DOM_TOL`` is not
+    transitive, this can differ from one ``non_dom_filter`` of them all.
     """
     notes = []
+    front = non_dom_filter(population).points
     for design in designs:
         try:
-            kept, dropped = trace(design)
+            kept, dropped = trace(design, front)
         except Exception as exc:  # keep other designs' results
             notes.append(f"design {design}: {stage} failed: {exc}")
             continue
         for p in (*kept, *dropped):
             for flag in p.flags:
                 notes.append(f"design {design} penalty {p.penalty}: {flag}")
-        population.extend(kept)
-
-    front = non_dom_filter(population)
-    return replace(front, notes=tuple(notes))
+        front = non_dom_filter((*front, *kept)).points
+    return ParetoFront(points=front, notes=tuple(notes))

@@ -118,7 +118,7 @@ def cmd_app(args) -> int:
 
 def cmd_exact(args) -> int:
     instance = _load(args)
-    front = exact_front(instance, maximal_only=args.maximal_only)
+    front = exact_front(instance)
     return _report_front(front, instance, args.out, args.plot_out, "exact front")
 
 
@@ -256,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ex = subs.add_parser("exact", help="exact front over all feasible designs")
     _add_common(ex)
-    ex.add_argument("--maximal-only", action="store_true")
     ex.add_argument("--out", default="parmaint_exact.txt")
     ex.add_argument("--plot-out", default=None)
     ex.set_defaults(func=cmd_exact)

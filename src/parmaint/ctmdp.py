@@ -96,7 +96,8 @@ class CtmdpModel:
 
     Action lists are stored per pre-decision state as post-decision state
     ids (impulsive semantics); transitions, cost rates and total outflow
-    are stored per post-decision state in CSR layout.
+    are stored per post-decision state in CSR layout, with each
+    transition's source alongside.
     """
 
     instance: Instance
@@ -105,11 +106,13 @@ class CtmdpModel:
     act_offsets: np.ndarray  # (n+1,) int64
     act_posts: np.ndarray  # post-state id per (state, action), action-lex order
     trn_offsets: np.ndarray  # (n+1,) int64
+    trn_sources: np.ndarray  # int64 source state of each transition
     trn_targets: np.ndarray
     trn_rates: np.ndarray
     cost_op: np.ndarray  # operational cost rate per post-state
     cost_fail: np.ndarray  # failure indicator per post-state
     outflow: np.ndarray
+    levels: np.ndarray  # (n,) int64 count of down copies (repairing + damaged)
 
     @property
     def n_states(self) -> int:
@@ -311,11 +314,13 @@ def build_model(instance: Instance, design) -> CtmdpModel:
         act_offsets=act_off,
         act_posts=act_posts,
         trn_offsets=trn_off,
+        trn_sources=np.repeat(np.arange(len(states), dtype=np.int64), np.diff(trn_off)),
         trn_targets=trn_tgt,
         trn_rates=trn_rate,
         cost_op=cost_op,
         cost_fail=cost_fail,
         outflow=outflow,
+        levels=states.sum(axis=1, dtype=np.int64),
     )
 
 

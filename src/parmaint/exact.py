@@ -3,16 +3,18 @@
 Enumerates the whole knapsack-feasible design space, traces each
 design's supported policy trade-off curve with the dichotomic weighted
 scalarization of Aneja and Nair (1979) (each point the exact (g_o, g_f)
-of a certified solve's policy, or of full repair), and merges
-everything into one non-dominated front.  The bi-objective integrated
-problem decomposes over fixed designs, so this per-design procedure is
-an exact oracle for the heuristic to be judged against — at desk scale
-only.
+of a certified solve's policy, or of full repair), and merges them into
+one non-dominated front.  The bi-objective integrated problem
+decomposes over fixed designs, so this is an exact oracle for the
+heuristic to be judged against.  The front found so far bounds the
+traces to come, as in bi-objective branch and bound (Ehrgott and
+Gandibleux, *Computers & Operations Research* 34, 2007).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from parmaint.app import (
     _solve_point,
 )
 from parmaint.ctmdp import build_model
-from parmaint.dop import _feasible_designs
+from parmaint.dop import _feasible_designs, dop_objectives
 
 __all__ = [
     "enumerate_feasible_designs",
@@ -44,33 +46,13 @@ __all__ = [
 DICHOTOMIC_RTOL = 1e-9  # relative margin a segment's solve must beat its ends by
 
 
-def enumerate_feasible_designs(instance, maximal_only: bool = False):
-    """All designs satisfying the knapsack constraints, in lex order.
-
-    With ``maximal_only`` keeps just the designs to which no copy of any
-    type can be added — sufficient for front purposes, since a larger
-    design can emulate any smaller one.  A space above
-    ``dop.DESIGN_CEILING`` raises ``dop.EnumerationError`` before any
-    design is listed.
-    """
-    designs = _feasible_designs(instance)
-    if not maximal_only:
-        return designs
-    members = set(designs)
-    caps = instance.copy_bounds
-    out = []
-    for x in designs:
-        grown = (
-            x[:i] + (x[i] + 1,) + x[i + 1 :]
-            for i in range(len(x))
-            if x[i] + 1 <= caps[i]
-        )
-        if not any(g in members for g in grown):
-            out.append(x)
-    return out
+def enumerate_feasible_designs(instance):
+    """All designs satisfying the knapsack constraints, in lex order; a
+    space above ``dop.DESIGN_CEILING`` raises ``dop.EnumerationError``."""
+    return _feasible_designs(instance)
 
 
-def _trace_design(instance, design):
+def _trace_design(instance, design, front=()):
     """Supported points of one design's policy trade-off curve.
 
     The trace runs from the cheapest policy (the solve at penalty 0) to
@@ -80,8 +62,12 @@ def _trace_design(instance, design):
     the penalty at which both ends scalarize (``g_o + penalty * g_f``)
     to the same value; the new point splits it unless it coincides with
     an end or fails to beat that value by ``DICHOTOMIC_RTOL`` relative.
-    Each split adds a distinct policy, so the trace ends.  Returns the
-    kept points in order of cost and the flagged points it left out.
+    Each split adds a distinct policy, so the trace ends.  A segment's
+    points lie in the box ``[left.g_o, right.g_o] x [right.ln_g_f,
+    left.ln_g_f]``; one whose corner ``(left.g_o, right.ln_g_f)`` an
+    unflagged point of ``front`` dominates is closed unsolved unless an
+    end is flagged, as the bound holds only between certified points.
+    Returns the kept points by cost and the flagged points left out.
     """
     model = build_model(instance, design=design)
     left = _solve_point(model, design, 0.0, None, EXACT)
@@ -90,11 +76,13 @@ def _trace_design(instance, design):
         return [left], [right] if right.flags else []
     # points holds the finished prefix; ends the open right ends, nearest last
     points, ends, dropped, policy = [left], [right], [], left.policy
+    g_o, ln_g_f = _columns([p for p in front if not p.flags])
     while ends:
         left, right = points[-1], ends[-1]
         d_gf = left.g_f - right.g_f
         d_go = right.g_o - left.g_o
-        if d_gf > 0.0 and d_go > 0.0:
+        covered = _dominates(g_o, ln_g_f, left.g_o, right.ln_g_f, DOM_TOL).any()
+        if d_gf > 0.0 and d_go > 0.0 and (left.flags or right.flags or not covered):
             penalty = d_go / d_gf
             mid = _solve_point(model, design, penalty, policy, EXACT)
             policy = mid.policy
@@ -112,18 +100,21 @@ def _trace_design(instance, design):
     return points, dropped
 
 
-def exact_front(instance, maximal_only: bool = False) -> ParetoFront:
+def exact_front(instance) -> ParetoFront:
     """Non-dominated front over all feasible designs and their policies.
 
-    Designs are traced one after another in lexicographic order and then
-    merged.  Solver trouble on one design is reported in the front's
-    notes instead of failing the whole oracle, and so is every flagged
-    solve, kept or not.
+    Designs are traced in ascending closed-form full-repair cost rate
+    (ties in lexicographic order), each against the front merged so far.
+    Solver trouble on one design is reported in the front's notes
+    instead of failing the whole oracle, and so is every flagged solve,
+    kept or not; a segment closed unsolved makes no note.  Where points
+    lie within ``DOM_TOL`` (dominance is not transitive) or solves go
+    uncertified (a closed segment shortens the warm-start chain), the
+    front and notes can differ from one filter of every whole trace.
     """
-    designs = enumerate_feasible_designs(instance, maximal_only=maximal_only)
-    return _merge_traces(
-        designs, lambda design: _trace_design(instance, design), "exact trace", []
-    )
+    designs = enumerate_feasible_designs(instance)
+    designs.sort(key=lambda design: dop_objectives(instance, design)[0])
+    return _merge_traces(designs, partial(_trace_design, instance), "exact trace", [])
 
 
 @dataclass(frozen=True)

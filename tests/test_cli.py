@@ -306,6 +306,8 @@ class TestExact:
         (lambda path, out: run_app(load_instance(path), tolerance=1e-9), TypeError),
         (lambda path, out: run_app(load_instance(path), record_ties=True), TypeError),
         (lambda path, out: exact_front(load_instance(path), tolerance=1e-9), TypeError),
+        (lambda path, out: main(["exact", path, "--out", out, "--maximal-only"]), SystemExit),
+        (lambda path, out: exact_front(load_instance(path), maximal_only=True), TypeError),
     ],
     ids=[
         "dop-tolerance",
@@ -315,10 +317,13 @@ class TestExact:
         "run_app-tolerance",
         "run_app-record_ties",
         "exact_front-tolerance",
+        "exact-maximal-only",
+        "exact_front-maximal_only",
     ],
 )
 def test_front_builder_options_removed(base_path, tmp_path, call, error):
-    # the front builders dedupe at DOM_TOL only, and only dop keeps --ties
+    # the front builders dedupe at DOM_TOL only, only dop keeps --ties, and
+    # the exact front always covers every feasible design
     with pytest.raises(error) as exc:
         call(base_path, str(tmp_path / "f.txt"))
     if error is SystemExit:

@@ -312,6 +312,14 @@ class TestDownCountLevels:
     def test_large_design(self, large_instance):
         self._check(build_model(large_instance, (3, 4, 4)))
 
+    def test_model_stores_sources_and_levels(self, base_instance):
+        # the fields the improvement step and the factor order read
+        for design in enumerate_feasible_designs(base_instance):
+            model = build_model(base_instance, design)
+            src = np.repeat(np.arange(model.n_states), np.diff(model.trn_offsets))
+            np.testing.assert_array_equal(model.trn_sources, src)
+            np.testing.assert_array_equal(model.levels, model.states.sum(axis=1))
+
     def test_random_instances(self):
         rng = np.random.default_rng(25)
         for _ in range(20):

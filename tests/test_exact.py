@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,11 +34,7 @@ def _pt(g_o, ln, design=(1,), provenance=EXACT, penalty=1.0):
 
 class TestEnumeration:
     def test_base_counts(self, base_instance):
-        full = enumerate_feasible_designs(base_instance)
-        maximal = enumerate_feasible_designs(base_instance, maximal_only=True)
-        assert len(full) == 76
-        assert len(maximal) == 36
-        assert set(maximal) <= set(full)
+        assert len(enumerate_feasible_designs(base_instance)) == 76
 
     def test_matches_grid_filter(self, base_instance):
         assert set(enumerate_feasible_designs(base_instance)) == set(
@@ -49,18 +46,9 @@ class TestEnumeration:
         assert full == sorted(full)
         assert full[0] == (0, 0, 0, 0)
 
-    def test_every_design_fits_in_a_maximal_one(self, base_instance):
-        full = enumerate_feasible_designs(base_instance)
-        maximal = enumerate_feasible_designs(base_instance, maximal_only=True)
-        for x in full:
-            assert any(
-                all(a <= b for a, b in zip(x, y)) for y in maximal
-            ), x
-
     def test_single_type(self):
         inst = single_type_instance(q=0.1, repair=3.0, bound=3)
         assert enumerate_feasible_designs(inst) == [(0,), (1,), (2,), (3,)]
-        assert enumerate_feasible_designs(inst, maximal_only=True) == [(3,)]
 
     def test_ceiling(self, million_path):
         with pytest.raises(EnumerationError) as err:
@@ -144,24 +132,6 @@ class TestExactFront:
         assert report.count("dominated") == 0
         assert report.count("matched") == len(app)
 
-    def test_maximal_only_agrees_in_the_dominance_sense(
-        self, base_instance, base_front
-    ):
-        # the reduction drops nested designs, whose own curve vertices are
-        # attainable by a larger design (emulation) but not vertices of its
-        # envelope; such points may go missing yet can never be contradicted
-        reduced = exact_front(base_instance, maximal_only=True)
-        fwd = compare_fronts(reduced, base_front, tolerance=1e-8)
-        assert fwd.count("matched") == len(reduced)
-        back = compare_fronts(base_front, reduced, tolerance=1e-8)
-        assert back.count("dominated") == 0
-        maximal = set(
-            enumerate_feasible_designs(base_instance, maximal_only=True)
-        )
-        for entry in back.entries:
-            if entry.status == "absent":
-                assert entry.point.design not in maximal
-
 
 class TestTraceDesign:
     def test_single_copy_extremes_only(self):
@@ -226,7 +196,7 @@ class TestTraceDesign:
         # the solve at the 1e12 clamp returns a policy short of full repair
         # here; the trace must still reach the closed form of (5,)
         inst = single_type_instance(q=1e-3, repair=1000.0, bound=5)
-        front = exact_front(inst, maximal_only=True)
+        front = non_dom_filter(_trace_design(inst, (5,))[0])
         _, ln5 = dop_objectives(inst, (5,))
         assert front.points[-1].ln_g_f == pytest.approx(ln5, abs=1e-9)
 
@@ -234,7 +204,9 @@ class TestTraceDesign:
         # the segment ending at full repair has slope 2.5e12; a solve
         # clamped to 1e12 returned its left end and lost this point
         inst = single_type_instance(q=1e-3, repair=1000.0, bound=5)
-        front = exact_front(inst, maximal_only=True)
+        points, dropped = _trace_design(inst, (5,))
+        front = non_dom_filter(points)
+        assert not dropped and not any(p.flags for p in points)
         assert front.complete
         assert len(front) == 16
         assert self._has_point(front, 5.44629506, -29.823584)
@@ -261,6 +233,91 @@ class TestTraceReference:
             assert (got[0].g_o, got[0].ln_g_f, got[0].design) == (
                 want[0].g_o, want[0].ln_g_f, want[0].design
             )
+
+
+class TestPruning:
+    """A segment whose box a point of the front so far dominates is
+    closed unsolved, unless one of its ends is flagged."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        # the penalty of every solve the trace makes
+        import parmaint.exact
+
+        penalties = []
+        real = parmaint.exact._solve_point
+
+        def counting(*args):
+            penalties.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(parmaint.exact, "_solve_point", counting)
+        return penalties
+
+    def test_base_front_takes_few_solves(self, base_instance, monkeypatch):
+        # tracing every base design whole takes 2,405 solves
+        penalties = self._counting(monkeypatch)
+        exact_front(base_instance)
+        assert len(penalties) <= 600
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda request: request.getfixturevalue("base_instance"),
+            lambda request: request.getfixturevalue("single_instance"),
+            # 248 pairs of its 231 traced points coincide within DOM_TOL
+            lambda request: single_type_instance(q=1e-3, repair=1000.0, bound=10),
+        ],
+        ids=["base", "single-1", "stress-1e-3-10"],
+    )
+    def test_front_equals_the_merge_of_whole_traces(self, make, request):
+        inst = make(request)
+        whole = [
+            p for design in enumerate_feasible_designs(inst)
+            for p in _trace_design(inst, design)[0]
+        ]
+
+        def rows(front):
+            return [(p.g_o, p.ln_g_f, p.design, p.penalty) for p in front]
+
+        assert rows(exact_front(inst)) == rows(non_dom_filter(whole))
+
+    def test_dominated_design_is_traced_as_its_ends(self, base_instance, monkeypatch):
+        penalties = self._counting(monkeypatch)
+        points, dropped = _trace_design(
+            base_instance, (4, 0, 0, 0), [_pt(0.0, -math.inf, design=(0, 0, 0, 0))]
+        )
+        assert penalties == [0.0]
+        assert [p.penalty for p in points] == [0.0, None]
+        assert not dropped and not any(p.flags for p in points)
+
+    def test_flagged_front_point_closes_no_segment(self, base_instance, monkeypatch):
+        # an uncertified point bounds nothing: the trace solves as with no front
+        penalties = self._counting(monkeypatch)
+        whole, _ = _trace_design(base_instance, (4, 0, 0, 0))
+        solved = list(penalties)
+        flagged = replace(_pt(0.0, -math.inf, design=(0, 0, 0, 0)), flags=("unconverged",))
+        points, _ = _trace_design(base_instance, (4, 0, 0, 0), [flagged])
+        assert penalties[len(solved):] == solved
+        assert [p.penalty for p in points] == [p.penalty for p in whole]
+
+    def test_segment_with_a_flagged_end_is_solved(self, base_instance, monkeypatch):
+        import parmaint.exact
+
+        real = parmaint.exact._full_repair_point
+
+        def flagged(*args):
+            return replace(real(*args), flags=("static-mismatch",))
+
+        monkeypatch.setattr(parmaint.exact, "_full_repair_point", flagged)
+        penalties = self._counting(monkeypatch)
+        points, _ = _trace_design(
+            base_instance, (4, 0, 0, 0), [_pt(0.0, -math.inf, design=(0, 0, 0, 0))]
+        )
+        # only the segments ending at full repair are solved, each at a
+        # steeper slope than the last
+        assert len(penalties) > 1 and penalties == sorted(penalties)
+        assert points[-1].flags == ("static-mismatch",)
 
 
 class TestDecompositionSoundness:
@@ -326,17 +383,17 @@ class TestOneEvaluationPerPoint:
 
 class TestFailureNotes:
     def test_failing_design_becomes_a_note(self, monkeypatch):
-        # exact_front looks _trace_design up when it traces, so a stand-in
+        # exact_front looks _trace_design up when it is called, so a stand-in
         # that raises for one design is seen; the others still count
         import parmaint.exact
 
         inst = single_type_instance(q=0.1, usage=1.0, repair=3.0, bound=2)
         real = parmaint.exact._trace_design
 
-        def failing(instance, design):
+        def failing(instance, design, front=()):
             if design == (1,):
                 raise RuntimeError("boom")
-            return real(instance, design)
+            return real(instance, design, front)
 
         monkeypatch.setattr(parmaint.exact, "_trace_design", failing)
         front = exact_front(inst)

@@ -7,7 +7,7 @@ from parmaint import mdp_solve
 from parmaint.app import run_app
 from parmaint.ctmdp import build_model
 from parmaint.dop import dop_objectives
-from parmaint.exact import enumerate_feasible_designs, exact_front
+from parmaint.exact import _trace_design, enumerate_feasible_designs, exact_front
 from parmaint.mdp_solve import (
     GainPair,
     MaintenancePolicy,
@@ -751,7 +751,8 @@ class TestDiagonalPivots:
     def test_exact_front_base_converges_in_few_steps(self, base_instance, monkeypatch):
         # a dense LU that exchanged rows of the row-dominant systems made
         # warm-started solves cycle to MAX_ITERATIONS at tie penalties
-        # and took 8,806 steps here; the sparse LU took 4,787
+        # and took 8,806 steps here; the sparse LU took 4,787.  Every base
+        # design is traced whole, with no front to close segments unsolved
         import parmaint.app
 
         runs = []
@@ -762,7 +763,8 @@ class TestDiagonalPivots:
             return res
 
         monkeypatch.setattr(parmaint.app, "solve_average_cost", counting)
-        exact_front(base_instance)
+        for design in enumerate_feasible_designs(base_instance):
+            _trace_design(base_instance, design)
         assert len(runs) == 2405
         assert all(converged for _, converged in runs)
         assert sum(steps for steps, _ in runs) <= 4787
