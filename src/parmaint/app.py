@@ -60,9 +60,10 @@ class SolutionPoint:
     penalty: float | None = None
     policy: object = field(default=None, compare=False)
     flags: tuple = field(default=(), compare=False)
+    pair: object = field(default=None, compare=False)  # exact GainPair of a solved policy
 
     @property
-    def g_f(self) -> float:
+    def g_f(self) -> float:  # 0 below mdp_solve.LN_GF_FLOOR, where pair keeps the value
         return math.exp(self.ln_g_f)
 
     def identity_key(self):
@@ -75,11 +76,7 @@ class ParetoFront:
     """Non-dominated points ordered by ascending cost rate."""
 
     points: tuple
-    notes: tuple = ()  # per-stage diagnostics; empty means complete
-
-    @property
-    def complete(self) -> bool:
-        return not self.notes
+    notes: tuple = ()  # flag_notes of the run; empty means complete
 
     def __iter__(self):
         return iter(self.points)
@@ -146,6 +143,7 @@ def _solve_point(model, design, penalty, start, provenance):
         penalty=penalty,
         policy=res.policy,
         flags=() if res.converged else ("unconverged",),
+        pair=res.pair,
     )
 
 
@@ -164,6 +162,7 @@ def _full_repair_point(instance, model, design, provenance):
         penalty=None,
         policy=policy,
         flags=() if matches else ("static-mismatch",),
+        pair=gain,
     )
 
 
@@ -277,13 +276,22 @@ def run_app(
 
     population = static_points(s for s in statics if s.design not in chosen)
     return _merge_traces(
+        instance,
         [s.design for s in selected],
         lambda design, front: (sp2(instance, design, p_min=p_min, delta_p=delta_p), ()),
         "dynamic stage", population,
     )
 
 
-def _merge_traces(designs, trace, stage, population) -> ParetoFront:
+def flag_notes(instance, design, flags, point=None) -> list:
+    """The note of each flag on ``design``, named in catalog order:
+    ``design <x> penalty <p>: <flag>`` for the flags of ``point``, its
+    penalty written by ``repr``, and ``design <x>: <flag>`` without one."""
+    where = "" if point is None else f" penalty {point.penalty!r}"
+    return [f"design {instance.to_catalog(design)}{where}: {flag}" for flag in flags]
+
+
+def _merge_traces(instance, designs, trace, stage, population) -> ParetoFront:
     """Front of ``population`` plus the points each design's trace keeps,
     merged design by design.
 
@@ -299,10 +307,9 @@ def _merge_traces(designs, trace, stage, population) -> ParetoFront:
         try:
             kept, dropped = trace(design, front)
         except Exception as exc:  # keep other designs' results
-            notes.append(f"design {design}: {stage} failed: {exc}")
+            notes += flag_notes(instance, design, [f"{stage} failed: {exc}"])
             continue
         for p in (*kept, *dropped):
-            for flag in p.flags:
-                notes.append(f"design {design} penalty {p.penalty}: {flag}")
+            notes += flag_notes(instance, design, p.flags, p)
         front = non_dom_filter((*front, *kept)).points
     return ParetoFront(points=front, notes=tuple(notes))

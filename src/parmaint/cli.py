@@ -12,14 +12,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from parmaint import app as app_mod
 from parmaint import io
 from parmaint.dop import EnumerationError, sp1_sweep, solve_fdop
 from parmaint.ctmdp import StateSpaceError, build_model
 from parmaint.exact import compare_fronts, exact_front
-from parmaint.mdp_solve import evaluate_policy, fully_active_policy, solve_average_cost
+from parmaint.mdp_solve import fully_active_policy
 from parmaint.model import InstanceError, load_instance
 from parmaint.sim import simulate_policy
 
@@ -90,17 +88,20 @@ def cmd_dop(args) -> int:
     return EXIT_OK
 
 
+def _report_flags(notes) -> int:
+    """Print each ``app.flag_notes`` note as a ``flag:`` line; the exit status."""
+    for note in notes:
+        print(f"flag: {note}", file=sys.stderr)
+    return EXIT_FLAGGED if notes else EXIT_OK
+
+
 def _report_front(front, instance, out, plot_out, label) -> int:
     io.write_front(out, instance, front)
     print(f"{label}: {len(front)} points -> {out}")
     if plot_out:
         io.write_plot_data(plot_out, instance, front)
         print(f"plot data -> {plot_out}")
-    if not front.complete:
-        for note in front.notes:
-            print(f"flag: {note}", file=sys.stderr)
-        return EXIT_FLAGGED
-    return EXIT_OK
+    return _report_flags(front.notes)
 
 
 def cmd_app(args) -> int:
@@ -126,26 +127,18 @@ def cmd_dmp(args) -> int:
     instance = _load(args)
     design = _parse_design(instance, args.design)
     model = build_model(instance, design=design)
-    status = EXIT_OK
     if args.penalty is None:
-        policy = fully_active_policy(model)
-        penalty = None
-        gain = evaluate_policy(model, policy)
+        point = app_mod._full_repair_point(instance, model, design, app_mod.EXACT)
     else:
-        result = solve_average_cost(model, args.penalty)
-        policy = result.policy
-        penalty = args.penalty
-        gain = result.pair
-        if not result.converged:
-            print("flag: solver did not converge", file=sys.stderr)
-            status = EXIT_FLAGGED
-    io.write_gain_report(args.out, instance, design, penalty, gain)
+        point = app_mod._solve_point(model, design, args.penalty, None, app_mod.EXACT)
+    gain = point.pair
+    io.write_gain_report(args.out, instance, design, point.penalty, gain)
     print(f"g_o = {io.fmt(gain.g_o)}  g_f = {io.fmt(gain.g_f)}  ln_g_f = {io.fmt(gain.ln_g_f)}")
     print(f"gain report -> {args.out}")
     if args.policy_out:
-        io.write_policy(args.policy_out, model, policy)
+        io.write_policy(args.policy_out, model, point.policy)
         print(f"policy -> {args.policy_out}")
-    return status
+    return _report_flags(app_mod.flag_notes(instance, design, point.flags, point))
 
 
 def cmd_simulate(args) -> int:
@@ -156,10 +149,13 @@ def cmd_simulate(args) -> int:
     instance = _load(args)
     design = _parse_design(instance, args.design)
     model = build_model(instance, design=design)
+    notes = []
     if args.policy_file:
         policy = io.read_policy(args.policy_file, model)
     elif args.penalty is not None:
-        policy = solve_average_cost(model, args.penalty).policy
+        point = app_mod._solve_point(model, design, args.penalty, None, app_mod.EXACT)
+        policy = point.policy
+        notes = app_mod.flag_notes(instance, design, point.flags, point)
     else:
         policy = fully_active_policy(model)
     report = simulate_policy(
@@ -176,13 +172,11 @@ def cmd_simulate(args) -> int:
     )
     print(f"simulation report -> {args.out}")
     if report.rare_failure:
-        print(
-            f"flag: only {report.failure_entries} failure entries; "
-            "g_f estimate is unreliable at this horizon",
-            file=sys.stderr,
+        entries = f"only {report.failure_entries} failure entries"
+        notes += app_mod.flag_notes(
+            instance, design, [f"{entries}; g_f estimate is unreliable at this horizon"]
         )
-        return EXIT_FLAGGED
-    return EXIT_OK
+    return _report_flags(notes)
 
 
 def cmd_compare(args) -> int:

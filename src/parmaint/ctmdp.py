@@ -350,22 +350,18 @@ def check_weakly_communicating(model: CtmdpModel) -> WeakCommunicationReport:
     transition, then the states with an action into one.  It must reach
     every transient state.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
+    from parmaint.mdp_solve import _strong_components  # which imports this module
 
     n = model.n_states
     all_rep = model.state_id(tuple((m, 0) for m in model.design))
     if n == 1:
         return WeakCommunicationReport(True, (), 1, all_rep)
 
-    indptr = np.concatenate(
-        [model.act_offsets, model.n_state_actions + model.trn_offsets[1:]]
-    )
-    indices = np.concatenate(
-        [model.act_posts + n, model.trn_targets], dtype=np.int32, casting="unsafe"
-    )
-    graph = csr_matrix((np.ones(indices.size), indices, indptr), shape=(2 * n, 2 * n))
-    _, labels = connected_components(graph, directed=True, connection="strong")
+    # node i < n is state i, node n + u post-state u; int32 ids keep the peak low
+    arcs = np.concatenate([np.diff(model.act_offsets), np.diff(model.trn_offsets)])
+    src = np.repeat(np.arange(2 * n, dtype=np.int32), arcs)
+    dst = np.concatenate([model.act_posts + n, model.trn_targets], dtype=np.int32, casting="unsafe")
+    _, labels = _strong_components(2 * n, src, dst, np.ones(src.size, dtype=np.int8))
 
     entered = np.zeros(n, dtype=bool)
     entered[model.trn_targets] = True

@@ -114,7 +114,7 @@ def exact_front(instance) -> ParetoFront:
     """
     designs = enumerate_feasible_designs(instance)
     designs.sort(key=lambda design: dop_objectives(instance, design)[0])
-    return _merge_traces(designs, partial(_trace_design, instance), "exact trace", [])
+    return _merge_traces(instance, designs, partial(_trace_design, instance), "exact trace", [])
 
 
 @dataclass(frozen=True)

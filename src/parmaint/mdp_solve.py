@@ -268,7 +268,7 @@ def _switch(test, scale, cur, aoff, counts, penalty):
 
 
 def _strong_components(m, src, dst, rate):
-    """(count, labels) of the strong components of the m-node chain
+    """(count, labels) of the strong components of the m-node graph
     with arcs ``src`` -> ``dst`` at ``rate``, as scipy's
     ``connected_components`` gives them: labels in ``[0, count)`` that
     group the nodes into the same components.

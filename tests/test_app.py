@@ -139,11 +139,7 @@ class TestFrontContainer:
         assert len(front) == 2
         assert [p.g_o for p in front] == [1.0, 2.0]
         assert sorted({p.design for p in front}) == [(0, 2), (1, 0)]
-        assert front.complete
-
-    def test_notes_mark_incomplete(self):
-        front = ParetoFront(points=(), notes=("something went wrong",))
-        assert not front.complete
+        assert not front.notes
 
 
 class TestEmulation:
@@ -252,7 +248,7 @@ BASE_FRONT = [
 class TestRunApp:
     def test_base_instance_regression(self, base_instance):
         front = run_app(base_instance)
-        assert front.complete
+        assert not front.notes
         assert len(front) == len(BASE_FRONT)
         for point, (g_o, ln, design, penalty) in zip(front, BASE_FRONT):
             assert point.g_o == pytest.approx(g_o, abs=1e-6)
@@ -280,7 +276,7 @@ class TestRunApp:
     def test_sweep_cap_surfaces_in_notes(self):
         inst = single_type_instance(q=0.01, usage=1.0, repair=10000.0, bound=1)
         front = run_app(inst, delta_p=1.01)
-        assert not front.complete
+        assert front.notes
         assert any("cap-reached" in note for note in front.notes)
 
     def test_bad_sweep_arguments_rejected_before_any_design(self, base_instance):

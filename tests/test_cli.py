@@ -194,7 +194,7 @@ class TestApp:
         assert "heuristic front: 12 points" in capsys.readouterr().out
         front = read_front(out)
         assert len(front) == 12
-        assert front.complete
+        assert not front.notes
         assert revalidate_front(base_instance, front) <= 1e-8
 
     def test_thread_count_stable(self, base_path, base_instance, tmp_path):
@@ -346,7 +346,72 @@ def test_static_stage_checks_the_ceiling(command, million_path, instances_dir, t
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def stress_path(tmp_path_factory):
+    """One type at q = 1e-6: design (6,) is the first whose exact trace
+    meets a solve that ends without its certificate."""
+    path = tmp_path_factory.mktemp("inst") / "stress.json"
+    write_instance(single_type_instance(q=1e-6, repair=1000.0, bound=8), path)
+    return str(path)
+
+
+class TestFlags:
+    """Every ``flag:`` and ``# note:`` line names its design in catalog
+    order, a point's flags as ``design <x> penalty <p>: <flag>``."""
+
+    def test_notes_name_designs_in_catalog_order(self, base_instance, tmp_path, capsys):
+        # usage costs 4,3,2,1 reverse the priority order, so the catalog's
+        # design 4,0,0,0 is (0, 0, 0, 4) inside
+        path = tmp_path / "reversed.json"
+        write_instance(base_instance.modified(usage_costs=[4, 3, 2, 1]), path)
+        out = tmp_path / "front.txt"
+        argv = ["app", str(path), "--p-min", "1e-9", "--delta-p", "1.01", "--out", str(out)]
+        assert main(argv) == EXIT_FLAGGED
+        lines = out.read_text().splitlines()
+        notes = [l[len("# note: "):] for l in lines if l.startswith("# note: ")]
+        assert notes[0].startswith("design (4, 0, 0, 0) penalty ")
+        assert notes[0].endswith(": cap-reached")
+        assert capsys.readouterr().err.splitlines() == [f"flag: {note}" for note in notes]
+
+    def test_uncertified_solve_flags_dmp_and_simulate(self, stress_path, tmp_path, capsys):
+        flag = "flag: design (6,) penalty 6000006000.977458: unconverged"
+        argv = ["--design", "6", "--penalty", "6000006000.977458"]
+        sim = tmp_path / "sim.txt"
+        code = main(["simulate", stress_path, *argv, "--horizon", "1e3", "--out", str(sim)])
+        assert code == EXIT_FLAGGED
+        assert capsys.readouterr().err.splitlines() == [
+            flag,
+            "flag: design (6,): only 0 failure entries; g_f estimate is unreliable "
+            "at this horizon",
+        ]
+        code = main(["dmp", stress_path, *argv, "--out", str(tmp_path / "gain.txt")])
+        assert code == EXIT_FLAGGED
+        assert capsys.readouterr().err.splitlines() == [flag]
+
+    def test_full_repair_point_checks_the_closed_form(self, base_path, tmp_path, capsys,
+                                                      monkeypatch):
+        import parmaint.app
+
+        monkeypatch.setattr(parmaint.app, "dop_objectives", lambda instance, design: (0.0, 0.0))
+        code = main(["dmp", base_path, "--design", "1,0,0,0", "--out", str(tmp_path / "g.txt")])
+        assert code == EXIT_FLAGGED
+        assert capsys.readouterr().err == (
+            "flag: design (1, 0, 0, 0) penalty None: static-mismatch\n"
+        )
+
+
 class TestDmp:
+    def test_gain_report_keeps_g_f_below_the_log_floor(self, tmp_path):
+        # full repair of 38 copies fails at rate 1e-304, below LN_GF_FLOOR,
+        # where ln_g_f reads -inf and exp(ln_g_f) would read 0
+        path = tmp_path / "one-type.json"
+        write_instance(single_type_instance(q=1e-8, repair=1000.0, bound=40), path)
+        out = tmp_path / "gain.txt"
+        main(["dmp", str(path), "--design", "38", "--out", str(out)])
+        text = out.read_text()
+        assert "\ng_f = 1e-304\n" in text
+        assert "\nln_g_f = -inf\n" in text
+
     def test_singular_sparse_factor_is_an_error(self, instances_dir, tmp_path):
         # SuperLU finds an exactly zero pivot in one of this solve's chains
         # (a 107-node block), at the penalty where exact's trace of this

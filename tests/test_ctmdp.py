@@ -1,5 +1,8 @@
 import dataclasses
+import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -414,6 +417,24 @@ class TestWeakCommunication:
         assert report == weak_communication_reference(split)
         assert not report.weakly_communicating
         assert report.n_core_classes == 2
+
+    def test_small_model_needs_no_scipy(self, instances_dir):
+        # 18 states make 36 layered nodes, under DENSE_NODES: numpy alone
+        # splits the graph, through the chains' strong-component routine
+        code = (
+            "import sys\n"
+            "from parmaint.ctmdp import build_model, check_weakly_communicating\n"
+            "from parmaint.model import load_instance\n"
+            "model = build_model(load_instance(sys.argv[1]), (2, 1, 0, 0))\n"
+            "print(check_weakly_communicating(model).weakly_communicating, 'scipy' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(instances_dir.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(instances_dir / "base-6-20.json")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["True", "False"]
 
     def test_memory_stays_proportional_to_the_model(self, large_instance):
         # 46,656 states, 1.7 M state-action pairs: an edge per transition of

@@ -110,7 +110,7 @@ def base_front(base_instance):
 
 class TestExactFront:
     def test_base_front_shape(self, base_instance, base_front):
-        assert base_front.complete
+        assert not base_front.notes
         assert len(base_front) == 18
         # the supported point of (2, 2, 0, 0) at penalty 13,150: it beats
         # both neighbours on that design's trace by 2.9e-6 there
@@ -207,7 +207,7 @@ class TestTraceDesign:
         points, dropped = _trace_design(inst, (5,))
         front = non_dom_filter(points)
         assert not dropped and not any(p.flags for p in points)
-        assert front.complete
+        assert not front.notes
         assert len(front) == 16
         assert self._has_point(front, 5.44629506, -29.823584)
 
@@ -331,7 +331,7 @@ class TestDecompositionSoundness:
                 gain = evaluate_policy(model, MaintenancePolicy(model, choice))
                 cloud.append((gain.g_o, gain.ln_g_f))
         front = exact_front(inst)
-        assert front.complete
+        assert not front.notes
         for p in front:
             # attainable: some policy realizes the point
             assert any(
