@@ -20,6 +20,7 @@ import numpy as np
 from parmaint.ctmdp import build_model
 from parmaint.dop import dop_objectives, sp1_sweep
 from parmaint.mdp_solve import (
+    LN_GF_FLOOR,
     MaintenancePolicy,
     evaluate_policy,
     fully_active_policy,
@@ -153,6 +154,8 @@ def _full_repair_point(instance, model, design, provenance):
     policy = fully_active_policy(model)
     gain = evaluate_policy(model, policy)
     g_o, ln_g_f = dop_objectives(instance, design)
+    if ln_g_f < math.log(LN_GF_FLOOR):  # where gain.ln_g_f reads -inf
+        ln_g_f = -math.inf
     matches = _gap(gain.ln_g_f, ln_g_f) <= 1e-8 and abs(gain.g_o - g_o) <= 1e-8
     return SolutionPoint(
         g_o=gain.g_o,

@@ -30,6 +30,7 @@ __all__ = [
     "EnumerationError",
     "StaticSolution",
     "dop_objectives",
+    "enumerate_feasible_designs",
     "probability_chain_values",
     "solve_fdop",
     "sp1_sweep",
@@ -154,7 +155,7 @@ def _design_prefixes(instance: Instance):
 
 
 def _feasible_count(instance: Instance) -> int:
-    """Number of designs ``_feasible_designs`` lists, without listing them.
+    """Count of ``enumerate_feasible_designs``, without listing them.
 
     The count of completions of a prefix depends only on the next type
     and the slack left, so it is memoized on the two; the slacks are
@@ -175,7 +176,7 @@ def _feasible_count(instance: Instance) -> int:
     return count(0, tuple(b.astype(float)))
 
 
-def _feasible_designs(instance: Instance) -> list:
+def enumerate_feasible_designs(instance: Instance) -> list:
     """All integer designs 0 <= x <= copy bounds with A x <= b, lex order.
 
     They are counted before any is listed, so a space above
@@ -189,7 +190,7 @@ def _feasible_designs(instance: Instance) -> list:
 def _design_table(instance: Instance):
     """Every feasible design with its repair, usage and ln failure, sorted
     by ln failure; the stable sort keeps equal rates in lex order."""
-    designs = _feasible_designs(instance)
+    designs = enumerate_feasible_designs(instance)
     repair, usage, ln_f = _objective_terms(instance, _design_matrix(designs))
     order = np.argsort(ln_f, kind="stable")
     return [designs[i] for i in order], repair[order], usage[order], ln_f[order]

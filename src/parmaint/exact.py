@@ -33,7 +33,7 @@ from parmaint.app import (
     _solve_point,
 )
 from parmaint.ctmdp import build_model
-from parmaint.dop import _feasible_designs, dop_objectives
+from parmaint.dop import dop_objectives, enumerate_feasible_designs
 
 __all__ = [
     "enumerate_feasible_designs",
@@ -44,12 +44,6 @@ __all__ = [
 ]
 
 DICHOTOMIC_RTOL = 1e-9  # relative margin a segment's solve must beat its ends by
-
-
-def enumerate_feasible_designs(instance):
-    """All designs satisfying the knapsack constraints, in lex order; a
-    space above ``dop.DESIGN_CEILING`` raises ``dop.EnumerationError``."""
-    return _feasible_designs(instance)
 
 
 def _trace_design(instance, design, front=()):

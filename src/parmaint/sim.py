@@ -30,10 +30,9 @@ SIM_EVENT_CEILING = 1e10
 # each batch gets its own seeded stream, allocated before the run; a
 # count past this is a typo, not a run
 MAX_BATCHES = 10_000
-# uniforms per replication come in chunks that double up to the cap, two
-# per event; the loop walks one chunk's jumps at a time, so a replication
-# walks fewer than CHUNK_CAP / 2 jumps past its horizon
-CHUNK_START = 64
+# uniforms per replication come in chunks of this size, two per event;
+# the loop walks one chunk's jumps at a time, so a replication walks
+# fewer than CHUNK_CAP / 2 jumps past its horizon
 CHUNK_CAP = 8192
 
 
@@ -50,8 +49,6 @@ class SimReport:
     seed: int
     events: int
     failure_entries: int
-    batch_g_o: tuple
-    batch_g_f: tuple
 
     @property
     def rare_failure(self) -> bool:
@@ -85,7 +82,7 @@ def _compile(model, policy):
     return nodes
 
 
-def _replicate(model, nodes, cur, t_end, rng, chunk=CHUNK_START):
+def _replicate(model, nodes, cur, t_end, rng, chunk=CHUNK_CAP):
     """One replication from post-state ``cur`` over ``[0, t_end)``.
 
     Each chunk of uniforms (two per event: sojourn, then jump) is walked
@@ -95,9 +92,9 @@ def _replicate(model, nodes, cur, t_end, rng, chunk=CHUNK_START):
     at ``clock[i + 1]``.  Nothing is drawn at an absorbing node or past
     the horizon.  The cost integrals are sequential sums seeded with the
     values carried over, so neither the events nor the integrals depend
-    on the chunk sizes; an absorbing state accrues its costs to
-    ``t_end``.  Returns (cost integral, failure-time integral, events,
-    failure entries, final post-state).
+    on ``chunk``, the uniforms drawn per refill; an absorbing state
+    accrues its costs to ``t_end``.  Returns (cost integral, failure-time
+    integral, events, failure entries, final post-state).
     """
     c_o, c_f = model.cost_op, model.cost_fail
     t = acc_o = acc_f = 0.0
@@ -105,7 +102,6 @@ def _replicate(model, nodes, cur, t_end, rng, chunk=CHUNK_START):
     u = np.empty(0)
     while nodes[cur][2]:
         u = np.concatenate((u, rng.random(chunk)))
-        chunk = min(2 * chunk, CHUNK_CAP)
         path = [cur]
         for x in u[1::2].tolist():
             total, cum, succ = nodes[cur]
@@ -191,6 +187,4 @@ def simulate_policy(
         seed=seed,
         events=events,
         failure_entries=fails,
-        batch_g_o=tuple(means_o),
-        batch_g_f=tuple(means_f),
     )

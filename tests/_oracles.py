@@ -39,7 +39,7 @@ from parmaint.mdp_solve import (
     solve_average_cost,
 )
 from parmaint.model import ComponentType, make_instance
-from parmaint.sim import CHUNK_CAP, CHUNK_START
+from parmaint.sim import CHUNK_CAP, _compile, _replicate
 
 
 def random_instance(rng, n_types=None, max_rows=2, bound_span=(4.0, 14.0)):
@@ -133,7 +133,7 @@ def _lex_table(instance):
     """The feasible designs in lex order with their repair, usage and ln
     failure, from the library's closed forms: the references below check
     how a cap's design is chosen, not the terms it is chosen on."""
-    designs = dop._feasible_designs(instance)
+    designs = dop.enumerate_feasible_designs(instance)
     return (designs, *dop._objective_terms(instance, dop._design_matrix(designs)))
 
 
@@ -423,10 +423,6 @@ def single_type_instance(q=0.01, tau=1.0, usage=1.0, repair=100.0, bound=4):
     return make_instance([comp], [[1.0]], [float(bound)], names=["slots"])
 
 
-def model_for(instance, design):
-    return build_model(instance, design=tuple(design))
-
-
 # Per-state model primitives: one state, action or transition at a time,
 # the plain references that build_model's vectorized arrays are checked
 # against.
@@ -707,93 +703,6 @@ def rvi_solve(model, penalty):
     v = np.zeros(model.n_states)
     _, _, dmin, dmax, _, _ = iterate_until_settled(arrays, v, RVI_TOLERANCE, RVI_MAX_SWEEPS)
     return MaintenancePolicy(model, greedy_choice(*arrays, v)), lam * 0.5 * (dmin + dmax)
-
-
-# Plain-loop value iteration, one state and one arc at a time.  Same
-# argument list as the vectorized kernels above (the tuple of
-# uniformized_arrays, then v); the arithmetic is done in the same order,
-# so the two must agree bit for bit.
-
-
-def rvi_loop(
-    act_off,
-    act_posts,
-    pair_pre,
-    trn_off,
-    trn_src,
-    trn_tgt,
-    rate_scaled,
-    self_keep,
-    cost_scaled,
-    v,
-    tol,
-    max_iter,
-):
-    """Relative value iteration sweeps in place; (iters, span, dmin, dmax)."""
-    n = v.shape[0]
-    post_val = np.empty(n)
-    new_v = np.empty(n)
-    iters = 0
-    span = math.inf
-    dmin = dmax = 0.0
-    while iters < max_iter:
-        iters += 1
-        for u in range(n):
-            acc = 0.0
-            for k in range(trn_off[u], trn_off[u + 1]):
-                acc += rate_scaled[k] * v[trn_tgt[k]]
-            post_val[u] = cost_scaled[u] + acc
-        dmin = math.inf
-        dmax = -math.inf
-        for s in range(n):
-            best = math.inf
-            for k in range(act_off[s], act_off[s + 1]):
-                u = act_posts[k]
-                best = min(best, post_val[u] + self_keep[u] * v[s])
-            new_v[s] = best
-            dmin = min(dmin, best - v[s])
-            dmax = max(dmax, best - v[s])
-        span = dmax - dmin
-        ref_val = new_v[0]
-        for s in range(n):
-            v[s] = new_v[s] - ref_val
-        if span < tol * max(1.0, abs(0.5 * (dmin + dmax))):
-            break
-    return iters, span, dmin, dmax
-
-
-def greedy_loop(
-    act_off,
-    act_posts,
-    pair_pre,
-    trn_off,
-    trn_src,
-    trn_tgt,
-    rate_scaled,
-    self_keep,
-    cost_scaled,
-    v,
-):
-    """Index of the first minimizing action per state."""
-    n = v.shape[0]
-    post_val = np.empty(n)
-    for u in range(n):
-        acc = 0.0
-        for k in range(trn_off[u], trn_off[u + 1]):
-            acc += rate_scaled[k] * v[trn_tgt[k]]
-        post_val[u] = cost_scaled[u] + acc
-    choice = np.empty(n, dtype=np.int64)
-    for s in range(n):
-        best = math.inf
-        pick = 0
-        for k in range(act_off[s], act_off[s + 1]):
-            u = act_posts[k]
-            q = post_val[u] + self_keep[u] * v[s]
-            if q < best:
-                best = q
-                pick = k - act_off[s]
-        choice[s] = pick
-    return choice
 
 
 def policy_gain_by_iteration(
@@ -1219,6 +1128,24 @@ def simulate_reference(model, policy, horizon, batches=20, seed=0):
     return means, events, fails
 
 
+def batch_means(model, policy, horizon, batches=20, seed=0, chunk=CHUNK_CAP):
+    """simulate_policy's batches one by one: the per-batch g_o and g_f
+    means as arrays and the per-batch event counts, each batch run by the
+    library's ``_replicate`` on its own spawned stream."""
+    nodes = _compile(model, policy)
+    start = int(policy.post_ids[0])
+    t_batch = float(horizon) / batches
+    runs = [
+        _replicate(
+            model, nodes, start, t_batch, np.random.Generator(np.random.Philox(child)), chunk
+        )
+        for child in np.random.SeedSequence(seed).spawn(batches)
+    ]
+    means_o = np.array([run[0] for run in runs]) / t_batch
+    means_f = np.array([run[1] for run in runs]) / t_batch
+    return means_o, means_f, [run[2] for run in runs]
+
+
 # --- per-event compiled loop ----------------------------------------------
 # The replication loop simulate_policy ran before it went path first: the
 # same compiled jump chain, but each event's sojourn, cost integrals and
@@ -1254,14 +1181,13 @@ def compile_nodes(model, policy):
     return nodes
 
 
-def replicate_per_event(nodes, cur, t_end, rng, chunk=CHUNK_START):
+def replicate_per_event(nodes, cur, t_end, rng, chunk=CHUNK_CAP):
     """One replication from post-state ``cur`` over ``[0, t_end)``.
 
-    Two uniforms per event, drawn from ``rng`` in chunks that double up
-    to ``CHUNK_CAP``; the path does not depend on the chunking.  An
-    absorbing state accrues its costs to ``t_end``.  Returns (cost
-    integral, failure-time integral, events, failure entries, final
-    post-state).
+    Two uniforms per event, drawn from ``rng`` ``chunk`` at a time; the
+    path does not depend on the chunking.  An absorbing state accrues
+    its costs to ``t_end``.  Returns (cost integral, failure-time
+    integral, events, failure entries, final post-state).
     """
     log1p = math.log1p
     t = acc_o = acc_f = 0.0
@@ -1273,7 +1199,6 @@ def replicate_per_event(nodes, cur, t_end, rng, chunk=CHUNK_START):
         if pos >= last:
             u = u[pos:] + rng.random(chunk).tolist()
             pos, last = 0, len(u) - 1
-            chunk = min(2 * chunk, CHUNK_CAP)
         dt = -log1p(-u[pos]) / total
         t_next = t + dt
         if t_next >= t_end:

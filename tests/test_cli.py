@@ -399,6 +399,23 @@ class TestFlags:
             "flag: design (1, 0, 0, 0) penalty None: static-mismatch\n"
         )
 
+    def test_full_repair_below_the_log_floor_matches(self, tmp_path, capsys, monkeypatch):
+        # g_f of 1e-304, 1e-312 and 1e-320 reads ln_g_f = -inf, as does a
+        # closed form below the log of LN_GF_FLOOR
+        import parmaint.app
+
+        path = tmp_path / "one-type.json"
+        write_instance(single_type_instance(q=1e-8, repair=1000.0, bound=40), path)
+        argv = ["dmp", str(path), "--out", str(tmp_path / "g.txt"), "--design"]
+        for design in ("38", "39", "40"):
+            assert main([*argv, design]) == EXIT_OK
+            assert capsys.readouterr().err == ""
+        # a closed form above the floor against the evaluated -inf still flags
+        real = parmaint.app.dop_objectives
+        monkeypatch.setattr(parmaint.app, "dop_objectives", lambda i, d: (real(i, d)[0], -600.0))
+        assert main([*argv, "38"]) == EXIT_FLAGGED
+        assert capsys.readouterr().err == "flag: design (38,) penalty None: static-mismatch\n"
+
 
 class TestDmp:
     def test_gain_report_keeps_g_f_below_the_log_floor(self, tmp_path):

@@ -337,13 +337,13 @@ class TestOneEnumerationPerSweep:
     @staticmethod
     def _count_enumerations(monkeypatch):
         calls = []
-        real = dop._feasible_designs
+        real = dop.enumerate_feasible_designs
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(dop, "_feasible_designs", counted)
+        monkeypatch.setattr(dop, "enumerate_feasible_designs", counted)
         return calls
 
     def test_base(self, base_instance, monkeypatch):
@@ -414,13 +414,13 @@ class TestFeasibleCount:
     def test_committed_instances(self, base_instance, large_instance, instances_dir):
         single = load_instance(instances_dir.parent / "perfbench" / "data" / "single-1.json")
         for inst, want in ((base_instance, 76), (single, 5), (large_instance, 364)):
-            assert dop._feasible_count(inst) == len(dop._feasible_designs(inst)) == want
+            assert dop._feasible_count(inst) == len(dop.enumerate_feasible_designs(inst)) == want
 
     def test_random_instances(self):
         rng = np.random.default_rng(47)
         for _ in range(40):
             inst = random_instance(rng, n_types=int(rng.integers(1, 5)))
-            assert dop._feasible_count(inst) == len(dop._feasible_designs(inst))
+            assert dop._feasible_count(inst) == len(dop.enumerate_feasible_designs(inst))
 
 
 class TestStaticSolutionRecord:

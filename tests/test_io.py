@@ -540,8 +540,6 @@ class TestWrittenBytes:
             seed=0,
             events=32,
             failure_entries=16,
-            batch_g_o=(),
-            batch_g_f=(),
         )
         path = tmp_path / "sim.txt"
         write_sim_report(path, report)

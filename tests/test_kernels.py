@@ -11,32 +11,19 @@ from parmaint.mdp_solve import (
     fully_active_policy,
     solve_average_cost,
 )
-from parmaint.sim import (
-    CHUNK_CAP,
-    CHUNK_START,
-    _compile,
-    _replicate,
-    simulate_policy,
-)
+from parmaint.sim import CHUNK_CAP, _compile, _replicate, simulate_policy
 
 from _oracles import (
+    batch_means,
     compile_nodes,
-    greedy_choice,
-    greedy_loop,
     policy_from_rule,
     replicate_per_event,
-    rvi_loop,
     rvi_solve,
-    rvi_sweeps,
     sim_arrays,
     sim_loop,
     simulate_reference,
     single_type_instance,
-    uniformized_arrays,
 )
-
-# (design, penalty): moderate, large and clamp-sized failure penalties
-LOOP_CASES = [((2, 1, 0, 0), 37.0), ((3, 1, 0, 0), 1e5), ((1, 0, 0, 0), 1e12)]
 
 
 @pytest.fixture(scope="module")
@@ -53,43 +40,14 @@ class TestSolverKernels:
 
 
 class TestLoopAgreement:
-    """The vectorized value-iteration reference against the plain loops,
-    and the policy-iteration solver against that reference."""
-
-    def test_rvi_sweeps_bitwise(self, base_instance):
-        for design, penalty in LOOP_CASES:
-            model = build_model(base_instance, design=design)
-            arrays, _ = uniformized_arrays(model, penalty)
-            v_np = np.zeros(model.n_states)
-            v_loop = np.zeros(model.n_states)
-            out_np = rvi_sweeps(*arrays, v_np, 1e-10, 5000)
-            out_loop = rvi_loop(*arrays, v_loop, 1e-10, 5000)
-            assert out_np == out_loop  # iterations, span, dmin, dmax exactly
-            assert np.array_equal(v_np, v_loop)
-
-    def test_greedy_choice_bitwise(self, base_instance):
-        for design, penalty in LOOP_CASES:
-            model = build_model(base_instance, design=design)
-            arrays, _ = uniformized_arrays(model, penalty)
-            v = np.zeros(model.n_states)
-            rvi_sweeps(*arrays, v, 1e-10, 5000)
-            assert np.array_equal(greedy_choice(*arrays, v), greedy_loop(*arrays, v))
-
-    def test_greedy_ties_pick_the_first_action(self):
-        # free repairs, and failure costs what running does: every policy
-        # has the same cost everywhere, so every action ties
-        inst = single_type_instance(usage=1.0, repair=0.0, bound=2)
-        model = build_model(inst, design=(2,))
-        arrays, _ = uniformized_arrays(model, 1.0)
-        v = np.zeros(model.n_states)
-        rvi_sweeps(*arrays, v, 1e-10, 5000)
-        choice = greedy_choice(*arrays, v)
-        assert np.array_equal(choice, greedy_loop(*arrays, v))
-        assert not choice.any()
+    """The policy-iteration solver on an all-ties model and against the
+    value-iteration reference, and the simulator across refills."""
 
     def test_ties_keep_the_current_action(self):
-        # the same all-ties model: policy iteration certifies its start,
-        # whichever it is, at the first evaluation
+        # free repairs, and failure costs what running does: every policy
+        # has the same cost everywhere, so every action ties and policy
+        # iteration certifies its start, whichever it is, at the first
+        # evaluation
         inst = single_type_instance(usage=1.0, repair=0.0, bound=2)
         model = build_model(inst, design=(2,))
         for start in (None, fully_active_policy(model)):
@@ -111,35 +69,24 @@ class TestLoopAgreement:
 
     def test_buffer_refill_continues_the_path(self, small_model):
         # the replication keeps one absolute clock across refills, so the
-        # chunk sizes of its uniform draws cannot change a single bit
+        # number of uniforms drawn per refill cannot change a single bit
         res = solve_average_cost(small_model, 50.0)
         horizon, batches, seed = 8e6, 4, 9
         report = simulate_policy(
             small_model, res.policy, horizon=horizon, batches=batches, seed=seed
         )
-        nodes = _compile(small_model, res.policy)
-        start = int(res.policy.post_ids[0])
-        t_batch = horizon / batches
-        events = 0
-        for b, child in enumerate(np.random.SeedSequence(seed).spawn(batches)):
-            runs = [
-                _replicate(
-                    small_model,
-                    nodes,
-                    start,
-                    t_batch,
-                    np.random.Generator(np.random.Philox(child)),
-                    chunk,
-                )
-                for chunk in (CHUNK_START, 2, 3, CHUNK_CAP)
-            ]
-            assert all(run == runs[0] for run in runs[1:])
-            acc_o, acc_f, d_ev, _, _ = runs[0]
-            assert 2 * d_ev > CHUNK_CAP  # every chunking had to refill
-            assert acc_o / t_batch == report.batch_g_o[b]
-            assert acc_f / t_batch == report.batch_g_f[b]
-            events += d_ev
-        assert events == report.events
+        runs = [
+            batch_means(small_model, res.policy, horizon, batches, seed, chunk)
+            for chunk in (63, 64, 1001, CHUNK_CAP)
+        ]
+        for means_o, means_f, events in runs:
+            assert np.array_equal(means_o, runs[0][0])
+            assert np.array_equal(means_f, runs[0][1])
+            assert events == runs[0][2]
+        means_o, means_f, events = runs[0]
+        assert all(2 * n > CHUNK_CAP for n in events)  # every chunking had to refill
+        assert (report.g_o, report.g_f) == (means_o.mean(), means_f.mean())
+        assert report.events == sum(events)
 
 
 class _Uniforms:
@@ -222,11 +169,10 @@ class TestSimAgainstReference:
         means, events, fails = simulate_reference(model, policy, horizon, seed=seed)
         assert report.events == events
         assert report.failure_entries == fails
-        for got_o, got_f, (want_o, want_f) in zip(
-            report.batch_g_o, report.batch_g_f, means, strict=True
-        ):
-            assert got_o == pytest.approx(want_o, rel=1e-9)
-            assert got_f == pytest.approx(want_f, rel=1e-9)
+        got_o, got_f, _ = batch_means(model, policy, horizon, seed=seed)
+        assert (report.g_o, report.g_f) == (got_o.mean(), got_f.mean())
+        for got, want in zip(zip(got_o, got_f), means, strict=True):
+            assert got == pytest.approx(want, rel=1e-9)
         return report
 
     def test_base_fixtures(self, base_instance):
@@ -244,7 +190,7 @@ class TestPathFirstAgainstPerEventLoop:
     """The path-first replication against the per-event compiled loop."""
 
     @staticmethod
-    def assert_matches(model, policy, t_end, rng_of, chunk=CHUNK_START):
+    def assert_matches(model, policy, t_end, rng_of, chunk=CHUNK_CAP):
         start = int(policy.post_ids[0])
         got = _replicate(model, _compile(model, policy), start, t_end, rng_of(), chunk)
         want = replicate_per_event(compile_nodes(model, policy), start, t_end, rng_of())
@@ -253,7 +199,7 @@ class TestPathFirstAgainstPerEventLoop:
         assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0.0)
         return got
 
-    def assert_batches_match(self, model, policy, horizon, seed, chunk=CHUNK_START):
+    def assert_batches_match(self, model, policy, horizon, seed, chunk=CHUNK_CAP):
         runs = []
         for child in np.random.SeedSequence(seed).spawn(20):
             rng_of = lambda: np.random.Generator(np.random.Philox(child))  # noqa: E731
@@ -283,21 +229,16 @@ class TestPathFirstAgainstPerEventLoop:
         model = build_model(inst, (3,))
         policy = policy_from_rule(model, lambda rows: (int(rows[0] == (0, 1)),))
         dead = model.state_id(((0, 3),))
-        # the event count at the end of each chunk
-        chunk_ends, end, chunk = [], 0, CHUNK_START
-        while end < 10**5:
-            end += chunk // 2
-            chunk_ends.append(end)
-            chunk = min(2 * chunk, CHUNK_CAP)
+        chunk = 64  # uniforms per refill, so a chunk ends every 32 events
         counts = []
         for child in np.random.SeedSequence(5).spawn(20):
             rng_of = lambda: np.random.Generator(np.random.Philox(child))  # noqa: E731
-            _, acc_f, events, _, cur = self.assert_matches(model, policy, 1e6, rng_of)
+            _, acc_f, events, _, cur = self.assert_matches(model, policy, 1e6, rng_of, chunk)
             # absorbed before the end of a chunk, then billed failed to the end
-            assert cur == dead and 0 < events < 10**5 and events not in chunk_ends
+            assert cur == dead and 0 < events < 10**5 and events % (chunk // 2)
             assert acc_f > 0.5e6
             counts.append(events)
-        assert max(counts) > chunk_ends[0]  # some runs absorb past the first chunk
+        assert max(counts) > chunk // 2  # some runs absorb past the first chunk
 
     def test_sojourn_ending_at_the_horizon_is_no_event(self, small_model):
         # both logarithms round -log1p(-0.5) alike, so the two loops share

@@ -236,7 +236,7 @@ class TestFeasibility:
             b = c * rng.integers(0, 12, size=r) * (1.0 + rng.choice([-1e-10, 0.0, 1e-10], r))
             comps = [_comp(label=f"t{i}", usage_cost=float(i + 1)) for i in range(n)]
             inst = make_instance(comps, c * k, b)
-            listed = set(dop._feasible_designs(inst))
+            listed = set(dop.enumerate_feasible_designs(inst))
             limited = np.any(inst.constraints > 0, axis=0)
             tops = [cap + 1 if lim else cap for cap, lim in zip(inst.copy_bounds, limited)]
             for x in itertools.product(*(range(t + 1) for t in tops)):

@@ -19,7 +19,7 @@ from parmaint.sim import (
     simulate_policy,
 )
 
-from _oracles import single_type_instance
+from _oracles import batch_means, single_type_instance
 
 
 @pytest.fixture(scope="module")
@@ -33,17 +33,25 @@ def single_report(single_model):
     return simulate_policy(single_model, policy, horizon=20000.0, seed=0)
 
 
-class TestReportStructure:
-    def test_means_match_batch_arrays(self, single_report):
-        r = single_report
-        assert len(r.batch_g_o) == r.batches == 20
-        assert r.g_o == pytest.approx(np.mean(r.batch_g_o), rel=1e-12)
-        assert r.g_f == pytest.approx(np.mean(r.batch_g_f), rel=1e-12)
+@pytest.fixture(scope="module")
+def single_batches(single_model):
+    """Per-batch means and events of the run behind ``single_report``."""
+    return batch_means(single_model, fully_active_policy(single_model), 20000.0)
 
-    def test_standard_errors_recompute(self, single_report):
+
+class TestReportStructure:
+    def test_means_match_batch_arrays(self, single_report, single_batches):
         r = single_report
-        want_o = np.std(r.batch_g_o, ddof=1) / math.sqrt(r.batches)
-        want_f = np.std(r.batch_g_f, ddof=1) / math.sqrt(r.batches)
+        means_o, means_f, _ = single_batches
+        assert len(means_o) == r.batches == 20
+        assert r.g_o == pytest.approx(np.mean(means_o), rel=1e-12)
+        assert r.g_f == pytest.approx(np.mean(means_f), rel=1e-12)
+
+    def test_standard_errors_recompute(self, single_report, single_batches):
+        r = single_report
+        means_o, means_f, _ = single_batches
+        want_o = np.std(means_o, ddof=1) / math.sqrt(r.batches)
+        want_f = np.std(means_f, ddof=1) / math.sqrt(r.batches)
         assert r.se_g_o == pytest.approx(want_o, rel=1e-12)
         assert r.se_g_f == pytest.approx(want_f, rel=1e-12)
 
@@ -67,8 +75,6 @@ class TestReportStructure:
             seed=0,
             events=0,
             failure_entries=0,
-            batch_g_o=(0.0, 0.0),
-            batch_g_f=(0.0, 0.0),
         )
         assert zero.ln_g_f == -math.inf
 
@@ -84,12 +90,14 @@ class TestDeterminism:
         policy = fully_active_policy(single_model)
         a = simulate_policy(single_model, policy, horizon=500.0, seed=7)
         b = simulate_policy(single_model, policy, horizon=500.0, seed=8)
-        assert a.batch_g_o != b.batch_g_o
+        assert a.g_o != b.g_o
 
     def test_batch_count_sets_array_length(self, single_model):
         policy = fully_active_policy(single_model)
         r = simulate_policy(single_model, policy, horizon=500.0, batches=5)
-        assert len(r.batch_g_o) == len(r.batch_g_f) == 5
+        means_o, means_f, events = batch_means(single_model, policy, 500.0, batches=5)
+        assert r.batches == len(means_o) == len(means_f) == 5
+        assert (r.g_o, r.g_f, r.events) == (means_o.mean(), means_f.mean(), sum(events))
 
 
 class TestAgreementWithExactEvaluation:
@@ -136,7 +144,7 @@ class TestAbsorption:
         policy = fully_active_policy(model)
         r = simulate_policy(model, policy, horizon=100.0)
         assert r.g_o == 0.0
-        assert r.batch_g_f == (1.0,) * r.batches
+        assert r.g_f == 1.0 and r.se_g_f == 0.0  # every batch failed throughout
         assert r.events == 0
 
     def test_never_repair_sticks(self, single_model):
