@@ -30,9 +30,10 @@ SIM_EVENT_CEILING = 1e10
 # each batch gets its own seeded stream, allocated before the run; a
 # count past this is a typo, not a run
 MAX_BATCHES = 10_000
-# uniforms per replication come in chunks of this size, two per event;
-# the loop walks one chunk's jumps at a time, so a replication walks
-# fewer than CHUNK_CAP / 2 jumps past its horizon
+# uniforms per replication come in chunks that double up to the cap, two
+# per event; the loop walks one chunk's jumps at a time, so a replication
+# walks fewer than CHUNK_CAP / 2 jumps past its horizon
+CHUNK_START = 64
 CHUNK_CAP = 8192
 
 
@@ -82,7 +83,7 @@ def _compile(model, policy):
     return nodes
 
 
-def _replicate(model, nodes, cur, t_end, rng, chunk=CHUNK_CAP):
+def _replicate(model, nodes, cur, t_end, rng, chunk=CHUNK_START):
     """One replication from post-state ``cur`` over ``[0, t_end)``.
 
     Each chunk of uniforms (two per event: sojourn, then jump) is walked
@@ -92,9 +93,9 @@ def _replicate(model, nodes, cur, t_end, rng, chunk=CHUNK_CAP):
     at ``clock[i + 1]``.  Nothing is drawn at an absorbing node or past
     the horizon.  The cost integrals are sequential sums seeded with the
     values carried over, so neither the events nor the integrals depend
-    on ``chunk``, the uniforms drawn per refill; an absorbing state
-    accrues its costs to ``t_end``.  Returns (cost integral, failure-time
-    integral, events, failure entries, final post-state).
+    on the chunk sizes; an absorbing state accrues its costs to
+    ``t_end``.  Returns (cost integral, failure-time integral, events,
+    failure entries, final post-state).
     """
     c_o, c_f = model.cost_op, model.cost_fail
     t = acc_o = acc_f = 0.0
@@ -102,6 +103,7 @@ def _replicate(model, nodes, cur, t_end, rng, chunk=CHUNK_CAP):
     u = np.empty(0)
     while nodes[cur][2]:
         u = np.concatenate((u, rng.random(chunk)))
+        chunk = min(2 * chunk, CHUNK_CAP)
         path = [cur]
         for x in u[1::2].tolist():
             total, cum, succ = nodes[cur]

@@ -39,7 +39,7 @@ from parmaint.mdp_solve import (
     solve_average_cost,
 )
 from parmaint.model import ComponentType, make_instance
-from parmaint.sim import CHUNK_CAP, _compile, _replicate
+from parmaint.sim import CHUNK_CAP, CHUNK_START, _compile, _replicate
 
 
 def random_instance(rng, n_types=None, max_rows=2, bound_span=(4.0, 14.0)):
@@ -1128,10 +1128,17 @@ def simulate_reference(model, policy, horizon, batches=20, seed=0):
     return means, events, fails
 
 
-def batch_means(model, policy, horizon, batches=20, seed=0, chunk=CHUNK_CAP):
+def batch_means(model, policy, horizon, batches=20, seed=0, chunk=CHUNK_START):
     """simulate_policy's batches one by one: the per-batch g_o and g_f
     means as arrays and the per-batch event counts, each batch run by the
-    library's ``_replicate`` on its own spawned stream."""
+    library's ``_replicate`` on its own spawned stream.
+
+    This mirrors ``simulate_policy``'s batch loop on purpose (the seed
+    spawn, the Philox streams, the horizon split, the start post-state
+    and the division by the batch length), since the report keeps only
+    the batch statistics; a change to seeding or batching there needs
+    the same change here.  Every test that reads per-batch means gets
+    them from this one loop."""
     nodes = _compile(model, policy)
     start = int(policy.post_ids[0])
     t_batch = float(horizon) / batches
@@ -1181,13 +1188,14 @@ def compile_nodes(model, policy):
     return nodes
 
 
-def replicate_per_event(nodes, cur, t_end, rng, chunk=CHUNK_CAP):
+def replicate_per_event(nodes, cur, t_end, rng, chunk=CHUNK_START):
     """One replication from post-state ``cur`` over ``[0, t_end)``.
 
-    Two uniforms per event, drawn from ``rng`` ``chunk`` at a time; the
-    path does not depend on the chunking.  An absorbing state accrues
-    its costs to ``t_end``.  Returns (cost integral, failure-time
-    integral, events, failure entries, final post-state).
+    Two uniforms per event, drawn from ``rng`` in chunks that double up
+    to ``CHUNK_CAP``; the path does not depend on the chunking.  An
+    absorbing state accrues its costs to ``t_end``.  Returns (cost
+    integral, failure-time integral, events, failure entries, final
+    post-state).
     """
     log1p = math.log1p
     t = acc_o = acc_f = 0.0
@@ -1199,6 +1207,7 @@ def replicate_per_event(nodes, cur, t_end, rng, chunk=CHUNK_CAP):
         if pos >= last:
             u = u[pos:] + rng.random(chunk).tolist()
             pos, last = 0, len(u) - 1
+            chunk = min(2 * chunk, CHUNK_CAP)
         dt = -log1p(-u[pos]) / total
         t_next = t + dt
         if t_next >= t_end:

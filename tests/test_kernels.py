@@ -11,7 +11,13 @@ from parmaint.mdp_solve import (
     fully_active_policy,
     solve_average_cost,
 )
-from parmaint.sim import CHUNK_CAP, _compile, _replicate, simulate_policy
+from parmaint.sim import (
+    CHUNK_CAP,
+    CHUNK_START,
+    _compile,
+    _replicate,
+    simulate_policy,
+)
 
 from _oracles import (
     batch_means,
@@ -69,7 +75,7 @@ class TestLoopAgreement:
 
     def test_buffer_refill_continues_the_path(self, small_model):
         # the replication keeps one absolute clock across refills, so the
-        # number of uniforms drawn per refill cannot change a single bit
+        # chunk sizes of its uniform draws cannot change a single bit
         res = solve_average_cost(small_model, 50.0)
         horizon, batches, seed = 8e6, 4, 9
         report = simulate_policy(
@@ -77,7 +83,7 @@ class TestLoopAgreement:
         )
         runs = [
             batch_means(small_model, res.policy, horizon, batches, seed, chunk)
-            for chunk in (63, 64, 1001, CHUNK_CAP)
+            for chunk in (CHUNK_START, 2, 3, CHUNK_CAP)
         ]
         for means_o, means_f, events in runs:
             assert np.array_equal(means_o, runs[0][0])
@@ -190,7 +196,7 @@ class TestPathFirstAgainstPerEventLoop:
     """The path-first replication against the per-event compiled loop."""
 
     @staticmethod
-    def assert_matches(model, policy, t_end, rng_of, chunk=CHUNK_CAP):
+    def assert_matches(model, policy, t_end, rng_of, chunk=CHUNK_START):
         start = int(policy.post_ids[0])
         got = _replicate(model, _compile(model, policy), start, t_end, rng_of(), chunk)
         want = replicate_per_event(compile_nodes(model, policy), start, t_end, rng_of())
@@ -199,7 +205,7 @@ class TestPathFirstAgainstPerEventLoop:
         assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0.0)
         return got
 
-    def assert_batches_match(self, model, policy, horizon, seed, chunk=CHUNK_CAP):
+    def assert_batches_match(self, model, policy, horizon, seed, chunk=CHUNK_START):
         runs = []
         for child in np.random.SeedSequence(seed).spawn(20):
             rng_of = lambda: np.random.Generator(np.random.Philox(child))  # noqa: E731
@@ -229,16 +235,21 @@ class TestPathFirstAgainstPerEventLoop:
         model = build_model(inst, (3,))
         policy = policy_from_rule(model, lambda rows: (int(rows[0] == (0, 1)),))
         dead = model.state_id(((0, 3),))
-        chunk = 64  # uniforms per refill, so a chunk ends every 32 events
+        # the event count at the end of each chunk
+        chunk_ends, end, chunk = [], 0, CHUNK_START
+        while end < 10**5:
+            end += chunk // 2
+            chunk_ends.append(end)
+            chunk = min(2 * chunk, CHUNK_CAP)
         counts = []
         for child in np.random.SeedSequence(5).spawn(20):
             rng_of = lambda: np.random.Generator(np.random.Philox(child))  # noqa: E731
-            _, acc_f, events, _, cur = self.assert_matches(model, policy, 1e6, rng_of, chunk)
+            _, acc_f, events, _, cur = self.assert_matches(model, policy, 1e6, rng_of)
             # absorbed before the end of a chunk, then billed failed to the end
-            assert cur == dead and 0 < events < 10**5 and events % (chunk // 2)
+            assert cur == dead and 0 < events < 10**5 and events not in chunk_ends
             assert acc_f > 0.5e6
             counts.append(events)
-        assert max(counts) > chunk // 2  # some runs absorb past the first chunk
+        assert max(counts) > chunk_ends[0]  # some runs absorb past the first chunk
 
     def test_sojourn_ending_at_the_horizon_is_no_event(self, small_model):
         # both logarithms round -log1p(-0.5) alike, so the two loops share
