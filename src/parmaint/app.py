@@ -231,25 +231,21 @@ def _dominates(a_g_o, a_ln_g_f, b_g_o, b_ln_g_f, tol):
     )
 
 
-def non_dom_filter(points, tolerance: float = DOM_TOL) -> ParetoFront:
+def non_dom_filter(points) -> ParetoFront:
     """Keep exactly the points no other point dominates.
 
-    Domination allows ``tolerance`` slack in both objectives; among
-    points that coincide within tolerance only the first by (provenance,
-    design, penalty) survives.  Output is ordered by ascending cost
-    rate.
+    Domination allows ``DOM_TOL`` slack in both objectives; among points
+    that coincide within it only the first by (provenance, design,
+    penalty) survives.  Output is ordered by ascending cost rate.
     """
-    _check_tolerance(tolerance)
     pts = list(points)
     g_o, ln_g_f = _columns(pts)
-    survivors = [
-        p for p in pts if not _dominates(g_o, ln_g_f, p.g_o, p.ln_g_f, tolerance).any()
-    ]
+    survivors = [p for p in pts if not _dominates(g_o, ln_g_f, p.g_o, p.ln_g_f, DOM_TOL).any()]
     survivors.sort(key=SolutionPoint.identity_key)
     g_o, ln_g_f = _columns(survivors)
     kept = np.zeros(len(survivors), dtype=bool)
     for i, p in enumerate(survivors):
-        kept[i] = not _coincide(g_o[kept], ln_g_f[kept], p.g_o, p.ln_g_f, tolerance).any()
+        kept[i] = not _coincide(g_o[kept], ln_g_f[kept], p.g_o, p.ln_g_f, DOM_TOL).any()
     front = sorted(compress(survivors, kept), key=lambda p: (p.g_o, -p.ln_g_f))
     return ParetoFront(points=tuple(front))
 

@@ -182,7 +182,7 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     front = io.read_front(args.front)
     reference = io.read_front(args.reference)
-    report = compare_fronts(front, reference, tolerance=args.tolerance)
+    report = compare_fronts(front, reference)
     io.write_compare_report(args.out, report)
     counts = {s: report.count(s) for s in ("matched", "dominated", "absent")}
     print(
@@ -281,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp = subs.add_parser("compare", help="judge one front file against another")
     cmp.add_argument("front", help="front file to judge")
     cmp.add_argument("reference", help="reference front file")
-    cmp.add_argument("--tolerance", type=float, default=1e-6)
     cmp.add_argument("--out", default="parmaint_compare.txt")
     cmp.set_defaults(func=cmd_compare)
 

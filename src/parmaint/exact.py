@@ -128,7 +128,7 @@ class ComparisonReport:
         return sum(1 for e in self.entries if e.status == status)
 
 
-def compare_fronts(front, reference, tolerance: float = 1e-6) -> ComparisonReport:
+def compare_fronts(front, reference, tolerance: float = DOM_TOL) -> ComparisonReport:
     """Judge each point of ``front`` against a reference front.
 
     A point is ``dominated`` when some reference point beats it beyond

@@ -466,22 +466,6 @@ def instance_document(instance: Instance) -> dict:
     }
 
 
-def write_instance(instance: Instance, path, form: str = "json") -> None:
-    doc = instance_document(instance)
-    path = Path(path)
-    if form == "json":
-        path.write_text(json.dumps(doc, indent=2) + "\n")
-        return
-    if form != "table":
-        raise InstanceError(f"unknown instance format {form!r}")
-    lines = ["# parallel-system instance"]
-    for rec in doc["components"]:
-        fields = " ".join(
-            f"{k}={rec[k]:.12g}"
-            for k in ("alpha", "tau", "usage_cost", "repair_cost", "install_cost", "weight")
-        )
-        lines.append(f"component {rec['label']} {fields}")
-    for row in doc["constraints"]:
-        coeffs = ",".join(f"{v:.12g}" for v in row["coefficients"])
-        lines.append(f"constraint {row['name']} bound={row['bound']:.12g} coeffs={coeffs}")
-    path.write_text("\n".join(lines) + "\n")
+def write_instance(instance: Instance, path) -> None:
+    """Write ``instance`` as a JSON document ``load_instance`` reads back exactly."""
+    Path(path).write_text(json.dumps(instance_document(instance), indent=2) + "\n")

@@ -132,6 +132,24 @@ def _replicate(model, nodes, cur, t_end, rng, chunk=CHUNK_START):
     return float(acc_o), float(acc_f), events, fails, int(cur)
 
 
+def _batch_runs(model, policy, horizon, batches, seed, chunk=CHUNK_START):
+    """The batches of a run from state 0: ``horizon`` split into
+    ``batches`` replications, each on its own Philox stream spawned from
+    ``seed``.  Returns the per-batch g_o and g_f means as arrays and the
+    per-batch event and failure-entry counts."""
+    nodes = _compile(model, policy)
+    start_post = int(policy.post_ids[0])
+    t_batch = float(horizon) / batches
+    runs = [
+        _replicate(
+            model, nodes, start_post, t_batch, np.random.Generator(np.random.Philox(child)), chunk
+        )
+        for child in np.random.SeedSequence(seed).spawn(batches)
+    ]
+    acc_o, acc_f, events, fails, _ = zip(*runs)
+    return np.array(acc_o) / t_batch, np.array(acc_f) / t_batch, events, fails
+
+
 def simulate_policy(
     model,
     policy,
@@ -163,20 +181,7 @@ def simulate_policy(
             f"(horizon times the largest outflow), over the ceiling of "
             f"{SIM_EVENT_CEILING:.3g}"
         )
-    nodes = _compile(model, policy)
-    start_post = int(policy.post_ids[0])
-    t_batch = float(horizon) / batches
-    children = np.random.SeedSequence(seed).spawn(batches)
-    means_o = np.zeros(batches)
-    means_f = np.zeros(batches)
-    events = fails = 0
-    for b in range(batches):
-        rng = np.random.Generator(np.random.Philox(children[b]))
-        acc_o, acc_f, d_ev, d_fail, _ = _replicate(model, nodes, start_post, t_batch, rng)
-        means_o[b] = acc_o / t_batch
-        means_f[b] = acc_f / t_batch
-        events += d_ev
-        fails += d_fail
+    means_o, means_f, events, fails = _batch_runs(model, policy, horizon, batches, seed)
     se_o = float(means_o.std(ddof=1) / math.sqrt(batches))
     se_f = float(means_f.std(ddof=1) / math.sqrt(batches))
     return SimReport(
@@ -187,6 +192,6 @@ def simulate_policy(
         horizon=float(horizon),
         batches=batches,
         seed=seed,
-        events=events,
-        failure_entries=fails,
+        events=sum(events),
+        failure_entries=sum(fails),
     )

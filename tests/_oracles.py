@@ -39,7 +39,7 @@ from parmaint.mdp_solve import (
     solve_average_cost,
 )
 from parmaint.model import ComponentType, make_instance
-from parmaint.sim import CHUNK_CAP, CHUNK_START, _compile, _replicate
+from parmaint.sim import CHUNK_CAP, CHUNK_START
 
 
 def random_instance(rng, n_types=None, max_rows=2, bound_span=(4.0, 14.0)):
@@ -246,7 +246,7 @@ def reference_non_dom_filter(points, tolerance=DOM_TOL):
     return ParetoFront(points=tuple(kept))
 
 
-def reference_compare_fronts(front, reference, tolerance=1e-6):
+def reference_compare_fronts(front, reference, tolerance=DOM_TOL):
     """``exact.compare_fronts`` as a scan over every reference point."""
     _check_tolerance(tolerance)
     ref_pts = list(reference)
@@ -1126,31 +1126,6 @@ def simulate_reference(model, policy, horizon, batches=20, seed=0):
         events += d_ev
         fails += d_fail
     return means, events, fails
-
-
-def batch_means(model, policy, horizon, batches=20, seed=0, chunk=CHUNK_START):
-    """simulate_policy's batches one by one: the per-batch g_o and g_f
-    means as arrays and the per-batch event counts, each batch run by the
-    library's ``_replicate`` on its own spawned stream.
-
-    This mirrors ``simulate_policy``'s batch loop on purpose (the seed
-    spawn, the Philox streams, the horizon split, the start post-state
-    and the division by the batch length), since the report keeps only
-    the batch statistics; a change to seeding or batching there needs
-    the same change here.  Every test that reads per-batch means gets
-    them from this one loop."""
-    nodes = _compile(model, policy)
-    start = int(policy.post_ids[0])
-    t_batch = float(horizon) / batches
-    runs = [
-        _replicate(
-            model, nodes, start, t_batch, np.random.Generator(np.random.Philox(child)), chunk
-        )
-        for child in np.random.SeedSequence(seed).spawn(batches)
-    ]
-    means_o = np.array([run[0] for run in runs]) / t_batch
-    means_f = np.array([run[1] for run in runs]) / t_batch
-    return means_o, means_f, [run[2] for run in runs]
 
 
 # --- per-event compiled loop ----------------------------------------------

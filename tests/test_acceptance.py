@@ -404,7 +404,7 @@ def test_criterion_8_property_suite(base_instance):
             )
             for k, (g, ln) in enumerate(values)
         ]
-        got = {(p.g_o, p.ln_g_f) for p in app_mod.non_dom_filter(points, 1e-9)}
+        got = {(p.g_o, p.ln_g_f) for p in app_mod.non_dom_filter(points)}
         want = set(nondominated_values(values, 1e-9))
         ok_c = ok_c and got == want
     details.append(f"c: 100 point sets, agree={ok_c}")

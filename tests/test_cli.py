@@ -1,12 +1,13 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import time
 
 import pytest
 
-from parmaint.app import run_app
+from parmaint.app import non_dom_filter, run_app
 from parmaint.cli import EXIT_ERROR, EXIT_FLAGGED, EXIT_OK, main
 from parmaint.ctmdp import build_model
 from parmaint.exact import exact_front
@@ -308,6 +309,9 @@ class TestExact:
         (lambda path, out: exact_front(load_instance(path), tolerance=1e-9), TypeError),
         (lambda path, out: main(["exact", path, "--out", out, "--maximal-only"]), SystemExit),
         (lambda path, out: exact_front(load_instance(path), maximal_only=True), TypeError),
+        (lambda path, out: main(["compare", out, out, "--tolerance", "1e-6"]), SystemExit),
+        (lambda path, out: non_dom_filter([], tolerance=1e-6), TypeError),
+        (lambda path, out: write_instance(load_instance(path), out, form="table"), TypeError),
     ],
     ids=[
         "dop-tolerance",
@@ -319,11 +323,15 @@ class TestExact:
         "exact_front-tolerance",
         "exact-maximal-only",
         "exact_front-maximal_only",
+        "compare-tolerance",
+        "non_dom_filter-tolerance",
+        "write_instance-form",
     ],
 )
 def test_front_builder_options_removed(base_path, tmp_path, call, error):
-    # the front builders dedupe at DOM_TOL only, only dop keeps --ties, and
-    # the exact front always covers every feasible design
+    # the front builders dedupe and compare judges at DOM_TOL only, only
+    # dop keeps --ties, the exact front always covers every feasible
+    # design, and instances are written as JSON only
     with pytest.raises(error) as exc:
         call(base_path, str(tmp_path / "f.txt"))
     if error is SystemExit:
@@ -757,18 +765,14 @@ class TestCompare:
         assert "matched 12, dominated 0, absent 0" in capsys.readouterr().out
         assert "# matched = 12" in out.read_text()
 
-    def test_bad_tolerance(self, tiny_path, tmp_path, capsys):
-        front = tmp_path / "front.txt"
-        assert main(["app", tiny_path, "--out", str(front)]) == EXIT_OK
-        capsys.readouterr()
+    def test_exact_front_against_itself(self, tmp_path, capsys):
+        # judged at DOM_TOL, the tolerance the front was merged at, no
+        # point of a front is dominated by another of its points
+        front = str(pathlib.Path(__file__).resolve().parent / "data" / "large-3-exact.front")
         out = tmp_path / "cmp.txt"
-        for value in ("nan", "-1"):
-            code = main(
-                ["compare", str(front), str(front), "--out", str(out), "--tolerance", value]
-            )
-            assert code == EXIT_ERROR
-            assert "tolerance must be finite" in capsys.readouterr().err
-            assert not out.exists()
+        assert main(["compare", front, front, "--out", str(out)]) == EXIT_OK
+        assert "matched 207, dominated 0, absent 0" in capsys.readouterr().out
+        assert "# tolerance = 1e-09" in out.read_text().splitlines()
 
     def test_junk_front_rejected(self, tmp_path, capsys):
         junk = tmp_path / "junk.txt"

@@ -5,10 +5,13 @@ one elementwise dominance predicate to whole columns of points; the
 references in ``_oracles`` compare every pair of points one at a time.
 Results must agree in full: point order and identity, the dedupe's
 choice among coinciding points, and each comparison entry's status,
-distance and dominator.
+distance and dominator.  The merge is checked at ``DOM_TOL``, its one
+tolerance, on points spaced by each of ``TOLERANCES``; the comparison
+at each of them.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,9 +74,9 @@ def _static(design):
     return StaticSolution(design=design, g_o=0.0, ln_g_f=0.0)  # values unused
 
 
-def _assert_same_front(points, tol):
-    got = non_dom_filter(points, tol)
-    want = reference_non_dom_filter(points, tol)
+def _assert_same_front(points):
+    got = non_dom_filter(points)
+    want = reference_non_dom_filter(points)
     assert [id(p) for p in got] == [id(p) for p in want]
     assert got == want
 
@@ -95,7 +98,10 @@ def test_base_population_size(base_population):
 
 @pytest.mark.parametrize("tol", TOLERANCES)
 def test_merge_of_base_population(base_population, tol):
-    _assert_same_front(base_population, tol)
+    # with a copy moved by tol in both objectives, which at and near
+    # DOM_TOL sits on the merge's dominance and coincidence boundaries
+    moved = [replace(p, g_o=p.g_o + tol, ln_g_f=p.ln_g_f + tol) for p in base_population]
+    _assert_same_front(base_population + moved)
 
 
 @pytest.mark.parametrize("tol", TOLERANCES)
@@ -108,7 +114,7 @@ def test_random_populations(tol):
     rng = np.random.default_rng(int(tol * 1e9) + 19)
     for _ in range(40):
         points = _random_population(rng, tol, int(rng.integers(0, 60)))
-        _assert_same_front(points, tol)
+        _assert_same_front(points)
         reference = _random_population(rng, tol, int(rng.integers(0, 30)))
         _assert_same_report(points, reference, tol)
         _assert_same_report(points, points, tol)

@@ -74,7 +74,7 @@ def test_front(argv, golden, tmp_path):
     assert [(p.provenance, p.design) for p in got] == [(p.provenance, p.design) for p in want]
     assert got.notes == want.notes
     for front, reference in ((got, want), (want, got)):
-        report = compare_fronts(front, reference, tolerance=1e-9)
+        report = compare_fronts(front, reference)
         assert report.count("matched") == len(front)
 
 

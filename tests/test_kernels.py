@@ -14,13 +14,13 @@ from parmaint.mdp_solve import (
 from parmaint.sim import (
     CHUNK_CAP,
     CHUNK_START,
+    _batch_runs,
     _compile,
     _replicate,
     simulate_policy,
 )
 
 from _oracles import (
-    batch_means,
     compile_nodes,
     policy_from_rule,
     replicate_per_event,
@@ -82,17 +82,17 @@ class TestLoopAgreement:
             small_model, res.policy, horizon=horizon, batches=batches, seed=seed
         )
         runs = [
-            batch_means(small_model, res.policy, horizon, batches, seed, chunk)
+            _batch_runs(small_model, res.policy, horizon, batches, seed, chunk)
             for chunk in (CHUNK_START, 2, 3, CHUNK_CAP)
         ]
-        for means_o, means_f, events in runs:
+        for means_o, means_f, events, fails in runs:
             assert np.array_equal(means_o, runs[0][0])
             assert np.array_equal(means_f, runs[0][1])
-            assert events == runs[0][2]
-        means_o, means_f, events = runs[0]
+            assert (events, fails) == runs[0][2:]
+        means_o, means_f, events, fails = runs[0]
         assert all(2 * n > CHUNK_CAP for n in events)  # every chunking had to refill
         assert (report.g_o, report.g_f) == (means_o.mean(), means_f.mean())
-        assert report.events == sum(events)
+        assert (report.events, report.failure_entries) == (sum(events), sum(fails))
 
 
 class _Uniforms:
@@ -175,7 +175,7 @@ class TestSimAgainstReference:
         means, events, fails = simulate_reference(model, policy, horizon, seed=seed)
         assert report.events == events
         assert report.failure_entries == fails
-        got_o, got_f, _ = batch_means(model, policy, horizon, seed=seed)
+        got_o, got_f, _, _ = _batch_runs(model, policy, horizon, 20, seed)
         assert (report.g_o, report.g_f) == (got_o.mean(), got_f.mean())
         for got, want in zip(zip(got_o, got_f), means, strict=True):
             assert got == pytest.approx(want, rel=1e-9)

@@ -325,7 +325,7 @@ class TestLoaders:
 
     def test_json_round_trip(self, base_instance, tmp_path):
         path = tmp_path / "inst.json"
-        write_instance(base_instance, path, form="json")
+        write_instance(base_instance, path)
         again = load_instance(path)
         assert again.labels == base_instance.labels
         np.testing.assert_allclose(again.q_vector(), base_instance.q_vector())
@@ -333,14 +333,6 @@ class TestLoaders:
             [c.alpha for c in again.components], [c.alpha for c in base_instance.components]
         )
         assert again.copy_bounds == base_instance.copy_bounds
-
-    def test_table_round_trip(self, base_instance, tmp_path):
-        path = tmp_path / "inst.txt"
-        write_instance(base_instance, path, form="table")
-        again = load_instance(path)
-        assert again.labels == base_instance.labels
-        np.testing.assert_allclose(again.q_vector(), base_instance.q_vector())
-        assert again.constraint_names == base_instance.constraint_names
 
     def test_document_is_in_catalog_order(self):
         comps = [

@@ -16,10 +16,11 @@ from parmaint.sim import (
     MIN_FAILURE_ENTRIES,
     SIM_EVENT_CEILING,
     SimReport,
+    _batch_runs,
     simulate_policy,
 )
 
-from _oracles import batch_means, single_type_instance
+from _oracles import single_type_instance
 
 
 @pytest.fixture(scope="module")
@@ -36,20 +37,20 @@ def single_report(single_model):
 @pytest.fixture(scope="module")
 def single_batches(single_model):
     """Per-batch means and events of the run behind ``single_report``."""
-    return batch_means(single_model, fully_active_policy(single_model), 20000.0)
+    return _batch_runs(single_model, fully_active_policy(single_model), 20000.0, 20, 0)
 
 
 class TestReportStructure:
     def test_means_match_batch_arrays(self, single_report, single_batches):
         r = single_report
-        means_o, means_f, _ = single_batches
+        means_o, means_f, _, _ = single_batches
         assert len(means_o) == r.batches == 20
         assert r.g_o == pytest.approx(np.mean(means_o), rel=1e-12)
         assert r.g_f == pytest.approx(np.mean(means_f), rel=1e-12)
 
     def test_standard_errors_recompute(self, single_report, single_batches):
         r = single_report
-        means_o, means_f, _ = single_batches
+        means_o, means_f, _, _ = single_batches
         want_o = np.std(means_o, ddof=1) / math.sqrt(r.batches)
         want_f = np.std(means_f, ddof=1) / math.sqrt(r.batches)
         assert r.se_g_o == pytest.approx(want_o, rel=1e-12)
@@ -95,9 +96,10 @@ class TestDeterminism:
     def test_batch_count_sets_array_length(self, single_model):
         policy = fully_active_policy(single_model)
         r = simulate_policy(single_model, policy, horizon=500.0, batches=5)
-        means_o, means_f, events = batch_means(single_model, policy, 500.0, batches=5)
+        means_o, means_f, events, fails = _batch_runs(single_model, policy, 500.0, 5, 0)
         assert r.batches == len(means_o) == len(means_f) == 5
-        assert (r.g_o, r.g_f, r.events) == (means_o.mean(), means_f.mean(), sum(events))
+        assert (r.g_o, r.g_f) == (means_o.mean(), means_f.mean())
+        assert (r.events, r.failure_entries) == (sum(events), sum(fails))
 
 
 class TestAgreementWithExactEvaluation:
