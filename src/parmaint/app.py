@@ -44,8 +44,8 @@ STATIC_SP1 = "static-SP1"
 DYNAMIC_SP2 = "dynamic-SP2"
 EXACT = "exact"
 
-DEFAULT_P_MIN = 1.0
-DEFAULT_DELTA_P = 2.0
+P_MIN = 1.0  # first failure penalty of each design's sweep
+DELTA_P = 2.0  # penalty growth factor per level
 SWEEP_CAP = 200  # penalty levels per design before giving up
 DOM_TOL = 1e-9  # absolute tolerance of every dominance, duplicate and "reached" test
 
@@ -119,13 +119,6 @@ def emulating_policy(model, sub_design) -> MaintenancePolicy:
     return MaintenancePolicy(model, model.action_indices(act))
 
 
-def _check_sweep(p_min, delta_p) -> None:
-    if not (math.isfinite(p_min) and p_min > 0):
-        raise ValueError(f"penalty floor must be finite and positive, got {p_min}")
-    if not (math.isfinite(delta_p) and delta_p > 1):
-        raise ValueError(f"penalty growth factor must be finite and exceed 1, got {delta_p}")
-
-
 def _check_tolerance(tolerance) -> None:
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
@@ -186,27 +179,21 @@ def _columns(points):
     return np.array([(p.g_o, p.ln_g_f) for p in points], dtype=float).reshape(-1, 2).T
 
 
-def sp2(
-    instance,
-    design,
-    p_min: float = DEFAULT_P_MIN,
-    delta_p: float = DEFAULT_DELTA_P,
-):
+def sp2(instance, design):
     """Penalty-parametrized policy trade-off curve for one design.
 
-    Multiplies the failure penalty by ``delta_p`` per level, starting at
-    ``p_min``, until the achieved log failure rate reaches the design's
+    Multiplies the failure penalty by ``DELTA_P`` per level, starting at
+    ``P_MIN``, until the achieved log failure rate reaches the design's
     full-repair value within ``DOM_TOL``, then closes with the exactly
     evaluated full-repair point, recorded as the design's static
     representative.
     """
-    _check_sweep(p_min, delta_p)
     design = tuple(int(x) for x in design)
     model = build_model(instance, design=design)
     _, ln_g_f_static = dop_objectives(instance, design)
 
     points = []
-    penalty = float(p_min)
+    penalty = float(P_MIN)
     policy = None
     for _ in range(SWEEP_CAP):
         pt = _solve_point(model, design, penalty, policy, DYNAMIC_SP2)
@@ -214,7 +201,7 @@ def sp2(
         points.append(pt)
         if pt.ln_g_f <= ln_g_f_static + DOM_TOL:
             break
-        penalty *= delta_p
+        penalty *= DELTA_P
     else:
         points[-1] = replace(points[-1], flags=points[-1].flags + ("cap-reached",))
     points.append(_full_repair_point(instance, model, design, STATIC_SP1))
@@ -250,14 +237,7 @@ def non_dom_filter(points) -> ParetoFront:
     return ParetoFront(points=tuple(front))
 
 
-def run_app(
-    instance,
-    eps_min: float = 0.0,
-    delta_eps: float = -0.1,
-    delta: float = 0.1,
-    p_min: float = DEFAULT_P_MIN,
-    delta_p: float = DEFAULT_DELTA_P,
-) -> ParetoFront:
+def run_app(instance) -> ParetoFront:
     """Full heuristic front: static sweep, containment filter, penalty
     sweeps, non-dominated merge.
 
@@ -265,11 +245,9 @@ def run_app(
     skip the dynamic stage but stay in the merge population; designs
     that do get a dynamic stage contribute their static values through
     the closing full-repair point of their sweep.  Per-design failures
-    are collected into the front's notes rather than aborting the run;
-    bad sweep arguments raise ``ValueError`` before any work.
+    are collected into the front's notes rather than aborting the run.
     """
-    _check_sweep(p_min, delta_p)
-    statics = sp1_sweep(instance, eps_min, delta_eps, delta)
+    statics = sp1_sweep(instance)
     selected = non_nested_designs(statics)
     chosen = {s.design for s in selected}
 
@@ -277,7 +255,7 @@ def run_app(
     return _merge_traces(
         instance,
         [s.design for s in selected],
-        lambda design, front: (sp2(instance, design, p_min=p_min, delta_p=delta_p), ()),
+        lambda design, front: (sp2(instance, design), ()),
         "dynamic stage", population,
     )
 

@@ -18,7 +18,7 @@ from parmaint.dop import EnumerationError, sp1_sweep, solve_fdop
 from parmaint.ctmdp import StateSpaceError, build_model
 from parmaint.exact import compare_fronts, exact_front
 from parmaint.mdp_solve import fully_active_policy
-from parmaint.model import InstanceError, load_instance
+from parmaint.model import STATIC_DELTA, InstanceError, load_instance
 from parmaint.sim import simulate_policy
 
 EXIT_OK = 0
@@ -70,13 +70,7 @@ def cmd_instance_validate(args) -> int:
 
 def cmd_dop(args) -> int:
     instance = _load(args)
-    solutions = sp1_sweep(
-        instance,
-        eps_min=args.eps_min,
-        delta_eps=args.delta_eps,
-        delta=args.delta,
-        record_ties=args.ties,
-    )
+    solutions = sp1_sweep(instance, delta=args.delta, record_ties=args.ties)
     io.write_static_table(args.out, instance, solutions)
     print(f"static front: {len(solutions)} designs -> {args.out}")
     anchor = instance.to_catalog(solve_fdop(instance))
@@ -106,14 +100,7 @@ def _report_front(front, instance, out, plot_out, label) -> int:
 
 def cmd_app(args) -> int:
     instance = _load(args)
-    front = app_mod.run_app(
-        instance,
-        eps_min=args.eps_min,
-        delta_eps=args.delta_eps,
-        delta=args.delta,
-        p_min=args.p_min,
-        delta_p=args.delta_p,
-    )
+    front = app_mod.run_app(instance)
     return _report_front(front, instance, args.out, args.plot_out, "heuristic front")
 
 
@@ -206,12 +193,6 @@ def _add_common(sub):
     )
 
 
-def _add_sweep_params(sub):
-    sub.add_argument("--eps-min", type=float, default=0.0)
-    sub.add_argument("--delta-eps", type=float, default=-0.1)
-    sub.add_argument("--delta", type=float, default=0.1)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="parmaint",
@@ -227,7 +208,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     dop = subs.add_parser("dop", help="static design sweep")
     _add_common(dop)
-    _add_sweep_params(dop)
+    dop.add_argument(
+        "--delta",
+        type=float,
+        default=STATIC_DELTA,
+        help="inflation of the failure penalty in the static objective",
+    )
     dop.add_argument(
         "--ties",
         action="store_true",
@@ -241,9 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     appc = subs.add_parser("app", help="two-stage heuristic front")
     _add_common(appc)
-    _add_sweep_params(appc)
-    appc.add_argument("--p-min", type=float, default=app_mod.DEFAULT_P_MIN)
-    appc.add_argument("--delta-p", type=float, default=app_mod.DEFAULT_DELTA_P)
     appc.add_argument("--out", default="parmaint_front.txt")
     appc.add_argument("--plot-out", default=None)
     appc.set_defaults(func=cmd_app)

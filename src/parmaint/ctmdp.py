@@ -128,7 +128,7 @@ class CtmdpModel:
 
     @property
     def max_outflow(self) -> float:
-        return float(self.outflow.max()) if self.n_states else 0.0
+        return float(self.outflow.max())
 
     def state_rows(self, sid: int) -> SystemState:
         row = self.states[sid]

@@ -23,7 +23,7 @@ from functools import cache
 
 import numpy as np
 
-from parmaint.model import Instance
+from parmaint.model import STATIC_DELTA, Instance
 
 __all__ = [
     "DESIGN_CEILING",
@@ -39,6 +39,8 @@ __all__ = [
 EPS_SLACK = 1e-12  # slack when testing the log-failure-rate cap
 TIE_TOL = 1e-9  # relative tolerance for recording alternate optima
 DESIGN_CEILING = 200_000
+EPS_MIN = 0.0  # the sweep's first log-failure-rate cap
+DELTA_EPS = -0.1  # cap step; the sweep ends only because it is negative
 
 
 class EnumerationError(RuntimeError):
@@ -203,13 +205,6 @@ def _most_reliable(table) -> int:
     return min(range(near), key=designs.__getitem__)
 
 
-def _check_cap(epsilon: float, delta: float) -> None:
-    if epsilon > 0:
-        raise ValueError(f"log-failure-rate cap must be <= 0, got {epsilon}")
-    if not (math.isfinite(delta) and delta >= 0):
-        raise ValueError(f"penalty inflation must be finite and >= 0, got {delta}")
-
-
 def _row(table, i, **fields) -> StaticSolution:
     designs, repair, usage, ln_f = table
     g_o, ln_g_f = float(repair[i] + usage[i]), float(ln_f[i])
@@ -226,31 +221,22 @@ def solve_fdop(instance: Instance) -> tuple:
     return table[0][_most_reliable(table)]
 
 
-def sp1_sweep(
-    instance: Instance,
-    eps_min: float = 0.0,
-    delta_eps: float = -0.1,
-    delta: float = 0.1,
-    record_ties: bool = False,
-) -> list:
+def sp1_sweep(instance: Instance, delta: float = STATIC_DELTA, record_ties: bool = False) -> list:
     """Static candidate front by sweeping the log-failure-rate cap.
 
     Enumerates the feasible designs once into one table sorted by log
-    failure rate, then starts at ``eps_min``, takes the optimum over the
+    failure rate, then starts at ``EPS_MIN``, takes the optimum over the
     prefix the cap admits (a running minimum; its first row within
     ``TIE_TOL`` is the representative), and tightens the cap to that
-    log failure rate plus ``delta_eps`` until the cap passes the
+    log failure rate plus ``DELTA_EPS`` until the cap passes the
     reliability extreme, which seeds the stop bound and is guaranteed a
     place in the output.  Duplicate designs keep their first appearance.
     With ``record_ties`` every co-optimal design of each solve is
     recorded (listed least-reliable first so the output stays ordered);
     by default only representatives are kept.
     """
-    if not math.isfinite(eps_min):
-        raise ValueError(f"starting cap must be finite, got {eps_min}")
-    if not (math.isfinite(delta_eps) and delta_eps < 0):
-        raise ValueError(f"cap step must be finite and negative, got {delta_eps}")
-    _check_cap(eps_min, delta)
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"penalty inflation must be finite and >= 0, got {delta}")
     table = _design_table(instance)
     designs, repair, usage, ln_f = table
     anchor = _most_reliable(table)
@@ -266,7 +252,7 @@ def sp1_sweep(
             seen.add(designs[i])
             results.append(_row(table, i, **fields))
 
-    eps = float(eps_min)
+    eps = float(EPS_MIN)
     while eps >= ln_f[anchor] - EPS_SLACK:
         k = int(np.searchsorted(ln_f, eps + EPS_SLACK, "right"))  # rows the cap admits
         limit = low[k - 1] + TIE_TOL * max(1.0, abs(low[k - 1]))
@@ -275,7 +261,7 @@ def sp1_sweep(
         for i in reversed(tied):
             tag = "trivial" if designs[i] == empty else "sweep"
             record(i, tag=tag, epsilon=eps, objective=float(aug[i]))
-        eps = float(ln_f[first]) + delta_eps
+        eps = float(ln_f[first]) + DELTA_EPS
 
     record(anchor, tag="reliability")
     if empty not in seen:

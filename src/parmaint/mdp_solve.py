@@ -154,8 +154,6 @@ def solve_average_cost(
     """
     if not (math.isfinite(penalty) and penalty >= 0.0):
         raise ValueError(f"penalty must be finite and non-negative, got {penalty}")
-    if model.n_states == 0:
-        raise ValueError("model has no states")
     if initial_policy is None:
         policy = MaintenancePolicy(model, np.zeros(model.n_states, dtype=np.int64))
     elif initial_policy.model is not model:

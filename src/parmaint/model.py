@@ -28,6 +28,8 @@ __all__ = [
     "write_instance",
 ]
 
+STATIC_DELTA = 0.1  # inflation delta of the penalized static objective
+
 
 class InstanceError(ValueError):
     """Raised when an instance document fails validation."""
@@ -251,7 +253,7 @@ def make_instance(components, constraints, bounds, names=None) -> Instance:
             # type untouched by every knapsack row: only acceptable when the
             # analytic bound is finite, otherwise the state space is unbounded
             analytic = _analytic_copy_bound(
-                comp.unavailability, comp.repair_cost, comp.usage_cost, top_cost, 0.1
+                comp.unavailability, comp.repair_cost, comp.usage_cost, top_cost, STATIC_DELTA
             )
             if analytic is None or analytic is math.inf:
                 raise InstanceError(

@@ -56,12 +56,6 @@ class SimReport:
         """Too few failure entries for a trustworthy g_f estimate."""
         return self.failure_entries < MIN_FAILURE_ENTRIES
 
-    @property
-    def ln_g_f(self) -> float:
-        if self.g_f <= 0.0:
-            return -math.inf
-        return math.log(self.g_f)
-
 
 def _compile(model, policy):
     """The policy's jump chain as one (total, cum, succ) node per post-state.

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from parmaint import app
 from parmaint.app import (
     DYNAMIC_SP2,
     STATIC_SP1,
@@ -192,8 +193,9 @@ class TestPenaltySweep:
         assert dyn[-1].ln_g_f <= ln_static + 1e-9
         assert dyn[-1].penalty == 2.0**26
 
-    def test_penalties_grow_geometrically(self, base_instance):
-        points = sp2(base_instance, (2, 0, 0, 0), p_min=1.0, delta_p=4.0)
+    def test_penalties_grow_geometrically(self, base_instance, monkeypatch):
+        monkeypatch.setattr(app, "DELTA_P", 4.0)
+        points = sp2(base_instance, (2, 0, 0, 0))
         dyn = [p for p in points if p.penalty is not None]
         for a, b in zip(dyn, dyn[1:]):
             assert b.penalty == pytest.approx(4.0 * a.penalty)
@@ -205,22 +207,15 @@ class TestPenaltySweep:
             assert gain.g_o == pytest.approx(p.g_o, abs=1e-12)
             assert gain.ln_g_f == pytest.approx(p.ln_g_f, abs=1e-12)
 
-    def test_cap_reached_flag(self):
+    def test_cap_reached_flag(self, monkeypatch):
         # enormous repair cost keeps full repair unattractive within the
         # level budget of a slow-growing sweep
         inst = single_type_instance(q=0.01, usage=1.0, repair=10000.0, bound=1)
-        points = sp2(inst, (1,), delta_p=1.01)
+        monkeypatch.setattr(app, "DELTA_P", 1.01)
+        points = sp2(inst, (1,))
         dyn = [p for p in points if p.penalty is not None]
         assert len(dyn) == 200
         assert "cap-reached" in dyn[-1].flags
-
-    def test_argument_validation(self, base_instance):
-        for p_min in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="penalty floor"):
-                sp2(base_instance, (1, 0, 0, 0), p_min=p_min)
-        for delta_p in (1.0, 0.5, math.nan, math.inf):
-            with pytest.raises(ValueError, match="growth factor"):
-                sp2(base_instance, (1, 0, 0, 0), delta_p=delta_p)
 
 
 BASE_FRONT = [
@@ -268,30 +263,23 @@ class TestRunApp:
         _, ln2 = dop_objectives(inst, (2,))
         assert min(p.ln_g_f for p in front) == pytest.approx(ln2, abs=1e-8)
 
-    def test_sweep_cap_surfaces_in_notes(self):
+    def test_sweep_cap_surfaces_in_notes(self, monkeypatch):
         inst = single_type_instance(q=0.01, usage=1.0, repair=10000.0, bound=1)
-        front = run_app(inst, delta_p=1.01)
+        monkeypatch.setattr(app, "DELTA_P", 1.01)
+        front = run_app(inst)
         assert front.notes
         assert any("cap-reached" in note for note in front.notes)
-
-    def test_bad_sweep_arguments_rejected_before_any_design(self, base_instance):
-        for kwargs in ({"p_min": 0.0}, {"p_min": math.nan}, {"delta_p": 1.0},
-                       {"delta_p": math.inf}):
-            with pytest.raises(ValueError):
-                run_app(base_instance, **kwargs)
 
     def test_failing_design_becomes_a_note(self, monkeypatch):
         # run_app looks sp2 up when it traces, so a stand-in that raises
         # for one design is seen; the other designs still make the front
-        import parmaint.app
-
         inst = single_type_instance(q=0.1, usage=1.0, repair=3.0, bound=2)
         whole = run_app(inst)
 
-        def failing(instance, design, **kwargs):
+        def failing(instance, design):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(parmaint.app, "sp2", failing)
+        monkeypatch.setattr(app, "sp2", failing)
         front = run_app(inst)
         assert front.notes == ("design (2,): dynamic stage failed: boom",)
         # only the statics of the nested designs are left

@@ -7,9 +7,11 @@ import time
 
 import pytest
 
-from parmaint.app import non_dom_filter, run_app
+from parmaint import app
+from parmaint.app import non_dom_filter, run_app, sp2
 from parmaint.cli import EXIT_ERROR, EXIT_FLAGGED, EXIT_OK, main
 from parmaint.ctmdp import build_model
+from parmaint.dop import sp1_sweep
 from parmaint.exact import exact_front
 from parmaint.io import read_front, read_policy
 from parmaint.model import load_instance, write_instance
@@ -177,15 +179,10 @@ class TestDop:
 
     def test_non_finite_sweep_arguments(self, base_path, tmp_path, capsys):
         out = tmp_path / "static.txt"
-        for flag, value, reason in (
-            ("--eps-min", "nan", "starting cap must be finite"),
-            ("--delta-eps", "nan", "cap step must be finite"),
-            ("--delta", "nan", "penalty inflation must be finite"),
-        ):
-            code = main(["dop", base_path, "--out", str(out), flag, value])
-            assert code == EXIT_ERROR
-            assert reason in capsys.readouterr().err
-            assert not out.exists()
+        code = main(["dop", base_path, "--out", str(out), "--delta", "nan"])
+        assert code == EXIT_ERROR
+        assert "penalty inflation must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestApp:
@@ -224,28 +221,14 @@ class TestApp:
             assert abs(pa.g_o - pb.g_o) <= 1e-9
             assert abs(pa.ln_g_f - pb.ln_g_f) <= 1e-9 or pa.ln_g_f == pb.ln_g_f
 
-    def test_sweep_cap_flagged(self, tmp_path, capsys):
+    def test_sweep_cap_flagged(self, tmp_path, capsys, monkeypatch):
         inst_path = tmp_path / "stiff.json"
         write_instance(single_type_instance(repair=10000.0), inst_path)
         out = tmp_path / "front.txt"
-        code = main(
-            ["app", str(inst_path), "--out", str(out), "--delta-p", "1.01"]
-        )
-        assert code == EXIT_FLAGGED
+        monkeypatch.setattr(app, "DELTA_P", 1.01)
+        assert main(["app", str(inst_path), "--out", str(out)]) == EXIT_FLAGGED
         err = capsys.readouterr().err
         assert "flag:" in err and "cap-reached" in err
-
-    def test_bad_sweep_arguments(self, base_path, tmp_path, capsys):
-        out = tmp_path / "front.txt"
-        for flag, value in (
-            ("--delta-p", "1"), ("--p-min", "0"), ("--p-min", "nan"), ("--delta-p", "inf"),
-        ):
-            code = main(["app", base_path, "--out", str(out), flag, value])
-            assert code == EXIT_ERROR
-            err = capsys.readouterr().err
-            assert err.startswith("error: penalty")
-            assert "dynamic stage failed" not in err
-            assert not out.exists()
 
     def test_mode_flag_removed(self, base_path, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -312,6 +295,16 @@ class TestExact:
         (lambda path, out: main(["compare", out, out, "--tolerance", "1e-6"]), SystemExit),
         (lambda path, out: non_dom_filter([], tolerance=1e-6), TypeError),
         (lambda path, out: write_instance(load_instance(path), out, form="table"), TypeError),
+        (lambda path, out: main(["dop", path, "--out", out, "--eps-min", "0"]), SystemExit),
+        (lambda path, out: main(["dop", path, "--out", out, "--delta-eps", "-0.1"]), SystemExit),
+        (lambda path, out: main(["app", path, "--out", out, "--eps-min", "0"]), SystemExit),
+        (lambda path, out: main(["app", path, "--out", out, "--delta-eps", "-0.1"]), SystemExit),
+        (lambda path, out: main(["app", path, "--out", out, "--delta", "0.1"]), SystemExit),
+        (lambda path, out: main(["app", path, "--out", out, "--p-min", "1"]), SystemExit),
+        (lambda path, out: main(["app", path, "--out", out, "--delta-p", "2"]), SystemExit),
+        (lambda path, out: sp1_sweep(load_instance(path), eps_min=0.0), TypeError),
+        (lambda path, out: sp2(load_instance(path), (1, 0, 0, 0), p_min=1.0), TypeError),
+        (lambda path, out: run_app(load_instance(path), delta_p=2.0), TypeError),
     ],
     ids=[
         "dop-tolerance",
@@ -326,12 +319,23 @@ class TestExact:
         "compare-tolerance",
         "non_dom_filter-tolerance",
         "write_instance-form",
+        "dop-eps-min",
+        "dop-delta-eps",
+        "app-eps-min",
+        "app-delta-eps",
+        "app-delta",
+        "app-p-min",
+        "app-delta-p",
+        "sp1_sweep-eps_min",
+        "sp2-p_min",
+        "run_app-delta_p",
     ],
 )
 def test_front_builder_options_removed(base_path, tmp_path, call, error):
     # the front builders dedupe and compare judges at DOM_TOL only, only
     # dop keeps --ties, the exact front always covers every feasible
-    # design, and instances are written as JSON only
+    # design, instances are written as JSON only, and the sweep schedule
+    # is fixed (dop keeps only --delta)
     with pytest.raises(error) as exc:
         call(base_path, str(tmp_path / "f.txt"))
     if error is SystemExit:
@@ -367,14 +371,17 @@ class TestFlags:
     """Every ``flag:`` and ``# note:`` line names its design in catalog
     order, a point's flags as ``design <x> penalty <p>: <flag>``."""
 
-    def test_notes_name_designs_in_catalog_order(self, base_instance, tmp_path, capsys):
+    def test_notes_name_designs_in_catalog_order(
+        self, base_instance, tmp_path, capsys, monkeypatch
+    ):
         # usage costs 4,3,2,1 reverse the priority order, so the catalog's
         # design 4,0,0,0 is (0, 0, 0, 4) inside
         path = tmp_path / "reversed.json"
         write_instance(base_instance.modified(usage_costs=[4, 3, 2, 1]), path)
         out = tmp_path / "front.txt"
-        argv = ["app", str(path), "--p-min", "1e-9", "--delta-p", "1.01", "--out", str(out)]
-        assert main(argv) == EXIT_FLAGGED
+        monkeypatch.setattr(app, "P_MIN", 1e-9)
+        monkeypatch.setattr(app, "DELTA_P", 1.01)
+        assert main(["app", str(path), "--out", str(out)]) == EXIT_FLAGGED
         lines = out.read_text().splitlines()
         notes = [l[len("# note: "):] for l in lines if l.startswith("# note: ")]
         assert notes[0].startswith("design (4, 0, 0, 0) penalty ")

@@ -211,32 +211,32 @@ class TestPenalizedSolve:
         assert sol.tag == "trivial"
         assert sol.objective == pytest.approx(1.1, rel=1e-12)
 
-    def test_cap_is_respected(self, base_instance):
+    def test_cap_is_respected(self, base_instance, monkeypatch):
         for eps in (-0.1, -5.0, -10.0, -16.0):
-            sols = [s for s in sp1_sweep(base_instance, eps_min=eps) if s.tag == "sweep"]
+            monkeypatch.setattr(dop, "EPS_MIN", eps)
+            sols = [s for s in sp1_sweep(base_instance) if s.tag == "sweep"]
             assert sols[0].epsilon == eps
             for sol in sols:
                 assert sol.ln_g_f <= sol.epsilon + 1e-9
 
     def test_argument_validation(self, base_instance):
-        with pytest.raises(ValueError, match="cap must be <= 0"):
-            sp1_sweep(base_instance, eps_min=0.5)
         with pytest.raises(ValueError, match="penalty inflation"):
-            sp1_sweep(base_instance, eps_min=-1.0, delta=-0.2)
+            sp1_sweep(base_instance, delta=-0.2)
 
-    def test_ties_on_identical_types(self):
+    def test_ties_on_identical_types(self, monkeypatch):
         # co-optimal designs are recorded least reliable first, ending
         # with the representative the plain sweep keeps
         inst = _identical_pair()
-        tied = sp1_sweep(inst, eps_min=-0.1, record_ties=True)
+        monkeypatch.setattr(dop, "EPS_MIN", -0.1)
+        tied = sp1_sweep(inst, record_ties=True)
         assert [(s.design, s.epsilon) for s in tied[:3]] == [
             ((0, 0), None),
             ((1, 0), -0.1),
             ((0, 1), -0.1),
         ]
-        assert sp1_sweep(inst, eps_min=-0.1)[1].design == (0, 1)
+        assert sp1_sweep(inst)[1].design == (0, 1)
 
-    def test_matches_exhaustive_search(self):
+    def test_matches_exhaustive_search(self, monkeypatch):
         # independent oracle: enumerate the whole feasible grid and
         # evaluate each design by brute-force state enumeration
         rng = np.random.default_rng(43)
@@ -260,7 +260,8 @@ class TestPenalizedSolve:
             if not feas:
                 continue
             best = min(v for v, _ in feas)
-            sols = sp1_sweep(inst, eps_min=eps, delta=delta)
+            monkeypatch.setattr(dop, "EPS_MIN", eps)
+            sols = sp1_sweep(inst, delta=delta)
             sol = next(s for s in sols if s.epsilon == eps)
             assert sol.objective == pytest.approx(best, rel=1e-9, abs=1e-12)
             checked += 1
@@ -289,20 +290,18 @@ class TestSweep:
         sols = sp1_sweep(inst)
         assert [s.design for s in sols] == [(0,), (1,), (2,)]
 
-    def test_huge_step_jumps_to_the_extreme(self, base_instance):
-        sols = sp1_sweep(base_instance, delta_eps=-1000.0)
+    def test_huge_step_jumps_to_the_extreme(self, base_instance, monkeypatch):
+        monkeypatch.setattr(dop, "DELTA_EPS", -1000.0)
+        sols = sp1_sweep(base_instance)
         assert [(s.design, s.tag) for s in sols] == [
             ((0, 0, 0, 0), "trivial"),
             ((0, 5, 0, 0), "reliability"),
         ]
 
-    def test_start_below_the_extreme(self, base_instance):
-        sols = sp1_sweep(base_instance, eps_min=-30.0)
+    def test_start_below_the_extreme(self, base_instance, monkeypatch):
+        monkeypatch.setattr(dop, "EPS_MIN", -30.0)
+        sols = sp1_sweep(base_instance)
         assert [s.tag for s in sols] == ["trivial", "reliability"]
-
-    def test_step_must_be_negative(self, base_instance):
-        with pytest.raises(ValueError):
-            sp1_sweep(base_instance, delta_eps=0.1)
 
     def test_tie_recording(self):
         inst = _identical_pair()
@@ -376,11 +375,11 @@ class TestOneEnumerationPerSweep:
 class TestAgainstReference:
     """The sorted-table sweep against the per-cap masked argmin, bit for bit."""
 
-    ARGUMENTS = [
-        {},
-        {"eps_min": -2.0, "delta_eps": -0.05, "delta": 0.0},
-        {"delta_eps": -1e-3, "delta": 0.5},
-        {"eps_min": -0.5, "delta_eps": -0.3, "delta": 2.0},
+    ARGUMENTS = [  # (EPS_MIN, DELTA_EPS, delta)
+        (0.0, -0.1, 0.1),
+        (-2.0, -0.05, 0.0),
+        (0.0, -1e-3, 0.5),
+        (-0.5, -0.3, 2.0),
     ]
 
     @staticmethod
@@ -397,14 +396,18 @@ class TestAgainstReference:
             twin = ComponentType(**{**vars(comps[0]), "label": "twin"})
             yield make_instance(comps + [twin], np.hstack([a, a[:, :1]]), [8.0] * len(a))
 
-    def test_sweeps_and_extreme_match(self, base_instance, large_instance, instances_dir):
+    def test_sweeps_and_extreme_match(
+        self, base_instance, large_instance, instances_dir, monkeypatch
+    ):
         fields = lambda s: (s.design, s.g_o, s.ln_g_f, s.tag, s.epsilon, s.objective)
         for inst in self._instances(base_instance, large_instance, instances_dir):
             assert solve_fdop(inst) == reference_fdop(inst)
-            for kwargs in self.ARGUMENTS:
+            for eps_min, delta_eps, delta in self.ARGUMENTS:
+                monkeypatch.setattr(dop, "EPS_MIN", eps_min)
+                monkeypatch.setattr(dop, "DELTA_EPS", delta_eps)
                 for ties in (False, True):
-                    got = sp1_sweep(inst, record_ties=ties, **kwargs)
-                    want = reference_sweep(inst, record_ties=ties, **kwargs)
+                    got = sp1_sweep(inst, delta=delta, record_ties=ties)
+                    want = reference_sweep(inst, eps_min, delta_eps, delta, record_ties=ties)
                     assert list(map(fields, got)) == list(map(fields, want))
 
 

@@ -7,6 +7,9 @@ the repository root (``<d>`` is ``--design 3,4,4`` on
 - ``app`` and ``exact`` on ``instances/base-6-20.json`` and ``exact`` on
   ``perfbench/data/single-1.json`` (``base-app.front``,
   ``base-exact.front``, ``single-1-exact.front``);
+- ``dop`` on ``instances/base-6-20.json`` with ``--front-out
+  base-dop.front`` (``base-dop.static``); with ``--delta 0 --ties`` it
+  writes the same two files;
 - ``dmp <d>`` (``large-3-344.gain``) and ``dmp <d> --penalty 1e5
   --policy-out large-3-344-p1e5.policy`` (``large-3-344-p1e5.gain``);
 - ``simulate <d> --policy-file large-3-344-p1e5.policy --horizon 1e5
@@ -14,9 +17,9 @@ the repository root (``<d>`` is ``--design 3,4,4`` on
 
 Fronts must list the same (provenance, design) rows with every point
 matched at 1e-9 both ways, reports must agree within 1e-12 relative, and
-the policy file byte for byte.  ``large-3-exact.front`` (``exact`` on
-``perfbench/data/large-3.json``, over a minute) is checked by CI with
-``parmaint compare``, not here.
+the policy file and ``dop``'s files byte for byte.
+``large-3-exact.front`` (``exact`` on ``perfbench/data/large-3.json``,
+over a minute) is checked by CI with ``parmaint compare``, not here.
 """
 
 import math
@@ -76,6 +79,19 @@ def test_front(argv, golden, tmp_path):
     for front, reference in ((got, want), (want, got)):
         report = compare_fronts(front, reference)
         assert report.count("matched") == len(front)
+
+
+@pytest.mark.parametrize("options", [[], ["--delta", "0", "--ties"]], ids=["default", "ties"])
+def test_dop(options, tmp_path, capsys):
+    static, front = tmp_path / "base-dop.static", tmp_path / "base-dop.front"
+    _run(["dop", BASE, *options, "--front-out", str(front)], static)
+    assert static.read_bytes() == (DATA / "base-dop.static").read_bytes()
+    assert front.read_bytes() == (DATA / "base-dop.front").read_bytes()
+    assert capsys.readouterr().out.splitlines() == [
+        f"static front: 6 designs -> {static}",
+        "reliability extreme: 0,5,0,0",
+        f"non-dominated static front: 6 points -> {front}",
+    ]
 
 
 def test_design_reports_and_policy(tmp_path):

@@ -15,7 +15,6 @@ from parmaint.sim import (
     MAX_BATCHES,
     MIN_FAILURE_ENTRIES,
     SIM_EVENT_CEILING,
-    SimReport,
     _batch_runs,
     simulate_policy,
 )
@@ -61,23 +60,6 @@ class TestReportStructure:
         assert r.horizon == 20000.0
         assert r.seed == 0
         assert r.events >= r.failure_entries > 0
-
-    def test_ln_g_f(self, single_report):
-        assert single_report.ln_g_f == pytest.approx(
-            math.log(single_report.g_f), rel=1e-12
-        )
-        zero = SimReport(
-            g_o=0.0,
-            g_f=0.0,
-            se_g_o=0.0,
-            se_g_f=0.0,
-            horizon=1.0,
-            batches=2,
-            seed=0,
-            events=0,
-            failure_entries=0,
-        )
-        assert zero.ln_g_f == -math.inf
 
 
 class TestDeterminism:
