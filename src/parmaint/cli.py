@@ -10,6 +10,7 @@ and 1 on errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from parmaint import app as app_mod
@@ -26,25 +27,23 @@ EXIT_ERROR = 1
 EXIT_FLAGGED = 2
 
 
-def _numbers(flag, text, kind):
-    """The comma-separated values of a flag, each parsed by ``kind``."""
-    try:
-        return [kind(v) for v in text.split(",")]
-    except ValueError:
-        what = "integers" if kind is int else "numbers"
-        raise ValueError(f"{flag} needs comma-separated {what}, got {text!r}") from None
-
-
-def _load(args):
-    instance = load_instance(args.instance)
-    if args.multipliers:
-        values = _numbers("--multipliers", args.multipliers, float)
-        instance = instance.modified(rate_multipliers=values)
-    return instance
+def _check_outputs(args):
+    """Fail before any work when an output path cannot be written: its
+    directory is missing or it is a directory itself."""
+    for flag in ("--out", "--front-out", "--policy-out"):
+        path = getattr(args, flag[2:].replace("-", "_"), None) or ""
+        folder = os.path.dirname(path)
+        if folder and not os.path.isdir(folder):
+            raise ValueError(f"{flag} {path}: no directory {folder}")
+        if os.path.isdir(path):
+            raise ValueError(f"{flag} {path} is a directory")
 
 
 def _parse_design(instance, text):
-    counts = _numbers("--design", text, int)
+    try:
+        counts = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--design needs comma-separated integers, got {text!r}") from None
     if len(counts) != instance.n_types:
         raise InstanceError(
             f"design needs {instance.n_types} counts, got {len(counts)}"
@@ -58,7 +57,7 @@ def _parse_design(instance, text):
 
 
 def cmd_instance_validate(args) -> int:
-    instance = _load(args)
+    instance = load_instance(args.instance)
     print(f"instance ok: {instance.n_types} component types")
     print(f"priority order (by usage cost): {', '.join(instance.labels)}")
     print("unavailability:", " ".join(io.fmt(q) for q in instance.q_vector()))
@@ -69,7 +68,7 @@ def cmd_instance_validate(args) -> int:
 
 
 def cmd_dop(args) -> int:
-    instance = _load(args)
+    instance = load_instance(args.instance)
     solutions = sp1_sweep(instance, delta=args.delta, record_ties=args.ties)
     io.write_static_table(args.out, instance, solutions)
     print(f"static front: {len(solutions)} designs -> {args.out}")
@@ -89,29 +88,26 @@ def _report_flags(notes) -> int:
     return EXIT_FLAGGED if notes else EXIT_OK
 
 
-def _report_front(front, instance, out, plot_out, label) -> int:
+def _report_front(front, instance, out, label) -> int:
     io.write_front(out, instance, front)
     print(f"{label}: {len(front)} points -> {out}")
-    if plot_out:
-        io.write_plot_data(plot_out, instance, front)
-        print(f"plot data -> {plot_out}")
     return _report_flags(front.notes)
 
 
 def cmd_app(args) -> int:
-    instance = _load(args)
+    instance = load_instance(args.instance)
     front = app_mod.run_app(instance)
-    return _report_front(front, instance, args.out, args.plot_out, "heuristic front")
+    return _report_front(front, instance, args.out, "heuristic front")
 
 
 def cmd_exact(args) -> int:
-    instance = _load(args)
+    instance = load_instance(args.instance)
     front = exact_front(instance)
-    return _report_front(front, instance, args.out, args.plot_out, "exact front")
+    return _report_front(front, instance, args.out, "exact front")
 
 
 def cmd_dmp(args) -> int:
-    instance = _load(args)
+    instance = load_instance(args.instance)
     design = _parse_design(instance, args.design)
     model = build_model(instance, design=design)
     if args.penalty is None:
@@ -131,39 +127,25 @@ def cmd_dmp(args) -> int:
 def cmd_simulate(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-    if args.policy_file and args.penalty is not None:
-        raise ValueError("--penalty and --policy-file each choose the policy; give one")
-    instance = _load(args)
+    instance = load_instance(args.instance)
     design = _parse_design(instance, args.design)
     model = build_model(instance, design=design)
-    notes = []
     if args.policy_file:
         policy = io.read_policy(args.policy_file, model)
-    elif args.penalty is not None:
-        point = app_mod._solve_point(model, design, args.penalty, None, app_mod.EXACT)
-        policy = point.policy
-        notes = app_mod.flag_notes(instance, design, point.flags, point)
     else:
         policy = fully_active_policy(model)
-    report = simulate_policy(
-        model,
-        policy,
-        horizon=args.horizon,
-        batches=args.batches,
-        seed=args.seed,
-    )
+    report = simulate_policy(model, policy, horizon=args.horizon, seed=args.seed)
     io.write_sim_report(args.out, report)
     print(
         f"g_o = {io.fmt(report.g_o)} +- {io.fmt(report.se_g_o)}   "
         f"g_f = {io.fmt(report.g_f)} +- {io.fmt(report.se_g_f)}"
     )
     print(f"simulation report -> {args.out}")
-    if report.rare_failure:
-        entries = f"only {report.failure_entries} failure entries"
-        notes += app_mod.flag_notes(
-            instance, design, [f"{entries}; g_f estimate is unreliable at this horizon"]
-        )
-    return _report_flags(notes)
+    if not report.rare_failure:
+        return EXIT_OK
+    entries = f"only {report.failure_entries} failure entries"
+    flags = [f"{entries}; g_f estimate is unreliable at this horizon"]
+    return _report_flags(app_mod.flag_notes(instance, design, flags))
 
 
 def cmd_compare(args) -> int:
@@ -180,11 +162,7 @@ def cmd_compare(args) -> int:
 
 
 def _add_common(sub):
-    sub.add_argument("instance", help="instance file (json or table form)")
-    sub.add_argument(
-        "--multipliers",
-        help="comma-separated per-type factors applied to both event rates",
-    )
+    sub.add_argument("instance", help="instance file (JSON)")
     sub.add_argument(
         "--threads",
         type=int,
@@ -228,13 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
     appc = subs.add_parser("app", help="two-stage heuristic front")
     _add_common(appc)
     appc.add_argument("--out", default="parmaint_front.txt")
-    appc.add_argument("--plot-out", default=None)
     appc.set_defaults(func=cmd_app)
 
     ex = subs.add_parser("exact", help="exact front over all feasible designs")
     _add_common(ex)
     ex.add_argument("--out", default="parmaint_exact.txt")
-    ex.add_argument("--plot-out", default=None)
     ex.set_defaults(func=cmd_exact)
 
     dmp = subs.add_parser("dmp", help="solve one design's repair problem")
@@ -253,10 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
     simc = subs.add_parser("simulate", help="simulate a design under a policy")
     _add_common(simc)
     simc.add_argument("--design", required=True)
-    simc.add_argument("--penalty", type=float, default=None)
-    simc.add_argument("--policy-file", default=None)
+    simc.add_argument(
+        "--policy-file", default=None, help="policy to simulate; omitted means full repair"
+    )
     simc.add_argument("--horizon", type=float, default=1e5)
-    simc.add_argument("--batches", type=int, default=20)
     simc.add_argument("--seed", type=int, default=0)
     simc.add_argument("--out", default="parmaint_sim.txt")
     simc.set_defaults(func=cmd_simulate)
@@ -273,6 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except (StateSpaceError, EnumerationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,9 +6,17 @@ scalarization of Aneja and Nair (1979) (each point the exact (g_o, g_f)
 of a certified solve's policy, or of full repair), and merges them into
 one non-dominated front.  The bi-objective integrated problem
 decomposes over fixed designs, so this is an exact oracle for the
-heuristic to be judged against.  The front found so far bounds the
-traces to come, as in bi-objective branch and bound (Ehrgott and
-Gandibleux, *Computers & Operations Research* 34, 2007).
+heuristic to be judged against, within one policy class: it computes
+the non-dominated set of every design's *supported* policies, the
+vertices of the lower convex hull of the design's policies in linear
+``(g_o, g_f)``.  It is not exact for all deterministic policies, whose
+front also holds unsupported points (at least 275 on the base
+instance, against its 18), nor for randomized ones, whose mixtures of
+two supported policies lie on the chord between them (another design's
+chord beats 6 of base's 18 points).
+The front found so far bounds the traces to come, as in bi-objective
+branch and bound (Ehrgott and Gandibleux, *Computers & Operations
+Research* 34, 2007).
 """
 
 from __future__ import annotations
@@ -47,7 +55,9 @@ DICHOTOMIC_RTOL = 1e-9  # relative margin a segment's solve must beat its ends b
 
 
 def _trace_design(instance, design, front=()):
-    """Supported points of one design's policy trade-off curve.
+    """Supported points of one design's policy trade-off curve: the
+    vertices of the lower convex hull of its policies' ``(g_o, g_f)``,
+    from the cheapest to full repair.
 
     The trace runs from the cheapest policy (the solve at penalty 0) to
     full repair, the limit of the penalty-optimal policies as the
@@ -95,7 +105,8 @@ def _trace_design(instance, design, front=()):
 
 
 def exact_front(instance) -> ParetoFront:
-    """Non-dominated front over all feasible designs and their policies.
+    """Non-dominated front over all feasible designs and their supported
+    policies (see the module docstring for what it leaves out).
 
     Designs are traced in ascending closed-form full-repair cost rate
     (ties in lexicographic order), each against the front merged so far.

@@ -22,7 +22,6 @@ __all__ = [
     "write_static_table",
     "write_front",
     "read_front",
-    "write_plot_data",
     "write_gain_report",
     "write_policy",
     "read_policy",
@@ -133,19 +132,6 @@ def read_front(path) -> ParetoFront:
             raise ValueError(f"bad front values: {line!r}")
         points.append(SolutionPoint(g_o, ln_g_f, design, toks[0], penalty))
     return ParetoFront(points=tuple(points), notes=tuple(notes))
-
-
-def write_plot_data(path, instance, front) -> None:
-    """Per-design series of (g_o, ln_g_f) rows for external plotting."""
-    series = {}
-    for p in front.points:
-        series.setdefault(instance.to_catalog(p.design), []).append(p)
-    with open(path, "w") as fh:
-        fh.write("# parmaint plot data: g_o ln_g_f per design series\n")
-        for design in sorted(series):
-            fh.write(f"\n# series: {','.join(str(c) for c in design)}\n")
-            for p in sorted(series[design], key=lambda q: (q.g_o, -q.ln_g_f)):
-                fh.write(f"{fmt(p.g_o)} {fmt(p.ln_g_f)}\n")
 
 
 # ---------------------------------------------------------------- gain reports

@@ -290,9 +290,9 @@ _COMPONENT_KEYS = {
 def _number(value, record: str, field: str) -> float:
     """A numeric field of an instance record as a float.
 
-    Numbers and numeric text (the table form's values) are accepted;
-    anything else, ``null``, booleans, lists and mappings included,
-    raises an InstanceError naming the record and the field.
+    Numbers and numeric text are accepted; anything else, ``null``,
+    booleans, lists and mappings included, raises an InstanceError
+    naming the record and the field.
     """
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
@@ -373,57 +373,9 @@ def _instance_from_document(doc: dict) -> Instance:
     return make_instance(components, a, b, names)
 
 
-def _parse_kv_tokens(tokens, where):
-    out = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise InstanceError(f"expected key=value token in {where}, got {tok!r}")
-        key, _, val = tok.partition("=")
-        out[key.strip()] = val.strip()
-    return out
-
-
-def _instance_from_table(text: str) -> Instance:
-    comps = []
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kind = parts[0].lower()
-        if kind == "component":
-            if len(parts) < 3:
-                raise InstanceError(f"line {lineno}: component needs a label and fields")
-            rec = _parse_kv_tokens(parts[2:], f"line {lineno}")
-            rec["label"] = parts[1]
-            comps.append(rec)
-        elif kind == "constraint":
-            if len(parts) < 3:
-                raise InstanceError(f"line {lineno}: constraint needs a name and fields")
-            kv = _parse_kv_tokens(parts[2:], f"line {lineno}")
-            if "bound" not in kv or "coeffs" not in kv:
-                raise InstanceError(f"line {lineno}: constraint needs bound= and coeffs=")
-            rows.append(
-                {
-                    "name": parts[1],
-                    "bound": kv["bound"],
-                    "coefficients": kv["coeffs"].split(","),
-                }
-            )
-        else:
-            raise InstanceError(f"line {lineno}: unknown record kind {parts[0]!r}")
-    return _instance_from_document({"components": comps, "constraints": rows})
-
-
 def load_instance(source) -> Instance:
-    """Load an instance from a file path or an already-parsed document.
-
-    Two file encodings are accepted and interchangeable: a JSON document
-    (``{"components": [...], "constraints": [...]}``) and a line-oriented
-    table (``component``/``constraint`` records with key=value fields).
-    The encoding is detected from the content.
-    """
+    """Load an instance from a JSON file's path or an already-parsed
+    document (``{"components": [...], "constraints": [...]}``)."""
     if isinstance(source, dict):
         return _instance_from_document(source)
     path = Path(source)
@@ -431,14 +383,11 @@ def load_instance(source) -> Instance:
         text = path.read_text()
     except OSError as exc:
         raise InstanceError(f"cannot read instance file {path}: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InstanceError(f"{path}: invalid JSON: {exc}") from exc
-        return _instance_from_document(doc)
-    return _instance_from_table(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InstanceError(f"{path}: invalid JSON: {exc}") from exc
+    return _instance_from_document(doc)
 
 
 def instance_document(instance: Instance) -> dict:

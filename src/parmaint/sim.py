@@ -27,9 +27,9 @@ MIN_FAILURE_ENTRIES = 100
 # horizon * max outflow bounds the expected event count of a run; above
 # this it would not finish in any useful time
 SIM_EVENT_CEILING = 1e10
-# each batch gets its own seeded stream, allocated before the run; a
-# count past this is a typo, not a run
-MAX_BATCHES = 10_000
+# replications per run, each on its own seeded stream; their means give
+# the estimates and their spread the standard errors
+BATCHES = 20
 # uniforms per replication come in chunks that double up to the cap, two
 # per event; the loop walks one chunk's jumps at a time, so a replication
 # walks fewer than CHUNK_CAP / 2 jumps past its horizon
@@ -126,34 +126,28 @@ def _replicate(model, nodes, cur, t_end, rng, chunk=CHUNK_START):
     return float(acc_o), float(acc_f), events, fails, int(cur)
 
 
-def _batch_runs(model, policy, horizon, batches, seed, chunk=CHUNK_START):
+def _batch_runs(model, policy, horizon, seed, chunk=CHUNK_START):
     """The batches of a run from state 0: ``horizon`` split into
-    ``batches`` replications, each on its own Philox stream spawned from
+    ``BATCHES`` replications, each on its own Philox stream spawned from
     ``seed``.  Returns the per-batch g_o and g_f means as arrays and the
     per-batch event and failure-entry counts."""
     nodes = _compile(model, policy)
     start_post = int(policy.post_ids[0])
-    t_batch = float(horizon) / batches
+    t_batch = float(horizon) / BATCHES
     runs = [
         _replicate(
             model, nodes, start_post, t_batch, np.random.Generator(np.random.Philox(child)), chunk
         )
-        for child in np.random.SeedSequence(seed).spawn(batches)
+        for child in np.random.SeedSequence(seed).spawn(BATCHES)
     ]
     acc_o, acc_f, events, fails, _ = zip(*runs)
     return np.array(acc_o) / t_batch, np.array(acc_f) / t_batch, events, fails
 
 
-def simulate_policy(
-    model,
-    policy,
-    horizon: float,
-    batches: int = 20,
-    seed: int = 0,
-) -> SimReport:
+def simulate_policy(model, policy, horizon: float, seed: int = 0) -> SimReport:
     """Estimate a policy's long-run cost pair by simulation.
 
-    The horizon is split into ``batches`` independent replications from
+    The horizon is split into ``BATCHES`` independent replications from
     state 0 (every copy working), each on its own spawned stream, so
     identical inputs give identical output and batch standard errors are
     honest.
@@ -166,8 +160,6 @@ def simulate_policy(
         raise ValueError("policy belongs to another model")
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    if not 2 <= batches <= MAX_BATCHES:
-        raise ValueError(f"batches must lie in [2, {MAX_BATCHES}], got {batches}")
     bound = horizon * model.max_outflow
     if bound > SIM_EVENT_CEILING:
         raise ValueError(
@@ -175,16 +167,16 @@ def simulate_policy(
             f"(horizon times the largest outflow), over the ceiling of "
             f"{SIM_EVENT_CEILING:.3g}"
         )
-    means_o, means_f, events, fails = _batch_runs(model, policy, horizon, batches, seed)
-    se_o = float(means_o.std(ddof=1) / math.sqrt(batches))
-    se_f = float(means_f.std(ddof=1) / math.sqrt(batches))
+    means_o, means_f, events, fails = _batch_runs(model, policy, horizon, seed)
+    se_o = float(means_o.std(ddof=1) / math.sqrt(BATCHES))
+    se_f = float(means_f.std(ddof=1) / math.sqrt(BATCHES))
     return SimReport(
         g_o=float(means_o.mean()),
         g_f=float(means_f.mean()),
         se_g_o=se_o,
         se_g_f=se_f,
         horizon=float(horizon),
-        batches=batches,
+        batches=BATCHES,
         seed=seed,
         events=sum(events),
         failure_entries=sum(fails),

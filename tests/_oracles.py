@@ -366,6 +366,25 @@ def iterate_policies(model, limit=None):
     ]
 
 
+def lower_left_hull(pairs, rtol=1e-12):
+    """Vertices of the lower convex hull of ``(g_o, g_f)`` pairs, from the
+    cheapest pair to the first of least ``g_f``, by Andrew's monotone
+    chain; a middle point within ``rtol`` relative of its chord is no
+    vertex."""
+    hull = []
+    for p in sorted(set(pairs)):
+        while len(hull) >= 2:
+            (ax, ay), (bx, by) = hull[-2], hull[-1]
+            cross = (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax)
+            scale = abs(bx - ax) * abs(p[1] - ay) + abs(by - ay) * abs(p[0] - ax)
+            if cross > rtol * scale:
+                break
+            hull.pop()
+        hull.append(p)
+    end = min(range(len(hull)), key=lambda i: (hull[i][1], hull[i][0]))
+    return hull[: end + 1]
+
+
 def nondominated_values(values, tol):
     """Coordinate pairs not dominated by any other, quadratic scan."""
     keep = []

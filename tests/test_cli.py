@@ -14,7 +14,9 @@ from parmaint.ctmdp import build_model
 from parmaint.dop import sp1_sweep
 from parmaint.exact import exact_front
 from parmaint.io import read_front, read_policy
+from parmaint.mdp_solve import fully_active_policy
 from parmaint.model import load_instance, write_instance
+from parmaint.sim import simulate_policy
 
 from _oracles import revalidate_front, single_type_instance
 
@@ -38,21 +40,19 @@ class TestValidate:
         assert "instance ok: 4 component types" in out
         assert "copy bounds (priority order): 4 5 4 5" in out
 
-    def test_table_instance(self, instances_dir, capsys):
-        path = str(instances_dir / "base-6-20")
-        assert main(["instance", "validate", path]) == EXIT_OK
-        assert "instance ok" in capsys.readouterr().out
-
     def test_missing_file(self, tmp_path, capsys):
         code = main(["instance", "validate", str(tmp_path / "nope.json")])
         assert code == EXIT_ERROR
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_uniform_multipliers_leave_unavailability(self, base_path, capsys):
+    def test_uniform_multipliers_leave_unavailability(
+        self, base_path, base_instance, tmp_path, capsys
+    ):
         assert main(["instance", "validate", base_path]) == EXIT_OK
         plain = capsys.readouterr().out
-        code = main(["instance", "validate", base_path, "--multipliers", "2,2,2,2"])
-        assert code == EXIT_OK
+        path = tmp_path / "scaled.json"
+        write_instance(base_instance.modified(rate_multipliers=[2, 2, 2, 2]), path)
+        assert main(["instance", "validate", str(path)]) == EXIT_OK
         scaled = capsys.readouterr().out
         line = next(l for l in plain.splitlines() if l.startswith("unavailability:"))
         assert line in scaled
@@ -134,17 +134,6 @@ class TestValidate:
         assert err.startswith(f"error: {reason}")
         assert "Traceback" not in err
 
-    def test_bad_multiplier_count(self, base_path, capsys):
-        code = main(["instance", "validate", base_path, "--multipliers", "2,2"])
-        assert code == EXIT_ERROR
-        assert "error:" in capsys.readouterr().err
-
-    def test_non_numeric_multiplier(self, base_path, capsys):
-        code = main(["instance", "validate", base_path, "--multipliers", "1,a,1,1"])
-        assert code == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err == "error: --multipliers needs comma-separated numbers, got '1,a,1,1'\n"
-
 
 class TestDop:
     def test_static_table(self, base_path, base_instance, tmp_path, capsys):
@@ -202,17 +191,13 @@ class TestApp:
         assert main(["app", base_path, "--out", str(b), "--threads", "2"]) == EXIT_OK
         assert a.read_text() == b.read_text()
 
-    def test_uniform_rate_scaling_keeps_front(self, base_path, tmp_path):
+    def test_uniform_rate_scaling_keeps_front(self, base_path, base_instance, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
-        code = main(
-            ["app", base_path, "--out", str(a), "--multipliers", "1,1,1,1"]
-        )
-        assert code == EXIT_OK
-        code = main(
-            ["app", base_path, "--out", str(b), "--multipliers", "5,5,5,5"]
-        )
-        assert code == EXIT_OK
+        scaled = tmp_path / "scaled.json"
+        write_instance(base_instance.modified(rate_multipliers=[5, 5, 5, 5]), scaled)
+        assert main(["app", base_path, "--out", str(a)]) == EXIT_OK
+        assert main(["app", str(scaled), "--out", str(b)]) == EXIT_OK
         fa = read_front(a)
         fb = read_front(b)
         assert len(fa) == len(fb)
@@ -234,13 +219,6 @@ class TestApp:
         with pytest.raises(SystemExit) as exc:
             main(["app", base_path, "--out", str(tmp_path / "f.txt"), "--mode", "sweep"])
         assert exc.value.code == 2
-
-    def test_plot_out(self, tiny_path, tmp_path):
-        out = tmp_path / "front.txt"
-        plot = tmp_path / "plot.txt"
-        code = main(["app", tiny_path, "--out", str(out), "--plot-out", str(plot)])
-        assert code == EXIT_OK
-        assert plot.read_text().startswith("# parmaint plot data")
 
 
 class TestExact:
@@ -305,6 +283,26 @@ class TestExact:
         (lambda path, out: sp1_sweep(load_instance(path), eps_min=0.0), TypeError),
         (lambda path, out: sp2(load_instance(path), (1, 0, 0, 0), p_min=1.0), TypeError),
         (lambda path, out: run_app(load_instance(path), delta_p=2.0), TypeError),
+        (lambda path, out: main(["instance", "validate", path, "--multipliers", "2,2,2,2"]),
+         SystemExit),
+        (lambda path, out: main(["dop", path, "--out", out, "--multipliers", "2,2,2,2"]),
+         SystemExit),
+        (lambda path, out: main(["app", path, "--out", out, "--multipliers", "2,2,2,2"]),
+         SystemExit),
+        (lambda path, out: main(["exact", path, "--out", out, "--multipliers", "2,2,2,2"]),
+         SystemExit),
+        (lambda path, out: main(["dmp", path, "--design", "1,0,0,0", "--out", out,
+                                 "--multipliers", "2,2,2,2"]), SystemExit),
+        (lambda path, out: main(["simulate", path, "--design", "1,0,0,0", "--out", out,
+                                 "--multipliers", "2,2,2,2"]), SystemExit),
+        (lambda path, out: main(["app", path, "--out", out, "--plot-out", out]), SystemExit),
+        (lambda path, out: main(["exact", path, "--out", out, "--plot-out", out]), SystemExit),
+        (lambda path, out: main(["simulate", path, "--design", "1,0,0,0", "--out", out,
+                                 "--penalty", "100"]), SystemExit),
+        (lambda path, out: main(["simulate", path, "--design", "1,0,0,0", "--out", out,
+                                 "--batches", "20"]), SystemExit),
+        (lambda path, out: _simulate_base(path, batches=20), TypeError),
+        (lambda path, out: _validate_table_form(out), EXIT_ERROR),
     ],
     ids=[
         "dop-tolerance",
@@ -329,18 +327,94 @@ class TestExact:
         "sp1_sweep-eps_min",
         "sp2-p_min",
         "run_app-delta_p",
+        "instance-validate-multipliers",
+        "dop-multipliers",
+        "app-multipliers",
+        "exact-multipliers",
+        "dmp-multipliers",
+        "simulate-multipliers",
+        "app-plot-out",
+        "exact-plot-out",
+        "simulate-penalty",
+        "simulate-batches",
+        "simulate_policy-batches",
+        "instance-validate-table-form",
     ],
 )
-def test_front_builder_options_removed(base_path, tmp_path, call, error):
+def test_front_builder_options_removed(base_path, tmp_path, capsys, call, error):
     # the front builders dedupe and compare judges at DOM_TOL only, only
     # dop keeps --ties, the exact front always covers every feasible
-    # design, instances are written as JSON only, and the sweep schedule
-    # is fixed (dop keeps only --delta)
-    with pytest.raises(error) as exc:
-        call(base_path, str(tmp_path / "f.txt"))
-    if error is SystemExit:
-        assert exc.value.code == 2
+    # design, instances are written and read as JSON only, the sweep
+    # schedule is fixed (dop keeps only --delta), rates are scaled in the
+    # instance file, fronts are plotted from the front file, simulate
+    # takes its policy from a file, and a run has sim.BATCHES batches
+    out = str(tmp_path / "f.txt")
+    if error == EXIT_ERROR:
+        assert call(base_path, out) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "invalid JSON" in err
+    else:
+        with pytest.raises(error) as exc:
+            call(base_path, out)
+        if error is SystemExit:
+            assert exc.value.code == 2
     assert not (tmp_path / "f.txt").exists()
+
+
+def _simulate_base(path, **options):
+    model = build_model(load_instance(path), (1, 0, 0, 0))
+    return simulate_policy(model, fully_active_policy(model), horizon=10.0, **options)
+
+
+def _validate_table_form(out):
+    # the line-oriented table form of a one-type instance
+    table = pathlib.Path(out).with_name("one-type.table")
+    table.write_text(
+        "component 1 p=0.99 tau=1 usage_cost=1 repair_cost=100 install_cost=3 weight=5\n"
+        "constraint cost bound=20 coeffs=3\n"
+    )
+    return main(["instance", "validate", str(table)])
+
+
+class TestOutputPaths:
+    """Every output path is checked before the run, so a typo costs no
+    front: the reason names the flag and the missing directory."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["app", "--out"], "--out"),
+            (["dop", "--out", "{tmp}/static.txt", "--front-out"], "--front-out"),
+            (["dmp", "--design", "1,0,0,0", "--out", "{tmp}/gain.txt", "--policy-out"],
+             "--policy-out"),
+        ],
+        ids=["app-out", "dop-front-out", "dmp-policy-out"],
+    )
+    def test_missing_directory(self, base_path, tmp_path, capsys, argv, flag):
+        missing = tmp_path / "missing"
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        code = main([argv[0], base_path, *argv[1:], str(missing / "f.txt")])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {flag} {missing / 'f.txt'}: no directory {missing}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_directory_as_output(self, base_path, tmp_path, capsys):
+        assert main(["app", base_path, "--out", str(tmp_path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: --out {tmp_path} is a directory\n"
+
+    def test_exact_on_large_3_fails_at_once(self, instances_dir, tmp_path):
+        # the whole large-3 front takes over a minute; the check comes first
+        out = tmp_path / "missing" / "exact.txt"
+        large = instances_dir.parent / "perfbench" / "data" / "large-3.json"
+        env = dict(os.environ, PYTHONPATH=str(instances_dir.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "parmaint.cli", "exact", str(large), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert done.returncode == EXIT_ERROR
+        assert done.stderr == f"error: --out {out}: no directory {out.parent}\n"
 
 
 @pytest.mark.parametrize("command", ["dop", "app"])
@@ -389,19 +463,22 @@ class TestFlags:
         assert capsys.readouterr().err.splitlines() == [f"flag: {note}" for note in notes]
 
     def test_uncertified_solve_flags_dmp_and_simulate(self, stress_path, tmp_path, capsys):
+        # dmp flags its uncertified solve; simulate of that policy flags
+        # only what it saw itself
         flag = "flag: design (6,) penalty 6000006000.977458: unconverged"
-        argv = ["--design", "6", "--penalty", "6000006000.977458"]
-        sim = tmp_path / "sim.txt"
-        code = main(["simulate", stress_path, *argv, "--horizon", "1e3", "--out", str(sim)])
-        assert code == EXIT_FLAGGED
-        assert capsys.readouterr().err.splitlines() == [
-            flag,
-            "flag: design (6,): only 0 failure entries; g_f estimate is unreliable "
-            "at this horizon",
-        ]
+        pol = tmp_path / "policy.txt"
+        argv = ["--design", "6", "--penalty", "6000006000.977458", "--policy-out", str(pol)]
         code = main(["dmp", stress_path, *argv, "--out", str(tmp_path / "gain.txt")])
         assert code == EXIT_FLAGGED
         assert capsys.readouterr().err.splitlines() == [flag]
+        sim = tmp_path / "sim.txt"
+        argv = ["--design", "6", "--policy-file", str(pol), "--horizon", "1e3"]
+        code = main(["simulate", stress_path, *argv, "--out", str(sim)])
+        assert code == EXIT_FLAGGED
+        assert capsys.readouterr().err.splitlines() == [
+            "flag: design (6,): only 0 failure entries; g_f estimate is unreliable "
+            "at this horizon",
+        ]
 
     def test_full_repair_point_checks_the_closed_form(self, base_path, tmp_path, capsys,
                                                       monkeypatch):
@@ -626,18 +703,6 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
         assert not out.exists()
 
-    def test_batches_beyond_ceiling(self, base_path, tmp_path, capsys):
-        out = tmp_path / "sim.txt"
-        start = time.perf_counter()
-        code = main(
-            ["simulate", base_path, "--design", "1,0,0,0", "--horizon", "100",
-             "--batches", "1000000000", "--out", str(out)]
-        )
-        assert time.perf_counter() - start < 1.0
-        assert code == EXIT_ERROR
-        assert "batches must lie in [2, 10000], got 1000000000" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_policy_file_round_trip(self, base_path, tmp_path):
         pol = tmp_path / "policy.txt"
         gain = tmp_path / "gain.txt"
@@ -742,23 +807,6 @@ class TestSimulate:
             assert code == EXIT_ERROR
             assert capsys.readouterr().err == f"error: {pol} has no policy header\n"
             assert not out.exists()
-
-    def test_penalty_with_policy_file_rejected(self, base_path, tmp_path, capsys):
-        pol = tmp_path / "policy.txt"
-        code = main(
-            ["dmp", base_path, "--design", "1,0,0,0", "--penalty", "100",
-             "--out", str(tmp_path / "gain.txt"), "--policy-out", str(pol)]
-        )
-        assert code == EXIT_OK
-        out = tmp_path / "sim.txt"
-        code = main(
-            ["simulate", base_path, "--design", "1,0,0,0", "--policy-file", str(pol),
-             "--penalty", "100", "--horizon", "100", "--out", str(out)]
-        )
-        assert code == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert "--penalty" in err and "--policy-file" in err
-        assert not out.exists()
 
 
 class TestCompare:

@@ -19,6 +19,7 @@ from parmaint.model import load_instance
 from _oracles import (
     grid_feasible_designs,
     iterate_policies,
+    lower_left_hull,
     nondominated_values,
     reference_trace_design,
     revalidate_front,
@@ -355,6 +356,40 @@ class TestDecompositionSoundness:
         assert front.points[0].g_o == pytest.approx(lo[0], abs=1e-8)
         best_ln = min(ln for _, ln in cloud)
         assert front.points[-1].ln_g_f == pytest.approx(best_ln, abs=1e-8)
+
+
+class TestTraceIsTheLowerHull:
+    """The trace finds a design's supported policies: the vertices of the
+    lower convex hull of its policies' ``(g_o, g_f)``, in linear ``g_f``."""
+
+    def test_base_designs_with_few_policies(self, base_instance):
+        # 19 base designs have at most 288 deterministic policies, 1,593 in all
+        designs = policies = 0
+        for design in enumerate_feasible_designs(base_instance):
+            model = build_model(base_instance, design=design)
+            choices = iterate_policies(model, limit=288)
+            if choices is None:
+                continue
+            cloud = []
+            for choice in choices:
+                gain = evaluate_policy(model, MaintenancePolicy(model, choice))
+                cloud.append((gain.g_o, gain.g_f))
+            designs, policies = designs + 1, policies + len(cloud)
+            points, dropped = _trace_design(base_instance, design)
+            assert not dropped and not any(p.flags for p in points)
+            trace = [(p.g_o, p.g_f) for p in points]
+            hull = lower_left_hull(cloud)
+            assert len(trace) == len(hull), design
+            np.testing.assert_allclose(trace, hull, rtol=1e-12, atol=0.0)
+            # no policy below the trace: beyond either end, or below the
+            # line through any two neighbouring points
+            g_o, g_f = np.array(cloud).T
+            assert g_o.min() >= trace[0][0] and g_f.min() >= trace[-1][1] * (1 - 1e-12)
+            for (go_a, gf_a), (go_b, gf_b) in zip(trace, trace[1:]):
+                penalty = (go_b - go_a) / (gf_a - gf_b)
+                value = go_a + penalty * gf_a
+                assert (g_o + penalty * g_f).min() >= value * (1 - 1e-12), (design, penalty)
+        assert (designs, policies) == (19, 1593)
 
 
 class TestOneEvaluationPerPoint:

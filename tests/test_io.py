@@ -16,7 +16,6 @@ from parmaint.io import (
     write_compare_report,
     write_front,
     write_gain_report,
-    write_plot_data,
     write_policy,
     write_sim_report,
     write_static_table,
@@ -190,27 +189,6 @@ class TestFrontFiles:
         path.write_text("provenance x_1 p g_o ln_g_f\nexact 1 - 2.5 -inf\n")
         (point,) = read_front(path).points
         assert (point.g_o, point.ln_g_f, point.penalty) == (2.5, -math.inf, None)
-
-
-class TestPlotData:
-    def test_series_blocks(self, tmp_path, base_instance):
-        front = run_app(base_instance)
-        path = tmp_path / "plot.txt"
-        write_plot_data(path, base_instance, front)
-        lines = path.read_text().splitlines()
-        series = [l for l in lines if l.startswith("# series: ")]
-        designs = {base_instance.to_catalog(p.design) for p in front.points}
-        assert len(series) == len(designs)
-        labels = [tuple(int(v) for v in l.split(": ")[1].split(",")) for l in series]
-        assert labels == sorted(labels)
-        data = [l for l in lines if l and not l.startswith("#")]
-        assert len(data) == len(front.points)
-        pairs = {(float(a), float(b)) for a, b in (l.split() for l in data)}
-        for p in front.points:
-            assert any(
-                abs(go - p.g_o) < 1e-9 and (ln == p.ln_g_f or abs(ln - p.ln_g_f) < 1e-9)
-                for go, ln in pairs
-            )
 
 
 class TestGainReport:

@@ -4,6 +4,7 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
+from parmaint import sim
 from parmaint.ctmdp import build_model
 from parmaint.mdp_solve import (
     MaintenancePolicy,
@@ -73,16 +74,15 @@ class TestLoopAgreement:
             assert exact == pytest.approx(rvi, rel=1e-12)
             assert exact == pytest.approx(bracket_mid, rel=1e-9)
 
-    def test_buffer_refill_continues_the_path(self, small_model):
+    def test_buffer_refill_continues_the_path(self, small_model, monkeypatch):
         # the replication keeps one absolute clock across refills, so the
         # chunk sizes of its uniform draws cannot change a single bit
         res = solve_average_cost(small_model, 50.0)
-        horizon, batches, seed = 8e6, 4, 9
-        report = simulate_policy(
-            small_model, res.policy, horizon=horizon, batches=batches, seed=seed
-        )
+        horizon, seed = 8e6, 9
+        monkeypatch.setattr(sim, "BATCHES", 4)
+        report = simulate_policy(small_model, res.policy, horizon=horizon, seed=seed)
         runs = [
-            _batch_runs(small_model, res.policy, horizon, batches, seed, chunk)
+            _batch_runs(small_model, res.policy, horizon, seed, chunk)
             for chunk in (CHUNK_START, 2, 3, CHUNK_CAP)
         ]
         for means_o, means_f, events, fails in runs:
@@ -175,7 +175,7 @@ class TestSimAgainstReference:
         means, events, fails = simulate_reference(model, policy, horizon, seed=seed)
         assert report.events == events
         assert report.failure_entries == fails
-        got_o, got_f, _, _ = _batch_runs(model, policy, horizon, 20, seed)
+        got_o, got_f, _, _ = _batch_runs(model, policy, horizon, seed)
         assert (report.g_o, report.g_f) == (got_o.mean(), got_f.mean())
         for got, want in zip(zip(got_o, got_f), means, strict=True):
             assert got == pytest.approx(want, rel=1e-9)

@@ -304,15 +304,6 @@ class TestModified:
 
 
 class TestLoaders:
-    def test_base_json_against_table_form(self, instances_dir):
-        a = load_instance(instances_dir / "base-6-20.json")
-        b = load_instance(instances_dir / "base-6-20")
-        assert a.labels == b.labels
-        np.testing.assert_allclose(a.q_vector(), b.q_vector())
-        np.testing.assert_allclose(a.constraints, b.constraints)
-        np.testing.assert_allclose(a.constraint_bounds, b.constraint_bounds)
-        assert a.copy_bounds == b.copy_bounds
-
     def test_base_values(self, base_instance):
         assert base_instance.n_types == 4
         assert base_instance.labels == ("1", "2", "3", "4")

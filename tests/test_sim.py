@@ -1,9 +1,9 @@
 import math
-import time
 
 import numpy as np
 import pytest
 
+from parmaint import sim
 from parmaint.ctmdp import build_model
 from parmaint.mdp_solve import (
     MaintenancePolicy,
@@ -12,7 +12,6 @@ from parmaint.mdp_solve import (
     solve_average_cost,
 )
 from parmaint.sim import (
-    MAX_BATCHES,
     MIN_FAILURE_ENTRIES,
     SIM_EVENT_CEILING,
     _batch_runs,
@@ -36,7 +35,7 @@ def single_report(single_model):
 @pytest.fixture(scope="module")
 def single_batches(single_model):
     """Per-batch means and events of the run behind ``single_report``."""
-    return _batch_runs(single_model, fully_active_policy(single_model), 20000.0, 20, 0)
+    return _batch_runs(single_model, fully_active_policy(single_model), 20000.0, 0)
 
 
 class TestReportStructure:
@@ -75,10 +74,11 @@ class TestDeterminism:
         b = simulate_policy(single_model, policy, horizon=500.0, seed=8)
         assert a.g_o != b.g_o
 
-    def test_batch_count_sets_array_length(self, single_model):
+    def test_batch_count_sets_array_length(self, single_model, monkeypatch):
         policy = fully_active_policy(single_model)
-        r = simulate_policy(single_model, policy, horizon=500.0, batches=5)
-        means_o, means_f, events, fails = _batch_runs(single_model, policy, 500.0, 5, 0)
+        monkeypatch.setattr(sim, "BATCHES", 5)
+        r = simulate_policy(single_model, policy, horizon=500.0)
+        means_o, means_f, events, fails = _batch_runs(single_model, policy, 500.0, 0)
         assert r.batches == len(means_o) == len(means_f) == 5
         assert (r.g_o, r.g_f) == (means_o.mean(), means_f.mean())
         assert (r.events, r.failure_entries) == (sum(events), sum(fails))
@@ -145,19 +145,6 @@ class TestValidation:
         for horizon in (0.0, -5.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="horizon must be positive and finite"):
                 simulate_policy(single_model, policy, horizon=horizon)
-
-    def test_batches_at_least_two(self, single_model):
-        policy = fully_active_policy(single_model)
-        with pytest.raises(ValueError, match="batches"):
-            simulate_policy(single_model, policy, horizon=10.0, batches=1)
-
-    def test_batches_under_the_ceiling(self, single_model):
-        policy = fully_active_policy(single_model)
-        for batches in (MAX_BATCHES + 1, 10**9):
-            start = time.perf_counter()
-            with pytest.raises(ValueError, match=rf"\[2, {MAX_BATCHES}\], got {batches}"):
-                simulate_policy(single_model, policy, horizon=10.0, batches=batches)
-            assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("other", [(0, 2, 0, 0), (1, 0, 0, 0)])
     def test_policy_of_another_model(self, base_instance, other):
