@@ -10,20 +10,19 @@ of every feasible design sorted by log failure rate: the
 reliability-extreme problem (the table's head) and the
 failure-penalized problem under a log-failure-rate cap (a running
 minimum over the prefix the cap admits).  The sweep over progressively
-tighter caps builds the table once, after counting the designs against
-``DESIGN_CEILING``, and produces the static candidate front from it.
+tighter caps builds the table once, stopping at ``DESIGN_CEILING``
+before a larger space is listed, and produces the static candidate
+front from it.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
-from parmaint.model import STATIC_DELTA, Instance
+from parmaint.model import ROW_TOL, STATIC_DELTA, Instance
 
 __all__ = [
     "DESIGN_CEILING",
@@ -44,11 +43,11 @@ DELTA_EPS = -0.1  # cap step; the sweep ends only because it is negative
 
 
 class EnumerationError(RuntimeError):
-    """Design space too large to enumerate; carries the offending count."""
+    """Design space too large to enumerate; carries a lower bound on its size."""
 
     def __init__(self, count, ceiling):
         super().__init__(
-            f"design space has {count} members, above the ceiling of {ceiling}"
+            f"design space has at least {count} members, above the ceiling of {ceiling}"
         )
         self.count = count
         self.ceiling = ceiling
@@ -128,65 +127,34 @@ def probability_chain_values(instance: Instance, design):
     return y, z
 
 
-def _fit(a, caps, i, slack) -> int:
-    """Count k of type i's copy numbers that fit in ``slack``: 0..k-1.
-    Coefficients are non-negative, so the copies that fit are a prefix
-    of 0..caps[i], and k is found by bisection."""
-    return bisect_left(
-        range(int(caps[i]) + 1), True, key=lambda v: np.any(slack - v * a[:, i] < -1e-9)
-    )
-
-
-def _design_prefixes(instance: Instance):
-    """Each feasible choice of copies of all types but the last, in lex
-    order, with the count k of the last type's copies that still fit:
-    the designs 0 <= x <= copy bounds with A x <= b that extend it end in
-    0..k-1."""
-    a, b, caps = instance.constraints, instance.constraint_bounds, instance.copy_bounds
-
-    def rec(prefix, slack):
-        i = len(prefix)
-        k = _fit(a, caps, i, slack)
-        if i == len(caps) - 1:
-            yield prefix, k
-            return
-        for v in range(k):
-            yield from rec(prefix + (v,), slack - v * a[:, i])
-
-    return rec((), b.astype(float))
-
-
-def _feasible_count(instance: Instance) -> int:
-    """Count of ``enumerate_feasible_designs``, without listing them.
-
-    The count of completions of a prefix depends only on the next type
-    and the slack left, so it is memoized on the two; the slacks are
-    the same sums ``_design_prefixes`` forms, so the counts agree.
-    """
-    a, b, caps = instance.constraints, instance.constraint_bounds, instance.copy_bounds
-    last = len(caps) - 1
-
-    @cache
-    def count(i, slack):
-        slack = np.array(slack)
-        k = _fit(a, caps, i, slack)
-        if i == last:
-            return k
-        rest = slack - np.arange(k)[:, None] * a[:, i]  # row v: slack after v copies
-        return sum(count(i + 1, row) for row in map(tuple, rest.tolist()))
-
-    return count(0, tuple(b.astype(float)))
-
-
 def enumerate_feasible_designs(instance: Instance) -> list:
     """All integer designs 0 <= x <= copy bounds with A x <= b, lex order.
 
-    They are counted before any is listed, so a space above
-    ``DESIGN_CEILING`` raises ``EnumerationError`` at once."""
-    count = _feasible_count(instance)
-    if count > DESIGN_CEILING:
-        raise EnumerationError(count, DESIGN_CEILING)
-    return [prefix + (v,) for prefix, k in _design_prefixes(instance) for v in range(k)]
+    The designs are built one type at a time as rows of an array, each
+    with the slack its copies leave.  Coefficients are non-negative, so
+    the copies of the next type that fit a row are a prefix 0..k-1 of
+    0..copy bound, and every row's k is found by one joint bisection.
+    The counts only grow as types are added, so a space above
+    ``DESIGN_CEILING`` raises ``EnumerationError`` before it is listed."""
+    a = instance.constraints
+    designs = np.zeros((1, 0), dtype=np.int64)
+    slack = instance.constraint_bounds[None, :].astype(float)
+    for i, cap in enumerate(instance.copy_bounds):
+        lo = np.zeros(len(designs), dtype=np.int64)  # copies known to fit: 0..lo-1
+        hi = np.full(len(designs), cap + 1)  # copies hi and up overshoot a row or the bound
+        while np.any(lo < hi):
+            mid = (lo + hi) // 2
+            over = np.any(slack - mid[:, None] * a[:, i] < -ROW_TOL, axis=1)
+            hi = np.where(over, mid, hi)
+            lo = np.where(over, lo, np.minimum(mid + 1, hi))  # converged rows stay
+        count = int(hi.sum())
+        if count > DESIGN_CEILING:
+            raise EnumerationError(count, DESIGN_CEILING)
+        rows = np.repeat(np.arange(len(designs)), hi)
+        copies = np.arange(count) - np.repeat(np.cumsum(hi) - hi, hi)
+        designs = np.column_stack((designs[rows], copies))
+        slack = slack[rows] - copies[:, None] * a[:, i]
+    return list(map(tuple, designs.tolist()))
 
 
 def _design_table(instance: Instance):

@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 STATIC_DELTA = 0.1  # inflation delta of the penalized static objective
+ROW_TOL = 1e-9  # a design fits a constraint row when it overshoots by at most this
 
 
 class InstanceError(ValueError):
@@ -126,7 +127,7 @@ class Instance:
         slack = self.constraint_bounds.astype(float)
         for i, count in enumerate(x):  # the order dop's design listing subtracts in
             slack = slack - count * self.constraints[:, i]
-        return bool(np.all(slack >= -1e-9))
+        return bool(np.all(slack >= -ROW_TOL))
 
     def to_catalog(self, design) -> tuple[int, ...]:
         """Reorder canonical copy counts back to catalog positions."""
@@ -277,7 +278,6 @@ def make_instance(components, constraints, bounds, names=None) -> Instance:
 
 _COMPONENT_KEYS = {
     "p",
-    "reliability",
     "alpha",
     "tau",
     "usage_cost",
@@ -290,15 +290,16 @@ _COMPONENT_KEYS = {
 def _number(value, record: str, field: str) -> float:
     """A numeric field of an instance record as a float.
 
-    Numbers and numeric text are accepted; anything else, ``null``,
-    booleans, lists and mappings included, raises an InstanceError
-    naming the record and the field.
+    Only JSON numbers are accepted; anything else, numeric text,
+    ``null``, booleans, lists and mappings included, and an integer too
+    large for a float raise an InstanceError naming the record and the
+    field.
     """
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             return float(value)
-        except ValueError:
-            pass
+        except OverflowError:
+            raise InstanceError(f"{record} field {field!r} is too large for a float") from None
     raise InstanceError(f"{record} field {field!r} must be a number, got {value!r}")
 
 
@@ -313,8 +314,7 @@ def _component_from_record(rec: dict, position: int) -> ComponentType:
     if missing:
         raise InstanceError(f"{record} is missing fields {sorted(missing)}")
     tau = _number(rec["tau"], record, "tau")
-    p_field = "p" if "p" in rec else "reliability"
-    p = rec.get(p_field)
+    p = rec.get("p")
     alpha = rec.get("alpha")
     if p is None and alpha is None:
         raise InstanceError(
@@ -323,7 +323,7 @@ def _component_from_record(rec: dict, position: int) -> ComponentType:
     if alpha is not None:
         alpha = _number(alpha, record, "alpha")
     if p is not None:
-        derived = derive_failure_rate(_number(p, record, p_field), tau)
+        derived = derive_failure_rate(_number(p, record, "p"), tau)
         if alpha is not None and abs(alpha - derived) > 1e-9:
             raise InstanceError(
                 f"{record} gives both alpha={alpha} and p={p}, which disagree"

@@ -77,7 +77,7 @@ def _compile(model, policy):
     return nodes
 
 
-def _replicate(model, nodes, cur, t_end, rng, chunk=CHUNK_START):
+def _replicate(model, nodes, cur, t_end, rng):
     """One replication from post-state ``cur`` over ``[0, t_end)``.
 
     Each chunk of uniforms (two per event: sojourn, then jump) is walked
@@ -95,6 +95,7 @@ def _replicate(model, nodes, cur, t_end, rng, chunk=CHUNK_START):
     t = acc_o = acc_f = 0.0
     events = fails = 0
     u = np.empty(0)
+    chunk = CHUNK_START
     while nodes[cur][2]:
         u = np.concatenate((u, rng.random(chunk)))
         chunk = min(2 * chunk, CHUNK_CAP)
@@ -126,7 +127,7 @@ def _replicate(model, nodes, cur, t_end, rng, chunk=CHUNK_START):
     return float(acc_o), float(acc_f), events, fails, int(cur)
 
 
-def _batch_runs(model, policy, horizon, seed, chunk=CHUNK_START):
+def _batch_runs(model, policy, horizon, seed):
     """The batches of a run from state 0: ``horizon`` split into
     ``BATCHES`` replications, each on its own Philox stream spawned from
     ``seed``.  Returns the per-batch g_o and g_f means as arrays and the
@@ -135,9 +136,7 @@ def _batch_runs(model, policy, horizon, seed, chunk=CHUNK_START):
     start_post = int(policy.post_ids[0])
     t_batch = float(horizon) / BATCHES
     runs = [
-        _replicate(
-            model, nodes, start_post, t_batch, np.random.Generator(np.random.Philox(child)), chunk
-        )
+        _replicate(model, nodes, start_post, t_batch, np.random.Generator(np.random.Philox(child)))
         for child in np.random.SeedSequence(seed).spawn(BATCHES)
     ]
     acc_o, acc_f, events, fails, _ = zip(*runs)

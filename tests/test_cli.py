@@ -66,6 +66,18 @@ class TestValidate:
         assert err.startswith("error: component 1 must be a mapping")
         assert "Traceback" not in err
 
+    def test_unknown_component_field_is_an_error(self, base_path, tmp_path, capsys):
+        # "reliability" is not another name for "p"
+        with open(base_path) as fh:
+            doc = json.load(fh)
+        doc["components"][0]["reliability"] = doc["components"][0].pop("p")
+        path = tmp_path / "alias.json"
+        path.write_text(json.dumps(doc))
+        code = main(["instance", "validate", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err == "error: unknown component fields ['reliability']\n"
+
     def test_never_available_unconstrained_type_is_an_error(self, tmp_path, capsys):
         # unavailability 1 / (1 + 1e-300) rounds to 1 and no row limits "b"
         doc = {
@@ -118,6 +130,8 @@ class TestValidate:
                 "constraint 'cost' field 'coefficients[1]' must be a number",
             ),
             ("components", "weight", {"a": 1}, "component '1' field 'weight' must be a number"),
+            ("components", "tau", "1", "component '1' field 'tau' must be a number"),
+            ("constraints", "bound", 10**400, "constraint 'cost' field 'bound' is too large"),
         ],
     )
     def test_non_numeric_field_is_an_error(
@@ -231,18 +245,18 @@ class TestExact:
         assert all(p.provenance == "exact" for p in front)
 
     def test_ceiling_checked_before_listing(self, million_path, tmp_path, capsys):
-        # a million copies of one type: counted at once, never listed
+        # a million copies of one type: checked against the ceiling, never listed
         out = tmp_path / "exact.txt"
         start = time.perf_counter()
         code = main(["exact", million_path, "--out", str(out)])
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_ERROR
-        assert "design space has 1000001 members" in capsys.readouterr().err
+        assert "design space has at least 1000001 members" in capsys.readouterr().err
         assert not out.exists()
 
     def test_large_space_counted_quickly(self, instances_dir, tmp_path):
         # 3 types sharing 1,000 slots: C(1003, 3) designs, far too many to
-        # list one by one, counted within the timeout
+        # list; the first two types already pass the ceiling
         doc = json.loads((instances_dir.parent / "perfbench/data/large-3.json").read_text())
         doc["constraints"][0]["bound"] = 1000
         path = tmp_path / "wide.json"
@@ -254,7 +268,7 @@ class TestExact:
             env=env, capture_output=True, text=True, timeout=30,
         )
         assert done.returncode == EXIT_ERROR
-        assert "design space has 167668501 members" in done.stderr
+        assert "design space has at least 501501 members" in done.stderr
         assert not out.exists()
 
 
@@ -419,7 +433,7 @@ class TestOutputPaths:
 
 @pytest.mark.parametrize("command", ["dop", "app"])
 def test_static_stage_checks_the_ceiling(command, million_path, instances_dir, tmp_path):
-    # the sweep lists its designs through the same counted guard as exact
+    # the sweep lists its designs through the same ceiling check as exact
     out = tmp_path / "out.txt"
     env = dict(os.environ, PYTHONPATH=str(instances_dir.parent / "src"))
     done = subprocess.run(
@@ -427,7 +441,7 @@ def test_static_stage_checks_the_ceiling(command, million_path, instances_dir, t
         env=env, capture_output=True, text=True, timeout=30,
     )
     assert done.returncode == EXIT_ERROR
-    assert "design space has 1000001 members" in done.stderr
+    assert "design space has at least 1000001 members" in done.stderr
     assert "Traceback" not in done.stderr
     assert not out.exists()
 

@@ -411,19 +411,30 @@ class TestAgainstReference:
                     assert list(map(fields, got)) == list(map(fields, want))
 
 
-class TestFeasibleCount:
-    """The memoized count against the list it stands in for."""
+class TestDesignListing:
+    """The array listing against the brute-force grid filter."""
 
     def test_committed_instances(self, base_instance, large_instance, instances_dir):
         single = load_instance(instances_dir.parent / "perfbench" / "data" / "single-1.json")
         for inst, want in ((base_instance, 76), (single, 5), (large_instance, 364)):
-            assert dop._feasible_count(inst) == len(dop.enumerate_feasible_designs(inst)) == want
+            designs = dop.enumerate_feasible_designs(inst)
+            assert len(designs) == want
+            assert designs == grid_feasible_designs(inst)
 
     def test_random_instances(self):
+        # types in no row stop at their copy bound before any row binds
         rng = np.random.default_rng(47)
+        unrowed = 0
         for _ in range(40):
             inst = random_instance(rng, n_types=int(rng.integers(1, 5)))
-            assert dop._feasible_count(inst) == len(dop.enumerate_feasible_designs(inst))
+            comps, a = inst._catalog_view()
+            a[:, rng.random(len(comps)) < 0.3] = 0.0
+            unrowed += int(np.sum(~a.any(axis=0)))
+            inst = make_instance(comps, a, inst.constraint_bounds)
+            designs = dop.enumerate_feasible_designs(inst)
+            assert designs == grid_feasible_designs(inst)
+            assert all(type(v) is int for x in designs for v in x)
+        assert unrowed >= 10
 
 
 class TestStaticSolutionRecord:

@@ -81,10 +81,10 @@ class TestLoopAgreement:
         horizon, seed = 8e6, 9
         monkeypatch.setattr(sim, "BATCHES", 4)
         report = simulate_policy(small_model, res.policy, horizon=horizon, seed=seed)
-        runs = [
-            _batch_runs(small_model, res.policy, horizon, seed, chunk)
-            for chunk in (CHUNK_START, 2, 3, CHUNK_CAP)
-        ]
+        runs = []
+        for chunk in (CHUNK_START, 2, 3, CHUNK_CAP):
+            monkeypatch.setattr(sim, "CHUNK_START", chunk)
+            runs.append(_batch_runs(small_model, res.policy, horizon, seed))
         for means_o, means_f, events, fails in runs:
             assert np.array_equal(means_o, runs[0][0])
             assert np.array_equal(means_f, runs[0][1])
@@ -196,20 +196,20 @@ class TestPathFirstAgainstPerEventLoop:
     """The path-first replication against the per-event compiled loop."""
 
     @staticmethod
-    def assert_matches(model, policy, t_end, rng_of, chunk=CHUNK_START):
+    def assert_matches(model, policy, t_end, rng_of):
         start = int(policy.post_ids[0])
-        got = _replicate(model, _compile(model, policy), start, t_end, rng_of(), chunk)
+        got = _replicate(model, _compile(model, policy), start, t_end, rng_of())
         want = replicate_per_event(compile_nodes(model, policy), start, t_end, rng_of())
         assert got[2:] == want[2:]  # events, failure entries, final post-state
         assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
         assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0.0)
         return got
 
-    def assert_batches_match(self, model, policy, horizon, seed, chunk=CHUNK_START):
+    def assert_batches_match(self, model, policy, horizon, seed):
         runs = []
         for child in np.random.SeedSequence(seed).spawn(20):
             rng_of = lambda: np.random.Generator(np.random.Philox(child))  # noqa: E731
-            runs.append(self.assert_matches(model, policy, horizon / 20, rng_of, chunk))
+            runs.append(self.assert_matches(model, policy, horizon / 20, rng_of))
         return runs
 
     def test_base_fixtures(self, base_instance):
@@ -223,10 +223,11 @@ class TestPathFirstAgainstPerEventLoop:
             assert sum(run[2] for run in runs) > 400_000
             assert sum(run[3] for run in runs) > 0
 
-    def test_small_chunks(self, base_instance):
+    def test_small_chunks(self, base_instance, monkeypatch):
         model, policy, horizon, seed = _base_cases(base_instance)[2]
         for chunk in (2, 3):
-            self.assert_batches_match(model, policy, horizon, seed, chunk)
+            monkeypatch.setattr(sim, "CHUNK_START", chunk)
+            self.assert_batches_match(model, policy, horizon, seed)
 
     def test_absorption_inside_a_chunk(self):
         # three copies; one damaged copy alone is repaired, two are left,
