@@ -135,13 +135,17 @@ def enumerate_feasible_designs(instance: Instance) -> list:
     the copies of the next type that fit a row are a prefix 0..k-1 of
     0..copy bound, and every row's k is found by one joint bisection.
     The counts only grow as types are added, so a space above
-    ``DESIGN_CEILING`` raises ``EnumerationError`` before it is listed."""
+    ``DESIGN_CEILING`` raises ``EnumerationError`` before it is listed;
+    no row counts past ``DESIGN_CEILING + 1`` copies, which keeps the
+    bisection in int64 whatever the copy bound."""
     a = instance.constraints
     designs = np.zeros((1, 0), dtype=np.int64)
     slack = instance.constraint_bounds[None, :].astype(float)
     for i, cap in enumerate(instance.copy_bounds):
         lo = np.zeros(len(designs), dtype=np.int64)  # copies known to fit: 0..lo-1
-        hi = np.full(len(designs), cap + 1)  # copies hi and up overshoot a row or the bound
+        # copies hi and up overshoot a row or the bound; a row held at the
+        # ceiling already carries the count past it
+        hi = np.full(len(designs), min(cap, DESIGN_CEILING) + 1, dtype=np.int64)
         while np.any(lo < hi):
             mid = (lo + hi) // 2
             over = np.any(slack - mid[:, None] * a[:, i] < -ROW_TOL, axis=1)

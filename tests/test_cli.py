@@ -251,7 +251,7 @@ class TestExact:
         code = main(["exact", million_path, "--out", str(out)])
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_ERROR
-        assert "design space has at least 1000001 members" in capsys.readouterr().err
+        assert "design space has at least 200001 members" in capsys.readouterr().err
         assert not out.exists()
 
     def test_large_space_counted_quickly(self, instances_dir, tmp_path):
@@ -441,9 +441,31 @@ def test_static_stage_checks_the_ceiling(command, million_path, instances_dir, t
         env=env, capture_output=True, text=True, timeout=30,
     )
     assert done.returncode == EXIT_ERROR
-    assert "design space has at least 1000001 members" in done.stderr
+    assert "design space has at least 200001 members" in done.stderr
     assert "Traceback" not in done.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["dop", "app", "exact"])
+def test_copy_bound_past_int64_stops_at_the_ceiling(command, million_path, instances_dir, tmp_path):
+    # copy bounds of 5e18 and 1e19 would overflow an int64 count of copies;
+    # every row is counted up to the ceiling only
+    for bound in (5e18, 1e19):
+        doc = json.loads(pathlib.Path(million_path).read_text())
+        doc["constraints"][0]["bound"] = bound
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out.txt"
+        env = dict(os.environ, PYTHONPATH=str(instances_dir.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "parmaint.cli", command, str(path), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert done.returncode == EXIT_ERROR
+        assert done.stderr == (
+            "error: design space has at least 200001 members, above the ceiling of 200000\n"
+        )
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

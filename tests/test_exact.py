@@ -54,7 +54,7 @@ class TestEnumeration:
     def test_ceiling(self, million_path):
         with pytest.raises(EnumerationError) as err:
             enumerate_feasible_designs(load_instance(million_path))
-        assert err.value.count == 1_000_001
+        assert err.value.count == 200_001  # counting stops one past the ceiling
         assert err.value.ceiling == 200_000
 
 
