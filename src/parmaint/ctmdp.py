@@ -82,14 +82,6 @@ def _runs(lengths, starts):
     return np.cumsum(out, dtype=np.int32, out=out)
 
 
-def _check_state(state, design):
-    if len(state) != len(design):
-        raise ValueError(f"state has {len(state)} rows for {len(design)} types")
-    for (s1, s2), m in zip(state, design):
-        if s1 < 0 or s2 < 0 or s1 + s2 > m:
-            raise ValueError(f"state row {(s1, s2)} violates copy bound {m}")
-
-
 @dataclass(eq=False)
 class CtmdpModel:
     """Solver-ready arrays for one design's decision model.
@@ -135,30 +127,21 @@ class CtmdpModel:
         return tuple((int(row[2 * i]), int(row[2 * i + 1])) for i in range(self.n_types))
 
     def state_id(self, state) -> int:
-        """Mixed-radix position of a state in the lexicographic order."""
-        _check_state(state, self.design)
-        return int(self.state_ids([[c for pair in state for c in pair]])[0])
-
-    def state_ids(self, rows) -> np.ndarray:
-        """Ids of the states given as rows laid out like ``states``, or -1
-        for a row outside the box."""
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1, 2 * self.n_types)
-        s1, s2 = rows[:, 0::2], rows[:, 1::2]
-        ids = np.zeros(rows.shape[0], dtype=np.int64)
-        for i, m in enumerate(self.design):
-            ids = ids * _pair_count(m) + _pair_index(m, s1[:, i], s2[:, i])
-        inside = ((s1 >= 0) & (s2 >= 0) & (s2 <= np.array(self.design) - s1)).all(axis=1)
-        return np.where(inside, ids, -1)
-
-    def start_id(self, state) -> int:
-        """Id of a starting state given by id in ``[0, n)`` or by its rows."""
-        if isinstance(state, (int, np.integer)):
-            if not 0 <= state < self.n_states:
-                raise ValueError(
-                    f"initial state {int(state)} outside [0, {self.n_states})"
-                )
-            return int(state)
-        return self.state_id(tuple(state))
+        """Mixed-radix position of a state, given as one (repairing,
+        damaged) pair per type, in the lexicographic order.  A state of
+        the wrong length, a row that is no pair, or a pair outside its
+        type's copy bound raises ``ValueError`` naming it."""
+        if len(state) != len(self.design):
+            raise ValueError(f"state has {len(state)} rows for {len(self.design)} types")
+        sid = 0
+        for pair, m in zip(state, self.design):
+            if len(pair) != 2:
+                raise ValueError(f"state row {tuple(pair)} is not a pair")
+            s1, s2 = pair
+            if not (0 <= s1 <= m and 0 <= s2 <= m - s1):
+                raise ValueError(f"state row {(s1, s2)} violates copy bound {m}")
+            sid = sid * _pair_count(m) + _pair_index(m, s1, s2)
+        return int(sid)
 
     def action_indices(self, actions) -> np.ndarray:
         """Index of each state's action in its lexicographic action list.
@@ -177,7 +160,10 @@ class CtmdpModel:
                 f"state {self.state_string(sid)}: action has "
                 f"{len(actions[sid])} entries for {width} types"
             )
-        acts = np.asarray(actions, dtype=np.int64)
+        try:
+            acts = np.asarray(actions, dtype=np.int64)
+        except OverflowError:  # a count past int64, which the range check names
+            acts = np.asarray(actions, dtype=object)
         radix = self.states[:, 1::2].astype(np.int64) + 1
         bad = np.flatnonzero(((acts < 0) | (acts >= radix)).any(axis=1))
         if bad.size:

@@ -146,10 +146,16 @@ def compare_fronts(front, reference, tolerance: float = DOM_TOL) -> ComparisonRe
     the tolerance, ``matched`` when a reference point coincides within
     the tolerance, and ``absent`` otherwise (the reference simply has no
     counterpart — relevant because the weighted recursion only finds
-    supported points).
+    supported points).  Designs of different lengths raise ``ValueError``.
     """
     _check_tolerance(tolerance)
-    ref_pts = list(reference)
+    front, ref_pts = list(front), list(reference)
+    ours, theirs = ({len(p.design) for p in pts} for pts in (front, ref_pts))
+    if len(ours | theirs) > 1:
+        raise ValueError(
+            f"front design lengths {sorted(ours)} differ from reference "
+            f"design lengths {sorted(theirs)}"
+        )
     g_o, ln_g_f = _columns(ref_pts)
     entries = []
     for p in front:

@@ -9,10 +9,8 @@ full format reference.
 
 from __future__ import annotations
 
+import functools
 import math
-from itertools import repeat
-
-import numpy as np
 
 from parmaint.app import ParetoFront, SolutionPoint
 from parmaint.mdp_solve import MaintenancePolicy
@@ -128,7 +126,7 @@ def read_front(path) -> ParetoFront:
             penalty, g_o, ln_g_f = _parse_opt(toks[n + 1]), float(toks[n + 2]), float(toks[n + 3])
         except ValueError as exc:
             raise ValueError(f"bad front row {line!r}: {exc}") from None
-        if not math.isfinite(g_o) or math.isnan(ln_g_f):
+        if not math.isfinite(g_o) or not ln_g_f < math.inf:  # NaN or +inf
             raise ValueError(f"bad front values: {line!r}")
         points.append(SolutionPoint(g_o, ln_g_f, design, toks[0], penalty))
     return ParetoFront(points=tuple(points), notes=tuple(notes))
@@ -159,60 +157,36 @@ def write_policy(path, model, policy) -> None:
     _write_table(path, ["parmaint policy", key], ["state", "action"], rows)
 
 
-# a count outside int64 is outside every model, and names its row as such
-_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
-
-
-def _policy_row(line, model):
-    """The state counts, flattened, and the action of one policy row."""
-    toks = line.split()
-    if len(toks) != 2:
-        raise ValueError(f"bad policy row: {line!r}")
-    try:
-        pairs = toks[0].split("|")
-        counts = list(map(int, toks[0].replace("|", ",").split(",")))
-        if (
-            len(pairs) != model.n_types
-            or set(map(str.count, pairs, repeat(","))) != {1}
-            or not _INT64_MIN <= min(counts) <= max(counts) <= _INT64_MAX
-        ):
-            # raises, naming the misshapen part or the count
-            model.state_id([[int(v) for v in pair.split(",")] for pair in pairs])
-        action = list(map(int, toks[1].split(",")))
-    except ValueError as exc:
-        raise ValueError(f"bad policy row {line!r}: {exc}") from None
-    return counts, action
-
-
 def read_policy(path, model) -> MaintenancePolicy:
     """The policy of a file ``write_policy`` wrote for this model.
 
     Every state needs exactly one row, and its action may repair at most
-    the state's damaged copies of each type; anything else raises
-    ``ValueError`` naming the row or state: malformed tokens first,
-    then, in file order, a state outside the model or a repeated state.
+    the state's damaged copies of each type.  Rows are read in file
+    order, and the first that is malformed, names a state outside the
+    model (``model.state_id`` gives the reason) or repeats a state raises
+    ``ValueError`` naming it; then a missing state, then an action
+    outside its state, raises naming the state.
     """
     _, _, lines = _read_table(path, "policy", lambda h: h == ["state", "action"])
-    rows = [_policy_row(line, model) for line in lines]
-    ids = model.state_ids([counts for counts, _ in rows])
-    later = np.ones(ids.size, dtype=bool)
-    later[np.unique(ids, return_index=True)[1]] = False  # rows after their state's first
-    bad = np.flatnonzero((ids < 0) | later)
-    if bad.size:
-        row = int(bad[0])
-        if ids[row] >= 0:
-            raise ValueError(f"policy file repeats state {model.state_string(int(ids[row]))}")
-        counts = rows[row][0]
+    # a file repeats few distinct pair and action texts; each is parsed once
+    counts = functools.cache(lambda text: tuple(map(int, text.split(","))))
+    actions = [None] * model.n_states
+    for line in lines:
+        toks = line.split()
+        if len(toks) != 2:
+            raise ValueError(f"bad policy row: {line!r}")
         try:
-            model.state_id(list(zip(counts[0::2], counts[1::2])))  # raises
+            sid = model.state_id(list(map(counts, toks[0].split("|"))))
+            action = counts(toks[1])
         except ValueError as exc:
-            raise ValueError(f"bad policy row {lines[row]!r}: {exc}") from None
-    row_of = np.full(model.n_states, -1, dtype=np.int64)
-    row_of[ids] = np.arange(ids.size)
-    if ids.size < model.n_states:
-        missing = int(np.flatnonzero(row_of < 0)[0])
+            raise ValueError(f"bad policy row {line!r}: {exc}") from None
+        if actions[sid] is not None:
+            raise ValueError(f"policy file repeats state {model.state_string(sid)}")
+        actions[sid] = action
+    if None in actions:
+        missing = actions.index(None)
         raise ValueError(f"policy file misses state {model.state_string(missing)}")
-    return MaintenancePolicy(model, model.action_indices([rows[i][1] for i in row_of.tolist()]))
+    return MaintenancePolicy(model, model.action_indices(actions))
 
 
 # ---------------------------------------------------------------- sim reports

@@ -473,11 +473,16 @@ def evaluate_policy(model: CtmdpModel, policy: MaintenancePolicy, initial_state=
     step solves it (see ``_policy_gains``), and the start's post-state
     gives the pair: its own class gain when it is recurrent, the
     absorption-weighted mix of the class gains when it is transient.
-    ``initial_state`` is a pre-decision state id in ``[0, n)`` or the
-    state's rows.  A policy of another model raises ``ValueError``.
+    ``initial_state`` is a pre-decision state id in ``[0, n)``;
+    ``model.state_id(rows)`` gives the id of a state given by its rows.
+    A policy of another model, or a start that is no such id, raises
+    ``ValueError``.
     """
     if policy.model is not model:
         raise ValueError("policy belongs to another model")
+    if not isinstance(initial_state, (int, np.integer)):
+        raise ValueError(f"initial state {initial_state!r} is not a state id")
+    if not 0 <= initial_state < model.n_states:
+        raise ValueError(f"initial state {int(initial_state)} outside [0, {model.n_states})")
     gain, _ = _policy_gains(model, policy.post_ids)
-    start = model.start_id(initial_state)
-    return GainPair(float(gain[start, 0]), float(gain[start, 1]))
+    return GainPair(float(gain[initial_state, 0]), float(gain[initial_state, 1]))

@@ -385,7 +385,7 @@ def load_instance(source) -> Instance:
         raise InstanceError(f"cannot read instance file {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the interpreter's digit limit
         raise InstanceError(f"{path}: invalid JSON: {exc}") from exc
     return _instance_from_document(doc)
 

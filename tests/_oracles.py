@@ -28,7 +28,6 @@ from parmaint.ctmdp import (
     DEFAULT_STATE_CEILING,
     StateSpaceError,
     WeakCommunicationReport,
-    _check_state,
     build_model,
 )
 from parmaint.exact import ComparisonEntry, ComparisonReport
@@ -467,6 +466,15 @@ def enumerate_states(bounds, ceiling: int | None = DEFAULT_STATE_CEILING):
     return [tuple(rows) for rows in itertools.product(*(_pair_list(m) for m in bounds))]
 
 
+def _check_bounds(state, bounds):
+    """Raise ValueError unless the state has one pair per type, each
+    within its type's copy bound."""
+    if len(state) != len(bounds) or any(
+        not (0 <= s1 and 0 <= s2 and s1 + s2 <= m) for (s1, s2), m in zip(state, bounds)
+    ):
+        raise ValueError(f"state {state} outside copy bounds {tuple(bounds)}")
+
+
 def apply_action(state, action):
     """Post-decision state: chosen damaged copies enter repair instantly."""
     if len(action) != len(state):
@@ -492,7 +500,7 @@ def transition_rates(instance, bounds, state):
 
     Healthy copies fail one at a time; repairs complete one at a time.
     """
-    _check_state(state, bounds)
+    _check_bounds(state, bounds)
     out = []
     for i, ((s1, s2), m) in enumerate(zip(state, bounds)):
         comp = instance.components[i]
@@ -515,7 +523,7 @@ def cost_rates(instance, bounds, state):
     bills its repair rate; the failure indicator is 1 when no installed
     copy is healthy.
     """
-    _check_state(state, bounds)
+    _check_bounds(state, bounds)
     usage = 0.0
     repair = 0.0
     failed = 1
@@ -799,11 +807,7 @@ def evaluate_dense(model, policy, initial_state=0):
     """(g_o, g_f) of a policy from a start state, by dense linear algebra."""
     from scipy.sparse.csgraph import connected_components
 
-    if isinstance(initial_state, (int, np.integer)):
-        pre_id = int(initial_state)
-    else:
-        pre_id = model.state_id(tuple(initial_state))
-    nodes, adj = _dense_chain(model, policy.post_ids, int(policy.post_ids[pre_id]))
+    nodes, adj = _dense_chain(model, policy.post_ids, int(policy.post_ids[initial_state]))
     n = len(nodes)
     graph = np.zeros((n, n))
     for u, arcs in enumerate(adj):
@@ -1134,7 +1138,7 @@ def run_batch(arrays, start_post, t_limit, rng):
 def simulate_reference(model, policy, horizon, batches=20, seed=0):
     """Per-batch (g_o, g_f) means, events and failure entries of the old loop."""
     arrays = sim_arrays(model, policy)
-    start = int(policy.post_ids[model.start_id(0)])
+    start = int(policy.post_ids[0])
     t_batch = float(horizon) / batches
     means = []
     events = fails = 0

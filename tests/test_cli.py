@@ -118,6 +118,19 @@ class TestValidate:
             assert err == "error: component type 'b' has unavailability rounding to 0\n"
         assert not (tmp_path / "s.txt").exists()
 
+    def test_integer_past_the_digit_limit_names_the_file(self, base_path, tmp_path, capsys):
+        # json.loads raises a plain ValueError for an integer of more than
+        # 4,300 digits, which used to escape as an unlabelled error
+        with open(base_path) as fh:
+            text = fh.read()
+        path = tmp_path / "long.json"
+        path.write_text(text.replace('"bound": 20', '"bound": ' + "9" * 5000, 1))
+        code = main(["instance", "validate", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith(f"error: {path}: invalid JSON: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "where, field, value, reason",
         [
@@ -864,6 +877,17 @@ class TestCompare:
         assert main(["compare", front, front, "--out", str(out)]) == EXIT_OK
         assert "matched 207, dominated 0, absent 0" in capsys.readouterr().out
         assert "# tolerance = 1e-09" in out.read_text().splitlines()
+
+    def test_fronts_of_different_widths_rejected(self, tmp_path, capsys):
+        one, two = tmp_path / "one.txt", tmp_path / "two.txt"
+        one.write_text("provenance x_1 p g_o ln_g_f\nexact 1 - 1 -1\n")
+        two.write_text("provenance x_1 x_2 p g_o ln_g_f\nexact 1 0 - 1 -1\n")
+        out = tmp_path / "cmp.txt"
+        code = main(["compare", str(one), str(two), "--out", str(out)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "front design lengths [1] differ from reference design lengths [2]" in err
+        assert not out.exists()
 
     def test_junk_front_rejected(self, tmp_path, capsys):
         junk = tmp_path / "junk.txt"

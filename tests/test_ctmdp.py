@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -208,6 +209,20 @@ class TestBuildModel:
         model = build_model(base_instance, design=(2, 2, 1, 0))
         for sid in range(0, model.n_states, 7):
             assert model.state_id(model.state_rows(sid)) == sid
+
+    def test_state_id_names_a_bad_state(self, base_instance):
+        # pair count first, then each pair's shape and bound in turn
+        model = build_model(base_instance, design=(1, 1, 0, 0))
+        for state, reason in (
+            (((0, 1), (0, 1), (0, 0)), "state has 3 rows for 4 types"),
+            (((0, 1), (0, 1, 0), (0, 0), (0, 0)), "state row (0, 1, 0) is not a pair"),
+            (((0, 2), (0, 1, 0), (0, 0), (0, 0)), "state row (0, 2) violates copy bound 1"),
+            (((0, 0), (1, 1), (0, 0), (0, 0)), "state row (1, 1) violates copy bound 1"),
+            (((0, 0), (0, 0), (-1, 1), (0, 0)), "state row (-1, 1) violates copy bound 0"),
+            (((0, 0), (0, 0), (0, 0), (0, 2**70)), f"state row (0, {2**70}) violates copy bound 0"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(reason)):
+                model.state_id(state)
 
     def test_all_healthy_is_zero_all_repairing_is_last(self, base_instance):
         model = build_model(base_instance, design=(1, 2, 0, 1))

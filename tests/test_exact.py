@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -97,6 +98,13 @@ class TestCompareFronts:
         tight = compare_fronts(front, reference, tolerance=1e-9)
         assert loose.entries[0].status == "matched"
         assert tight.entries[0].status == "absent"
+
+    def test_design_lengths_must_agree(self):
+        # a one-type front against a two-type one used to read "matched 1"
+        one, two = [_pt(1.0, -1.0)], [_pt(1.0, -1.0, design=(1, 0))]
+        for front, reference, want in ((one, two, "[1]"), (two, one, "[2]")):
+            with pytest.raises(ValueError, match=re.escape(f"front design lengths {want} differ")):
+                compare_fronts(front, reference)
 
     def test_bad_tolerance_rejected(self):
         for tolerance in (math.nan, -1.0, math.inf):

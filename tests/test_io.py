@@ -163,7 +163,7 @@ class TestFrontFiles:
 
     def test_non_finite_values_rejected(self, tmp_path):
         path = tmp_path / "front.txt"
-        for values in ("nan -1", "inf -1", "-inf -1", "1 nan"):
+        for values in ("nan -1", "inf -1", "-inf -1", "1 nan", "1 inf"):
             path.write_text(f"provenance x_1 p g_o ln_g_f\nexact 1 - {values}\n")
             with pytest.raises(ValueError, match="front values"):
                 read_front(path)
@@ -281,7 +281,8 @@ class TestPolicyFiles:
         # type 2 has one damaged copy here; the old reader took 0,2,0,0
         # for 1,0,0,0
         model = build_model(base_instance, (1, 1, 0, 0))
-        for action in ("0,2,0,0", "0,-1,0,0", "2,0,0,0"):
+        big = "99999999999999999999"  # past int64; once an OverflowError
+        for action in ("0,2,0,0", "0,-1,0,0", "2,0,0,0", f"0,{big},0,0", f"-{big},0,0,0"):
             path = self._edited(tmp_path, model, "0,1|0,1|0,0|0,0", action)
             with pytest.raises(ValueError, match=r"state 0,1\|0,1\|0,0\|0,0: action"):
                 read_policy(path, model)
@@ -333,7 +334,7 @@ class TestPolicyFiles:
             ("0,1|0,2|0,0|0,0 1,1,0,0", "state row (0, 2) violates copy bound 1"),
             ("-1,0|0,1|0,0|0,0 0,1,0,0", "state row (-1, 0) violates copy bound 1"),
             ("0,1|0,1|0,0 1,1,0,0", "state has 3 rows for 4 types"),
-            ("0,1|0,1,0|0,0|0,0 1,1,0,0", "too many values to unpack"),
+            ("0,1|0,1,0|0,0|0,0 1,1,0,0", "state row (0, 1, 0) is not a pair"),
             ("0,2|0,1,0|0,0|0,0 1,1,0,0", "state row (0, 2) violates copy bound 1"),
             # counts no int64 holds, and a pair whose int64 sum wraps negative
             # (that pair's wrapped mixed-radix code is a valid state id)
@@ -367,6 +368,11 @@ class TestPolicyFiles:
             read_policy(path, model)
         path.write_text("\n".join(lines + [outside, repeat]) + "\n")
         with pytest.raises(ValueError, match=re.escape(f"bad policy row {outside!r}")):
+            read_policy(path, model)
+        # a malformed row after it does not jump the queue
+        malformed = "0,0|0,0|0,0|0,0 0,x,0,0"
+        path.write_text("\n".join(lines + [outside, malformed]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"bad policy row {outside!r}: state row")):
             read_policy(path, model)
 
     def test_rows_in_a_looser_layout_read_alike(self, tmp_path, base_instance):

@@ -281,13 +281,13 @@ class TestStartDependence:
         r1, r2 = inst.repair_costs()
 
         # class 1: type b abandoned with both copies damaged, type a cycling
-        from_cls1 = evaluate_policy(model, policy, initial_state=((0, 1), (0, 2)))
+        from_cls1 = evaluate_policy(model, policy, model.state_id(((0, 1), (0, 2))))
         assert from_cls1.g_o == pytest.approx(q1 * r1 + p1 * c1, rel=1e-10)
         assert from_cls1.g_f == pytest.approx(q1, rel=1e-10)
 
         # class 2: type a abandoned, type b fully active on two copies
         cls2 = GainPair(2 * q2 * r2 + c2 * (1 - q2 * q2), q2 * q2)
-        from_cls2 = evaluate_policy(model, policy, initial_state=((0, 1), (1, 0)))
+        from_cls2 = evaluate_policy(model, policy, model.state_id(((0, 1), (1, 0))))
         assert from_cls2.g_o == pytest.approx(cls2.g_o, rel=1e-10)
         assert from_cls2.g_f == pytest.approx(cls2.g_f, rel=1e-10)
 
@@ -297,8 +297,8 @@ class TestStartDependence:
     def test_transient_start_mixes_with_absorption_probabilities(self):
         inst, model, policy = self._two_type_setup()
         a1, a2 = (c.alpha for c in inst.components)
-        cls1 = evaluate_policy(model, policy, initial_state=((0, 1), (0, 2)))
-        cls2 = evaluate_policy(model, policy, initial_state=((0, 1), (1, 0)))
+        cls1 = evaluate_policy(model, policy, model.state_id(((0, 1), (0, 2))))
+        cls2 = evaluate_policy(model, policy, model.state_id(((0, 1), (1, 0))))
         # from all-healthy, reaching class 1 needs type b to fail twice
         # before type a fails once
         lam1 = (2 * a2 / (a1 + 2 * a2)) * (a2 / (a1 + a2))
@@ -333,7 +333,7 @@ class TestStartDependence:
         )
         assert gain.g_f == pytest.approx(pi_c, rel=1e-10)
         # started on the absorbing state it is pure failure
-        parked = evaluate_policy(model, policy, initial_state=((0, 2),))
+        parked = evaluate_policy(model, policy, model.state_id(((0, 2),)))
         assert (parked.g_o, parked.g_f) == (0.0, 1.0)
 
     def test_dense_reference_agrees_from_every_start(self):
@@ -357,16 +357,18 @@ class TestStartDependence:
             with pytest.raises(ValueError, match=rf"initial state -?\d+ outside \[0, {n}\)"):
                 evaluate_policy(model, policy, initial_state=start)
 
-    def test_int_and_tuple_starts_agree(self, base_instance):
+    def test_start_is_a_state_id(self, base_instance):
+        # rows go through model.state_id; evaluate_policy takes the id only
         model = build_model(base_instance, design=(1, 1, 0, 0))
         policy = fully_active_policy(model)
-        sid = model.state_id(((0, 1), (0, 1), (0, 0), (0, 0)))
+        rows = ((0, 1), (0, 1), (0, 0), (0, 0))
+        sid = model.state_id(rows)
+        assert model.state_rows(sid) == rows
         by_id = evaluate_policy(model, policy, initial_state=sid)
-        by_rows = evaluate_policy(
-            model, policy, initial_state=((0, 1), (0, 1), (0, 0), (0, 0))
-        )
-        assert by_id.g_o == by_rows.g_o
-        assert by_id.g_f == by_rows.g_f
+        assert [by_id.g_o, by_id.g_f] == pytest.approx(evaluate_dense(model, policy, sid), rel=1e-12)
+        for start in (rows, [sid], 1.0):
+            with pytest.raises(ValueError, match="is not a state id"):
+                evaluate_policy(model, policy, initial_state=start)
 
 
 class TestDenseReference:
