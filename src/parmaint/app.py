@@ -188,7 +188,7 @@ def sp2(instance, design):
     evaluated full-repair point, recorded as the design's static
     representative.
     """
-    design = tuple(int(x) for x in design)
+    design = instance.check_design(design)
     model = build_model(instance, design=design)
     _, ln_g_f_static = dop_objectives(instance, design)
 

@@ -44,12 +44,6 @@ def _parse_design(instance, text):
         counts = [int(v) for v in text.split(",")]
     except ValueError:
         raise ValueError(f"--design needs comma-separated integers, got {text!r}") from None
-    if len(counts) != instance.n_types:
-        raise InstanceError(
-            f"design needs {instance.n_types} counts, got {len(counts)}"
-        )
-    if any(c < 0 for c in counts):
-        raise InstanceError("design counts must be non-negative")
     design = instance.from_catalog(counts)
     if not instance.is_feasible(design):
         raise InstanceError(f"design {text} violates the instance constraints")

@@ -19,6 +19,7 @@ formula, with array code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ from parmaint.model import Instance
 
 __all__ = [
     "DEFAULT_STATE_CEILING",
+    "DEFAULT_PAIR_CEILING",
     "StateSpaceError",
     "CtmdpModel",
     "WeakCommunicationReport",
@@ -35,6 +37,9 @@ __all__ = [
 ]
 
 DEFAULT_STATE_CEILING = 5_000_000
+# a build peaks at up to ~57 B a state-action pair (design (400,): 10.8 M
+# pairs, +591 MB RSS), so this ceiling allows about 1.1 GB
+DEFAULT_PAIR_CEILING = 20_000_000
 
 # A system state is one (repairing, damaged) pair per component type.
 SystemState = tuple
@@ -273,19 +278,22 @@ def _build_actions(design, states, strides, sizes):
 
 
 def build_model(instance: Instance, design) -> CtmdpModel:
-    """Build the decision model of one fixed design; one with more than
-    ``DEFAULT_STATE_CEILING`` states raises ``StateSpaceError``."""
-    design = tuple(int(x) for x in design)
-    if len(design) != instance.n_types or any(x < 0 for x in design):
-        raise ValueError(f"bad design {design} for {instance.n_types} types")
-    sizes = np.array([_pair_count(m) for m in design], dtype=np.int64)
-    total = int(np.prod(sizes))
-    ceiling = DEFAULT_STATE_CEILING
-    if total > ceiling:
+    """Build the decision model of one design (``Instance.check_design``).
+    Its states and state-action pairs are counted in Python ints before any
+    array is made; more than ``DEFAULT_STATE_CEILING`` states or
+    ``DEFAULT_PAIR_CEILING`` pairs raise ``StateSpaceError``."""
+    design = instance.check_design(design)
+    sizes = [_pair_count(m) for m in design]
+    total = math.prod(sizes)
+    # a pair (s1, s2) has s2 + 1 actions, (m+1)(m+2)(m+3)/6 over a type's pairs
+    pairs = math.prod((m + 1) * (m + 2) * (m + 3) // 6 for m in design)
+    ceiling, pair_ceiling = DEFAULT_STATE_CEILING, DEFAULT_PAIR_CEILING
+    if total > ceiling or pairs > pair_ceiling:
         raise StateSpaceError(
-            f"design {design} yields {total} states, over the ceiling "
-            f"of {ceiling}",
-            report={"per_type": list(map(int, sizes)), "total": total, "ceiling": ceiling},
+            f"design {design} yields {total} states and {pairs} state-action "
+            f"pairs, over the ceiling of {ceiling} states or {pair_ceiling} pairs",
+            report={"per_type": sizes, "total": total, "ceiling": ceiling,
+                    "pairs": pairs, "pair_ceiling": pair_ceiling},
         )
     states, strides = _build_state_array(design, sizes)
     cost_op, cost_fail = _model_costs(instance, design, states)

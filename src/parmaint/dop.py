@@ -65,13 +65,6 @@ class StaticSolution:
     objective: float | None = None  # penalized objective value at that cap
 
 
-def _design_matrix(designs) -> np.ndarray:
-    x = np.asarray(designs, dtype=np.int64)
-    if x.ndim == 1:
-        x = x[None, :]
-    return x
-
-
 def _objective_terms(instance: Instance, x: np.ndarray):
     """Per-design (repair, usage, ln failure) for a (m, n) design array."""
     lnq = instance.ln_q_vector()
@@ -93,9 +86,7 @@ def dop_objectives(instance: Instance, design) -> tuple:
     The failure product is accumulated in log space so deep redundancy
     does not underflow.
     """
-    x = _design_matrix(design)
-    if x.shape[1] != instance.n_types:
-        raise ValueError("design length does not match the catalog")
+    x = np.array([instance.check_design(design)], dtype=np.int64)
     repair, usage, ln_f = _objective_terms(instance, x)
     return float(repair[0] + usage[0]), float(ln_f[0])
 
@@ -108,9 +99,7 @@ def probability_chain_values(instance: Instance, design):
     every earlier slot is down; z[i][j] is the probability that slot and
     every earlier slot are down.  Uninstalled slots pass through.
     """
-    x = tuple(int(v) for v in design)
-    if len(x) != instance.n_types:
-        raise ValueError("design length does not match the catalog")
+    x = instance.check_design(design)
     q = instance.q_vector()
     y, z = [], []
     ahead = 1.0  # probability everything before the current slot is down
@@ -165,7 +154,7 @@ def _design_table(instance: Instance):
     """Every feasible design with its repair, usage and ln failure, sorted
     by ln failure; the stable sort keeps equal rates in lex order."""
     designs = enumerate_feasible_designs(instance)
-    repair, usage, ln_f = _objective_terms(instance, _design_matrix(designs))
+    repair, usage, ln_f = _objective_terms(instance, np.array(designs, dtype=np.int64))
     order = np.argsort(ln_f, kind="stable")
     return [designs[i] for i in order], repair[order], usage[order], ln_f[order]
 

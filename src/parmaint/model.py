@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -115,18 +116,31 @@ class Instance:
     def repair_costs(self) -> np.ndarray:
         return np.array([c.repair_cost for c in self.components])
 
+    def check_design(self, design) -> tuple[int, ...]:
+        """The design as a tuple of Python ints, so later checks stay exact;
+        ``InstanceError`` names a wrong length or a count that is not a
+        non-negative ``numbers.Integral`` (``1.5``, ``'2'``, ``-1``)."""
+        if len(design) != self.n_types:
+            raise InstanceError(f"design needs {self.n_types} counts, got {len(design)}")
+        if not all(isinstance(c, numbers.Integral) and c >= 0 for c in design):
+            raise InstanceError(f"design {tuple(design)} needs non-negative integer counts")
+        return tuple(map(int, design))
+
     def is_feasible(self, design) -> bool:
         """Whether a design (canonical-order copy counts) fits the budget:
-        the rows, and the copy bound of each type some row limits."""
-        x = np.asarray(design, dtype=float)
-        if x.shape != (self.n_types,) or np.any(x < 0):
+        the rows, and the copy bound of each type some row limits.  A design
+        ``check_design`` rejects does not fit; limited counts meet their
+        bounds as integers, and only they enter the float slack."""
+        try:
+            x = self.check_design(design)
+        except InstanceError:
             return False
-        limited = np.any(self.constraints > 0, axis=0)
-        if np.any(x[limited] > np.asarray(self.copy_bounds)[limited]):
+        limited = np.flatnonzero(np.any(self.constraints > 0, axis=0))
+        if any(x[i] > self.copy_bounds[i] for i in limited):
             return False
         slack = self.constraint_bounds.astype(float)
-        for i, count in enumerate(x):  # the order dop's design listing subtracts in
-            slack = slack - count * self.constraints[:, i]
+        for i in limited:  # the order dop's design listing subtracts in
+            slack = slack - x[i] * self.constraints[:, i]
         return bool(np.all(slack >= -ROW_TOL))
 
     def to_catalog(self, design) -> tuple[int, ...]:
@@ -137,12 +151,9 @@ class Instance:
         return tuple(out)
 
     def from_catalog(self, counts) -> tuple[int, ...]:
-        """Canonical copy counts from catalog-ordered ones."""
-        if len(counts) != self.n_types:
-            raise InstanceError(
-                f"expected {self.n_types} copy counts, got {len(counts)}"
-            )
-        return tuple(int(counts[pos]) for pos in self.catalog_order)
+        """Canonical copy counts from catalog-ordered ones (``check_design``)."""
+        counts = self.check_design(counts)
+        return tuple(counts[pos] for pos in self.catalog_order)
 
     def _catalog_view(self):
         """Components and constraint columns back in catalog order."""
@@ -249,7 +260,14 @@ def make_instance(components, constraints, bounds, names=None) -> Instance:
     for i, comp in enumerate(comps_sorted):
         rows = np.nonzero(a_sorted[:, i] > 0)[0]
         if rows.size:
-            bound = int(min(math.floor(b[j] / a_sorted[j, i] + 1e-12) for j in rows))
+            limits = [float(b[j]) / float(a_sorted[j, i]) for j in rows]
+            for j, limit in zip(rows, limits):
+                if limit == math.inf:
+                    raise InstanceError(
+                        f"constraint {names[j]!r} bound over the coefficient of "
+                        f"component type {comp.label!r} overflows a float"
+                    )
+            bound = min(math.floor(limit + 1e-12) for limit in limits)
         else:
             # type untouched by every knapsack row: only acceptable when the
             # analytic bound is finite, otherwise the state space is unbounded
@@ -324,7 +342,7 @@ def _component_from_record(rec: dict, position: int) -> ComponentType:
         alpha = _number(alpha, record, "alpha")
     if p is not None:
         derived = derive_failure_rate(_number(p, record, "p"), tau)
-        if alpha is not None and abs(alpha - derived) > 1e-9:
+        if alpha is not None and not math.isclose(alpha, derived, rel_tol=1e-9):
             raise InstanceError(
                 f"{record} gives both alpha={alpha} and p={p}, which disagree"
             )

@@ -133,7 +133,7 @@ def _lex_table(instance):
     failure, from the library's closed forms: the references below check
     how a cap's design is chosen, not the terms it is chosen on."""
     designs = dop.enumerate_feasible_designs(instance)
-    return (designs, *dop._objective_terms(instance, dop._design_matrix(designs)))
+    return (designs, *dop._objective_terms(instance, np.array(designs, dtype=np.int64)))
 
 
 def reference_fdop(instance):

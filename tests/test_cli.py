@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -15,7 +16,7 @@ from parmaint.dop import sp1_sweep
 from parmaint.exact import exact_front
 from parmaint.io import read_front, read_policy
 from parmaint.mdp_solve import fully_active_policy
-from parmaint.model import load_instance, write_instance
+from parmaint.model import instance_document, load_instance, write_instance
 from parmaint.sim import simulate_policy
 
 from _oracles import revalidate_front, single_type_instance
@@ -160,6 +161,17 @@ class TestValidate:
         assert code == EXIT_ERROR
         assert err.startswith(f"error: {reason}")
         assert "Traceback" not in err
+
+    def test_row_bound_over_coefficient_overflow_is_an_error(self, tmp_path, capsys):
+        doc = instance_document(single_type_instance())
+        doc["constraints"][0].update(coefficients=[1e-300], bound=1e300)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        assert main(["instance", "validate", str(path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: constraint 'slots' bound over the coefficient of component "
+            "type 'only' overflows a float\n"
+        )
 
 
 class TestDop:
@@ -653,6 +665,61 @@ class TestDmp:
         assert code == EXIT_ERROR
         assert capsys.readouterr().err == "error: design 1 violates the instance constraints\n"
         assert not (tmp_path / "gain.txt").exists()
+
+    def test_count_past_a_float_is_infeasible(self, base_path, tmp_path, capsys):
+        nines = "9" * 400
+        code = main(["dmp", base_path, "--design", f"{nines},0,0,0",
+                     "--out", str(tmp_path / "gain.txt")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: design {nines},0,0,0 violates the instance constraints\n"
+
+    @staticmethod
+    def _no_row_path(tmp_path, usage_costs, rows=()):
+        comps = [
+            {"label": str(i + 1), "p": 0.99, "tau": 1, "usage_cost": c, "repair_cost": 100,
+             "install_cost": 1, "weight": 1}
+            for i, c in enumerate(usage_costs)
+        ]
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"components": comps, "constraints": list(rows)}))
+        return str(path)
+
+    def test_state_count_past_int64_meets_the_ceiling(self, tmp_path, capsys):
+        # 4,504,501^3 states wrap in int64; counted exactly they stop at the ceiling
+        path = self._no_row_path(tmp_path, [1, 2, 3])
+        tracemalloc.start()
+        try:
+            code = main(["dmp", path, "--design", "3000,3000,3000",
+                         "--out", str(tmp_path / "gain.txt")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: design (3000, 3000, 3000) yields 91398709337699263501 states")
+        assert err.count("\n") == 1
+        assert peak < 2**20
+
+    def test_unlimited_count_past_int64_meets_the_ceiling(self, tmp_path, capsys):
+        row = {"name": "slots", "coefficients": [1, 0], "bound": 3}
+        path = self._no_row_path(tmp_path, [1, 2], [row])
+        code = main(["dmp", path, "--design", "1,5000000000", "--out", str(tmp_path / "gain.txt")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: design (1, 5000000000) yields 37500000022500000003 states")
+        assert err.count("\n") == 1
+
+    def test_state_action_pairs_meet_their_ceiling(self, tmp_path, capsys):
+        row = {"name": "slots", "coefficients": [1], "bound": 3000}
+        path = self._no_row_path(tmp_path, [1], [row])
+        start = time.perf_counter()
+        code = main(["dmp", path, "--design", "3000", "--out", str(tmp_path / "gain.txt")])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "yields 4504501 states and 4509005501 state-action pairs" in err
+        assert err.count("\n") == 1
 
     def test_non_integer_design_count(self, base_path, capsys):
         code = main(["dmp", base_path, "--design", "1,x,0,0"])

@@ -283,6 +283,22 @@ class TestBuildModel:
         assert err.value.report["total"] == 4001 * 4002 // 2
         assert peak < 2**20
 
+    def test_pair_ceiling_checked_before_the_action_table_is_built(self):
+        # 4,504,501 states, under the state ceiling, but 4,509,005,501
+        # state-action pairs: it must raise before any per-state array exists
+        inst = single_type_instance(bound=3000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateSpaceError) as err:
+                build_model(inst, design=(3000,))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert err.value.report["total"] == 4_504_501 < ctmdp.DEFAULT_STATE_CEILING
+        assert err.value.report["pairs"] == 3001 * 3002 * 3003 // 6
+        assert "4504501 states and 4509005501 state-action pairs" in str(err.value)
+        assert peak < 2**20
+
     def test_every_base_design_matches_primitives(self, base_instance):
         designs = enumerate_feasible_designs(base_instance)
         assert len(designs) == 76

@@ -1,10 +1,12 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from parmaint import dop
+from parmaint.ctmdp import build_model
 from parmaint.model import (
     ComponentType,
     InstanceError,
@@ -146,6 +148,12 @@ class TestMakeInstanceValidation:
         with pytest.raises(InstanceError, match="'b' has unavailability rounding to 0"):
             make_instance(comps, [[1.0, column]], [5.0])
 
+    def test_bound_over_coefficient_overflow_rejected(self):
+        # 1e300 / 1e-300 is past every float: no copy bound can be taken
+        comps = [_comp(label="a"), _comp(label="b")]
+        with pytest.raises(InstanceError, match="constraint 'slots' .* type 'b' overflows"):
+            make_instance(comps, [[1.0, 1e-300]], [1e300], names=["slots"])
+
     def test_unconstrained_type_with_repair_cost_gets_analytic_bound(self):
         # by hand: q = 1/11, margin = 0.1, r = 0.5 puts the single-type
         # optimum just past one copy, so the analytic cap is 1
@@ -205,10 +213,17 @@ class TestFeasibility:
 
     def test_over_budget(self, base_instance):
         assert not base_instance.is_feasible((9, 9, 9, 9))
+        assert not base_instance.is_feasible((10**400, 0, 0, 0))
 
     def test_bad_shape_or_sign(self, base_instance):
         assert not base_instance.is_feasible((1, 0, 0))
         assert not base_instance.is_feasible((-1, 0, 0, 0))
+
+    def test_unlimited_count_past_int64_is_judged_in_integers(self):
+        comps = [_comp(label="a"), _comp(label="b", usage_cost=2.0)]
+        inst = make_instance(comps, [[1.0, 0.0]], [2.0])
+        assert inst.is_feasible((2, 10**400))
+        assert not inst.is_feasible((3, 10**400))
 
     def test_count_above_copy_bound_rejected(self):
         # floor(b / a + 1e-12) = 0, though a exceeds b by only 1e-13
@@ -243,6 +258,33 @@ class TestFeasibility:
                 assert inst.is_feasible(x) == (x in listed), (inst.constraints, b, x)
                 checked += 1
         assert checked > 5_000
+
+
+class TestCheckDesign:
+    BAD = [
+        ((1.5, 0, 0, 0), "design (1.5, 0, 0, 0) needs non-negative integer counts"),
+        (("2", 0, 0, 0), "design ('2', 0, 0, 0) needs non-negative integer counts"),
+        ((-1, 0, 0, 0), "design (-1, 0, 0, 0) needs non-negative integer counts"),
+        ((1, 0, 0), "design needs 4 counts, got 3"),
+    ]
+
+    def test_counts_become_python_ints(self, base_instance):
+        design = base_instance.check_design(np.array([1, 0, 2, 0]))
+        assert design == (1, 0, 2, 0)
+        assert all(type(c) is int for c in design)
+
+    @pytest.mark.parametrize("design, reason", BAD)
+    def test_every_entry_point_rejects_a_bad_design(self, base_instance, design, reason):
+        for check in (
+            base_instance.check_design,
+            base_instance.from_catalog,
+            lambda x: build_model(base_instance, x),
+            lambda x: dop.dop_objectives(base_instance, x),
+            lambda x: dop.probability_chain_values(base_instance, x),
+        ):
+            with pytest.raises(InstanceError, match=re.escape(reason)):
+                check(design)
+        assert not base_instance.is_feasible(design)
 
 
 class TestCopyBounds:
@@ -377,6 +419,23 @@ class TestLoaders:
         path.write_text(doc)
         with pytest.raises(InstanceError, match="agree|disagree|both"):
             load_instance(path)
+
+    def test_alpha_far_below_the_derived_rate_rejected(self):
+        # p implies 5e-10 at tau = 1: 1e-10 is 4e-10 off, under 1e-9 absolute
+        doc = instance_document(single_type_instance())
+        doc["components"][0].update(alpha=1e-10, tau=1.0, p=1.0 / (1.0 + 5e-10))
+        with pytest.raises(InstanceError, match="disagree"):
+            load_instance(doc)
+
+    def test_large_consistent_rates_load(self):
+        # p = tau / (tau + alpha) gives back alpha to ~1e-13 relative,
+        # about 1e-8 absolute at alpha = 1e5
+        tau, alpha = 1e8, 1e5
+        doc = instance_document(single_type_instance())
+        doc["components"][0].update(alpha=alpha, tau=tau, p=tau / (tau + alpha))
+        loaded = load_instance(doc).components[0].alpha
+        assert loaded == derive_failure_rate(tau / (tau + alpha), tau)
+        assert loaded == pytest.approx(alpha, rel=1e-9)
 
     def test_component_requires_some_rate(self, tmp_path):
         doc = """{
