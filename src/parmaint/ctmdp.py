@@ -281,7 +281,8 @@ def build_model(instance: Instance, design) -> CtmdpModel:
     """Build the decision model of one design (``Instance.check_design``).
     Its states and state-action pairs are counted in Python ints before any
     array is made; more than ``DEFAULT_STATE_CEILING`` states or
-    ``DEFAULT_PAIR_CEILING`` pairs raise ``StateSpaceError``."""
+    ``DEFAULT_PAIR_CEILING`` pairs raise ``StateSpaceError``, which names
+    the design in catalog order."""
     design = instance.check_design(design)
     sizes = [_pair_count(m) for m in design]
     total = math.prod(sizes)
@@ -290,8 +291,9 @@ def build_model(instance: Instance, design) -> CtmdpModel:
     ceiling, pair_ceiling = DEFAULT_STATE_CEILING, DEFAULT_PAIR_CEILING
     if total > ceiling or pairs > pair_ceiling:
         raise StateSpaceError(
-            f"design {design} yields {total} states and {pairs} state-action "
-            f"pairs, over the ceiling of {ceiling} states or {pair_ceiling} pairs",
+            f"design {instance.to_catalog(design)} yields {total} states and "
+            f"{pairs} state-action pairs, over the ceiling of {ceiling} states "
+            f"or {pair_ceiling} pairs",
             report={"per_type": sizes, "total": total, "ceiling": ceiling,
                     "pairs": pairs, "pair_ceiling": pair_ceiling},
         )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from parmaint.model import ROW_TOL, STATIC_DELTA, Instance
+from parmaint.model import ROW_TOL, STATIC_DELTA, Instance, InstanceError
 
 __all__ = [
     "DESIGN_CEILING",
@@ -84,9 +84,13 @@ def dop_objectives(instance: Instance, design) -> tuple:
     """Closed-form (operational cost rate, log failure rate) of a design.
 
     The failure product is accumulated in log space so deep redundancy
-    does not underflow.
+    does not underflow.  ``InstanceError`` names a design with a count
+    past int64.
     """
-    x = np.array([instance.check_design(design)], dtype=np.int64)
+    design = instance.check_design(design)
+    if max(design) > np.iinfo(np.int64).max:
+        raise InstanceError(f"design {design} has a count past int64")
+    x = np.array([design], dtype=np.int64)
     repair, usage, ln_f = _objective_terms(instance, x)
     return float(repair[0] + usage[0]), float(ln_f[0])
 
@@ -117,7 +121,8 @@ def probability_chain_values(instance: Instance, design):
 
 
 def enumerate_feasible_designs(instance: Instance) -> list:
-    """All integer designs 0 <= x <= copy bounds with A x <= b, lex order.
+    """Every design ``Instance.is_feasible`` accepts, in lex order: integer
+    0 <= x <= copy bounds with A x <= b.
 
     The designs are built one type at a time as rows of an array, each
     with the slack its copies leave.  Coefficients are non-negative, so

@@ -2,10 +2,11 @@
 
 An instance is a catalog of machine component types (failure/repair
 rates and the various costs) together with linear purchase constraints
-``A x <= b`` on the number of copies installed per type.  Internally
-components are kept sorted by ascending usage cost so that position in
-the catalog is also usage priority; the original catalog order is
-retained for reporting.
+``A x <= b`` on the number of copies installed per type; each type
+needs a positive coefficient in some row, which gives it a finite copy
+bound.  Internally components are kept sorted by ascending usage cost
+so that position in the catalog is also usage priority; the original
+catalog order is retained for reporting.
 """
 
 from __future__ import annotations
@@ -128,19 +129,17 @@ class Instance:
 
     def is_feasible(self, design) -> bool:
         """Whether a design (canonical-order copy counts) fits the budget:
-        the rows, and the copy bound of each type some row limits.  A design
-        ``check_design`` rejects does not fit; limited counts meet their
-        bounds as integers, and only they enter the float slack."""
+        every count within its type's copy bound, compared as Python ints,
+        and then every row.  A design ``check_design`` rejects does not fit."""
         try:
             x = self.check_design(design)
         except InstanceError:
             return False
-        limited = np.flatnonzero(np.any(self.constraints > 0, axis=0))
-        if any(x[i] > self.copy_bounds[i] for i in limited):
+        if any(count > bound for count, bound in zip(x, self.copy_bounds)):
             return False
         slack = self.constraint_bounds.astype(float)
-        for i in limited:  # the order dop's design listing subtracts in
-            slack = slack - x[i] * self.constraints[:, i]
+        for i, count in enumerate(x):  # the order dop's design listing subtracts in
+            slack = slack - count * self.constraints[:, i]
         return bool(np.all(slack >= -ROW_TOL))
 
     def to_catalog(self, design) -> tuple[int, ...]:
@@ -190,27 +189,6 @@ class Instance:
         )
 
 
-def _analytic_copy_bound(q, repair_cost, usage_cost, top_usage_cost, delta):
-    """Copy count beyond which extra copies cannot pay off, or None/inf.
-
-    Derived from the single-type relaxation of the penalized static
-    objective ``r q x + c (1 - q^x) + (1 + delta) c_top q^x``, which is
-    convex in x with minimizer
-    ``x* = ln(-q r / (((1+delta) c_top - c) ln q)) / ln q``.
-    Returns None when the coefficient ``(1+delta) c_top - c`` is not
-    positive (no interior minimizer), and +inf when repair is free or
-    ``q`` rounds to 1, where ``ln q = 0`` leaves no finite bound.
-    """
-    margin = (1.0 + delta) * top_usage_cost - usage_cost
-    if margin <= 0.0:
-        return None
-    lnq = math.log(q)
-    if repair_cost <= 0.0 or lnq == 0.0:
-        return math.inf
-    t = (-q * repair_cost) / (margin * lnq)
-    return max(0, math.ceil(math.log(t) / lnq))
-
-
 def make_instance(components, constraints, bounds, names=None) -> Instance:
     """Validate and canonicalize a catalog given in catalog order."""
     comps = list(components)
@@ -255,32 +233,21 @@ def make_instance(components, constraints, bounds, names=None) -> Instance:
     comps_sorted = tuple(comps[i] for i in order)
     a_sorted = a[:, order]
 
-    top_cost = max(c.usage_cost for c in comps_sorted)
     copy_bounds = []
     for i, comp in enumerate(comps_sorted):
         rows = np.nonzero(a_sorted[:, i] > 0)[0]
-        if rows.size:
-            limits = [float(b[j]) / float(a_sorted[j, i]) for j in rows]
-            for j, limit in zip(rows, limits):
-                if limit == math.inf:
-                    raise InstanceError(
-                        f"constraint {names[j]!r} bound over the coefficient of "
-                        f"component type {comp.label!r} overflows a float"
-                    )
-            bound = min(math.floor(limit + 1e-12) for limit in limits)
-        else:
-            # type untouched by every knapsack row: only acceptable when the
-            # analytic bound is finite, otherwise the state space is unbounded
-            analytic = _analytic_copy_bound(
-                comp.unavailability, comp.repair_cost, comp.usage_cost, top_cost, STATIC_DELTA
+        if not rows.size:
+            raise InstanceError(
+                f"component type {comp.label!r} is not limited by any constraint row"
             )
-            if analytic is None or analytic is math.inf:
+        limits = [float(b[j]) / float(a_sorted[j, i]) for j in rows]
+        for j, limit in zip(rows, limits):
+            if limit == math.inf:
                 raise InstanceError(
-                    f"component type {comp.label!r} is not limited by any "
-                    f"constraint row and has no finite analytic copy bound"
+                    f"constraint {names[j]!r} bound over the coefficient of "
+                    f"component type {comp.label!r} overflows a float"
                 )
-            bound = int(analytic)
-        copy_bounds.append(bound)
+        copy_bounds.append(min(math.floor(limit + 1e-12) for limit in limits))
 
     a_sorted.setflags(write=False)
     b.setflags(write=False)

@@ -80,7 +80,7 @@ class TestValidate:
         assert err == "error: unknown component fields ['reliability']\n"
 
     def test_never_available_unconstrained_type_is_an_error(self, tmp_path, capsys):
-        # unavailability 1 / (1 + 1e-300) rounds to 1 and no row limits "b"
+        # unavailability 1 / (1 + 1e-300) rounds to 1; what is named is that no row limits "b"
         doc = {
             "components": [
                 {"label": "a", "p": 0.9, "tau": 1, "usage_cost": 1, "repair_cost": 10,
@@ -97,6 +97,32 @@ class TestValidate:
         assert code == EXIT_ERROR
         assert err.startswith("error: component type 'b' is not limited")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["instance", "validate"], ["exact", "--out", "out.txt"],
+         ["dmp", "--design", "2,3", "--out", "out.txt"]],
+        ids=["validate", "exact", "dmp"],
+    )
+    def test_type_in_no_row_is_an_error(self, argv, tmp_path, monkeypatch, capsys):
+        # every type needs a row: "b" would have no copy bound
+        doc = {
+            "components": [
+                {"label": "a", "p": 0.9, "tau": 1, "usage_cost": 1, "repair_cost": 10,
+                 "install_cost": 1, "weight": 1},
+                {"label": "b", "p": 0.8, "tau": 1, "usage_cost": 1, "repair_cost": 10,
+                 "install_cost": 1, "weight": 1},
+            ],
+            "constraints": [{"name": "slots", "coefficients": [1, 0], "bound": 2}],
+        }
+        monkeypatch.chdir(tmp_path)
+        pathlib.Path("free.json").write_text(json.dumps(doc))
+        code = main([*argv, "free.json"])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == "error: component type 'b' is not limited by any constraint row\n"
+        assert captured.out == ""
+        assert not pathlib.Path("out.txt").exists()
 
     @pytest.mark.parametrize("row", [[1, 1], [1, 0]], ids=["limited", "unlimited"])
     def test_unavailability_rounding_to_zero_is_an_error(self, row, tmp_path, capsys):
@@ -675,19 +701,20 @@ class TestDmp:
         assert err == f"error: design {nines},0,0,0 violates the instance constraints\n"
 
     @staticmethod
-    def _no_row_path(tmp_path, usage_costs, rows=()):
+    def _instance_path(tmp_path, usage_costs, coefficients, bound):
         comps = [
             {"label": str(i + 1), "p": 0.99, "tau": 1, "usage_cost": c, "repair_cost": 100,
              "install_cost": 1, "weight": 1}
             for i, c in enumerate(usage_costs)
         ]
+        row = {"name": "slots", "coefficients": coefficients, "bound": bound}
         path = tmp_path / "inst.json"
-        path.write_text(json.dumps({"components": comps, "constraints": list(rows)}))
+        path.write_text(json.dumps({"components": comps, "constraints": [row]}))
         return str(path)
 
     def test_state_count_past_int64_meets_the_ceiling(self, tmp_path, capsys):
         # 4,504,501^3 states wrap in int64; counted exactly they stop at the ceiling
-        path = self._no_row_path(tmp_path, [1, 2, 3])
+        path = self._instance_path(tmp_path, [1, 2, 3], [1e-9, 1e-9, 1e-9], 1)
         tracemalloc.start()
         try:
             code = main(["dmp", path, "--design", "3000,3000,3000",
@@ -702,8 +729,8 @@ class TestDmp:
         assert peak < 2**20
 
     def test_unlimited_count_past_int64_meets_the_ceiling(self, tmp_path, capsys):
-        row = {"name": "slots", "coefficients": [1, 0], "bound": 3}
-        path = self._no_row_path(tmp_path, [1, 2], [row])
+        # a tiny coefficient lets "2" take 5e9 copies, whose state count is past int64
+        path = self._instance_path(tmp_path, [1, 2], [1, 1e-10], 3)
         code = main(["dmp", path, "--design", "1,5000000000", "--out", str(tmp_path / "gain.txt")])
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
@@ -711,14 +738,22 @@ class TestDmp:
         assert err.count("\n") == 1
 
     def test_state_action_pairs_meet_their_ceiling(self, tmp_path, capsys):
-        row = {"name": "slots", "coefficients": [1], "bound": 3000}
-        path = self._no_row_path(tmp_path, [1], [row])
+        path = self._instance_path(tmp_path, [1], [1], 3000)
         start = time.perf_counter()
         code = main(["dmp", path, "--design", "3000", "--out", str(tmp_path / "gain.txt")])
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert "yields 4504501 states and 4509005501 state-action pairs" in err
+        assert err.count("\n") == 1
+
+    def test_state_ceiling_names_the_design_in_catalog_order(self, tmp_path, capsys):
+        # type "1" costs more to run, so it comes second in priority order
+        path = self._instance_path(tmp_path, [5, 1], [1e-9, 1e-9], 1)
+        code = main(["dmp", path, "--design", "4000,1", "--out", str(tmp_path / "gain.txt")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: design (4000, 1) yields 24018003 states")
         assert err.count("\n") == 1
 
     def test_non_integer_design_count(self, base_path, capsys):

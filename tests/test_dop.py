@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from parmaint.dop import (
     solve_fdop,
     sp1_sweep,
 )
-from parmaint.model import ComponentType, load_instance, make_instance
+from parmaint.model import ComponentType, InstanceError, load_instance, make_instance
 
 from _oracles import (
     grid_feasible_designs,
@@ -43,6 +45,14 @@ class TestClosedForms:
 
     def test_empty_design(self, base_instance):
         assert dop_objectives(base_instance, (0, 0, 0, 0)) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("count", [2**63, 10**400], ids=["2**63", "10**400"])
+    def test_count_past_int64_names_the_design(self, base_instance, count):
+        design = (count, 0, 0, 0)
+        reason = f"design {design} has a count past int64"
+        with pytest.raises(InstanceError, match=re.escape(reason)):
+            dop_objectives(base_instance, design)
+        assert dop_objectives(base_instance, (2**63 - 1, 0, 0, 0))[1] < -1e19
 
     def test_mixed_design_table_values(self, base_instance):
         # catalog design (0,4,0,1) under usage costs (10, 10, 1, 1)
@@ -422,18 +432,27 @@ class TestDesignListing:
             assert designs == grid_feasible_designs(inst)
 
     def test_random_instances(self):
-        # types in no row stop at their copy bound before any row binds
+        # zeroed coefficients leave a type out of some rows; a type left out
+        # of every row is rejected, and then gets its column back
         rng = np.random.default_rng(47)
         unrowed = 0
         for _ in range(40):
             inst = random_instance(rng, n_types=int(rng.integers(1, 5)))
             comps, a = inst._catalog_view()
-            a[:, rng.random(len(comps)) < 0.3] = 0.0
-            unrowed += int(np.sum(~a.any(axis=0)))
+            full = a.copy()
+            a[rng.random(a.shape) < 0.3] = 0.0
+            free = ~a.any(axis=0)
+            if free.any():
+                with pytest.raises(InstanceError, match="is not limited by any constraint row"):
+                    make_instance(comps, a, inst.constraint_bounds)
+                a[:, free] = full[:, free]
+                unrowed += int(free.sum())
             inst = make_instance(comps, a, inst.constraint_bounds)
             designs = dop.enumerate_feasible_designs(inst)
             assert designs == grid_feasible_designs(inst)
             assert all(type(v) is int for x in designs for v in x)
+            tops = (range(cap + 2) for cap in inst.copy_bounds)  # one copy past each bound
+            assert designs == [x for x in itertools.product(*tops) if inst.is_feasible(x)]
         assert unrowed >= 10
 
 

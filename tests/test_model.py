@@ -128,15 +128,15 @@ class TestMakeInstanceValidation:
         assert inst.labels == ("1", "2")
 
     def test_unconstrained_type_without_repair_cost_rejected(self):
-        # a zero constraint column leaves the copy count unbounded and with
-        # free repair no analytic cap exists either
+        # a zero constraint column would leave the copy count unbounded
         comps = [_comp(label="a"), _comp(label="b", repair_cost=0.0)]
-        with pytest.raises(InstanceError, match="not limited"):
+        with pytest.raises(
+            InstanceError, match="^component type 'b' is not limited by any constraint row$"
+        ):
             make_instance(comps, [[1.0, 0.0]], [5.0])
 
     def test_unconstrained_type_that_is_never_available_rejected(self):
-        # q = 1 / (1 + 1e-300) rounds to 1, so ln q = 0 and the analytic
-        # cap has no finite value
+        # q = 1 / (1 + 1e-300) rounds to 1; the missing row is what is named
         comps = [_comp(label="a"), _comp(label="b", alpha=1.0, tau=1e-300)]
         with pytest.raises(InstanceError, match="'b' is not limited"):
             make_instance(comps, [[1.0, 0.0]], [5.0])
@@ -153,14 +153,6 @@ class TestMakeInstanceValidation:
         comps = [_comp(label="a"), _comp(label="b")]
         with pytest.raises(InstanceError, match="constraint 'slots' .* type 'b' overflows"):
             make_instance(comps, [[1.0, 1e-300]], [1e300], names=["slots"])
-
-    def test_unconstrained_type_with_repair_cost_gets_analytic_bound(self):
-        # by hand: q = 1/11, margin = 0.1, r = 0.5 puts the single-type
-        # optimum just past one copy, so the analytic cap is 1
-        comps = [_comp(label="a"), _comp(label="b", repair_cost=0.5)]
-        inst = make_instance(comps, [[1.0, 0.0]], [5.0])
-        assert inst.copy_bounds[0] == 5
-        assert inst.copy_bounds[1] == 1
 
 
 class TestCanonicalOrder:
@@ -220,10 +212,14 @@ class TestFeasibility:
         assert not base_instance.is_feasible((-1, 0, 0, 0))
 
     def test_unlimited_count_past_int64_is_judged_in_integers(self):
+        # a tiny coefficient gives "b" a copy bound near 2e30, past int64
         comps = [_comp(label="a"), _comp(label="b", usage_cost=2.0)]
-        inst = make_instance(comps, [[1.0, 0.0]], [2.0])
-        assert inst.is_feasible((2, 10**400))
-        assert not inst.is_feasible((3, 10**400))
+        inst = make_instance(comps, [[1.0, 1e-30]], [2.0])
+        assert inst.copy_bounds == (2, math.floor(2.0 / 1e-30))
+        assert inst.is_feasible((2, 2**64))
+        assert not inst.is_feasible((3, 2**64))
+        assert not inst.is_feasible((0, inst.copy_bounds[1] + 1))
+        assert not inst.is_feasible((0, 10**400))
 
     def test_count_above_copy_bound_rejected(self):
         # floor(b / a + 1e-12) = 0, though a exceeds b by only 1e-13
@@ -232,17 +228,12 @@ class TestFeasibility:
         assert inst.is_feasible((0,))
         assert not inst.is_feasible((1,))
 
-    def test_unlimited_type_not_held_to_its_analytic_bound(self):
-        comps = [_comp(label="a"), _comp(label="b", usage_cost=2.0)]
-        inst = make_instance(comps, [[1.0, 0.0]], [2.0])
-        assert inst.is_feasible((2, inst.copy_bounds[1] + 1))
-
     def test_matches_the_design_listing_on_boundary_instances(self):
         # coefficients c k and bounds c m (1 +- 1e-10): rows hit their
         # bounds to within rounding, and at c = 1, m near 10 the 1e-9
         # slack is decided by the order the terms are subtracted in
         rng = np.random.default_rng(11)
-        checked = 0
+        checked = rejected = 0
         for trial in range(600):
             c = (1e-3, 1.0, 1e6)[trial % 3]
             n, r = int(rng.integers(1, 4)), int(rng.integers(1, 3))
@@ -250,14 +241,19 @@ class TestFeasibility:
             k[:, rng.random(n) < 0.2] = 0.0  # some types in no row
             b = c * rng.integers(0, 12, size=r) * (1.0 + rng.choice([-1e-10, 0.0, 1e-10], r))
             comps = [_comp(label=f"t{i}", usage_cost=float(i + 1)) for i in range(n)]
+            free = ~k.any(axis=0)
+            if free.any():  # rejected, naming the first such type; then given a row
+                with pytest.raises(InstanceError, match=f"'t{np.argmax(free)}' is not limited"):
+                    make_instance(comps, c * k, b)
+                k[rng.integers(0, r), free] = rng.integers(1, 10, size=int(free.sum()))
+                rejected += 1
             inst = make_instance(comps, c * k, b)
             listed = set(dop.enumerate_feasible_designs(inst))
-            limited = np.any(inst.constraints > 0, axis=0)
-            tops = [cap + 1 if lim else cap for cap, lim in zip(inst.copy_bounds, limited)]
-            for x in itertools.product(*(range(t + 1) for t in tops)):
+            for x in itertools.product(*(range(cap + 2) for cap in inst.copy_bounds)):
                 assert inst.is_feasible(x) == (x in listed), (inst.constraints, b, x)
                 checked += 1
         assert checked > 5_000
+        assert rejected > 50
 
 
 class TestCheckDesign:
